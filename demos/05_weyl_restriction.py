@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from pwkit import (MultivariatePolynomial, ObstructionHit, RootSystemSpec,
                    chevalley_generators, ow1_lift, rais_decompose,
-                   restrict_poly, restricted_group, reynolds, stabilizer,
+                   restricted_group, reynolds, stabilizer,
                    surjectivity_certificate, weyl_group)
 
 b4, b2 = RootSystemSpec("B", 4), RootSystemSpec("B", 2)
@@ -46,7 +46,7 @@ x1sq_plus_x2sq = chevalley_generators(b2)[0]
 H = ow1_lift(x1sq_plus_x2sq, b4, b2)
 print("\nlift of x1^2 + x2^2 to a W(B4)-invariant:")
 print(H.to_text().strip())
-print("restriction check:", restrict_poly(H, 2) == x1sq_plus_x2sq)
+print("restriction check:", H.restrict(2) == x1sq_plus_x2sq)
 
 pf = MultivariatePolynomial(4, {(1, 1, 1, 1): Fraction(1)})
 try:

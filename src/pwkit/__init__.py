@@ -28,7 +28,7 @@ from .weyl import (SignedPermutation, RootSystemSpec, MultivariatePolynomial,
                    GroupTooLarge, DegreeTooLarge, NotInvariant,
                    NoSolutionAtDegree, ObstructionHit, weyl_group, group_order,
                    stabilizer, restricted_group, reynolds,
-                   chevalley_generators, invariant_basis, restrict_poly,
+                   chevalley_generators, invariant_basis,
                    surjectivity_certificate, SurjectivityCertificate,
                    rais_decompose, ow1_lift)
 

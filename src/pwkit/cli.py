@@ -493,7 +493,7 @@ def run_weyl(cfg, report):
         spec_k = _weyl.RootSystemSpec("B", 4)
         spec_n = _weyl.RootSystemSpec("B", 2)
         basis = _weyl.invariant_basis(spec_n, 6)
-        for _ in range(10 if cfg.preset == "desk" else 10):
+        for _ in range(10):
             target = _weyl.MultivariatePolynomial.zero(2)
             for b in basis:
                 c = int(rng.integers(-4, 5))

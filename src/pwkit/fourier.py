@@ -6,18 +6,25 @@ inversion, and the marginal-projection compatibility square.
 Forward convention throughout: F f (lambda) = int f(x) e^{-2 pi i x.lambda} dx.
 
 The two sides of every defect here are computed by algorithmically
-independent quadratures: the slice route goes Radon -> 1-D Fourier in the
-offset, while the direct route is plain n-dimensional oscillatory
-quadrature on the grid (no FFT anywhere, so the comparison is not
-circular).
+independent quadratures, each with one kernel (no FFT anywhere):
+`radon._slice_transform` (Radon, then the 1-D Fourier integral in the
+offset: the slice route) and `grid._direct_transform` (n-D oscillatory
+quadrature on the grid: the direct route).  No certificate uses one kernel
+on both sides, so no comparison is circular:
+
+- Fourier slice: `radial_fourier` (offset) vs `fourier_on_rays` (direct).
+- Extension consistency: slice extensions at complex z (offset) vs
+  `pw.complexified_sphere_eval` at a complexified direction (direct).
+- Round trip and pointwise inversion: `radon.inverse_radon` and
+  `pointwise_inversion` (offset) vs the grid samples of f (no kernel).
 """
 
 import numpy as np
 
 from .grid import (GridSpec, SampledFunction, DirectionSet, SPHERE_AREA,
-                   l2_norm_sq, _trapezoid_weights)
-from .radon import (Sinogram, radon_transform, default_offsets, moment,
-                    _require_even, _radial_nodes)
+                   l2_norm_sq, _direct_transform)
+from .radon import (radon_transform, default_offsets, _require_even,
+                    _radial_nodes, _slice_transform)
 
 __all__ = [
     "VectorFT",
@@ -85,37 +92,20 @@ def radial_fourier(s, radii):
     """
     _require_even(s)
     radii = np.asarray(radii, dtype=float)
-    wp = s.offset_weights()
-    E = np.exp(-2j * np.pi * np.outer(radii, s.offsets)) * wp[None, :]
-    return VectorFT(radii, s.directions, E @ s.values)
+    return VectorFT(radii, s.directions, _slice_transform(s, radii))
 
 
 def fourier_on_rays(f, radii, directions):
     """F_{R^n} f (r_i omega_j) by direct oscillatory quadrature on the grid.
 
-    Separable phases keep this O(R Q M^n) without forming the full phase
-    tensor.  This is the oracle side of the Fourier-slice check.
+    One direction at a time, so the largest intermediate is (R, M^{n-1}).
+    This is the oracle side of the Fourier-slice check.
     """
     radii = np.asarray(radii, dtype=float)
-    ax = f.grid.axis()
-    h = f.grid.spacing
-    vecs = directions.vectors
-    out = np.empty((len(radii), len(vecs)), dtype=complex)
-    vals = f.values
-    if f.grid.n == 2:
-        for j, w in enumerate(vecs):
-            U = np.exp(-2j * np.pi * np.outer(radii, w[0] * ax))
-            V = np.exp(-2j * np.pi * np.outer(ax, radii) * w[1])
-            out[:, j] = np.einsum("rm,mr->r", U @ vals, V)
-        return out * h**2
-    for j, w in enumerate(vecs):
-        U = np.exp(-2j * np.pi * np.outer(radii, w[0] * ax))        # (R, M)
-        V = np.exp(-2j * np.pi * np.outer(radii, w[1] * ax))        # (R, M)
-        W = np.exp(-2j * np.pi * np.outer(radii, w[2] * ax))        # (R, M)
-        t1 = np.tensordot(U, vals, axes=(1, 0))                     # (R, M, M)
-        t2 = np.einsum("rbc,rb->rc", t1, V)
-        out[:, j] = np.einsum("rc,rc->r", t2, W)
-    return out * h**3
+    out = np.empty((len(radii), len(directions)), dtype=complex)
+    for j, w in enumerate(directions.vectors):
+        out[:, j] = _direct_transform(f, radii, w)
+    return out
 
 
 def choose_r_max(s, tail_fraction=1e-6, coarse_step=0.5):
@@ -129,9 +119,7 @@ def choose_r_max(s, tail_fraction=1e-6, coarse_step=0.5):
     n = s.n
     h_nyquist = 0.5 / (s.offsets[1] - s.offsets[0])
     coarse = np.arange(0.0, h_nyquist, coarse_step)
-    wp = s.offset_weights()
-    E = np.exp(-2j * np.pi * np.outer(coarse, s.offsets)) * wp[None, :]
-    V = E @ s.values
+    V = _slice_transform(s, coarse)
     g = SPHERE_AREA[n] * coarse**(n - 1) * ((np.abs(V) ** 2) @ s.directions.weights)
     total = np.trapezoid(g, dx=coarse_step)
     if total == 0:
@@ -153,14 +141,6 @@ def _simpson_weights(npts, dx):
     return w * (dx / 3.0)
 
 
-def _slice_pipeline(f, directions=None, offsets=None):
-    if directions is None:
-        directions = (DirectionSet.circle(64) if f.grid.n == 2
-                      else DirectionSet.sphere(8))
-    s = radon_transform(f, offsets=offsets, directions=directions)
-    return s
-
-
 def fourier_slice_defect(f, directions=None, radii=None):
     """max |F_{R^n} f (r omega) - F_R(R f)(r, omega)| over a test grid.
 
@@ -168,7 +148,7 @@ def fourier_slice_defect(f, directions=None, radii=None):
     through the Radon transform.  Their agreement is the Fourier-slice
     identity.
     """
-    s = _slice_pipeline(f, directions)
+    s = radon_transform(f, directions=directions)
     if radii is None:
         radii = np.linspace(0.0, 12.0, 25)
     direct = fourier_on_rays(f, radii, s.directions)
@@ -188,7 +168,7 @@ def plancherel_defect(f, directions=None, dr=None, return_details=False):
     norm = l2_norm_sq(f)
     if norm == 0:
         raise ZeroFunction("Plancherel defect undefined for the zero function")
-    s = _slice_pipeline(f, directions)
+    s = radon_transform(f, directions=directions)
     # cutoff well beyond the reporting rule so the truncation floor stays
     # under the radial quadrature error as the grid refines
     r_max, tail = choose_r_max(s, tail_fraction=1e-9)
@@ -224,8 +204,7 @@ def pointwise_inversion(f, x, directions=None, r_max=None):
     if r_max is None:
         r_max, _ = choose_r_max(s)
     radii, wr = _radial_nodes(r_max)
-    wp = s.offset_weights()
-    V = (np.exp(-2j * np.pi * np.outer(radii, s.offsets)) * wp[None, :]) @ s.values
+    V = _slice_transform(s, radii)
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
     pts = np.atleast_2d(x)

@@ -188,10 +188,47 @@ def integrate(f):
 
 def l2_norm_sq(f):
     """Quadrature of |values|^2 h^n; the squared L2 norm."""
-    out = np.abs(f.values) ** 2
-    for axis in range(f.grid.n - 1, -1, -1):
-        out = np.trapezoid(out, dx=f.grid.spacing, axis=axis)
-    return float(out)
+    return float(integrate(SampledFunction(f.grid, np.abs(f.values) ** 2)))
+
+
+def _direct_transform(f, z, omega):
+    """int f(x) e^{-2 pi i z (omega . x)} dx by direct quadrature on the
+    grid, for an array z and one real or complex direction omega (bilinear
+    pairing, no conjugation); shape z.shape.  Separable phases keep it
+    O(K M^n) without forming the full phase tensor.  The direct n-D kernel,
+    never used on a slice side (see the module docstring of fourier)."""
+    z = np.asarray(z)
+    ax = f.grid.axis()
+    # one (K, M) phase factor e^{-2 pi i z_k omega_a x_m} per axis a
+    first, *rest = [np.exp(-2j * np.pi * np.outer(z, w * ax)) for w in omega]
+    out = np.tensordot(first, f.values, axes=(1, 0))          # (K, M, ...)
+    for phase in rest:
+        out = np.einsum("km...,km->k...", out, phase)
+    return (out * f.grid.spacing ** f.grid.n).reshape(z.shape)
+
+
+def _real_harmonic_basis(directions, band):
+    """Rows of real harmonics (orthonormal for the normalized measure)
+    evaluated at the direction nodes, grouped by degree."""
+    if directions.n == 2:
+        th = np.arctan2(directions.vectors[:, 1], directions.vectors[:, 0])
+        blocks = [np.ones((1, len(th)))]
+        for l in range(1, band + 1):
+            blocks.append(np.stack([np.sqrt(2) * np.cos(l * th),
+                                    np.sqrt(2) * np.sin(l * th)]))
+        return blocks
+    from scipy.special import sph_harm_y
+    theta = np.arccos(np.clip(directions.vectors[:, 2], -1, 1))
+    phi = np.arctan2(directions.vectors[:, 1], directions.vectors[:, 0])
+    blocks = []
+    for l in range(band + 1):
+        ys = [sph_harm_y(l, m, theta, phi) for m in range(l + 1)]
+        # order m = -l..l: sqrt 2 Im y_l^|m|, then Re y_l^0, then sqrt 2 Re y_l^m
+        rows = ([np.sqrt(2) * y.imag for y in ys[:0:-1]] + [ys[0].real]
+                + [np.sqrt(2) * y.real for y in ys[1:]])
+        # orthonormal for the surface measure; rescale to the normalized one
+        blocks.append(np.sqrt(4 * np.pi) * np.stack(rows))
+    return blocks
 
 
 class DirectionSet:
@@ -254,22 +291,10 @@ class DirectionSet:
         return cls(vecs, wts, band_limit)
 
     def _verify_exactness(self, tol=1e-10):
-        if self.n == 2:
-            th = np.arctan2(self.vectors[:, 1], self.vectors[:, 0])
-            for l in range(1, self.band_limit + 1):
-                if abs(self.weights @ np.cos(l * th)) > tol or \
-                   abs(self.weights @ np.sin(l * th)) > tol:
-                    raise ValueError("rule not exact at harmonic degree %d" % l)
-        else:
-            from scipy.special import sph_harm_y
-            theta = np.arccos(np.clip(self.vectors[:, 2], -1, 1))
-            phi = np.arctan2(self.vectors[:, 1], self.vectors[:, 0])
-            for l in range(1, self.band_limit + 1):
-                for m in range(0, l + 1):
-                    y = sph_harm_y(l, m, theta, phi)
-                    if abs(self.weights @ y.real) > tol or \
-                       (m > 0 and abs(self.weights @ y.imag) > tol):
-                        raise ValueError("rule not exact at harmonic degree %d" % l)
+        blocks = _real_harmonic_basis(self, self.band_limit)
+        for l, block in enumerate(blocks[1:], start=1):
+            if np.abs(block @ self.weights).max() > tol:
+                raise ValueError("rule not exact at harmonic degree %d" % l)
 
     def antipodal_index(self):
         """Index map j -> j' with vectors[j'] == -vectors[j].

@@ -13,8 +13,8 @@ exactly the harmonic degrees {k, k-2, ...}.
 
 import numpy as np
 
-from .grid import DirectionSet
-from .radon import moment, radon_transform
+from .grid import DirectionSet, _direct_transform, _real_harmonic_basis
+from .radon import moment, radon_transform, _slice_transform
 
 __all__ = [
     "ComplexGrid",
@@ -114,19 +114,8 @@ def complex_slice_eval(s, z, omega):
     quadrature mass times e^{2 pi rho |Im z|}.
     """
     j = _direction_index(s, omega)
-    z = np.asarray(z, dtype=complex)
-    wp = s.offset_weights()
-    E = np.exp(-2j * np.pi * z.reshape(-1, 1) * s.offsets[None, :])
-    out = E @ (wp * s.values[:, j])
-    return out.reshape(z.shape) if z.shape else complex(out[0])
-
-
-def _slice_matrix(s, zmesh):
-    """complex_slice_eval for all directions at once; (..., Q) array."""
-    z = np.asarray(zmesh, dtype=complex)
-    wp = s.offset_weights()
-    E = np.exp(-2j * np.pi * z.reshape(-1, 1) * s.offsets[None, :]) * wp[None, :]
-    return (E @ s.values).reshape(z.shape + (len(s.directions),))
+    out = _slice_transform(s, z)[..., j]
+    return out if out.shape else complex(out)
 
 
 def pw_seminorm(s, N, exp_type, cgrid):
@@ -140,7 +129,7 @@ def pw_seminorm(s, N, exp_type, cgrid):
     of the grid increases) for smaller values.
     """
     Z = cgrid.mesh()
-    F = _slice_matrix(s, Z)
+    F = _slice_transform(s, Z)
     weight = (1 + np.abs(Z) ** 2) ** N * np.exp(-exp_type * np.abs(Z.imag))
     return float((weight[..., None] * np.abs(F)).max())
 
@@ -165,25 +154,22 @@ def support_radius_estimate(s, r_hint=None, y_factors=(3, 4, 5, 6, 7, 8)):
     if r_hint is None:
         live = np.abs(s.values).max(axis=1) > 1e-12 * amax
         r_hint = float(np.abs(s.offsets[live]).max())
-    wp = s.offset_weights()
-    sw = s.values * wp[:, None]                      # (P, Q)
-    p = s.offsets
-    pmax = float(np.abs(p).max())
+    pmax = float(np.abs(s.offsets).max())
+    ys = np.asarray(y_factors, dtype=float) / r_hint
+    # int s(p, omega) p^l e^{2 pi p y} dp, l = 0, 1, 2: the l-th z-derivative
+    # of the extension at z = iy divided by (-2 pi i)^l; (Y, Q) each
+    F = [(_slice_transform(s, 1j * ys, deriv=l) / (-2j * np.pi) ** l).real
+         for l in range(3)]
     candidates, floors = [], []
-    for c in y_factors:
-        y = c / r_hint
-        e = np.exp(2 * np.pi * p * y)
-        F0 = e @ sw                                  # (Q,)
+    for y, F0, F1, F2 in zip(ys, *F):
         # only directions whose growth dominates carry signal; slices far
         # from the support edge are interpolation-noise amplified by the
         # kernel and must not feed the max below
         ok = np.isfinite(F0) & (F0 > 1e-6 * np.nanmax(F0))
         if not ok.any():
             continue
-        F1 = (e * p) @ sw
-        F2 = (e * p * p) @ sw
-        m = (F1[ok] / F0[ok]).real
-        var = (F2[ok] / F0[ok]).real - m**2
+        m = F1[ok] / F0[ok]
+        var = F2[ok] / F0[ok] - m**2
         phat = m + 2 * (2 * np.pi * y) * var
         sane = (var >= 0) & (np.abs(m) <= pmax) & (np.abs(phat) <= pmax)
         if not sane.any():
@@ -193,35 +179,6 @@ def support_radius_estimate(s, r_hint=None, y_factors=(3, 4, 5, 6, 7, 8)):
     if not candidates:
         raise ZeroInput("slice extensions vanish at every tested height")
     return float(max(min(candidates), max(floors)))
-
-
-def _real_harmonic_basis(directions, band):
-    """Rows of real harmonics (orthonormal for the normalized measure)
-    evaluated at the direction nodes, grouped by degree."""
-    if directions.n == 2:
-        th = np.arctan2(directions.vectors[:, 1], directions.vectors[:, 0])
-        blocks = [np.ones((1, len(th)))]
-        for l in range(1, band + 1):
-            blocks.append(np.stack([np.sqrt(2) * np.cos(l * th),
-                                    np.sqrt(2) * np.sin(l * th)]))
-        return blocks
-    from scipy.special import sph_harm_y
-    theta = np.arccos(np.clip(directions.vectors[:, 2], -1, 1))
-    phi = np.arctan2(directions.vectors[:, 1], directions.vectors[:, 0])
-    blocks = []
-    for l in range(band + 1):
-        rows = []
-        for m in range(-l, l + 1):
-            y = sph_harm_y(l, abs(m), theta, phi)
-            if m < 0:
-                rows.append(np.sqrt(2) * y.imag)
-            elif m == 0:
-                rows.append(y.real)
-            else:
-                rows.append(np.sqrt(2) * y.real)
-        # orthonormal for the surface measure; rescale to the normalized one
-        blocks.append(np.sqrt(4 * np.pi) * np.stack(rows))
-    return blocks
 
 
 class HarmonicExpansion:
@@ -313,26 +270,8 @@ def complexified_sphere_eval(f, z, pt):
     z may be scalar or an array."""
     if pt.n != f.grid.n:
         raise ValueError("sphere point dimension does not match the grid")
-    z = np.asarray(z, dtype=complex)
-    zf = z.reshape(-1)
-    ax = f.grid.axis()
-    h = f.grid.spacing
-    omega = pt.vector()
-    out = np.empty(zf.shape, dtype=complex)
-    if f.grid.n == 2:
-        for i, zz in enumerate(zf):
-            u = np.exp(-2j * np.pi * zz * omega[0] * ax)
-            v = np.exp(-2j * np.pi * zz * omega[1] * ax)
-            out[i] = u @ f.values @ v
-        out *= h * h
-    else:
-        for i, zz in enumerate(zf):
-            u = np.exp(-2j * np.pi * zz * omega[0] * ax)
-            v = np.exp(-2j * np.pi * zz * omega[1] * ax)
-            w = np.exp(-2j * np.pi * zz * omega[2] * ax)
-            out[i] = np.einsum("a,b,c,abc->", u, v, w, f.values, optimize=True)
-        out *= h**3
-    return out.reshape(z.shape) if z.shape else complex(out[0])
+    out = _direct_transform(f, z, pt.vector())
+    return out if out.shape else complex(out)
 
 
 def extension_consistency_defect(f, cgrid=None, n_directions=16):
@@ -348,7 +287,7 @@ def extension_consistency_defect(f, cgrid=None, n_directions=16):
         dirs = DirectionSet.sphere(max(2, int(np.sqrt(n_directions)) - 1))
     s = radon_transform(f, directions=dirs)
     Z = cgrid.mesh()
-    side_slice = _slice_matrix(s, Z)
+    side_slice = _slice_transform(s, Z)
     worst = 0.0
     for j, omega in enumerate(dirs.vectors):
         pt = ComplexSpherePoint.from_real(omega)
@@ -363,9 +302,6 @@ def schwartz_seminorm(s, k, l, r_extent=12.0, n_r=49):
     The derivative is computed exactly as the quadrature of
     s(p, omega) (-2 pi i p)^l e^{-2 pi i p r}."""
     rr = np.linspace(-r_extent, r_extent, n_r)
-    wp = s.offset_weights()
-    kern = (wp * (-2j * np.pi * s.offsets) ** l)[None, :] \
-        * np.exp(-2j * np.pi * np.outer(rr, s.offsets))
-    F = kern @ s.values
+    F = _slice_transform(s, rr, deriv=l)
     weight = (1 + rr**2) ** k
     return float((weight[:, None] * np.abs(F)).max())

@@ -189,6 +189,17 @@ def evenness_defect(s):
     return float(np.abs(s.values - flipped).max())
 
 
+def _slice_transform(s, z, deriv=0):
+    """d^l/dz^l int s(p, omega_j) e^{-2 pi i p z} dp (l = deriv) for every
+    direction j by trapezoid quadrature in the offset, at real or complex z;
+    shape z.shape + (Q,).  The offset kernel of the slice route, never used
+    on a direct side (see the module docstring of fourier)."""
+    z = np.asarray(z)
+    wp = s.offset_weights() * (-2j * np.pi * s.offsets) ** deriv
+    E = np.exp(-2j * np.pi * np.outer(z, s.offsets)) * wp[None, :]
+    return (E @ s.values).reshape(z.shape + (len(s.directions),))
+
+
 def moment(s, k):
     """k-th offset moment per direction: omega_j -> int s(p, omega_j) p^k dp."""
     if k < 0:
@@ -241,8 +252,7 @@ def inverse_radon(s, grid=None, r_max=None):
         r_max, _ = choose_r_max(s)
 
     radii, wr = _radial_nodes(r_max)
-    wp = s.offset_weights()
-    V = (np.exp(-2j * np.pi * np.outer(radii, s.offsets)) * wp[None, :]) @ s.values
+    V = _slice_transform(s, radii)
 
     ax = grid.axis()
     sigma = SPHERE_AREA[n]

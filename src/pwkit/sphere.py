@@ -175,7 +175,7 @@ def sphere_radon(profile, s=None, n_jacobi=96):
     if profile.n == 3:
         anti = CubicSpline(t, profile.values * np.sin(t)).antiderivative()
         top = anti(min(tcut, np.pi))
-        out = const * np.clip(top - anti(np.minimum(squery, tcut)), None, None)
+        out = const * (top - anti(np.minimum(squery, tcut)))
         out[squery >= tcut] = 0.0
     else:
         spline = make_interp_spline(t, profile.values, k=5)

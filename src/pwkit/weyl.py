@@ -29,7 +29,6 @@ __all__ = [
     "reynolds",
     "chevalley_generators",
     "invariant_basis",
-    "restrict_poly",
     "surjectivity_certificate",
     "SurjectivityCertificate",
     "rais_decompose",
@@ -452,11 +451,6 @@ def invariant_basis(spec, d):
     return [poly for _, poly in _generator_products(chevalley_generators(spec), d)]
 
 
-def restrict_poly(p, nkeep):
-    """Coordinate restriction x_{nkeep+1} = ... = x_k = 0."""
-    return p.restrict(nkeep)
-
-
 def _solve_exact(rows, rhs, nunknowns):
     """Gaussian elimination over Q.  rows: list of {col: Fraction}.
     Returns a particular solution (free unknowns at 0) or None."""
@@ -584,10 +578,12 @@ def rais_decompose(G, spec_k, n, d=None):
     coefficient p_j averaged over W_n(k) afterwards (the identity is
     preserved because the G_j are fully invariant).
 
-    The membership solve runs at the degree cap d (default deg G),
-    retried with +2 up to 12 before raising NoSolutionAtDegree.  Raises
-    NotInvariant when G is not W_n(k)-invariant; a nonzero constant term
-    never lies in the generator ideal.
+    The membership solve runs once at the degree cap d (default deg G,
+    never below it); when it has no solution NoSolutionAtDegree is raised
+    at once, since ideal membership over homogeneous generators is graded
+    and a higher cap cannot help.  Raises NotInvariant when G is not
+    W_n(k)-invariant; a nonzero constant term never lies in the generator
+    ideal.
     """
     nv = spec_k.ambient_vars
     if G.nvars != nv:

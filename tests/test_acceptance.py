@@ -16,7 +16,7 @@ from pwkit import (ComplexGrid, DirectionSet, GridSpec, MultivariatePolynomial,
                    fourier_slice_defect, homogeneity_defect, invariant_basis,
                    make_bump, ow1_lift, plancherel_defect, pointwise_inversion,
                    projection_compatibility_defect, pw_seminorm,
-                   radon_transform, random_bump_suite, restrict_poly,
+                   radon_transform, random_bump_suite,
                    restricted_group, sphere_slice_constants,
                    sphere_slice_defect, sphere_support_check,
                    support_radius_estimate, surjectivity_certificate,
@@ -186,7 +186,7 @@ def test_11_surjectivity_and_obstruction():
     cert = surjectivity_certificate(RootSystemSpec("B", 4),
                                     RootSystemSpec("B", 2), 6)
     ok_b = cert.surjective and all(
-        restrict_poly(cert.preimage(t), 2) == q
+        cert.preimage(t).restrict(2) == q
         for t, q in enumerate(cert.downstairs_basis))
     cert_d = surjectivity_certificate(RootSystemSpec("D", 5),
                                       RootSystemSpec("D", 4), 6)
@@ -211,7 +211,7 @@ def test_12_ow1_pipeline():
             if c:
                 target = target + b.scale(Fraction(c))
         H = ow1_lift(target, spec_k, spec_n)
-        ok = ok and restrict_poly(H, 2) == target
+        ok = ok and H.restrict(2) == target
         ok = ok and all(H.apply(w) == H for w in group[::16])
     report("12. Averaging/decomposition/lift pipeline", ok,
            "10 random degree-<=6 targets lifted with exact zero residual")

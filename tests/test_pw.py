@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -5,10 +7,11 @@ from pwkit import (ComplexGrid, ComplexSpherePoint, DirectionSet, GridSpec,
                    HarmonicExpansion, Sinogram, ZeroInput, complex_slice_eval,
                    complexified_sphere_eval, default_offsets,
                    extension_consistency_defect, fourier_on_rays,
-                   homogeneity_defect, integrate, make_bump, moment,
-                   pw_seminorm, radial_fourier, radon_transform,
+                   homogeneity_defect, integrate, inverse_radon, make_bump,
+                   moment, pw_seminorm, radial_fourier, radon_transform,
                    schwartz_seminorm, support_radius_estimate,
                    taylor_coefficient)
+from pwkit.radon import _slice_transform
 
 G = GridSpec(2, 1.5, 257)
 DIRS = DirectionSet.circle(64)
@@ -244,3 +247,49 @@ class TestHarmonicExpansion:
         e = HarmonicExpansion.from_values(vals, d3, band=8)
         qn = float(d3.weights @ np.abs(vals) ** 2)
         assert e.total_power() == pytest.approx(qn, rel=1e-10)
+
+
+class TestKernels:
+    """The offset kernel against an independent functional, and the
+    independence of the two sides of every certificate."""
+
+    @pytest.mark.parametrize("k", range(5))
+    def test_offset_kernel_at_zero_is_moment(self, sino, k):
+        got = _slice_transform(sino, 0.0, deriv=k)
+        want = (-2j * np.pi) ** k * moment(sino, k)
+        assert got.shape == (len(DIRS),)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    @staticmethod
+    def _forbid(monkeypatch, name):
+        """Make the kernel `name` raise in every pwkit module binding it."""
+        def forbidden(*args, **kwargs):
+            raise AssertionError("%s used on the wrong side" % name)
+
+        bound = [mod for key, mod in sys.modules.items()
+                 if key.startswith("pwkit.") and hasattr(mod, name)]
+        assert bound
+        for mod in bound:
+            monkeypatch.setattr(mod, name, forbidden)
+
+    def test_direct_side_never_uses_offset_kernel(self, monkeypatch, bump,
+                                                  sino):
+        self._forbid(monkeypatch, "_slice_transform")
+        with pytest.raises(AssertionError):
+            radial_fourier(sino, [1.0])
+        fourier_on_rays(bump, np.linspace(0, 4, 3), DIRS)
+        complexified_sphere_eval(bump, np.array([0.5, 1 + 0.3j]),
+                                 ComplexSpherePoint(0.4 + 0.2j))
+
+    def test_slice_side_never_uses_direct_kernel(self, monkeypatch, bump):
+        g = GridSpec(2, 1.5, 65)
+        s = radon_transform(make_bump([0.2, 0.1], 0.5, 1.0, g),
+                            directions=DirectionSet.circle(32))
+        self._forbid(monkeypatch, "_direct_transform")
+        with pytest.raises(AssertionError):
+            fourier_on_rays(bump, [1.0], DIRS)
+        radial_fourier(s, np.linspace(0, 4, 3))
+        complex_slice_eval(s, 1 + 1j, 0)
+        pw_seminorm(s, 2, 2 * np.pi * s.support_radius,
+                    ComplexGrid(2.0, 1.0, 5, 5))
+        inverse_radon(s)

@@ -8,7 +8,7 @@ from pwkit import (DegreeTooLarge, GroupTooLarge, MultivariatePolynomial,
                    NoSolutionAtDegree, NotInvariant, ObstructionHit,
                    RootSystemSpec, SignedPermutation, chevalley_generators,
                    group_order, invariant_basis, ow1_lift, rais_decompose,
-                   restrict_poly, restricted_group, reynolds, stabilizer,
+                   restricted_group, reynolds, stabilizer,
                    surjectivity_certificate, weyl_group)
 
 P = MultivariatePolynomial
@@ -159,11 +159,11 @@ class TestRestrictPoly:
     def test_elementary_symmetric(self):
         e2_3 = chevalley_generators(RootSystemSpec("B", 3))[1]
         e2_2 = chevalley_generators(RootSystemSpec("B", 2))[1]
-        assert restrict_poly(e2_3, 2) == e2_2
+        assert e2_3.restrict(2) == e2_2
 
     def test_pfaffian_dies(self):
         pf = P(4, {(1, 1, 1, 1): Fraction(1)})
-        assert restrict_poly(pf, 2).is_zero()
+        assert pf.restrict(2).is_zero()
 
     def test_restriction_is_invariant_downstairs(self):
         rng = np.random.default_rng(4)
@@ -172,7 +172,7 @@ class TestRestrictPoly:
         p = P.zero(4)
         for b in basis:
             p = p + b.scale(Fraction(int(rng.integers(-3, 4))))
-        r = restrict_poly(p, 2)
+        r = p.restrict(2)
         b2 = weyl_group(RootSystemSpec("B", 2))
         assert reynolds(r, b2) == r
 
@@ -183,7 +183,7 @@ class TestSurjectivity:
                                         RootSystemSpec("B", 2), 6)
         assert cert.surjective
         for t, q in enumerate(cert.downstairs_basis):
-            assert restrict_poly(cert.preimage(t), 2) == q
+            assert cert.preimage(t).restrict(2) == q
 
     def test_d5_to_d4_pfaffian_unreachable(self):
         cert = surjectivity_certificate(RootSystemSpec("D", 5),
@@ -219,7 +219,7 @@ class TestSurjectivity:
                                    tuple(-1 if j == i else 1 for j in range(4)))
                  for i in range(4)]
         for b in cert.upstairs_basis:
-            r = restrict_poly(b, 4)
+            r = b.restrict(4)
             for w in flips:
                 assert r.apply(w) == r
 
@@ -228,7 +228,7 @@ class TestSurjectivity:
                                         RootSystemSpec("A", 2), 4)
         assert cert.surjective
         for t, q in enumerate(cert.downstairs_basis):
-            assert restrict_poly(cert.preimage(t), 3) == q
+            assert cert.preimage(t).restrict(3) == q
 
 
 class TestRais:
@@ -276,7 +276,7 @@ class TestOw1Lift:
     def test_simple_target(self):
         target = chevalley_generators(self.SPEC_N)[0]  # x1^2 + x2^2
         H = ow1_lift(target, self.SPEC_K, self.SPEC_N)
-        assert restrict_poly(H, 2) == target
+        assert H.restrict(2) == target
         full = weyl_group(self.SPEC_K)
         assert all(H.apply(w) == H for w in full)
 
@@ -295,7 +295,7 @@ class TestOw1Lift:
                 if c:
                     target = target + b.scale(Fraction(c))
             H = ow1_lift(target, self.SPEC_K, self.SPEC_N)
-            assert restrict_poly(H, 2) == target
+            assert H.restrict(2) == target
             assert all(H.apply(w) == H for w in group[:48])
 
     def test_d_pair_odd_target_obstructed(self):
