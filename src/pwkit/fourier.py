@@ -17,6 +17,7 @@ on both sides, so no comparison is circular:
   `pw.complexified_sphere_eval` at a complexified direction (direct).
 - Round trip and pointwise inversion: `radon.inverse_radon` and
   `pointwise_inversion` (offset) vs the grid samples of f (no kernel).
+  Both sum the one inversion quadrature, `radon._inversion_quadrature`.
 """
 
 import numpy as np
@@ -24,7 +25,7 @@ import numpy as np
 from .grid import (GridSpec, SampledFunction, DirectionSet, SPHERE_AREA,
                    l2_norm_sq, _direct_transform)
 from .radon import (radon_transform, default_offsets, _require_even,
-                    _radial_nodes, _slice_transform)
+                    _inversion_quadrature, _slice_transform)
 
 __all__ = [
     "VectorFT",
@@ -194,22 +195,17 @@ def pointwise_inversion(f, x, directions=None, r_max=None):
     """Motion-group inversion integral evaluated at grid points x.
 
     int_0^{r_max} sum_j w_j f_hat_{r}(omega_j) e^{2 pi i r x.omega_j}
-    sigma_n r^{n-1} dr, with composite Gauss-Legendre radial quadrature.
+    sigma_n r^{n-1} dr, by the quadrature `inverse_radon` sums on the grid.
     x may be one point (n,) or a batch (m, n); returns complex values.
     """
     if directions is None:
         directions = (DirectionSet.circle(192) if f.grid.n == 2
                       else DirectionSet.sphere(12))
     s = radon_transform(f, directions=directions)
-    if r_max is None:
-        r_max, _ = choose_r_max(s)
-    radii, wr = _radial_nodes(r_max)
-    V = _slice_transform(s, radii)
+    radii, coef = _inversion_quadrature(s, r_max)
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
     pts = np.atleast_2d(x)
-    sigma = SPHERE_AREA[s.n]
-    coef = (wr * sigma * radii**(s.n - 1))[:, None] * V * s.directions.weights[None, :]
     xdotw = pts @ s.directions.vectors.T                     # (m, Q)
     out = np.empty(len(pts), dtype=complex)
     for i in range(len(pts)):

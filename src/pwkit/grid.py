@@ -201,7 +201,9 @@ def _direct_transform(f, z, omega):
     ax = f.grid.axis()
     # one (K, M) phase factor e^{-2 pi i z_k omega_a x_m} per axis a
     first, *rest = [np.exp(-2j * np.pi * np.outer(z, w * ax)) for w in omega]
-    out = np.tensordot(first, f.values, axes=(1, 0))          # (K, M, ...)
+    # real and imaginary parts apart, so real samples are never cast to complex
+    out = (np.tensordot(first.real, f.values, axes=(1, 0))
+           + 1j * np.tensordot(first.imag, f.values, axes=(1, 0)))  # (K, M, ...)
     for phase in rest:
         out = np.einsum("km...,km->k...", out, phase)
     return (out * f.grid.spacing ** f.grid.n).reshape(z.shape)

@@ -12,7 +12,8 @@ radius are exactly zero (lines there miss the support ball).
 import numpy as np
 from scipy import ndimage
 
-from .grid import GridSpec, SampledFunction, DirectionSet, _trapezoid_weights
+from .grid import (GridSpec, SampledFunction, DirectionSet, SPHERE_AREA,
+                   _trapezoid_weights)
 
 __all__ = [
     "Sinogram",
@@ -214,31 +215,45 @@ def _require_even(s):
         raise NotEven("evenness defect %.3g exceeds %g" % (defect, EVENNESS_TOL))
 
 
-def _radial_nodes(r_max, panel=0.5, nodes=6):
-    """Composite Gauss-Legendre rule on [0, r_max]."""
-    xg, wg = np.polynomial.legendre.leggauss(nodes)
-    nseg = max(int(np.ceil(r_max / panel)), 1)
+RADIAL_PANEL = 0.5  # panel width of the composite Gauss-Legendre radial rule
+RADIAL_NODES = 6    # Gauss-Legendre nodes per panel
+
+
+def _inversion_quadrature(s, r_max):
+    """The one quadrature of the motion-group inversion integral
+    int_0^{r_max} sum_j w_j f_hat_r(omega_j) e^{2 pi i r x.omega_j}
+    sigma_n r^{n-1} dr = sum_ij c_ij e^{2 pi i r_i x.omega_j}: composite
+    Gauss-Legendre in r, f_hat_r from the offset kernel.  Returns the radii
+    r_i and the (R, Q) coefficients c_ij; r_max None means `choose_r_max`.
+    Raises NotEven for sinograms whose evenness defect exceeds the
+    admissibility tolerance."""
+    from .fourier import choose_r_max
+
+    _require_even(s)
+    if r_max is None:
+        r_max, _ = choose_r_max(s)
+    xg, wg = np.polynomial.legendre.leggauss(RADIAL_NODES)
+    nseg = max(int(np.ceil(r_max / RADIAL_PANEL)), 1)
     edges = np.linspace(0.0, r_max, nseg + 1)
     mid = 0.5 * (edges[:-1] + edges[1:])
     hw = 0.5 * (edges[1] - edges[0])
-    rr = (mid[:, None] + hw * xg[None, :]).ravel()
-    ww = np.tile(hw * wg, nseg)
-    return rr, ww
+    radii = (mid[:, None] + hw * xg[None, :]).ravel()
+    wr = np.tile(hw * wg, nseg)
+    radial = wr * SPHERE_AREA[s.n] * radii**(s.n - 1)
+    coef = radial[:, None] * s.directions.weights * _slice_transform(s, radii)
+    return radii, coef
 
 
 def inverse_radon(s, grid=None, r_max=None):
     """Reconstruction through the Fourier-slice route.
 
-    1-D Fourier transform in the offset, then the motion-group inversion
-    integral evaluated on the Cartesian grid by direct oscillatory
-    quadrature (composite Gauss-Legendre in the radius, the sinogram's
-    direction rule on the sphere).  Raises NotEven for sinograms whose
-    evenness defect exceeds the admissibility tolerance.
+    The inversion integral (`_inversion_quadrature`) on the Cartesian
+    grid.  Its phase separates over the axes: per radius, the factors of
+    axes 2..n fold into one (Q, M^{n-1}) block, and one matrix product with
+    the axis-1 factor adds that radius to every grid point.  Raises NotEven
+    like `_inversion_quadrature`.
     """
-    from .fourier import choose_r_max
-    from .grid import SPHERE_AREA
-
-    _require_even(s)
+    radii, coef = _inversion_quadrature(s, r_max)
     n = s.n
     if grid is None:
         pmax = s.offsets[-1]
@@ -248,33 +263,19 @@ def inverse_radon(s, grid=None, r_max=None):
         if m % 2 == 0:
             m += 1
         grid = GridSpec(n, L, m)
-    if r_max is None:
-        r_max, _ = choose_r_max(s)
-
-    radii, wr = _radial_nodes(r_max)
-    V = _slice_transform(s, radii)
 
     ax = grid.axis()
-    sigma = SPHERE_AREA[n]
-    wdir = s.directions.weights
-    vecs = s.directions.vectors
-    out = np.zeros((grid.points,) * n, dtype=complex)
-    if n == 2:
-        for i, r in enumerate(radii):
-            c = wr[i] * sigma * r * wdir * V[i]
-            U = np.exp(2j * np.pi * r * np.outer(ax, vecs[:, 0]))
-            W = np.exp(2j * np.pi * r * np.outer(vecs[:, 1], ax))
-            out += (U * c[None, :]) @ W
-    else:
-        m = grid.points
-        for i, r in enumerate(radii):
-            c = wr[i] * sigma * r**2 * wdir * V[i]
-            U = np.exp(2j * np.pi * r * np.outer(ax, vecs[:, 0]))      # (M, Q)
-            Vy = np.exp(2j * np.pi * r * np.outer(vecs[:, 1], ax))     # (Q, M)
-            Wz = np.exp(2j * np.pi * r * np.outer(vecs[:, 2], ax))     # (Q, M)
-            B = (c[:, None, None] * Vy[:, :, None] * Wz[:, None, :]).reshape(len(vecs), -1)
-            out += (U @ B).reshape(m, m, m)
-    vals = out.real if np.isrealobj(s.values) else out
+    m = grid.points
+    out = np.zeros((m, m ** (n - 1)), dtype=complex)
+    for r, c in zip(radii, coef):
+        # one (Q, M) phase factor e^{2 pi i r omega_a x_m} per axis a
+        first, *rest = np.exp(2j * np.pi * r
+                              * np.multiply.outer(s.directions.vectors.T, ax))
+        block = c[:, None]
+        for phase in rest:
+            block = (block[:, :, None] * phase[:, None, :]).reshape(len(c), -1)
+        out += first.T @ block
+    vals = (out.real if np.isrealobj(s.values) else out).reshape((m,) * n)
     return SampledFunction(grid, vals, support_radius=None)
 
 

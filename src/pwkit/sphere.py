@@ -206,16 +206,22 @@ def _slice_integrals(profile, m_max, transform=None):
     return out
 
 
+def _slice_pair(profile, m_max):
+    """Both sides (f_hat(m), I(m)), m <= m_max, of the slice identity."""
+    fh = spherical_transform(profile, m_max).values
+    I = _slice_integrals(profile, m_max)
+    if fh[0] == 0 or I[0] == 0:
+        raise DegenerateCalibration("mean coefficient vanishes; cannot calibrate")
+    return fh, I
+
+
 def sphere_slice_constants(profile, m_max):
     """Per-degree ratios c_m = f_hat(m) / int cos((m+rho) t) R(f)(t) dt.
 
     The slice identity says these are all equal; the common value is the
     calibration constant (pi/2 for S^3, 2 for S^2 in this normalization).
     """
-    fh = spherical_transform(profile, m_max).values
-    I = _slice_integrals(profile, m_max)
-    if fh[0] == 0 or I[0] == 0:
-        raise DegenerateCalibration("mean coefficient vanishes; cannot calibrate")
+    fh, I = _slice_pair(profile, m_max)
     return fh / I
 
 
@@ -228,10 +234,7 @@ def sphere_slice_defect(profile, m_max):
     """
     if _support_cut(profile) >= np.pi:
         raise ValueError("slice identity check needs support strictly inside [0, pi)")
-    fh = spherical_transform(profile, m_max).values
-    I = _slice_integrals(profile, m_max)
-    if fh[0] == 0 or I[0] == 0:
-        raise DegenerateCalibration("mean coefficient vanishes; cannot calibrate")
+    fh, I = _slice_pair(profile, m_max)
     c = fh[0] / I[0]
     return float(np.abs(fh - c * I)[1:].max() / np.abs(fh).max())
 

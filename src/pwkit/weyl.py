@@ -382,22 +382,13 @@ def reynolds(p, group):
     return acc.scale(Fraction(1, len(group)))
 
 
-def _elementary_symmetric_in_squares(j, nvars):
+def _elementary_symmetric(j, nvars, power):
+    """e_j(x_1^power, ..., x_nvars^power)."""
     terms = {}
     for comb in combinations(range(nvars), j):
         e = [0] * nvars
         for i in comb:
-            e[i] = 2
-        terms[tuple(e)] = Fraction(1)
-    return MultivariatePolynomial(nvars, terms)
-
-
-def _elementary_symmetric(j, nvars):
-    terms = {}
-    for comb in combinations(range(nvars), j):
-        e = [0] * nvars
-        for i in comb:
-            e[i] = 1
+            e[i] = power
         terms[tuple(e)] = Fraction(1)
     return MultivariatePolynomial(nvars, terms)
 
@@ -413,12 +404,12 @@ def chevalley_generators(spec):
     k = spec.rank
     nv = spec.ambient_vars
     if spec.family in "BC":
-        return [_elementary_symmetric_in_squares(j, nv) for j in range(1, k + 1)]
+        return [_elementary_symmetric(j, nv, 2) for j in range(1, k + 1)]
     if spec.family == "D":
-        gens = [_elementary_symmetric_in_squares(j, nv) for j in range(1, k)]
+        gens = [_elementary_symmetric(j, nv, 2) for j in range(1, k)]
         gens.append(MultivariatePolynomial(nv, {(1,) * nv: Fraction(1)}))
         return gens
-    return [_elementary_symmetric(j, nv) for j in range(2, k + 2)]
+    return [_elementary_symmetric(j, nv, 1) for j in range(2, k + 2)]
 
 
 def _generator_products(gens, d):

@@ -4,8 +4,8 @@ from numpy.testing import assert_allclose
 
 from pwkit import (DirectionSet, GridSpec, SampledFunction, ZeroFunction,
                    choose_r_max, fourier_on_rays, fourier_slice_defect,
-                   integrate, make_bump, marginal_projection, moment,
-                   plancherel_defect, pointwise_inversion,
+                   integrate, inverse_radon, make_bump, marginal_projection,
+                   moment, plancherel_defect, pointwise_inversion,
                    projection_compatibility_defect, radial_fourier,
                    radon_transform)
 
@@ -116,6 +116,26 @@ class TestPointwiseInversion:
         pts = np.array([[ax[100], ax[140]], [ax[128], ax[90]]])
         vals = pointwise_inversion(bump, pts)
         assert np.abs(vals.imag).max() < 1e-6
+
+    @pytest.mark.parametrize("n, points, directions", [
+        (2, 129, DirectionSet.circle(48)),
+        (3, 33, DirectionSet.sphere(4)),
+    ])
+    def test_agrees_with_grid_synthesis(self, n, points, directions):
+        # both evaluate one inversion quadrature: at grid nodes the point
+        # sums and the separable grid synthesis agree to roundoff
+        g = GridSpec(n, 1.5, points)
+        f = make_bump([0.2, -0.1, 0.1][:n], 0.6, 1.0, g)
+        r_max = 6.0
+        grid_vals = inverse_radon(radon_transform(f, directions=directions),
+                                  grid=g, r_max=r_max).values
+        c = points // 2
+        idx = np.array([[c] * n, [c + 3, c - 2, c + 1][:n],
+                        [c - 5, c + 4, c][:n], [2, points - 3, c][:n]])
+        vals = pointwise_inversion(f, g.axis()[idx], directions=directions,
+                                   r_max=r_max)
+        want = grid_vals[tuple(idx.T)]
+        assert np.abs(vals - want).max() <= 1e-12 * np.abs(grid_vals).max()
 
 
 class TestMarginalProjection:

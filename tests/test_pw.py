@@ -8,9 +8,9 @@ from pwkit import (ComplexGrid, ComplexSpherePoint, DirectionSet, GridSpec,
                    complexified_sphere_eval, default_offsets,
                    extension_consistency_defect, fourier_on_rays,
                    homogeneity_defect, integrate, inverse_radon, make_bump,
-                   moment, pw_seminorm, radial_fourier, radon_transform,
-                   schwartz_seminorm, support_radius_estimate,
-                   taylor_coefficient)
+                   moment, pointwise_inversion, pw_seminorm, radial_fourier,
+                   radon_transform, schwartz_seminorm,
+                   support_radius_estimate, taylor_coefficient)
 from pwkit.radon import _slice_transform
 
 G = GridSpec(2, 1.5, 257)
@@ -283,8 +283,8 @@ class TestKernels:
 
     def test_slice_side_never_uses_direct_kernel(self, monkeypatch, bump):
         g = GridSpec(2, 1.5, 65)
-        s = radon_transform(make_bump([0.2, 0.1], 0.5, 1.0, g),
-                            directions=DirectionSet.circle(32))
+        f = make_bump([0.2, 0.1], 0.5, 1.0, g)
+        s = radon_transform(f, directions=DirectionSet.circle(32))
         self._forbid(monkeypatch, "_direct_transform")
         with pytest.raises(AssertionError):
             fourier_on_rays(bump, [1.0], DIRS)
@@ -293,3 +293,4 @@ class TestKernels:
         pw_seminorm(s, 2, 2 * np.pi * s.support_radius,
                     ComplexGrid(2.0, 1.0, 5, 5))
         inverse_radon(s)
+        pointwise_inversion(f, np.zeros(2), directions=s.directions)
