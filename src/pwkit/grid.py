@@ -298,23 +298,38 @@ class DirectionSet:
             if np.abs(block @ self.weights).max() > tol:
                 raise ValueError("rule not exact at harmonic degree %d" % l)
 
+    def _antipodes(self):
+        """Index map j -> j' with vectors[j'] == -vectors[j], and -1 where
+        direction j has no antipode in the set.  Cached; never raises."""
+        if self._antipodal is None:
+            idx = np.empty(len(self), dtype=int)
+            for i, v in enumerate(self.vectors):
+                d = np.abs(self.vectors + v).sum(axis=1)
+                j = int(np.argmin(d))
+                idx[i] = j if d[j] <= 1e-10 else -1
+            self._antipodal = idx
+        return self._antipodal
+
     def antipodal_index(self):
         """Index map j -> j' with vectors[j'] == -vectors[j].
 
         Raises DirectionsNotAntipodal when the set is not closed under the
         antipodal map, which evenness checks require.
         """
-        if self._antipodal is None:
-            idx = np.empty(len(self), dtype=int)
-            for i, v in enumerate(self.vectors):
-                d = np.abs(self.vectors + v).sum(axis=1)
-                j = int(np.argmin(d))
-                if d[j] > 1e-10:
-                    raise DirectionsNotAntipodal(
-                        "no antipode for direction %d in the set" % i)
-                idx[i] = j
-            self._antipodal = idx
-        return self._antipodal
+        idx = self._antipodes()
+        missing = np.flatnonzero(idx < 0)
+        if len(missing):
+            raise DirectionsNotAntipodal(
+                "no antipode for direction %d in the set" % missing[0])
+        return idx
+
+
+def _directions_for(n, count):
+    """The default direction rule for about `count` directions on S^{n-1}:
+    `circle(count)` in 2-D, `sphere(max(2, int(sqrt(count)) - 1))` in 3-D."""
+    if n == 2:
+        return DirectionSet.circle(count)
+    return DirectionSet.sphere(max(2, int(np.sqrt(count)) - 1))
 
 
 def save_function(f, path):

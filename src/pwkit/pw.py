@@ -13,7 +13,7 @@ exactly the harmonic degrees {k, k-2, ...}.
 
 import numpy as np
 
-from .grid import DirectionSet, _direct_transform, _real_harmonic_basis
+from .grid import _direct_transform, _directions_for, _real_harmonic_basis
 from .radon import moment, radon_transform, _slice_transform
 
 __all__ = [
@@ -281,10 +281,7 @@ def extension_consistency_defect(f, cgrid=None, n_directions=16):
     complex mesh times a set of real directions."""
     if cgrid is None:
         cgrid = ComplexGrid(12.0, 0.5, 9, 9)
-    if f.grid.n == 2:
-        dirs = DirectionSet.circle(n_directions)
-    else:
-        dirs = DirectionSet.sphere(max(2, int(np.sqrt(n_directions)) - 1))
+    dirs = _directions_for(f.grid.n, n_directions)
     s = radon_transform(f, directions=dirs)
     Z = cgrid.mesh()
     side_slice = _slice_transform(s, Z)

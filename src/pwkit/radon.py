@@ -7,6 +7,11 @@ by quintic B-spline interpolation at the grid spacing and integrated by the
 trapezoid rule.  Offsets cover [-L sqrt(n), L sqrt(n)] so every hyperplane
 meeting the box is represented; rows with |p| beyond the declared support
 radius are exactly zero (lines there miss the support ball).
+
+Each hyperplane has two names, xi(p, omega) = xi(-p, -omega), so only one
+direction of each antipodal pair in the direction set is sampled; the
+other's column is the same integrals with the offsets reversed.  The
+transform is therefore even by construction.
 """
 
 import numpy as np
@@ -50,10 +55,8 @@ class Sinogram:
     """
 
     def __init__(self, offsets, directions, values, support_radius=None):
-        offsets = np.asarray(offsets, dtype=float)
+        offsets = _offset_grid(offsets)
         values = np.asarray(values)
-        if len(offsets) % 2 == 0:
-            raise ValueError("offset count must be odd so that p=0 is a node")
         if values.shape != (len(offsets), len(directions)):
             raise ValueError("values shape %r does not match (P, Q)=(%d, %d)"
                              % (values.shape, len(offsets), len(directions)))
@@ -72,6 +75,17 @@ class Sinogram:
         return _trapezoid_weights(len(self.offsets), self.offsets[1] - self.offsets[0])
 
 
+def _offset_grid(offsets):
+    """The offsets as a float array; raises ValueError unless their count is
+    odd (so that p=0 is a node) and they are symmetric about 0."""
+    offsets = np.asarray(offsets, dtype=float)
+    if len(offsets) % 2 == 0:
+        raise ValueError("offset count must be odd so that p=0 is a node")
+    if np.abs(offsets + offsets[::-1]).max() > 1e-9 * np.abs(offsets).max():
+        raise ValueError("offsets must be symmetric about 0")
+    return offsets
+
+
 def default_offsets(grid, spacing_factor=1.0):
     """Symmetric offset grid over [-L sqrt(n), L sqrt(n)] at ~grid spacing."""
     pmax = grid.half_width * np.sqrt(grid.n)
@@ -82,8 +96,9 @@ def default_offsets(grid, spacing_factor=1.0):
 
 def _plane_basis(w):
     """Orthonormal basis (u, v) of the plane with normal w, chosen so that
-    u(-w) = -u(w) and v(-w) = v(w); this makes the sampled hyperplane point
-    set for (p, w) and (-p, -w) identical, so evenness holds to roundoff."""
+    u(-w) = -u(w) and v(-w) = v(w), so (p, w) and (-p, -w) name the same
+    sampled point set.  `radon_transform` samples only one direction of each
+    antipodal pair, so the transform is even exactly, not to roundoff."""
     a = int(np.argmin(np.abs(w)))
     e = np.zeros(3)
     e[a] = 1.0
@@ -106,13 +121,16 @@ def radon_transform(f, offsets=None, directions=None, spline_order=5):
     Entry (i, j) approximates the integral of f over the hyperplane
     xi(p_i, omega_j) with respect to its Lebesgue measure.  The declared
     support radius of f (which must not exceed the box half-width for the
-    integrals to be complete) carries over to the sinogram.
+    integrals to be complete) carries over to the sinogram.  A direction
+    whose antipode comes earlier in the set is not sampled: its column is
+    the antipode's with the offsets reversed.
     """
     n = f.grid.n
     if n not in (2, 3):
         raise UnsupportedDimension("radon transform implemented for n in {2, 3}")
     if offsets is None:
         offsets = default_offsets(f.grid)
+    offsets = _offset_grid(offsets)
     if directions is None:
         directions = DirectionSet.circle(64) if n == 2 else DirectionSet.sphere(8)
     if directions.n != n:
@@ -139,25 +157,24 @@ def radon_transform(f, offsets=None, directions=None, spline_order=5):
     t = np.linspace(-tmax, tmax, T)
     dt = t[1] - t[0]
 
-    offsets = np.asarray(offsets, dtype=float)
     mask = np.abs(offsets) <= rs
     pm = offsets[mask]
-    out = np.zeros((len(offsets), len(directions)))
 
     if n == 2:
-        for j, w in enumerate(directions.vectors):
+        def integrals(w):
             wp = np.array([-w[1], w[0]])
             ci = (pm[:, None] * w[0] + t[None, :] * wp[0] + L) / h
             cj = (pm[:, None] * w[1] + t[None, :] * wp[1] + L) / h
             vals = ndimage.map_coordinates(
                 coeffs, [ci.ravel(), cj.ravel()], order=spline_order,
                 prefilter=False, mode="constant", cval=0.0).reshape(len(pm), T)
-            out[mask, j] = np.trapezoid(vals, dx=dt, axis=1)
+            return np.trapezoid(vals, dx=dt, axis=1)
     else:
-        for j, w in enumerate(directions.vectors):
+        # restrict the plane patch to the disk that can meet the ball
+        half = np.sqrt(np.maximum(rs**2 - pm**2, 0.0)) + 3 * h
+
+        def integrals(w):
             u, v = _plane_basis(w)
-            # restrict the plane patch to the disk that can meet the ball
-            half = np.sqrt(np.maximum(rs**2 - pm**2, 0.0)) + 3 * h
             row = np.zeros(len(pm))
             for i, p in enumerate(pm):
                 nt = int(np.ceil(half[i] / h))
@@ -172,7 +189,17 @@ def radon_transform(f, offsets=None, directions=None, spline_order=5):
                     order=spline_order, prefilter=False, mode="constant",
                     cval=0.0).reshape(ss.shape)
                 row[i] = vals.sum() * ds * ds  # integrand vanishes at patch rim
-            out[mask, j] = row
+            return row
+
+    out = np.zeros((len(offsets), len(directions)))
+    partner = directions._antipodes()
+    for j, w in enumerate(directions.vectors):
+        k = partner[j]
+        if 0 <= k < j:
+            # xi(p, w) = xi(-p, -w), and the offsets are symmetric
+            out[:, j] = out[::-1, k]
+        else:
+            out[mask, j] = integrals(w)
 
     return Sinogram(offsets, directions, out,
                     support_radius=f.support_radius

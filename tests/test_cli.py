@@ -73,6 +73,26 @@ class TestReportShape:
         assert data["seed"] == 7
 
 
+    def test_nonfinite_defect_is_written_as_strict_json(self, tmp_path):
+        def no_constants(name):
+            raise ValueError("non-standard JSON constant %s" % name)
+        report = Report(RunConfig("weyl"))
+        report.check("finite", "plumbing", lambda: 0.25, 0.5)
+        report.check("ratio", "plumbing", lambda: float("inf"), 4.0,
+                     compare="ge")
+        report.check("undefined", "plumbing", lambda: float("nan"), 0.5)
+        path = tmp_path / "r.json"
+        report.write(str(path))
+        data = json.loads(path.read_text(), parse_constant=no_constants)
+        finite, ratio, undefined = data["records"]
+        assert finite["defect"] == 0.25 and "nonfinite" not in finite
+        assert ratio["defect"] is None and ratio["nonfinite"] == "inf"
+        assert ratio["passed"]
+        assert undefined["defect"] is None and undefined["nonfinite"] == "nan"
+        # the in-memory records keep the floats
+        assert report.records[1]["defect"] == float("inf")
+
+
 class TestFileDriven:
     def test_radon_subcommand_writes_sinogram(self, tmp_path):
         g = GridSpec(2, 1.5, 129)
@@ -86,3 +106,25 @@ class TestFileDriven:
         assert code == 0
         assert spath.exists()
         assert (tmp_path / "s.csv.directions").exists()
+
+    def test_radon_subcommand_on_a_3d_function(self, tmp_path):
+        g = GridSpec(3, 1.5, 33)
+        f = make_bump([0.1, 0.0, -0.1], 0.6, 1.0, g)
+        fpath = tmp_path / "f.csv"
+        save_function(f, str(fpath))
+        spath = tmp_path / "s.csv"
+        rpath = tmp_path / "rep.json"
+        code = main(["radon", "--in", str(fpath), "--out", str(spath),
+                     "--report", str(rpath)])
+        assert spath.exists()
+        data = json.loads(rpath.read_text())
+        # the exit code follows the checks: at 33^3 the zeroth moment misses
+        # its 1e-6 bound (the transform truncates the spline's ringing
+        # outside the support), which is a finding, not a crash
+        assert code == (0 if data["all_passed"] else 1)
+        assert [r["name"] for r in data["records"]] == [
+            "radon evenness", "radon support localization",
+            "zeroth moment equals total mass"]
+        assert data["records"][0]["defect"] == 0.0
+        # 64 requested directions map to sphere(7), as in the pw checks
+        assert {r["mesh"]["Q"] for r in data["records"]} == {8 * 16}
