@@ -245,7 +245,7 @@ def projection_compatibility_defect(f, n_azimuth=16):
     phis = 2 * np.pi * np.arange(n_azimuth) / n_azimuth
     dirs3 = DirectionSet(
         np.stack([np.cos(phis), np.sin(phis), np.zeros(n_azimuth)], axis=1),
-        np.full(n_azimuth, 1.0 / n_azimuth), band_limit=0, angles=phis)
+        np.full(n_azimuth, 1.0 / n_azimuth), band_limit=0)
     dirs2 = DirectionSet.circle(n_azimuth)
     offsets = default_offsets(f.grid)  # shared p grid, spans L sqrt(3)
 

@@ -243,7 +243,7 @@ class DirectionSet:
     must vanish (the constant integrates to 1).
     """
 
-    def __init__(self, vectors, weights, band_limit, angles=None):
+    def __init__(self, vectors, weights, band_limit):
         vectors = np.atleast_2d(np.asarray(vectors, dtype=float))
         weights = np.asarray(weights, dtype=float)
         if np.any(weights <= 0):
@@ -253,7 +253,6 @@ class DirectionSet:
         self.vectors = vectors
         self.weights = weights
         self.band_limit = int(band_limit)
-        self.angles = angles
         self._antipodal = None
         self._verify_exactness()
 
@@ -271,7 +270,7 @@ class DirectionSet:
             band_limit = count // 2 - 1
         thetas = 2 * np.pi * np.arange(count) / count
         vecs = np.stack([np.cos(thetas), np.sin(thetas)], axis=1)
-        return cls(vecs, np.full(count, 1.0 / count), band_limit, angles=thetas)
+        return cls(vecs, np.full(count, 1.0 / count), band_limit)
 
     @classmethod
     def sphere(cls, band_limit):

@@ -2,11 +2,19 @@
 and inversion through the Fourier-slice route.
 
 A hyperplane is xi(p, omega) = {x : x . omega = p}.  The transform is
-computed matrix-free: the input samples are resampled along each hyperplane
-by quintic B-spline interpolation at the grid spacing and integrated by the
-trapezoid rule.  Offsets cover [-L sqrt(n), L sqrt(n)] so every hyperplane
-meeting the box is represented; rows with |p| beyond the declared support
-radius are exactly zero (lines there miss the support ball).
+computed matrix-free from the quintic B-spline interpolant of the samples.
+One in-plane lattice, spacing at most the grid spacing h over
+[-rs - 3h, rs + 3h]^(n-1) for the support radius rs, serves every
+hyperplane: for an offset |p| <= rs only its nodes inside the disk of
+radius sqrt(rs^2 - p^2) + 3h, where the plane can meet the support ball,
+are kept.  Each sampled direction is one spline evaluation at all kept
+nodes of all offsets, and each offset's integral is the sum of its nodes'
+values times the lattice cell area (the integrand vanishes at the disk rim,
+so no end weights are needed).  Offsets cover [-L sqrt(n), L sqrt(n)] so
+every hyperplane meeting the box is represented; rows with |p| beyond the
+declared support radius are exactly zero (those hyperplanes miss the
+support ball).  Complex samples are transformed as their real and
+imaginary parts.
 
 Each hyperplane has two names, xi(p, omega) = xi(-p, -omega), so only one
 direction of each antipodal pair in the direction set is sampled; the
@@ -43,6 +51,7 @@ class NotEven(ValueError):
 
 
 EVENNESS_TOL = 1e-6  # admissibility threshold for inversion and radial FT
+SPLINE_ORDER = 5     # B-spline order of the resampling in radon_transform
 
 
 class Sinogram:
@@ -94,18 +103,17 @@ def default_offsets(grid, spacing_factor=1.0):
     return np.linspace(-pmax, pmax, 2 * half + 1)
 
 
-def _plane_basis(w):
-    """Orthonormal basis (u, v) of the plane with normal w, chosen so that
-    u(-w) = -u(w) and v(-w) = v(w), so (p, w) and (-p, -w) name the same
-    sampled point set.  `radon_transform` samples only one direction of each
-    antipodal pair, so the transform is even exactly, not to roundoff."""
-    a = int(np.argmin(np.abs(w)))
+def _hyperplane_basis(w):
+    """Orthonormal basis of the hyperplane with normal w, as the rows of an
+    (n-1, n) array: (-w_2, w_1) in 2-D; in 3-D u = e x w / |e x w| for the
+    coordinate axis e least aligned with w, and v = w x u."""
+    if len(w) == 2:
+        return np.array([[-w[1], w[0]]])
     e = np.zeros(3)
-    e[a] = 1.0
+    e[np.argmin(np.abs(w))] = 1.0
     u = np.cross(e, w)
     u /= np.linalg.norm(u)
-    v = np.cross(w, u)
-    return u, v
+    return np.stack([u, np.cross(w, u)])
 
 
 def _effective_support(f):
@@ -115,7 +123,7 @@ def _effective_support(f):
     return min(float(rs), f.grid.half_width * np.sqrt(f.grid.n))
 
 
-def radon_transform(f, offsets=None, directions=None, spline_order=5):
+def radon_transform(f, offsets=None, directions=None):
     """Radon transform of a SampledFunction; returns a Sinogram.
 
     Entry (i, j) approximates the integral of f over the hyperplane
@@ -139,57 +147,31 @@ def radon_transform(f, offsets=None, directions=None, spline_order=5):
     if np.iscomplexobj(f.values):
         re = radon_transform(
             SampledFunction(f.grid, f.values.real, f.support_radius),
-            offsets, directions, spline_order)
+            offsets, directions)
         im = radon_transform(
             SampledFunction(f.grid, f.values.imag, f.support_radius),
-            offsets, directions, spline_order)
+            offsets, directions)
         return Sinogram(re.offsets, re.directions, re.values + 1j * im.values,
                         re.support_radius)
 
-    grid = f.grid
-    h = grid.spacing
-    L = grid.half_width
+    h = f.grid.spacing
+    L = f.grid.half_width
     rs = _effective_support(f)
-    coeffs = ndimage.spline_filter(np.ascontiguousarray(f.values, dtype=float),
-                                   order=spline_order)
+    coeffs = ndimage.spline_filter(f.values, order=SPLINE_ORDER)
     tmax = rs + 3 * h
-    T = int(2 * np.ceil(tmax / h)) + 1
-    t = np.linspace(-tmax, tmax, T)
+    t = np.linspace(-tmax, tmax, int(2 * np.ceil(tmax / h)) + 1)
     dt = t[1] - t[0]
 
-    mask = np.abs(offsets) <= rs
-    pm = offsets[mask]
-
-    if n == 2:
-        def integrals(w):
-            wp = np.array([-w[1], w[0]])
-            ci = (pm[:, None] * w[0] + t[None, :] * wp[0] + L) / h
-            cj = (pm[:, None] * w[1] + t[None, :] * wp[1] + L) / h
-            vals = ndimage.map_coordinates(
-                coeffs, [ci.ravel(), cj.ravel()], order=spline_order,
-                prefilter=False, mode="constant", cval=0.0).reshape(len(pm), T)
-            return np.trapezoid(vals, dx=dt, axis=1)
-    else:
-        # restrict the plane patch to the disk that can meet the ball
-        half = np.sqrt(np.maximum(rs**2 - pm**2, 0.0)) + 3 * h
-
-        def integrals(w):
-            u, v = _plane_basis(w)
-            row = np.zeros(len(pm))
-            for i, p in enumerate(pm):
-                nt = int(np.ceil(half[i] / h))
-                ts = np.linspace(-half[i], half[i], 2 * nt + 1)
-                ds = ts[1] - ts[0]
-                ss, tt = np.meshgrid(ts, ts, indexing="ij")
-                pts = (p * w[None, :] + ss.ravel()[:, None] * u[None, :]
-                       + tt.ravel()[:, None] * v[None, :])
-                vals = ndimage.map_coordinates(
-                    coeffs, [(pts[:, 0] + L) / h, (pts[:, 1] + L) / h,
-                             (pts[:, 2] + L) / h],
-                    order=spline_order, prefilter=False, mode="constant",
-                    cval=0.0).reshape(ss.shape)
-                row[i] = vals.sum() * ds * ds  # integrand vanishes at patch rim
-            return row
+    # in-plane lattice t^(n-1); offset p_i, |p_i| <= rs, keeps the nodes
+    # inside the disk of radius sqrt(rs^2 - p_i^2) + 3h, beyond which the
+    # integrand vanishes.  Kept point k is p[k] w + basis(w)^T s[:, k].
+    lattice = np.stack(np.meshgrid(*[t] * (n - 1), indexing="ij"))
+    lattice = lattice.reshape(n - 1, -1)
+    rows = np.flatnonzero(np.abs(offsets) <= rs)
+    reach = np.sqrt(rs**2 - offsets[rows]**2) + 3 * h
+    owner, node = np.nonzero((lattice**2).sum(axis=0) <= reach[:, None]**2)
+    p = offsets[rows[owner]]
+    s = lattice[:, node]
 
     out = np.zeros((len(offsets), len(directions)))
     partner = directions._antipodes()
@@ -199,7 +181,11 @@ def radon_transform(f, offsets=None, directions=None, spline_order=5):
             # xi(p, w) = xi(-p, -w), and the offsets are symmetric
             out[:, j] = out[::-1, k]
         else:
-            out[mask, j] = integrals(w)
+            x = w[:, None] * p + _hyperplane_basis(w).T @ s
+            vals = ndimage.map_coordinates(
+                coeffs, (x + L) / h, order=SPLINE_ORDER, prefilter=False,
+                mode="constant", cval=0.0)
+            out[rows, j] = np.bincount(owner, vals, len(rows)) * dt ** (n - 1)
 
     return Sinogram(offsets, directions, out,
                     support_radius=f.support_radius

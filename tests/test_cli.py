@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -128,3 +129,35 @@ class TestFileDriven:
         assert data["records"][0]["defect"] == 0.0
         # 64 requested directions map to sphere(7), as in the pw checks
         assert {r["mesh"]["Q"] for r in data["records"]} == {8 * 16}
+
+    @pytest.mark.parametrize("subcommand, names", [
+        ("slice", ["fourier slice identity", "motion-group plancherel",
+                   "plancherel refinement", "pointwise inversion",
+                   "projection compatibility"]),
+        ("pw", ["moment homogeneity", "homogeneity violation detected",
+                "support radius recovery",
+                "growth stability at the critical type",
+                "growth divergence below the critical type",
+                "extension consistency", "evenness of the slice extension",
+                "decay seminorms finite"]),
+    ], ids=["slice", "pw"])
+    def test_3d_function_keeps_every_record(self, tmp_path, subcommand,
+                                            names):
+        # checks written for 2-D inputs raise on a 3-D file; each one that
+        # does is recorded as failed with its error, and the report is kept
+        def no_constants(name):
+            raise ValueError("non-standard JSON constant %s" % name)
+        g = GridSpec(3, 1.5, 33)
+        fpath = tmp_path / "f.csv"
+        save_function(make_bump([0.1, 0.0, -0.1], 0.6, 1.0, g), str(fpath))
+        rpath = tmp_path / "rep.json"
+        code = main([subcommand, "--in", str(fpath), "--report", str(rpath)])
+        data = json.loads(rpath.read_text(), parse_constant=no_constants)
+        assert [r["name"] for r in data["records"]] == names
+        errors = [r for r in data["records"] if "error" in r]
+        assert errors
+        for r in errors:
+            assert r["defect"] is None and r["nonfinite"] == "nan"
+            assert not r["passed"]
+            assert re.match(r"\w+: ", r["error"])
+        assert code == 1

@@ -93,16 +93,41 @@ class TestRadonTransform:
         assert len(p) % 2 == 1 and p[len(p) // 2] == 0.0
 
     def test_complex_values(self):
-        f = make_bump([0.2, 0.0], 0.4, 1.0, G)
-        g = make_bump([-0.1, 0.2], 0.4, 1.0, G)
         from pwkit import SampledFunction
-        rs = max(f.support_radius, g.support_radius)
-        fc = SampledFunction(G, f.values + 1j * g.values, rs)
-        s = radon_transform(fc, directions=DIRS)
-        sr = radon_transform(SampledFunction(G, f.values, rs), directions=DIRS)
-        si = radon_transform(SampledFunction(G, g.values, rs), directions=DIRS)
-        assert np.abs(s.values.real - sr.values).max() < 1e-12
-        assert np.abs(s.values.imag - si.values).max() < 1e-12
+        for grid, centers, dirs in [
+                (G, ([0.2, 0.0], [-0.1, 0.2]), DIRS),
+                (GridSpec(3, 1.5, 33), ([0.2, 0.0, 0.1], [-0.1, 0.2, 0.0]),
+                 DirectionSet.sphere(3))]:
+            f = make_bump(centers[0], 0.4, 1.0, grid)
+            g = make_bump(centers[1], 0.4, 1.0, grid)
+            rs = max(f.support_radius, g.support_radius)
+            fc = SampledFunction(grid, f.values + 1j * g.values, rs)
+            s = radon_transform(fc, directions=dirs)
+            sr = radon_transform(SampledFunction(grid, f.values, rs),
+                                 directions=dirs)
+            si = radon_transform(SampledFunction(grid, g.values, rs),
+                                 directions=dirs)
+            assert np.abs(s.values.real - sr.values).max() < 1e-12
+            assert np.abs(s.values.imag - si.values).max() < 1e-12
+
+    def test_3d_matches_radial_plane_oracle(self):
+        # a centred bump of radius rho has R f(p, omega) =
+        # 2 pi int_0^sqrt(rho^2 - p^2) exp(-(p^2 + s^2)/(rho^2 - p^2 - s^2)) s ds
+        # for |p| < rho, on every normal omega
+        from scipy.integrate import quad
+        rho = 0.6
+        g = GridSpec(3, 1.5, 65)
+        s = radon_transform(make_bump([0.0, 0.0, 0.0], rho, 1.0, g),
+                            directions=DirectionSet.sphere(3))
+        oracle = np.zeros(len(s.offsets))
+        for i, p in enumerate(s.offsets):
+            if abs(p) < rho:
+                a2 = rho**2 - p**2
+                oracle[i] = 2 * np.pi * quad(
+                    lambda r: np.exp(-(p**2 + r**2) / (a2 - r**2)) * r,
+                    0.0, np.sqrt(a2))[0]
+        assert oracle.max() == pytest.approx(0.457, abs=1e-3)
+        assert np.abs(s.values - oracle[:, None]).max() < 2e-4
 
     def test_linearity(self):
         # equal declared support radii so both transforms share the grid
@@ -139,9 +164,13 @@ class TestAntipodalReuse:
             else:  # sampled: the same arithmetic as the one-direction set
                 np.testing.assert_array_equal(s.values[:, j], alone.values[:, 0])
 
-    @pytest.mark.parametrize("count, sampled", [(64, 32), (9, 9)])
-    def test_one_spline_call_per_sampled_direction(self, monkeypatch, count,
-                                                    sampled):
+    @pytest.mark.parametrize("grid, center, dirs, sampled", [
+        (GridSpec(2, 1.5, 129), [0.3, -0.2], DirectionSet.circle(64), 32),
+        (GridSpec(2, 1.5, 129), [0.3, -0.2], DirectionSet.circle(9), 9),
+        (GridSpec(3, 1.5, 33), [0.2, -0.1, 0.15], DirectionSet.sphere(3), 16),
+    ], ids=["64-32", "9-9", "sphere3-16"])
+    def test_one_spline_call_per_sampled_direction(self, monkeypatch, grid,
+                                                    center, dirs, sampled):
         from pwkit import radon
         calls = []
         real = radon.ndimage.map_coordinates
@@ -150,10 +179,7 @@ class TestAntipodalReuse:
             calls.append(1)
             return real(*args, **kwargs)
         monkeypatch.setattr(radon.ndimage, "map_coordinates", counting)
-        g = GridSpec(2, 1.5, 129)
-        f = make_bump([0.3, -0.2], 0.5, 1.0, g)
-        dirs = DirectionSet.circle(count)
-        radon_transform(f, directions=dirs)
+        radon_transform(make_bump(center, 0.5, 1.0, grid), directions=dirs)
         assert len(calls) == sampled
 
     def test_asymmetric_offsets_rejected(self, shifted_bump):
