@@ -7,7 +7,8 @@ the report carries the name of the mathematical identity it certifies (or
 threshold, and mesh metadata, so reports are diff-able across runs; with a
 fixed seed the pass/fail vector is deterministic.  A check that raises is
 recorded as failed, with the exception in its "error" field, and the run
-goes on.
+goes on; an exception outside every check ends only its pipeline, as one
+failed "<pipeline> pipeline" record, and the report is still written.
 """
 
 import argparse
@@ -506,6 +507,7 @@ def run_weyl(cfg, report):
         spec_k = _weyl.RootSystemSpec("B", 4)
         spec_n = _weyl.RootSystemSpec("B", 2)
         basis = _weyl.invariant_basis(spec_n, 6)
+        full = _weyl.weyl_group(spec_k)
         for _ in range(10):
             target = _weyl.MultivariatePolynomial.zero(2)
             for b in basis:
@@ -515,7 +517,6 @@ def run_weyl(cfg, report):
             H = _weyl.ow1_lift(target, spec_k, spec_n)
             if H.restrict(2) != target:
                 return 1.0
-            full = _weyl.weyl_group(spec_k)
             if any(H.apply(w) != H for w in full[:24]):
                 return 1.0
         return 0.0
@@ -533,6 +534,19 @@ PIPELINES = {
 }
 
 
+def _run_pipeline(name, config, report):
+    """Run one pipeline.  An exception outside its checks (an unreadable
+    input file, a transform built before the first check) is recorded as
+    a failed "<name> pipeline" record carrying the error, so the records
+    made so far and the report are kept."""
+    try:
+        PIPELINES[name](config, report)
+    except Exception as exc:  # the report must survive a broken input
+        def reraise():
+            raise exc
+        report.check("%s pipeline" % name, "plumbing", reraise, 0.0)
+
+
 def run(config):
     """Execute the configured pipeline(s) and return the Report."""
     report = Report(config)
@@ -547,16 +561,16 @@ def run(config):
                 for nm in names:
                     r = Report(config)
                     sub_reports[nm] = r
-                    futs[nm] = pool.submit(PIPELINES[nm], config, r)
+                    futs[nm] = pool.submit(_run_pipeline, nm, config, r)
                 for nm in names:
                     futs[nm].result()
             for nm in names:
                 report.records.extend(sub_reports[nm].records)
         else:
             for nm in names:
-                PIPELINES[nm](config, report)
+                _run_pipeline(nm, config, report)
     else:
-        PIPELINES[config.subcommand](config, report)
+        _run_pipeline(config.subcommand, config, report)
     if config.report_path:
         report.write(config.report_path)
     return report

@@ -8,6 +8,14 @@ All polynomial algebra is exact over the rationals: surjectivity and
 obstruction are rank statements and must not depend on floating-point
 thresholds.  Type A is realized in k+1 ambient coordinates acting on the
 sum-zero hyperplane; the subspace embeddings append trailing zeros.
+
+Linear systems (one row per monomial, one unknown per candidate
+polynomial) are solved by Gauss-Jordan elimination on sparse row dicts:
+each row is reduced against the pivot rows found so far and pivoted on its
+smallest remaining column, so no dense matrix is built.  The columns of
+the decomposition system are a monomial times one generator and have few
+nonzeros.  A group action or group average accumulates every element's
+image into one dict.
 """
 
 from fractions import Fraction
@@ -244,6 +252,15 @@ class MultivariatePolynomial:
                     self.terms[tuple(int(a) for a in e)] = c
 
     @classmethod
+    def _from_terms(cls, nvars, terms):
+        """Trusted constructor: `terms` maps exponent tuples of arity
+        nvars to Fractions; zero coefficients are dropped."""
+        out = cls.__new__(cls)
+        out.nvars = nvars
+        out.terms = {e: c for e, c in terms.items() if c}
+        return out
+
+    @classmethod
     def zero(cls, nvars):
         return cls(nvars)
 
@@ -270,33 +287,40 @@ class MultivariatePolynomial:
         return (isinstance(other, MultivariatePolynomial)
                 and self.nvars == other.nvars and self.terms == other.terms)
 
+    def _same_ring(self, other):
+        if other.nvars != self.nvars:
+            raise ValueError("exponent arity mismatch")
+
     def __add__(self, other):
+        self._same_ring(other)
         out = dict(self.terms)
         for e, c in other.terms.items():
-            out[e] = out.get(e, Fraction(0)) + c
-        return MultivariatePolynomial(self.nvars, out)
+            out[e] = out.get(e, 0) + c
+        return MultivariatePolynomial._from_terms(self.nvars, out)
 
     def __sub__(self, other):
+        self._same_ring(other)
         out = dict(self.terms)
         for e, c in other.terms.items():
-            out[e] = out.get(e, Fraction(0)) - c
-        return MultivariatePolynomial(self.nvars, out)
+            out[e] = out.get(e, 0) - c
+        return MultivariatePolynomial._from_terms(self.nvars, out)
 
     def __mul__(self, other):
         if isinstance(other, MultivariatePolynomial):
+            self._same_ring(other)
             out = {}
             for e1, c1 in self.terms.items():
                 for e2, c2 in other.terms.items():
                     e = tuple(a + b for a, b in zip(e1, e2))
-                    out[e] = out.get(e, Fraction(0)) + c1 * c2
-            return MultivariatePolynomial(self.nvars, out)
+                    out[e] = out.get(e, 0) + c1 * c2
+            return MultivariatePolynomial._from_terms(self.nvars, out)
         return self.scale(other)
 
     __rmul__ = __mul__
 
     def scale(self, c):
         c = Fraction(c)
-        return MultivariatePolynomial(
+        return MultivariatePolynomial._from_terms(
             self.nvars, {e: cc * c for e, cc in self.terms.items()})
 
     def apply(self, w):
@@ -306,36 +330,23 @@ class MultivariatePolynomial:
         pulls back to prod (signs[j] x_{perm[j]})^{a_j}.
         """
         out = {}
-        for e, c in self.terms.items():
-            newe = [0] * self.nvars
-            sgn = 1
-            for j, a in enumerate(e):
-                if a == 0:
-                    continue
-                newe[w.perm[j]] += a
-                if w.signs[j] < 0 and a % 2 == 1:
-                    sgn = -sgn
-            key = tuple(newe)
-            out[key] = out.get(key, Fraction(0)) + sgn * c
-        return MultivariatePolynomial(self.nvars, out)
+        _act_into(out, self.terms, w)
+        return MultivariatePolynomial._from_terms(self.nvars, out)
 
     def restrict(self, nkeep):
         """Substitute x_{nkeep+1} = ... = 0; result lives in nkeep variables."""
         if nkeep > self.nvars:
             raise ValueError("cannot restrict to more variables")
-        out = {}
-        for e, c in self.terms.items():
-            if any(e[nkeep:]):
-                continue
-            out[e[:nkeep]] = c
-        return MultivariatePolynomial(nkeep, out)
+        return MultivariatePolynomial._from_terms(
+            nkeep, {e[:nkeep]: c for e, c in self.terms.items()
+                    if not any(e[nkeep:])})
 
     def embed(self, nvars):
         """View in a larger variable ring (trailing exponents zero)."""
         if nvars < self.nvars:
             raise ValueError("embedding must not drop variables")
         pad = (0,) * (nvars - self.nvars)
-        return MultivariatePolynomial(
+        return MultivariatePolynomial._from_terms(
             nvars, {e + pad: c for e, c in self.terms.items()})
 
     def to_text(self):
@@ -374,12 +385,29 @@ class MultivariatePolynomial:
             self.nvars, len(self.terms))
 
 
+def _act_into(out, terms, w):
+    """Add w . p, for p given by its terms, into the dict `out`."""
+    perm, signs = w.perm, w.signs
+    for e, c in terms.items():
+        newe = [0] * len(e)
+        neg = False
+        for j, a in enumerate(e):
+            if a:
+                newe[perm[j]] = a
+                if a & 1 and signs[j] < 0:
+                    neg = not neg
+        key = tuple(newe)
+        out[key] = out.get(key, 0) + (-c if neg else c)
+
+
 def reynolds(p, group):
     """Group average (1/|W|) sum_w w.p; the projection onto invariants."""
-    acc = MultivariatePolynomial.zero(p.nvars)
+    acc = {}
     for w in group:
-        acc = acc + p.apply(w)
-    return acc.scale(Fraction(1, len(group)))
+        _act_into(acc, p.terms, w)
+    n = len(group)
+    return MultivariatePolynomial._from_terms(
+        p.nvars, {e: c / n for e, c in acc.items()})
 
 
 def _elementary_symmetric(j, nvars, power):
@@ -443,38 +471,53 @@ def invariant_basis(spec, d):
 
 
 def _solve_exact(rows, rhs, nunknowns):
-    """Gaussian elimination over Q.  rows: list of {col: Fraction}.
-    Returns a particular solution (free unknowns at 0) or None."""
-    mat = [[row.get(c, Fraction(0)) for c in range(nunknowns)] + [b]
-           for row, b in zip(rows, rhs)]
-    pivots = []
-    ri = 0
-    for col in range(nunknowns):
-        piv = None
-        for rr in range(ri, len(mat)):
-            if mat[rr][col] != 0:
-                piv = rr
-                break
-        if piv is None:
+    """Solve sum_col rows[i][col] x_col = rhs[i] exactly over Q.
+
+    rows: list of sparse {col: Fraction} dicts over columns 0..nunknowns-1.
+    Sparse Gauss-Jordan elimination: the right-hand side rides in each row
+    under the key `nunknowns`, past every unknown.  Each incoming row is
+    reduced against the pivot rows found so far, pivoted on its smallest
+    remaining column and normalized, and that column is then eliminated
+    from the earlier pivot rows, so they stay fully reduced.  A row left
+    with only its right-hand side makes the system inconsistent.
+
+    Returns a particular solution (free unknowns at 0) or None.
+    """
+    pivots = {}     # pivot column -> its normalized, fully reduced row
+    for row, b in zip(rows, rhs):
+        r = {c: v for c, v in row.items() if v}
+        if b:
+            r[nunknowns] = Fraction(b)
+        for col in [c for c in r if c in pivots]:
+            _subtract_row(r, r.pop(col), pivots[col], col)
+        if not r:
             continue
-        mat[ri], mat[piv] = mat[piv], mat[ri]
-        pv = mat[ri][col]
-        mat[ri] = [x / pv for x in mat[ri]]
-        for rr in range(len(mat)):
-            if rr != ri and mat[rr][col] != 0:
-                f = mat[rr][col]
-                mat[rr] = [a - f * b for a, b in zip(mat[rr], mat[ri])]
-        pivots.append(col)
-        ri += 1
-        if ri == len(mat):
-            break
-    for rr in range(ri, len(mat)):
-        if mat[rr][nunknowns] != 0:
+        col = min(r)
+        if col == nunknowns:
             return None
+        pv = Fraction(r[col])
+        r = {c: v / pv for c, v in r.items()}
+        for prow in pivots.values():
+            f = prow.pop(col, 0)
+            if f:
+                _subtract_row(prow, f, r, col)
+        pivots[col] = r
     sol = [Fraction(0)] * nunknowns
-    for i, col in enumerate(pivots):
-        sol[col] = mat[i][nunknowns]
+    for col, r in pivots.items():
+        sol[col] = r.get(nunknowns, Fraction(0))
     return sol
+
+
+def _subtract_row(r, f, pivot_row, col):
+    """r -= f * pivot_row on every column but the pivot column `col`
+    (already removed from r), dropping entries that cancel."""
+    for c, v in pivot_row.items():
+        if c != col:
+            x = r.get(c, 0) - f * v
+            if x:
+                r[c] = x
+            else:
+                del r[c]
 
 
 def _solve_combination(candidates, target):
@@ -558,7 +601,9 @@ def surjectivity_certificate(spec_k, spec_n, d):
 
 def _check_invariant(p, group_elements):
     for w in group_elements:
-        if p.apply(w) != p:
+        image = {}
+        _act_into(image, p.terms, w)
+        if image != p.terms:
             return False
     return True
 
@@ -583,6 +628,13 @@ def rais_decompose(G, spec_k, n, d=None):
     stab = stabilizer(spec_k, n)
     if not _check_invariant(G, stab):
         raise NotInvariant("input is not invariant under the subspace stabilizer")
+    return _decompose(G, spec_k, stab, d)
+
+
+def _decompose(G, spec_k, stab, d):
+    """rais_decompose for a G already known to be invariant under the
+    subspace stabilizer `stab`."""
+    nv = spec_k.ambient_vars
     gens = chevalley_generators(spec_k)
     if G.is_zero():
         return [MultivariatePolynomial.zero(nv) for _ in gens]
@@ -618,15 +670,15 @@ def _rais_solve(G, gens, dcap):
             continue
         for e in _monomials_up_to(nv, room):
             unknowns.append((j, e))
-            columns.append(MultivariatePolynomial(nv, {e: Fraction(1)}) * g)
+            mono = MultivariatePolynomial._from_terms(nv, {e: Fraction(1)})
+            columns.append(mono * g)
     sol = _solve_combination(columns, G)
     if sol is None:
         return None
-    ps = [MultivariatePolynomial.zero(nv) for _ in gens]
+    ps = [{} for _ in gens]
     for coeff, (j, e) in zip(sol, unknowns):
-        if coeff:
-            ps[j] = ps[j] + MultivariatePolynomial(nv, {e: coeff})
-    return ps
+        ps[j][e] = coeff
+    return [MultivariatePolynomial._from_terms(nv, p) for p in ps]
 
 
 def _monomials_up_to(nvars, d):
@@ -704,8 +756,9 @@ def ow1_lift(target, spec_k, spec_n, d=None):
 
     H = MultivariatePolynomial.constant(nv_up, const)
     try:
-        ps = rais_decompose(G, spec_k, n, d=d if d is not None
-                            else core.degree())
+        # G is a stabilizer average, so invariant by construction
+        ps = _decompose(G, spec_k, stab, d if d is not None
+                        else core.degree())
     except NoSolutionAtDegree:
         ps = None
     if ps is not None:

@@ -130,6 +130,25 @@ class TestFileDriven:
         # 64 requested directions map to sphere(7), as in the pw checks
         assert {r["mesh"]["Q"] for r in data["records"]} == {8 * 16}
 
+    @pytest.mark.parametrize("subcommand", ["pw", "radon"])
+    def test_unreadable_input_keeps_the_report(self, tmp_path, subcommand):
+        # the input is read before the first check; its error becomes a
+        # failed record and the report is still written
+        def no_constants(name):
+            raise ValueError("non-standard JSON constant %s" % name)
+        fpath = tmp_path / "f.csv"
+        fpath.write_text("garbage\n")
+        rpath = tmp_path / "rep.json"
+        code = main([subcommand, "--in", str(fpath), "--report", str(rpath)])
+        assert code == 1
+        data = json.loads(rpath.read_text(), parse_constant=no_constants)
+        assert not data["all_passed"]
+        [record] = data["records"]
+        assert record["name"] == "%s pipeline" % subcommand
+        assert not record["passed"]
+        assert record["defect"] is None and record["nonfinite"] == "nan"
+        assert record["error"].startswith("ValueError: ")
+
     @pytest.mark.parametrize("subcommand, names", [
         ("slice", ["fourier slice identity", "motion-group plancherel",
                    "plancherel refinement", "pointwise inversion",

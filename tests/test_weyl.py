@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from pwkit import weyl
 from pwkit import (DegreeTooLarge, GroupTooLarge, MultivariatePolynomial,
                    NoSolutionAtDegree, NotInvariant, ObstructionHit,
                    RootSystemSpec, SignedPermutation, chevalley_generators,
@@ -331,3 +332,110 @@ class TestPolynomialAlgebra:
     def test_restrict_embed_round_trip(self):
         p = P(2, {(1, 1): Fraction(5)})
         assert p.embed(4).restrict(2) == p
+
+
+class TestSolveExact:
+    """`_solve_exact` against systems with a planted solution: the result
+    must satisfy every equation exactly, and be None exactly when a row
+    contradicts the others."""
+
+    @staticmethod
+    def planted(rng, m, n, rank):
+        # A = B C with sparse integer factors, so rank(A) <= rank; rows are
+        # dicts without zero entries, as _solve_combination builds them
+        def sparse(shape):
+            a = rng.integers(-3, 4, size=shape)
+            a[rng.random(shape) < 0.5] = 0
+            return a
+        A = sparse((m, rank)) @ sparse((rank, n))
+        x0 = [Fraction(int(rng.integers(-5, 6)), int(rng.integers(1, 4)))
+              for _ in range(n)]
+        rows = [{c: Fraction(int(v)) for c, v in enumerate(r) if v}
+                for r in A]
+        rhs = [sum((row.get(c, 0) * x0[c] for c in range(n)), Fraction(0))
+               for row in rows]
+        return rows, rhs
+
+    @staticmethod
+    def residual_free(rows, rhs, sol):
+        return all(sum((v * sol[c] for c, v in row.items()), Fraction(0)) == b
+                   for row, b in zip(rows, rhs))
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_planted_systems(self, seed):
+        from pwkit.weyl import _solve_exact
+        rng = np.random.default_rng(seed)
+        m, n = (int(v) for v in rng.integers(1, 16, size=2))
+        rank = int(rng.integers(1, min(m, n) + 1))
+        rows, rhs = self.planted(rng, m, n, rank)
+        sol = _solve_exact(rows, rhs, n)
+        assert sol is not None and len(sol) == n
+        assert all(isinstance(v, Fraction) for v in sol)
+        assert self.residual_free(rows, rhs, sol)
+        # a particular solution: free unknowns are 0, so at most rank(A)
+        # entries are nonzero
+        assert sum(1 for v in sol if v) <= rank
+
+        # a combination of the rows with its right-hand side moved by one
+        # contradicts every solution of the others
+        lam = [int(v) for v in rng.integers(-2, 3, size=m)]
+        bad = {}
+        for l, row in zip(lam, rows):
+            for c, v in row.items():
+                bad[c] = bad.get(c, 0) + l * v
+        bad = {c: v for c, v in bad.items() if v}
+        bad_rhs = sum((l * b for l, b in zip(lam, rhs)), Fraction(0)) + 1
+        pos = int(rng.integers(0, m + 1))
+        assert _solve_exact(rows[:pos] + [bad] + rows[pos:],
+                            rhs[:pos] + [bad_rhs] + rhs[pos:], n) is None
+
+    def test_zero_right_hand_side(self):
+        from pwkit.weyl import _solve_exact
+        rng = np.random.default_rng(3)
+        rows, _ = self.planted(rng, 9, 7, 4)
+        assert _solve_exact(rows, [Fraction(0)] * 9, 7) == [0] * 7
+
+    def test_empty_rows(self):
+        from pwkit.weyl import _solve_exact
+        assert _solve_exact([], [], 3) == [0, 0, 0]
+        assert _solve_exact([{}, {}], [Fraction(0)] * 2, 2) == [0, 0]
+        assert _solve_exact([{}], [Fraction(1)], 2) is None
+        # an empty row after a pivot row, and a row that cancels to empty
+        rows = [{0: Fraction(2), 1: Fraction(1)}, {},
+                {0: Fraction(4), 1: Fraction(2)}]
+        assert _solve_exact(rows, [Fraction(3), 0, Fraction(6)], 2) == [
+            Fraction(3, 2), 0]
+        assert _solve_exact(rows, [Fraction(3), 0, Fraction(7)], 2) is None
+
+
+class TestLiftScaling:
+    def test_b6_to_b3_degree_10(self):
+        spec_k, spec_n = RootSystemSpec("B", 6), RootSystemSpec("B", 3)
+        rng = np.random.default_rng(11)
+        target = P.zero(3)
+        for b in invariant_basis(spec_n, 10):
+            c = (int(rng.choice([-3, -2, -1, 1, 2, 3])) if b.degree() == 10
+                 else int(rng.integers(-3, 4)))
+            target = target + b.scale(c)
+        assert target.degree() == 10
+        H = ow1_lift(target, spec_k, spec_n)
+        assert H.restrict(3) == target
+        group = weyl_group(spec_k)
+        for j in rng.choice(len(group), size=48, replace=False):
+            w = group[int(j)]
+            assert H.apply(w) == H
+
+    def test_one_group_enumeration_upstairs_per_lift(self, monkeypatch):
+        spec_k, spec_n = RootSystemSpec("B", 4), RootSystemSpec("B", 2)
+        calls = []
+        enumerate_group = weyl.weyl_group
+
+        def counted(spec):
+            calls.append((spec.family, spec.rank))
+            return enumerate_group(spec)
+        monkeypatch.setattr(weyl, "weyl_group", counted)
+        gens = chevalley_generators(spec_n)
+        target = gens[0] * gens[1] + gens[1] * gens[1]
+        H = ow1_lift(target, spec_k, spec_n)
+        assert H.restrict(2) == target
+        assert calls.count(("B", 4)) == 1

@@ -1,0 +1,117 @@
+"""Property tests of the exact polynomial algebra in pwkit.weyl.
+
+Run with derandomize=True: the examples are a fixed function of each test,
+so the suite is deterministic.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+pytest.importorskip("hypothesis")
+
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from pwkit import (MultivariatePolynomial, RootSystemSpec,  # noqa: E402
+                   SignedPermutation, reynolds, weyl_group)
+
+P = MultivariatePolynomial
+
+deterministic = settings(derandomize=True, database=None, deadline=None,
+                         max_examples=60)
+
+coefficients = st.fractions(min_value=-5, max_value=5, max_denominator=7)
+
+
+@st.composite
+def polynomials(draw, nvars, max_exp=4, max_terms=6):
+    exponent = st.tuples(*[st.integers(0, max_exp)] * nvars)
+    return P(nvars, draw(st.dictionaries(exponent, coefficients,
+                                         max_size=max_terms)))
+
+
+@st.composite
+def signed_permutations(draw, k):
+    perm = draw(st.permutations(range(k)))
+    signs = draw(st.lists(st.sampled_from((1, -1)), min_size=k, max_size=k))
+    return SignedPermutation(perm, signs)
+
+
+@st.composite
+def poly_and_perms(draw):
+    k = draw(st.integers(1, 4))
+    return (draw(polynomials(k)), draw(signed_permutations(k)),
+            draw(signed_permutations(k)))
+
+
+GROUPS = {name: weyl_group(RootSystemSpec(name[0], int(name[1])))
+          for name in ("A2", "B2", "B3", "D4")}
+
+
+@st.composite
+def poly_and_group(draw):
+    name = draw(st.sampled_from(sorted(GROUPS)))
+    group = GROUPS[name]
+    return draw(polynomials(len(group[0]), max_exp=3, max_terms=4)), group
+
+
+@deterministic
+@given(poly_and_perms())
+def test_apply_is_a_left_action(args):
+    p, a, b = args
+    assert p.apply(a.compose(b)) == p.apply(b).apply(a)
+    assert p.apply(SignedPermutation.identity(p.nvars)) == p
+    assert p.apply(a).apply(a.inverse()) == p
+
+
+@deterministic
+@given(poly_and_group())
+def test_reynolds_is_the_group_average(args):
+    p, group = args
+    naive = P.zero(p.nvars)
+    for w in group:
+        naive = naive + p.apply(w)
+    avg = reynolds(p, group)
+    assert avg == naive.scale(Fraction(1, len(group)))
+    assert all(avg.apply(w) == avg for w in group)
+    assert reynolds(avg, group) == avg
+
+
+@deterministic
+@given(st.integers(1, 3), st.integers(0, 3), st.data())
+def test_restrict_and_embed(n, extra, data):
+    p = data.draw(polynomials(n))
+    q = data.draw(polynomials(n))
+    m = n + extra
+    assert p.embed(m).restrict(n) == p
+    big = data.draw(polynomials(m))
+    other = data.draw(polynomials(m))
+    # setting trailing variables to zero is a ring homomorphism
+    assert (big + other).restrict(n) == big.restrict(n) + other.restrict(n)
+    assert (big * other).restrict(n) == big.restrict(n) * other.restrict(n)
+    assert (p * q).embed(m) == p.embed(m) * q.embed(m)
+    # what restriction keeps is exactly the terms free of trailing variables
+    assert big.restrict(n).embed(m) == P(m, {
+        e: c for e, c in big.terms.items() if not any(e[n:])})
+
+
+@deterministic
+@given(st.integers(1, 4).flatmap(polynomials))
+def test_text_round_trip(p):
+    assert P.from_text(p.to_text(), p.nvars) == p
+
+
+@deterministic
+@given(st.integers(1, 4).flatmap(
+    lambda k: st.dictionaries(st.tuples(*[st.integers(0, 3)] * k),
+                              coefficients, max_size=6).map(
+        lambda terms: (k, terms))))
+def test_constructor_drops_zeros_and_checks_arity(args):
+    k, terms = args
+    p = P(k, terms)
+    assert all(c != 0 for c in p.terms.values())
+    assert p.terms == {e: c for e, c in terms.items() if c}
+    with pytest.raises(ValueError):
+        P(k + 1, {(1,) * k: Fraction(1)})
+    with pytest.raises(ValueError):
+        p + P.zero(k + 1)
