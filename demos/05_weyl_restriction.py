@@ -1,12 +1,14 @@
 """Weyl groups as signed permutations, restriction of invariants, the
-type-D obstruction, and the averaging/decomposition lift.
+type-D obstruction, the lift of invariants, and the decomposition over
+the Chevalley generators.
 
 Restricting the subgroup that stabilizes an embedded coordinate subspace
 recovers the smaller Weyl group for families A, B, C; for family D the
 image is strictly larger (all sign changes), and correspondingly the
 restriction of invariant polynomials misses the odd Pfaffian span.  For
 the surjective families every invariant downstairs lifts to an invariant
-upstairs with exact rational arithmetic.
+upstairs, by one exact rational solve through the restricted invariant
+basis.
 """
 
 from fractions import Fraction
@@ -41,7 +43,7 @@ print("unreachable basis elements (the odd Pfaffian span):")
 for i in cert_d.obstruction:
     print("  " + cert_d.downstairs_basis[i].to_text().strip().replace("\n", " + "))
 
-# the averaging + decomposition + lift chain
+# the lift: one exact solve through the restricted W(B4)-invariant basis
 x1sq_plus_x2sq = chevalley_generators(b2)[0]
 H = ow1_lift(x1sq_plus_x2sq, b4, b2)
 print("\nlift of x1^2 + x2^2 to a W(B4)-invariant:")
@@ -52,10 +54,11 @@ pf = MultivariatePolynomial(4, {(1, 1, 1, 1): Fraction(1)})
 try:
     ow1_lift(pf, d5, d4)
 except ObstructionHit as exc:
+    # no restricted W(D5)-invariant has odd Pfaffian content
     print("\nlifting the D4 Pfaffian fails as the theory demands:")
     print("  ObstructionHit:", exc)
 
-# the decomposition step on its own, for a stabilizer-invariant input
+# the decomposition over the generators, for a stabilizer-invariant input
 b3 = RootSystemSpec("B", 3)
 x = [MultivariatePolynomial.variable(i, 3) for i in range(3)]
 G = reynolds(x[0] * x[0] * x[0] * x[0] * x[2] * x[2], stabilizer(b3, 2))

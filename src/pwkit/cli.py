@@ -399,29 +399,31 @@ def run_pw(cfg, report):
 
 
 def run_sphere(cfg, report):
+    # profiles by sphere dimension; a file is one profile on S^n, n = --n
     if cfg.input_path:
-        prof3 = _sphere.load_profile(cfg.input_path, cfg.sphere_dim)
-        caps3 = [prof3]
-        caps2 = [_sphere.load_profile(cfg.input_path, 2)]
+        caps = {cfg.sphere_dim: [_sphere.load_profile(cfg.input_path,
+                                                      cfg.sphere_dim)]}
         cap_angles = []
     else:
-        caps3 = [_sphere.cap_bump(t, 3) for t in (0.5, 1.2)]
-        caps2 = [_sphere.cap_bump(t, 2) for t in (0.5, 1.2)]
+        caps = {n: [_sphere.cap_bump(t, n) for t in (0.5, 1.2)]
+                for n in (3, 2)}
         cap_angles = [0.3, 0.5, 0.8, 1.2]
-    mesh = {"T": len(caps3[0].values), "m_max": 12}
+    profiles = [p for ps in caps.values() for p in ps]
+    mesh = {"T": len(profiles[0].values), "m_max": 12}
 
-    report.check(
-        "sphere slice identity (rho = 1)", "cosine-kernel slice identity",
-        lambda: max(_sphere.sphere_slice_defect(p, 12) for p in caps3),
-        cfg.tolerances["sphere_slice_n3"], mesh)
-    report.check(
-        "sphere slice identity (rho = 1/2)", "cosine-kernel slice identity",
-        lambda: max(_sphere.sphere_slice_defect(p, 12) for p in caps2),
-        cfg.tolerances["sphere_slice_n2"], mesh)
+    slice_records = {
+        3: ("sphere slice identity (rho = 1)", "sphere_slice_n3"),
+        2: ("sphere slice identity (rho = 1/2)", "sphere_slice_n2")}
+    for n, ps in caps.items():
+        name, tolerance = slice_records[n]
+        report.check(
+            name, "cosine-kernel slice identity",
+            lambda ps=ps: max(_sphere.sphere_slice_defect(p, 12) for p in ps),
+            cfg.tolerances[tolerance], mesh)
 
     def constant_stability():
         worst = 0.0
-        for p in caps3 + caps2:
+        for p in profiles:
             cm = _sphere.sphere_slice_constants(p, 12)
             worst = max(worst, float(np.abs(cm - cm[0]).max() / abs(cm[0])))
         return worst
@@ -467,7 +469,6 @@ def run_weyl(cfg, report):
                  "restriction of Weyl groups", restriction_b, 0.5, mesh)
 
     def restriction_d():
-        import math
         for k in (4, 5):
             for n in range(2, k):
                 spec = _weyl.RootSystemSpec("D", k)

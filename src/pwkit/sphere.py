@@ -195,9 +195,8 @@ def sphere_radon(profile, s=None, n_jacobi=96):
     return float(out[0]) if np.isscalar(s) else out
 
 
-def _slice_integrals(profile, m_max, transform=None):
-    if transform is None:
-        transform = sphere_radon(profile)
+def _slice_integrals(profile, m_max):
+    transform = sphere_radon(profile)
     rho = profile.rho
     t = profile.thetas
     out = np.empty(m_max + 1)

@@ -1,8 +1,8 @@
 """Weyl groups of the classical families as signed permutation groups,
 subspace stabilizers, Reynolds averaging, restriction of invariant
-polynomials, surjectivity certificates with the type-D obstruction, and
-the averaging/decomposition/lifting pipeline for extending invariants from
-a subspace.
+polynomials, surjectivity certificates with the type-D obstruction, the
+decomposition of stabilizer invariants over the Chevalley generators, and
+the lift of invariants from a subspace through one exact solve.
 
 All polynomial algebra is exact over the rationals: surjectivity and
 obstruction are rank statements and must not depend on floating-point
@@ -198,7 +198,7 @@ def _block_size(spec, n):
     return n + 1 if spec.family == "A" else n
 
 
-def stabilizer(spec, n, group=None):
+def stabilizer(spec, n):
     """Elements of W(k) mapping the embedded subspace of rank n to itself.
 
     With the trailing-zero embedding this means the index block of the
@@ -207,16 +207,15 @@ def stabilizer(spec, n, group=None):
     """
     if n > spec.rank:
         raise ValueError("n must be <= rank")
-    if group is None:
-        group = weyl_group(spec)
+    group = weyl_group(spec)
     block = _block_size(spec, n)
     if n == 0:
-        return list(group)
+        return group
     return [w for w in group
             if all(w.perm[j] < block for j in range(block))]
 
 
-def restricted_group(spec, n, group=None):
+def restricted_group(spec, n):
     """Duplicate-free restriction of the stabilizer to the subspace block.
 
     For families A, B, C this recovers W(n) on the block exactly; for
@@ -227,7 +226,7 @@ def restricted_group(spec, n, group=None):
     block = _block_size(spec, n)
     seen = set()
     out = []
-    for w in stabilizer(spec, n, group=group):
+    for w in stabilizer(spec, n):
         r = SignedPermutation(w.perm[:block], w.signs[:block])
         if r not in seen:
             seen.add(r)
@@ -628,13 +627,6 @@ def rais_decompose(G, spec_k, n, d=None):
     stab = stabilizer(spec_k, n)
     if not _check_invariant(G, stab):
         raise NotInvariant("input is not invariant under the subspace stabilizer")
-    return _decompose(G, spec_k, stab, d)
-
-
-def _decompose(G, spec_k, stab, d):
-    """rais_decompose for a G already known to be invariant under the
-    subspace stabilizer `stab`."""
-    nv = spec_k.ambient_vars
     gens = chevalley_generators(spec_k)
     if G.is_zero():
         return [MultivariatePolynomial.zero(nv) for _ in gens]
@@ -647,8 +639,7 @@ def _decompose(G, spec_k, stab, d):
     if ps is None:
         # the generators are homogeneous, so ideal membership is graded:
         # a failed solve at deg(G) cannot be rescued by higher-degree
-        # coefficients (their contributions truncate away); retrying at
-        # d+2 is therefore conclusive already and we raise directly
+        # coefficients (their contributions truncate away)
         raise NoSolutionAtDegree("polynomial is not a generator combination "
                                  "(checked conclusively at degree %d)" % dcap)
     averaged = [reynolds(p, stab) for p in ps]
@@ -696,87 +687,42 @@ def _monomials_up_to(nvars, d):
     return out
 
 
-def _invariant_preimage(poly, spec_k, spec_n):
-    """W(k)-invariant polynomial restricting exactly to `poly`, through the
-    surjectivity certificate; None when unreachable."""
-    nkeep = _block_size(spec_k, spec_n.rank)
-    d = max(poly.degree(), 1)
-    if d > 10:
-        raise DegreeTooLarge("lift degree cap is 10")
-    up = invariant_basis(spec_k, d)
-    sol = _solve_combination([b.restrict(nkeep) for b in up], poly)
-    if sol is None:
-        return None
-    q = MultivariatePolynomial.zero(spec_k.ambient_vars)
-    for c, b in zip(sol, up):
-        if c:
-            q = q + b.scale(c)
-    return q
-
-
-def ow1_lift(target, spec_k, spec_n, d=None):
+def ow1_lift(target, spec_k, spec_n):
     """Extend a W(n)-invariant polynomial to a W(k)-invariant one with
-    exact restriction, by the averaging / decomposition / lifting chain:
+    exact restriction.
 
-    embed the target upstairs, average over the subspace stabilizer, write
-    the average over the Chevalley generators with stabilizer-invariant
-    coefficients, restrict the coefficients, lift each one through the
-    surjectivity certificate, and recombine.  When the average lies
-    outside the generator ideal (polynomials, unlike the transform images
-    the chain was designed around, can meet a graded obstruction there),
-    the whole averaged restriction is lifted through the surjectivity
-    certificate directly; either route ends with exact zero residual.
-
-    For a D-family pair a target with odd Pfaffian content is annihilated
-    by the averaging (the restricted stabilizer contains all sign
-    changes); this raises ObstructionHit, matching the failure of
-    surjectivity in that case.
+    The constant term lifts to itself.  The rest is written, by one exact
+    solve, as a combination of the restricted W(k)-invariant basis of
+    degree <= its degree, and the same combination of the unrestricted
+    basis is the lift.  For families A, B, C restriction maps the
+    invariants onto the span of the smaller invariant basis, so the solve
+    succeeds on it.  For a D-family pair with n < k every restricted
+    invariant is even in each coordinate, so a target with odd Pfaffian
+    content has no preimage; this raises ObstructionHit, on exactly the
+    span that `surjectivity_certificate` reports as obstructed.
     """
     if spec_k.family != spec_n.family:
         raise ValueError("lift is defined within one family")
-    n = spec_n.rank
-    nkeep = _block_size(spec_k, n)
-    nv_up = spec_k.ambient_vars
-    if target.nvars != _block_size(spec_n, n):
+    nkeep = _block_size(spec_k, spec_n.rank)
+    if target.nvars != _block_size(spec_n, spec_n.rank):
         raise ValueError("target arity does not match the downstairs spec")
-    down_group = weyl_group(spec_n)
-    if not _check_invariant(target, down_group):
+    if not _check_invariant(target, weyl_group(spec_n)):
         raise NotInvariant("target is not invariant downstairs")
 
     const = target.constant_term()
     core = target - MultivariatePolynomial.constant(target.nvars, const)
-    if core.is_zero():
-        return MultivariatePolynomial.constant(nv_up, const)
-
-    stab = stabilizer(spec_k, n)
-    G = reynolds(core.embed(nv_up), stab)
-    if G.restrict(nkeep) != core:
-        raise ObstructionHit("averaging over the stabilizer changed the "
-                             "restriction; the target is not reachable")
-
-    H = MultivariatePolynomial.constant(nv_up, const)
-    try:
-        # G is a stabilizer average, so invariant by construction
-        ps = _decompose(G, spec_k, stab, d if d is not None
-                        else core.degree())
-    except NoSolutionAtDegree:
-        ps = None
-    if ps is not None:
-        gens = chevalley_generators(spec_k)
-        for p, g in zip(ps, gens):
-            r = p.restrict(nkeep)
-            if r.is_zero():
-                continue
-            q = _invariant_preimage(r, spec_k, spec_n)
-            if q is None:
-                raise ObstructionHit("coefficient %r has no invariant "
-                                     "preimage" % r)
-            H = H + q * g
-    else:
-        q = _invariant_preimage(core, spec_k, spec_n)
-        if q is None:
-            raise ObstructionHit("restricted average has no invariant preimage")
-        H = H + q
+    d = max(core.degree(), 1)
+    if d > 10:
+        raise DegreeTooLarge("lift degree cap is 10")
+    up = invariant_basis(spec_k, d)
+    sol = _solve_combination([b.restrict(nkeep) for b in up], core)
+    if sol is None:
+        raise ObstructionHit("target has no W(%s%d)-invariant preimage"
+                             % (spec_k.family, spec_k.rank))
+    H = MultivariatePolynomial.constant(spec_k.ambient_vars, const)
+    for c, b in zip(sol, up):
+        if c:
+            H = H + b.scale(c)
     if H.restrict(nkeep) != target:
         raise AssertionError("lift failed to restrict to the target")
     return H

@@ -213,7 +213,7 @@ def test_12_ow1_pipeline():
         H = ow1_lift(target, spec_k, spec_n)
         ok = ok and H.restrict(2) == target
         ok = ok and all(H.apply(w) == H for w in group[::16])
-    report("12. Averaging/decomposition/lift pipeline", ok,
+    report("12. Lift pipeline", ok,
            "10 random degree-<=6 targets lifted with exact zero residual")
 
 

@@ -3,7 +3,7 @@ import re
 
 import pytest
 
-from pwkit import GridSpec, make_bump, save_function
+from pwkit import GridSpec, cap_bump, make_bump, save_function, save_profile
 from pwkit.cli import ConfigError, Report, RunConfig, build_parser, main, run
 
 
@@ -129,6 +129,24 @@ class TestFileDriven:
         assert data["records"][0]["defect"] == 0.0
         # 64 requested directions map to sphere(7), as in the pw checks
         assert {r["mesh"]["Q"] for r in data["records"]} == {8 * 16}
+
+    @pytest.mark.parametrize("n, record", [
+        (2, "sphere slice identity (rho = 1/2)"),
+        (3, "sphere slice identity (rho = 1)"),
+    ], ids=["n2", "n3"])
+    def test_sphere_file_is_certified_on_its_own_sphere(self, tmp_path, n,
+                                                         record):
+        # the profile is read once, on S^n, and only that sphere's slice
+        # identity is certified
+        fpath = tmp_path / "cap.csv"
+        save_profile(cap_bump(0.8, n), str(fpath))
+        rpath = tmp_path / "rep.json"
+        code = main(["sphere", "--in", str(fpath), "--n", str(n),
+                     "--report", str(rpath)])
+        data = json.loads(rpath.read_text())
+        assert [r["name"] for r in data["records"]] == [
+            record, "slice constant stability"]
+        assert code == 0 and data["all_passed"]
 
     @pytest.mark.parametrize("subcommand", ["pw", "radon"])
     def test_unreadable_input_keeps_the_report(self, tmp_path, subcommand):

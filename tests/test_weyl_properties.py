@@ -12,8 +12,9 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from pwkit import (MultivariatePolynomial, RootSystemSpec,  # noqa: E402
-                   SignedPermutation, reynolds, weyl_group)
+from pwkit import (MultivariatePolynomial, ObstructionHit,  # noqa: E402
+                   RootSystemSpec, SignedPermutation, ow1_lift, reynolds,
+                   surjectivity_certificate, weyl_group)
 
 P = MultivariatePolynomial
 
@@ -115,3 +116,43 @@ def test_constructor_drops_zeros_and_checks_arity(args):
         P(k + 1, {(1,) * k: Fraction(1)})
     with pytest.raises(ValueError):
         p + P.zero(k + 1)
+
+
+LIFTS = [(surjectivity_certificate(RootSystemSpec(fam, k),
+                                   RootSystemSpec(fam, n), d),
+          weyl_group(RootSystemSpec(fam, k)))
+         for fam, k, n, d in (("A", 3, 2, 6), ("B", 3, 2, 8), ("D", 5, 4, 6))]
+# every pair is drawn off its obstruction, and the D pair also with a
+# nonzero coefficient on it, so that both outcomes occur
+CASES = ([(cert, group, False) for cert, group in LIFTS]
+         + [(cert, group, True) for cert, group in LIFTS if cert.obstruction])
+
+
+@st.composite
+def lift_and_coefficients(draw):
+    cert, group, obstructed = draw(st.sampled_from(CASES))
+    size = len(cert.downstairs_basis)
+    coeffs = draw(st.lists(st.integers(-3, 3), min_size=size, max_size=size))
+    if obstructed:
+        i = draw(st.sampled_from(cert.obstruction))
+        coeffs[i] = draw(st.sampled_from((-3, -2, -1, 1, 2, 3)))
+    else:
+        coeffs = [0 if i in cert.obstruction else c
+                  for i, c in enumerate(coeffs)]
+    return cert, group, coeffs
+
+
+@deterministic
+@given(lift_and_coefficients())
+def test_lift_fails_exactly_on_the_certified_obstruction(args):
+    cert, group, coeffs = args
+    target = P.zero(cert.downstairs_basis[0].nvars)
+    for c, b in zip(coeffs, cert.downstairs_basis):
+        target = target + b.scale(c)
+    if any(coeffs[i] for i in cert.obstruction):
+        with pytest.raises(ObstructionHit):
+            ow1_lift(target, cert.spec_k, cert.spec_n)
+        return
+    H = ow1_lift(target, cert.spec_k, cert.spec_n)
+    assert H.restrict(target.nvars) == target
+    assert all(H.apply(w) == H for w in group)
