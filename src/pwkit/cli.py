@@ -59,6 +59,15 @@ DEFAULT_TOLERANCES = {
     "moment_k0": 1e-6,
 }
 
+# fixed meshes of single records, each used by its computation and its mesh
+ROUND_TRIP_DIRECTIONS = 256   # Q of the 2-D round trip
+SPHERE_M_MAX = 12             # highest zonal degree of the sphere records
+SUPPORT_SAMPLES = 2049        # profile samples of the sphere support check
+GROUP_ORDERS = {("A", 2): 6, ("B", 2): 8, ("D", 4): 192}
+B_RESTRICTIONS = [(k, n) for k in range(3, 6) for n in range(2, k)]
+D_RESTRICTIONS = [(k, n) for k in (4, 5) for n in range(2, k)]
+LIFT_FAMILY, LIFT_K, LIFT_N, LIFT_DEGREE = "B", 4, 2, 6
+
 
 class RunConfig:
     """Configuration of one pipeline run; tolerances must be positive and
@@ -168,12 +177,6 @@ def _json_record(record):
     return dict(record, defect=None, nonfinite=kind)
 
 
-def _suite(cfg, n=2):
-    g = _grid.GridSpec(n, cfg.half_width, cfg.grid_points if n == 2
-                       else cfg.grid3_points)
-    return g, _grid.random_bump_suite(g, cfg.suite_size, cfg.seed)
-
-
 def _load_or_suite(cfg):
     if cfg.input_path:
         f = _grid.load_function(cfg.input_path)
@@ -182,7 +185,8 @@ def _load_or_suite(cfg):
             r2 = _grid._radius_sq_mesh(f.grid)
             f.support_radius = float(np.sqrt(r2[live].max()))
         return f.grid, [f]
-    return _suite(cfg)
+    g = _grid.GridSpec(2, cfg.half_width, cfg.grid_points)
+    return g, _grid.random_bump_suite(g, cfg.suite_size, cfg.seed)
 
 
 def run_radon(cfg, report):
@@ -221,19 +225,19 @@ def run_radon(cfg, report):
 
     def round_trip():
         f = funcs[0]
-        dirs_fine = _grid.DirectionSet.circle(256)
+        dirs_fine = _grid.DirectionSet.circle(ROUND_TRIP_DIRECTIONS)
         s = _radon.radon_transform(f, directions=dirs_fine)
         rec = _radon.inverse_radon(s, grid=f.grid)
         return float(np.abs(rec.values - f.values).max()
                      / np.abs(f.values).max())
     if g.n == 2:
         report.check("radon round trip", "inversion formula", round_trip,
-                     cfg.tolerances["round_trip"], dict(mesh, Q=256))
+                     cfg.tolerances["round_trip"],
+                     dict(mesh, Q=ROUND_TRIP_DIRECTIONS))
 
     if cfg.output_path and sinos:
         _radon.save_sinogram(sinos[0], cfg.output_path,
                              direction_path=cfg.output_path + ".directions")
-    return sinos
 
 
 def run_slice(cfg, report):
@@ -275,7 +279,8 @@ def run_slice(cfg, report):
         ref = f.values[idx[:, 0], idx[:, 1]]
         return float(np.abs(vals - ref).max() / np.abs(f.values).max())
     report.check("pointwise inversion", "inversion formula", inversion,
-                 cfg.tolerances["inversion"], mesh)
+                 cfg.tolerances["inversion"],
+                 dict(mesh, Q=_fourier.INVERSION_CIRCLE))
 
     def compat():
         g3 = _grid.GridSpec(3, cfg.half_width, cfg.grid3_points)
@@ -290,7 +295,6 @@ def run_slice(cfg, report):
     report.check("projection compatibility", "marginal projection / slice square",
                  compat, cfg.tolerances["projection_compat"],
                  {"M3": cfg.grid3_points})
-    return None
 
 
 def run_pw(cfg, report):
@@ -334,39 +338,34 @@ def run_pw(cfg, report):
     report.check("support radius recovery", "support radius from exponential type",
                  support_recovery, cfg.tolerances["support_recovery"], mesh)
 
-    def growth_stable():
-        worst = 0.0
-        for s in sinos:
-            tau = 2 * np.pi * s.support_radius
-            b0 = 3.0 / s.support_radius
-            cg = _pw.ComplexGrid(2.0, b0, 9, 9)
-            v1 = _pw.pw_seminorm(s, cfg.seminorm_order, tau, cg)
-            v2 = _pw.pw_seminorm(s, cfg.seminorm_order, tau,
-                                 cg.doubled_imaginary())
-            worst = max(worst, v2 / v1)
-        return worst
-    report.check("growth stability at the critical type", "growth dichotomy",
-                 growth_stable, cfg.tolerances["growth_stable"], mesh)
+    def _growth_ratios(s, exp_type, doublings):
+        """Ratios of successive growth seminorms of s at `exp_type` as the
+        imaginary extent of the mesh [-2, 2] x i[-3/rs, 3/rs] doubles."""
+        cg = _pw.ComplexGrid(2.0, 3.0 / s.support_radius, 9, 9)
+        vals = [_pw.pw_seminorm(s, cfg.seminorm_order, exp_type, cg)]
+        for _ in range(doublings):
+            cg = cg.doubled_imaginary()
+            vals.append(_pw.pw_seminorm(s, cfg.seminorm_order, exp_type, cg))
+        return [b / a for a, b in zip(vals, vals[1:])]
 
-    def growth_divergent():
-        ratio_min = np.inf
-        for s in sinos:
-            tau = np.pi * s.support_radius
-            b0 = 3.0 / s.support_radius
-            cg = _pw.ComplexGrid(2.0, b0, 9, 9)
-            vals = [_pw.pw_seminorm(s, cfg.seminorm_order, tau, c)
-                    for c in (cg, cg.doubled_imaginary(),
-                              cg.doubled_imaginary().doubled_imaginary())]
-            ratio_min = min(ratio_min, vals[1] / vals[0], vals[2] / vals[1])
-        return ratio_min
-    report.check("growth divergence below the critical type", "growth dichotomy",
-                 growth_divergent, cfg.tolerances["growth_divergent"], mesh,
-                 compare="ge")
+    report.check(
+        "growth stability at the critical type", "growth dichotomy",
+        lambda: max(_growth_ratios(s, 2 * np.pi * s.support_radius, 1)[0]
+                    for s in sinos),
+        cfg.tolerances["growth_stable"], mesh)
+    report.check(
+        "growth divergence below the critical type", "growth dichotomy",
+        lambda: min(min(_growth_ratios(s, np.pi * s.support_radius, 2))
+                    for s in sinos),
+        cfg.tolerances["growth_divergent"], mesh, compare="ge")
 
+    ext = _pw.EXTENSION_MESH
+    ext_dirs = len(_grid._directions_for(g.n, _pw.EXTENSION_DIRECTIONS))
     report.check(
         "extension consistency", "slice extension agrees with the sphere extension",
         lambda: max(_pw.extension_consistency_defect(f) for f in funcs),
-        cfg.tolerances["extension_consistency"], dict(mesh, z_mesh="9x9x16"))
+        cfg.tolerances["extension_consistency"],
+        dict(mesh, Q=ext_dirs, z_mesh="%dx%d" % (ext.n_re, ext.n_im)))
 
     def extension_evenness():
         worst = 0.0
@@ -395,7 +394,6 @@ def run_pw(cfg, report):
     # that they decay
     report.check("decay seminorms finite", "plumbing", schwartz_finite, 0.5,
                  mesh)
-    return sinos
 
 
 def run_sphere(cfg, report):
@@ -409,7 +407,7 @@ def run_sphere(cfg, report):
                 for n in (3, 2)}
         cap_angles = [0.3, 0.5, 0.8, 1.2]
     profiles = [p for ps in caps.values() for p in ps]
-    mesh = {"T": len(profiles[0].values), "m_max": 12}
+    mesh = {"T": len(profiles[0].values), "m_max": SPHERE_M_MAX}
 
     slice_records = {
         3: ("sphere slice identity (rho = 1)", "sphere_slice_n3"),
@@ -418,13 +416,14 @@ def run_sphere(cfg, report):
         name, tolerance = slice_records[n]
         report.check(
             name, "cosine-kernel slice identity",
-            lambda ps=ps: max(_sphere.sphere_slice_defect(p, 12) for p in ps),
+            lambda ps=ps: max(_sphere.sphere_slice_defect(p, SPHERE_M_MAX)
+                              for p in ps),
             cfg.tolerances[tolerance], mesh)
 
     def constant_stability():
         worst = 0.0
         for p in profiles:
-            cm = _sphere.sphere_slice_constants(p, 12)
+            cm = _sphere.sphere_slice_constants(p, SPHERE_M_MAX)
             worst = max(worst, float(np.abs(cm - cm[0]).max() / abs(cm[0])))
         return worst
     report.check("slice constant stability", "cosine-kernel slice identity",
@@ -433,58 +432,54 @@ def run_sphere(cfg, report):
     def support_equivalence():
         worst = 0.0
         for t in cap_angles:
-            p = _sphere.cap_bump(t, 3, samples=2049)
+            p = _sphere.cap_bump(t, 3, samples=SUPPORT_SAMPLES)
             rp, rr = _sphere.sphere_support_check(p)
             worst = max(worst, abs(rp - rr) / p.step)
         return worst
     if cap_angles:
         report.check("sphere support equivalence", "zonal support theorem",
-                     support_equivalence, 1.0, mesh)
-    return None
+                     support_equivalence, 1.0, {"T": SUPPORT_SAMPLES})
 
 
 def run_weyl(cfg, report):
-    mesh = {"family": cfg.family, "k": cfg.k_rank, "n": cfg.n_rank,
-            "d": cfg.degree}
-
     def orders():
-        expected = {("A", 2): 6, ("B", 2): 8, ("D", 4): 192}
-        for (fam, rk), order in expected.items():
+        for (fam, rk), order in GROUP_ORDERS.items():
             got = len(_weyl.weyl_group(_weyl.RootSystemSpec(fam, rk)))
             if got != order:
                 return 1.0
         return 0.0
-    report.check("group enumeration orders", "plumbing", orders, 0.5, mesh)
+    report.check("group enumeration orders", "plumbing", orders, 0.5,
+                 {"groups": ["%s%d" % key for key in GROUP_ORDERS]})
 
     def restriction_b():
-        for k in range(3, 6):
-            for n in range(2, k):
-                spec = _weyl.RootSystemSpec("B", k)
-                img = set(_weyl.restricted_group(spec, n))
-                full = set(_weyl.weyl_group(_weyl.RootSystemSpec("B", n)))
-                if img != full:
-                    return 1.0
+        for k, n in B_RESTRICTIONS:
+            spec = _weyl.RootSystemSpec("B", k)
+            img = set(_weyl.restricted_group(spec, n))
+            full = set(_weyl.weyl_group(_weyl.RootSystemSpec("B", n)))
+            if img != full:
+                return 1.0
         return 0.0
     report.check("restricted stabilizer equals the smaller Weyl group",
-                 "restriction of Weyl groups", restriction_b, 0.5, mesh)
+                 "restriction of Weyl groups", restriction_b, 0.5,
+                 {"family": "B", "k_n": B_RESTRICTIONS})
 
     def restriction_d():
-        for k in (4, 5):
-            for n in range(2, k):
-                spec = _weyl.RootSystemSpec("D", k)
-                img = _weyl.restricted_group(spec, n)
-                if len(img) != 2**n * math.factorial(n):
-                    return 1.0
+        for k, n in D_RESTRICTIONS:
+            img = _weyl.restricted_group(_weyl.RootSystemSpec("D", k), n)
+            if len(img) != 2**n * math.factorial(n):
+                return 1.0
         return 0.0
     report.check("type-D restriction gives all sign changes",
-                 "restriction of Weyl groups", restriction_d, 0.5, mesh)
+                 "restriction of Weyl groups", restriction_d, 0.5,
+                 {"family": "D", "k_n": D_RESTRICTIONS})
+
+    obstructed = cfg.family == "D" and cfg.n_rank < cfg.k_rank
 
     def surjectivity():
+        spec_n = _weyl.RootSystemSpec(cfg.family, cfg.n_rank)
         cert = _weyl.surjectivity_certificate(
-            _weyl.RootSystemSpec(cfg.family, cfg.k_rank),
-            _weyl.RootSystemSpec(cfg.family, cfg.n_rank), cfg.degree)
-        expect_obstruction = cfg.family == "D" and cfg.n_rank < cfg.k_rank
-        if expect_obstruction:
+            _weyl.RootSystemSpec(cfg.family, cfg.k_rank), spec_n, cfg.degree)
+        if obstructed:
             down = cert.downstairs_basis
             pf_odd = [i for i, b in enumerate(down) if b.degree() > 0
                       and all(all(a % 2 == 1 for a in e) for e in b.terms)]
@@ -492,38 +487,45 @@ def run_weyl(cfg, report):
             return 0.0 if ok else 1.0
         if not cert.surjective:
             return 1.0
-        nkeep = cfg.n_rank + (1 if cfg.family == "A" else 0)
         for t, q in enumerate(cert.downstairs_basis):
-            if cert.preimage(t).restrict(nkeep) != q:
+            if cert.preimage(t).restrict(spec_n.ambient_vars) != q:
                 return 1.0
         return 0.0
-    name = ("restriction obstruction certified"
-            if cfg.family == "D" and cfg.n_rank < cfg.k_rank
+    name = ("restriction obstruction certified" if obstructed
             else "restriction surjectivity certified")
     report.check(name, "invariant restriction surjectivity", surjectivity,
-                 0.5, mesh)
+                 0.5, {"family": cfg.family, "k": cfg.k_rank,
+                       "n": cfg.n_rank, "d": cfg.degree})
 
     def lift_random():
         rng = np.random.default_rng(cfg.seed + 4)
-        spec_k = _weyl.RootSystemSpec("B", 4)
-        spec_n = _weyl.RootSystemSpec("B", 2)
-        basis = _weyl.invariant_basis(spec_n, 6)
-        full = _weyl.weyl_group(spec_k)
+        lift_k = _weyl.RootSystemSpec(LIFT_FAMILY, LIFT_K)
+        lift_n = _weyl.RootSystemSpec(LIFT_FAMILY, LIFT_N)
+        basis = _weyl.invariant_basis(lift_n, LIFT_DEGREE)
+        # the simple reflections of W(B_k), the adjacent transpositions and
+        # the sign change of x_k, generate it: invariance under them is
+        # invariance under the whole group
+        simple = [_weyl.SignedPermutation(range(LIFT_K),
+                                          (1,) * (LIFT_K - 1) + (-1,))]
+        for i in range(LIFT_K - 1):
+            perm = list(range(LIFT_K))
+            perm[i], perm[i + 1] = perm[i + 1], perm[i]
+            simple.append(_weyl.SignedPermutation(perm))
         for _ in range(10):
-            target = _weyl.MultivariatePolynomial.zero(2)
+            target = _weyl.MultivariatePolynomial.zero(lift_n.ambient_vars)
             for b in basis:
                 c = int(rng.integers(-4, 5))
                 if c:
                     target = target + b.scale(Fraction(c))
-            H = _weyl.ow1_lift(target, spec_k, spec_n)
-            if H.restrict(2) != target:
+            H = _weyl.ow1_lift(target, lift_k, lift_n)
+            if H.restrict(lift_n.ambient_vars) != target:
                 return 1.0
-            if any(H.apply(w) != H for w in full[:24]):
+            if any(H.apply(w) != H for w in simple):
                 return 1.0
         return 0.0
     report.check("averaging-decomposition lift", "invariant extension pipeline",
-                 lift_random, 0.5, mesh)
-    return None
+                 lift_random, 0.5, {"family": LIFT_FAMILY, "k": LIFT_K,
+                                    "n": LIFT_N, "d": LIFT_DEGREE})
 
 
 PIPELINES = {

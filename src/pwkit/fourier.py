@@ -21,6 +21,7 @@ on both sides, so no comparison is circular:
 """
 
 import numpy as np
+from scipy.integrate import simpson
 
 from .grid import (GridSpec, SampledFunction, DirectionSet, SPHERE_AREA,
                    l2_norm_sq, _direct_transform)
@@ -41,6 +42,11 @@ __all__ = [
     "projection_compatibility_defect",
     "save_vector_ft",
 ]
+
+R_SCAN_STEP = 0.5                        # radial step of the choose_r_max scan
+SLICE_RADII = np.linspace(0.0, 12.0, 25)  # radii of the Fourier-slice check
+INVERSION_CIRCLE = 192                   # 2-D directions of pointwise_inversion
+COMPAT_AZIMUTHS = 16                     # directions of the compatibility square
 
 
 class ZeroFunction(ValueError):
@@ -109,9 +115,10 @@ def fourier_on_rays(f, radii, directions):
     return out
 
 
-def choose_r_max(s, tail_fraction=1e-6, coarse_step=0.5):
+def choose_r_max(s, tail_fraction=1e-6):
     """Smallest radial cutoff whose Plancherel-integrand tail is below
-    `tail_fraction` of the total, detected on a coarse radial scan.
+    `tail_fraction` of the total, detected on a coarse radial scan with
+    step R_SCAN_STEP.
 
     Returns (r_max, tail_estimate) where the tail estimate is the coarse
     quadrature of the integrand beyond the cutoff, reported rather than
@@ -119,52 +126,42 @@ def choose_r_max(s, tail_fraction=1e-6, coarse_step=0.5):
     """
     n = s.n
     h_nyquist = 0.5 / (s.offsets[1] - s.offsets[0])
-    coarse = np.arange(0.0, h_nyquist, coarse_step)
+    coarse = np.arange(0.0, h_nyquist, R_SCAN_STEP)
     V = _slice_transform(s, coarse)
     g = SPHERE_AREA[n] * coarse**(n - 1) * ((np.abs(V) ** 2) @ s.directions.weights)
-    total = np.trapezoid(g, dx=coarse_step)
+    total = np.trapezoid(g, dx=R_SCAN_STEP)
     if total == 0:
-        return coarse_step, 0.0
+        return R_SCAN_STEP, 0.0
     # cumulative tail from the right
-    tail = np.concatenate([np.cumsum(g[::-1])[::-1][1:] * coarse_step, [0.0]])
+    tail = np.concatenate([np.cumsum(g[::-1])[::-1][1:] * R_SCAN_STEP, [0.0]])
     ok = np.nonzero(tail <= tail_fraction * total)[0]
     idx = int(ok[0]) if len(ok) else len(coarse) - 1
     idx = min(idx + 2, len(coarse) - 1)
     return float(coarse[idx]), float(tail[idx])
 
 
-def _simpson_weights(npts, dx):
-    if npts % 2 == 0:
-        raise ValueError("Simpson rule needs an odd point count")
-    w = np.ones(npts)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    return w * (dx / 3.0)
-
-
-def fourier_slice_defect(f, directions=None, radii=None):
-    """max |F_{R^n} f (r omega) - F_R(R f)(r, omega)| over a test grid.
+def fourier_slice_defect(f, directions=None):
+    """max |F_{R^n} f (r omega) - F_R(R f)(r, omega)| over the radii
+    SLICE_RADII and the sinogram directions.
 
     The left side is direct n-D oscillatory quadrature; the right side goes
     through the Radon transform.  Their agreement is the Fourier-slice
     identity.
     """
     s = radon_transform(f, directions=directions)
-    if radii is None:
-        radii = np.linspace(0.0, 12.0, 25)
-    direct = fourier_on_rays(f, radii, s.directions)
-    sliced = radial_fourier(s, radii).values
+    direct = fourier_on_rays(f, SLICE_RADII, s.directions)
+    sliced = radial_fourier(s, SLICE_RADII).values
     return float(np.abs(direct - sliced).max())
 
 
-def plancherel_defect(f, directions=None, dr=None, return_details=False):
+def plancherel_defect(f, directions=None, return_details=False):
     """Relative Plancherel defect for the motion-group decomposition.
 
     |  ||f||_2^2 - int_0^{r_max} sum_j w_j |f_hat_r(omega_j)|^2
        sigma_n r^{n-1} dr  |  /  ||f||_2^2,
     with sigma_2 = 2 pi, sigma_3 = 4 pi.  The radial integral is composite
-    Simpson on equispaced radii; dr defaults to 12.8/(M-1) so the quadrature
-    refines together with the grid.
+    Simpson on an odd number of equispaced radii, at a step of at most
+    12.8/(M-1) so that the quadrature refines together with the grid.
     """
     norm = l2_norm_sq(f)
     if norm == 0:
@@ -173,16 +170,14 @@ def plancherel_defect(f, directions=None, dr=None, return_details=False):
     # cutoff well beyond the reporting rule so the truncation floor stays
     # under the radial quadrature error as the grid refines
     r_max, tail = choose_r_max(s, tail_fraction=1e-9)
-    if dr is None:
-        dr = 12.8 / (f.grid.points - 1)
-    nr = int(np.ceil(r_max / dr))
+    nr = int(np.ceil(r_max / (12.8 / (f.grid.points - 1))))
     if nr % 2 == 1:
         nr += 1
     radii = np.linspace(0.0, r_max, nr + 1)
     vft = radial_fourier(s, radii)
     g = (SPHERE_AREA[s.n] * radii**(s.n - 1)
          * ((np.abs(vft.values) ** 2) @ s.directions.weights))
-    spectral = float(_simpson_weights(len(radii), radii[1] - radii[0]) @ g)
+    spectral = float(simpson(g, dx=radii[1] - radii[0]))
     defect = abs(norm - spectral) / norm
     if return_details:
         return defect, {"r_max": r_max, "tail_estimate": tail,
@@ -197,9 +192,11 @@ def pointwise_inversion(f, x, directions=None, r_max=None):
     int_0^{r_max} sum_j w_j f_hat_{r}(omega_j) e^{2 pi i r x.omega_j}
     sigma_n r^{n-1} dr, by the quadrature `inverse_radon` sums on the grid.
     x may be one point (n,) or a batch (m, n); returns complex values.
+    The directions default to circle(INVERSION_CIRCLE) in 2-D and
+    sphere(12) in 3-D.
     """
     if directions is None:
-        directions = (DirectionSet.circle(192) if f.grid.n == 2
+        directions = (DirectionSet.circle(INVERSION_CIRCLE) if f.grid.n == 2
                       else DirectionSet.sphere(12))
     s = radon_transform(f, directions=directions)
     radii, coef = _inversion_quadrature(s, r_max)
@@ -232,9 +229,10 @@ def marginal_projection(f):
     return SampledFunction(grid2, vals, support_radius=rs)
 
 
-def projection_compatibility_defect(f, n_azimuth=16):
+def projection_compatibility_defect(f):
     """max over (p, omega in S^1 x {0}) of
-    | R_{R^2}(C^3_2 f)(p, omega) - R_{R^3}(f)(p, (omega, 0)) |.
+    | R_{R^2}(C^3_2 f)(p, omega) - R_{R^3}(f)(p, (omega, 0)) |,
+    on COMPAT_AZIMUTHS equispaced omega.
 
     The two routes (project-then-transform vs transform-then-restrict) are
     computed independently; their agreement is the marginal/slice
@@ -242,11 +240,12 @@ def projection_compatibility_defect(f, n_azimuth=16):
     """
     if f.grid.n != 3:
         raise UnsupportedPair("compatibility check needs a 3-D input")
-    phis = 2 * np.pi * np.arange(n_azimuth) / n_azimuth
+    q = COMPAT_AZIMUTHS
+    phis = 2 * np.pi * np.arange(q) / q
     dirs3 = DirectionSet(
-        np.stack([np.cos(phis), np.sin(phis), np.zeros(n_azimuth)], axis=1),
-        np.full(n_azimuth, 1.0 / n_azimuth), band_limit=0)
-    dirs2 = DirectionSet.circle(n_azimuth)
+        np.stack([np.cos(phis), np.sin(phis), np.zeros(q)], axis=1),
+        np.full(q, 1.0 / q), band_limit=0)
+    dirs2 = DirectionSet.circle(q)
     offsets = default_offsets(f.grid)  # shared p grid, spans L sqrt(3)
 
     s3 = radon_transform(f, offsets=offsets, directions=dirs3)

@@ -152,18 +152,19 @@ def make_bump(center, radius, amplitude, grid):
     return SampledFunction(grid, out, float(np.linalg.norm(center) + radius))
 
 
-def random_bump_suite(grid, count, seed, radius_range=(0.45, 0.85), center_max=0.35):
+def random_bump_suite(grid, count, seed):
     """Seeded family of off-center bumps used by the certification pipelines.
 
-    Radii and centers are drawn so that every support ball stays well inside
-    the box and the support radius about the origin stays below 0.8 L.
+    For L = 1.5, radii are drawn from [0.45, 0.85] and center offsets from
+    [0, 0.35], both scaled by L / 1.5, so that every support ball stays well
+    inside the box and the support radius about the origin stays below 0.8 L.
     """
     rng = np.random.default_rng(seed)
     out = []
     L = grid.half_width
     for _ in range(count):
-        radius = rng.uniform(*radius_range) * (L / 1.5)
-        cmax = min(center_max * (L / 1.5), 0.8 * L - radius)
+        radius = rng.uniform(0.45, 0.85) * (L / 1.5)
+        cmax = min(0.35 * (L / 1.5), 0.8 * L - radius)
         center = rng.uniform(-1, 1, size=grid.n)
         center *= rng.uniform(0, max(cmax, 0.0)) / max(np.linalg.norm(center), 1e-12)
         amplitude = rng.uniform(0.5, 2.0)

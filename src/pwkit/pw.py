@@ -31,17 +31,16 @@ __all__ = [
     "schwartz_seminorm",
 ]
 
+SUPPORT_Y_FACTORS = (3, 4, 5, 6, 7, 8)  # heights y = c / r of the support ladder
+EXTENSION_DIRECTIONS = 16               # default directions of the extension check
+
 
 class ZeroInput(ValueError):
     pass
 
 
 class ComplexGrid:
-    """Rectangle [-a, a] x i[-b, b] sampled on a regular mesh.
-
-    The default consistency grid spans the same real segment the slice
-    checks sample (radii up to 12), so real-axis agreement is covered.
-    """
+    """Rectangle [-a, a] x i[-b, b] sampled on a regular mesh."""
 
     def __init__(self, re_extent, im_extent, n_re=9, n_im=9):
         if re_extent <= 0 or im_extent <= 0:
@@ -59,6 +58,10 @@ class ComplexGrid:
     def doubled_imaginary(self):
         return ComplexGrid(self.re_extent, 2 * self.im_extent, self.n_re,
                            2 * self.n_im - 1)
+
+
+# the real segment [-12, 12] covers the radii the slice checks sample
+EXTENSION_MESH = ComplexGrid(12.0, 0.5, 9, 9)
 
 
 class ComplexSpherePoint:
@@ -95,25 +98,14 @@ class ComplexSpherePoint:
         return cls(zeta, azimuth=np.arctan2(omega[2], omega[1]), n=3)
 
 
-def _direction_index(s, omega):
-    if isinstance(omega, (int, np.integer)):
-        return int(omega)
-    omega = np.asarray(omega, dtype=float)
-    d = np.abs(s.directions.vectors - omega[None, :]).sum(axis=1)
-    j = int(np.argmin(d))
-    if d[j] > 1e-9:
-        raise ValueError("direction not present in the sinogram")
-    return j
-
-
-def complex_slice_eval(s, z, omega):
+def complex_slice_eval(s, z, j):
     """Entire extension of the radial Fourier transform of one slice:
-    int s(p, omega) e^{-2 pi i p z} dp.  z may be scalar or an array.
+    int s(p, omega_j) e^{-2 pi i p z} dp for the sinogram's direction of
+    index j.  z may be scalar or an array.
 
     For a slice supported in |p| <= rho the modulus is bounded by the
     quadrature mass times e^{2 pi rho |Im z|}.
     """
-    j = _direction_index(s, omega)
     out = _slice_transform(s, z)[..., j]
     return out if out.shape else complex(out)
 
@@ -134,7 +126,7 @@ def pw_seminorm(s, N, exp_type, cgrid):
     return float((weight[..., None] * np.abs(F)).max())
 
 
-def support_radius_estimate(s, r_hint=None, y_factors=(3, 4, 5, 6, 7, 8)):
+def support_radius_estimate(s):
     """Support radius recovered from the exponential growth of the slice
     extensions along the imaginary axis.
 
@@ -143,19 +135,20 @@ def support_radius_estimate(s, r_hint=None, y_factors=(3, 4, 5, 6, 7, 8)):
     from below; adding twice its y-derivative (the weighted variance)
     cancels the leading square-root defect of bump-type edges.  The
     estimate is the smallest such corrected value over a ladder of heights
-    y = c / r (the positive bias decreases in y until the grid resolution
-    is hit), floored by the rigorous lower bound max <p>_y.
+    y = c / r, c in SUPPORT_Y_FACTORS (the positive bias decreases in y
+    until the grid resolution is hit), floored by the rigorous lower bound
+    max <p>_y.  r is the sinogram's declared support radius, or else the
+    largest offset of a nonzero row.
     """
     amax = np.abs(s.values).max()
     if amax == 0:
         raise ZeroInput("support radius undefined for the zero sinogram")
-    if r_hint is None:
-        r_hint = s.support_radius
+    r_hint = s.support_radius
     if r_hint is None:
         live = np.abs(s.values).max(axis=1) > 1e-12 * amax
         r_hint = float(np.abs(s.offsets[live]).max())
     pmax = float(np.abs(s.offsets).max())
-    ys = np.asarray(y_factors, dtype=float) / r_hint
+    ys = np.asarray(SUPPORT_Y_FACTORS, dtype=float) / r_hint
     # int s(p, omega) p^l e^{2 pi p y} dp, l = 0, 1, 2: the l-th z-derivative
     # of the extension at z = iy divided by (-2 pi i)^l; (Y, Q) each
     F = [(_slice_transform(s, 1j * ys, deriv=l) / (-2j * np.pi) ** l).real
@@ -204,9 +197,10 @@ class HarmonicExpansion:
 
     @classmethod
     def from_values(cls, values, directions, band=None):
+        """Expansion of `values` at the direction nodes through degree
+        `band`, by default the rule's band limit."""
         if band is None:
-            band = (len(directions) // 2 - 1 if directions.n == 2
-                    else directions.band_limit)
+            band = directions.band_limit
         blocks = _real_harmonic_basis(directions, band)
         w = directions.weights
         coeffs = [blk @ (w * values) for blk in blocks]
@@ -274,16 +268,15 @@ def complexified_sphere_eval(f, z, pt):
     return out if out.shape else complex(out)
 
 
-def extension_consistency_defect(f, cgrid=None, n_directions=16):
+def extension_consistency_defect(f, n_directions=EXTENSION_DIRECTIONS):
     """The slice extensions (Radon then 1-D complex quadrature) and the
     complexified-sphere extension (direct n-D complex quadrature) continue
-    the same function; this returns their maximum discrepancy over a
-    complex mesh times a set of real directions."""
-    if cgrid is None:
-        cgrid = ComplexGrid(12.0, 0.5, 9, 9)
+    the same function; this returns their maximum discrepancy over the
+    complex mesh EXTENSION_MESH times the real directions
+    `_directions_for(n, n_directions)`."""
     dirs = _directions_for(f.grid.n, n_directions)
     s = radon_transform(f, directions=dirs)
-    Z = cgrid.mesh()
+    Z = EXTENSION_MESH.mesh()
     side_slice = _slice_transform(s, Z)
     worst = 0.0
     for j, omega in enumerate(dirs.vectors):

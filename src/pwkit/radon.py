@@ -95,11 +95,11 @@ def _offset_grid(offsets):
     return offsets
 
 
-def default_offsets(grid, spacing_factor=1.0):
-    """Symmetric offset grid over [-L sqrt(n), L sqrt(n)] at ~grid spacing."""
+def default_offsets(grid):
+    """Symmetric offset grid over [-L sqrt(n), L sqrt(n)] at a step of at
+    most the grid spacing."""
     pmax = grid.half_width * np.sqrt(grid.n)
-    dp = grid.spacing * spacing_factor
-    half = int(np.ceil(pmax / dp))
+    half = int(np.ceil(pmax / grid.spacing))
     return np.linspace(-pmax, pmax, 2 * half + 1)
 
 

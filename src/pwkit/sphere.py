@@ -35,6 +35,8 @@ __all__ = [
 ]
 
 DEFAULT_SAMPLES = 4097
+JACOBI_NODES = 96        # Gauss-Jacobi nodes of the rho = 1/2 Abel integral
+EDGE_THRESHOLD = 1e-9    # support edges are detected at this fraction of the max
 
 
 class DegenerateCalibration(ValueError):
@@ -154,7 +156,7 @@ def _support_cut(profile):
     return float(profile.thetas[live].max())
 
 
-def sphere_radon(profile, s=None, n_jacobi=96):
+def sphere_radon(profile, s=None):
     """Abel-type Radon transform of a zonal profile.
 
     With s=None returns the transform on the whole theta grid, otherwise
@@ -162,8 +164,8 @@ def sphere_radon(profile, s=None, n_jacobi=96):
     the integral is a plain cumulative integral, evaluated from a cubic
     spline antiderivative.  For n=2 (rho=1/2) the substitution
     u = cos s - cos t yields the weight u^{-1/2} on [0, cos s - cos t_cut],
-    integrated by Gauss-Jacobi nodes; the profile is interpolated by a
-    quintic spline.
+    integrated by JACOBI_NODES Gauss-Jacobi nodes; the profile is
+    interpolated by a quintic spline.
     """
     rho = profile.rho
     const = 2**rho * rho / np.pi
@@ -179,7 +181,7 @@ def sphere_radon(profile, s=None, n_jacobi=96):
         out[squery >= tcut] = 0.0
     else:
         spline = make_interp_spline(t, profile.values, k=5)
-        xj, wj = roots_jacobi(n_jacobi, 0.0, -0.5)
+        xj, wj = roots_jacobi(JACOBI_NODES, 0.0, -0.5)
         out = np.zeros(len(squery))
         cos_cut = np.cos(tcut)
         for i, sv in enumerate(squery):
@@ -238,8 +240,8 @@ def sphere_slice_defect(profile, m_max):
     return float(np.abs(fh - c * I)[1:].max() / np.abs(fh).max())
 
 
-def _edge_angle(thetas, values, prefactor_power, threshold=1e-9):
-    """Support angle at `threshold` times the maximum, refined to sub-grid
+def _edge_angle(thetas, values, prefactor_power):
+    """Support angle at EDGE_THRESHOLD times the maximum, refined to sub-grid
     accuracy by fitting the vanishing model
     log g = const + prefactor_power log(d) - a/d, d = t_edge - t."""
     g = np.abs(values)
@@ -247,7 +249,7 @@ def _edge_angle(thetas, values, prefactor_power, threshold=1e-9):
     if gmax == 0:
         return 0.0
     dt = thetas[1] - thetas[0]
-    above = np.nonzero(g > threshold * gmax)[0]
+    above = np.nonzero(g > EDGE_THRESHOLD * gmax)[0]
     icross = int(above.max())
     t_cross = thetas[icross]
     sel = np.nonzero((g > 1e-11 * gmax) & (g < 1e-2 * gmax)
@@ -276,9 +278,9 @@ def _edge_angle(thetas, values, prefactor_power, threshold=1e-9):
     return float(res.x) if np.isfinite(res.fun) and res.fun < 1e29 else t_cross
 
 
-def sphere_support_check(profile, threshold=1e-9):
+def sphere_support_check(profile):
     """Numerically detected support angles (r_profile, r_radon) of the
-    profile and of its Abel transform, at `threshold` times the maximum
+    profile and of its Abel transform, at EDGE_THRESHOLD times the maximum
     with sub-grid edge refinement.  The support theorem for zonal functions
     makes the two angles equal; the check is for n=3 where the vanishing
     order condition at the antipode is vacuous."""
@@ -287,10 +289,10 @@ def sphere_support_check(profile, threshold=1e-9):
     if np.abs(profile.values).max() == 0:
         return 0.0, 0.0
     transform = sphere_radon(profile)
-    r_prof = _edge_angle(profile.thetas, profile.values, 0.0, threshold)
+    r_prof = _edge_angle(profile.thetas, profile.values, 0.0)
     # the transform integrates the profile, adding 1 + rho powers of the
     # edge distance in front of the same exponential vanishing
-    r_rad = _edge_angle(profile.thetas, transform, 1.0 + profile.rho, threshold)
+    r_rad = _edge_angle(profile.thetas, transform, 1.0 + profile.rho)
     return r_prof, r_rad
 
 

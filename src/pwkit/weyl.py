@@ -176,21 +176,14 @@ def weyl_group(spec):
         raise GroupTooLarge("order %d exceeds %d" % (group_order(spec),
                                                      MAX_GROUP_ORDER))
     k = spec.ambient_vars
-    out = []
     if spec.family == "A":
-        for p in permutations(range(k)):
-            out.append(SignedPermutation(p))
-        return out
-    for p in permutations(range(k)):
-        for signs in product((1, -1), repeat=k):
-            if spec.family == "D":
-                prod_ = 1
-                for s in signs:
-                    prod_ *= s
-                if prod_ != 1:
-                    continue
-            out.append(SignedPermutation(p, signs))
-    return out
+        return [SignedPermutation(p) for p in permutations(range(k))]
+    signings = list(product((1, -1), repeat=k))
+    if spec.family == "D":
+        signings = [s for s in signings
+                    if SignedPermutation(range(k), s).sign_product() == 1]
+    return [SignedPermutation(p, s) for p in permutations(range(k))
+            for s in signings]
 
 
 def _block_size(spec, n):
@@ -440,23 +433,22 @@ def chevalley_generators(spec):
 
 
 def _generator_products(gens, d):
-    """All monomials in the generators with total degree <= d, as
-    (exponent-vector-over-generators, polynomial) pairs."""
+    """All monomials in the generators with total degree <= d."""
     degs = [g.degree() for g in gens]
     out = []
 
-    def rec(i, remaining, expo, poly):
+    def rec(i, remaining, poly):
         if i == len(gens):
-            out.append((tuple(expo), poly))
+            out.append(poly)
             return
-        rec(i + 1, remaining, expo + [0], poly)
+        rec(i + 1, remaining, poly)
         p = poly
         n_max = remaining // degs[i]
         for a in range(1, n_max + 1):
             p = p * gens[i]
-            rec(i + 1, remaining - a * degs[i], expo + [a], p)
+            rec(i + 1, remaining - a * degs[i], p)
 
-    rec(0, d, [], MultivariatePolynomial.constant(gens[0].nvars, 1))
+    rec(0, d, MultivariatePolynomial.constant(gens[0].nvars, 1))
     return out
 
 
@@ -466,7 +458,7 @@ def invariant_basis(spec, d):
     these are linearly independent)."""
     if d > MAX_BASIS_DEGREE:
         raise DegreeTooLarge("degree cap is %d" % MAX_BASIS_DEGREE)
-    return [poly for _, poly in _generator_products(chevalley_generators(spec), d)]
+    return _generator_products(chevalley_generators(spec), d)
 
 
 def _solve_exact(rows, rhs, nunknowns):
@@ -558,13 +550,21 @@ class SurjectivityCertificate:
         return not self.obstruction
 
     def preimage(self, index):
-        coeffs = self.witnesses[index]
-        nv = self.upstairs_basis[0].nvars
-        acc = MultivariatePolynomial.zero(nv)
-        for c, b in zip(coeffs, self.upstairs_basis):
-            if c:
-                acc = acc + b.scale(c)
-        return acc
+        """The upstairs invariant whose restriction is downstairs basis
+        element `index`."""
+        return _combination(self.witnesses[index], self.upstairs_basis,
+                            self.spec_k.ambient_vars)
+
+
+def _combination(coeffs, basis, nvars):
+    """sum_i coeffs[i] basis[i] in nvars variables, accumulated into one
+    dict."""
+    acc = {}
+    for c, b in zip(coeffs, basis):
+        if c:
+            for e, v in b.terms.items():
+                acc[e] = acc.get(e, 0) + c * v
+    return MultivariatePolynomial._from_terms(nvars, acc)
 
 
 def surjectivity_certificate(spec_k, spec_n, d):
@@ -582,7 +582,7 @@ def surjectivity_certificate(spec_k, spec_n, d):
         raise ValueError("need n <= k")
     if d > 10:
         raise DegreeTooLarge("certificate degree cap is 10")
-    nkeep = _block_size(spec_k, spec_n.rank)
+    nkeep = spec_n.ambient_vars
     up = invariant_basis(spec_k, d)
     down = invariant_basis(spec_n, d)
     restricted = [b.restrict(nkeep) for b in up]
@@ -607,16 +607,16 @@ def _check_invariant(p, group_elements):
     return True
 
 
-def rais_decompose(G, spec_k, n, d=None):
+def rais_decompose(G, spec_k, n):
     """Write a W_n(k)-invariant polynomial as sum_j p_j G_j over the
     Chevalley generators G_j of the full invariant ring, with each
     coefficient p_j averaged over W_n(k) afterwards (the identity is
     preserved because the G_j are fully invariant).
 
-    The membership solve runs once at the degree cap d (default deg G,
-    never below it); when it has no solution NoSolutionAtDegree is raised
-    at once, since ideal membership over homogeneous generators is graded
-    and a higher cap cannot help.  Raises NotInvariant when G is not
+    The membership solve runs once, with coefficients p_j of degree up to
+    deg G - deg G_j; when it has no solution NoSolutionAtDegree is raised,
+    since ideal membership over homogeneous generators is graded and a
+    higher degree cannot help.  Raises NotInvariant when G is not
     W_n(k)-invariant; a nonzero constant term never lies in the generator
     ideal.
     """
@@ -633,15 +633,14 @@ def rais_decompose(G, spec_k, n, d=None):
     if G.constant_term() != 0:
         raise NoSolutionAtDegree("nonzero constant term cannot be decomposed "
                                  "over constant-free generators")
-    dcap = d if d is not None else G.degree()
-    dcap = max(dcap, G.degree())
-    ps = _rais_solve(G, gens, dcap)
+    ps = _rais_solve(G, gens, G.degree())
     if ps is None:
         # the generators are homogeneous, so ideal membership is graded:
         # a failed solve at deg(G) cannot be rescued by higher-degree
         # coefficients (their contributions truncate away)
         raise NoSolutionAtDegree("polynomial is not a generator combination "
-                                 "(checked conclusively at degree %d)" % dcap)
+                                 "(checked conclusively at degree %d)"
+                                 % G.degree())
     averaged = [reynolds(p, stab) for p in ps]
     acc = MultivariatePolynomial.zero(nv)
     for p, g in zip(averaged, gens):
@@ -651,12 +650,12 @@ def rais_decompose(G, spec_k, n, d=None):
     return averaged
 
 
-def _rais_solve(G, gens, dcap):
+def _rais_solve(G, gens, degree):
     nv = G.nvars
     unknowns = []      # (generator index, coefficient exponent)
     columns = []       # polynomial attached to each unknown
     for j, g in enumerate(gens):
-        room = dcap - g.degree()
+        room = degree - g.degree()
         if room < 0:
             continue
         for e in _monomials_up_to(nv, room):
@@ -703,8 +702,8 @@ def ow1_lift(target, spec_k, spec_n):
     """
     if spec_k.family != spec_n.family:
         raise ValueError("lift is defined within one family")
-    nkeep = _block_size(spec_k, spec_n.rank)
-    if target.nvars != _block_size(spec_n, spec_n.rank):
+    nkeep = spec_n.ambient_vars
+    if target.nvars != nkeep:
         raise ValueError("target arity does not match the downstairs spec")
     if not _check_invariant(target, weyl_group(spec_n)):
         raise NotInvariant("target is not invariant downstairs")
@@ -719,10 +718,8 @@ def ow1_lift(target, spec_k, spec_n):
     if sol is None:
         raise ObstructionHit("target has no W(%s%d)-invariant preimage"
                              % (spec_k.family, spec_k.rank))
-    H = MultivariatePolynomial.constant(spec_k.ambient_vars, const)
-    for c, b in zip(sol, up):
-        if c:
-            H = H + b.scale(c)
+    H = (_combination(sol, up, spec_k.ambient_vars)
+         + MultivariatePolynomial.constant(spec_k.ambient_vars, const))
     if H.restrict(nkeep) != target:
         raise AssertionError("lift failed to restrict to the target")
     return H

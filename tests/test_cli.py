@@ -3,7 +3,9 @@ import re
 
 import pytest
 
-from pwkit import GridSpec, cap_bump, make_bump, save_function, save_profile
+from pwkit import (GridSpec, MultivariatePolynomial, cap_bump, make_bump,
+                   save_function, save_profile)
+from pwkit import fourier, pw, radon, sphere, weyl
 from pwkit.cli import ConfigError, Report, RunConfig, build_parser, main, run
 
 
@@ -54,6 +56,84 @@ class TestWeylPipeline:
                         seed=7)
         r1, r2 = run(cfg), run(cfg)
         assert r1.pass_vector() == r2.pass_vector()
+
+
+def _record(report, name):
+    [record] = [r for r in report.records if r["name"] == name]
+    return record
+
+
+class TestRecordMeshes:
+    """Each record's mesh describes what that record computed."""
+
+    @staticmethod
+    def spy(monkeypatch, module, fn_name, measure):
+        """Patch module.fn_name; return a dict that maps each record name to
+        the set of measure(args, result) over the calls its check made."""
+        seen, current = {}, []
+        real = getattr(module, fn_name)
+
+        def spied(*args, **kwargs):
+            out = real(*args, **kwargs)
+            current.append(measure(args, out))
+            return out
+        monkeypatch.setattr(module, fn_name, spied)
+        real_check = Report.check
+
+        def check(self, name, *args, **kwargs):
+            current.clear()
+            value = real_check(self, name, *args, **kwargs)
+            seen[name] = set(current)
+            return value
+        monkeypatch.setattr(Report, "check", check)
+        return seen
+
+    @pytest.mark.parametrize("subcommand, module, name", [
+        ("radon", radon, "radon round trip"),
+        ("slice", fourier, "pointwise inversion"),
+        ("pw", pw, "extension consistency"),
+    ], ids=["round-trip", "inversion", "extension"])
+    def test_direction_count(self, monkeypatch, subcommand, module, name):
+        seen = self.spy(monkeypatch, module, "radon_transform",
+                        lambda args, s: len(s.directions))
+        report = run(RunConfig(subcommand, grid_points=65, directions=32))
+        assert seen[name] == {_record(report, name)["mesh"]["Q"]}
+
+    def test_sphere_support_samples(self, monkeypatch):
+        name = "sphere support equivalence"
+        seen = self.spy(monkeypatch, sphere, "sphere_support_check",
+                        lambda args, out: len(args[0].values))
+        report = run(RunConfig("sphere"))
+        assert seen[name] == {_record(report, name)["mesh"]["T"]}
+
+    def test_lift_spec_and_degree(self, monkeypatch):
+        # the certificate runs the requested D5 -> D4 pair; the lift record
+        # runs its own pair and must say so
+        name = "averaging-decomposition lift"
+        seen = self.spy(monkeypatch, weyl, "ow1_lift",
+                        lambda args, out: (args[1].family, args[1].rank,
+                                           args[2].rank, args[0].degree()))
+        report = run(RunConfig("weyl", family="D", k_rank=5, n_rank=4,
+                               degree=4))
+        mesh = _record(report, name)["mesh"]
+        assert {call[:3] for call in seen[name]} == {
+            (mesh["family"], mesh["k"], mesh["n"])}
+        assert max(call[3] for call in seen[name]) == mesh["d"]
+        assert _record(report, "restriction obstruction certified")[
+            "mesh"] == {"family": "D", "k": 5, "n": 4, "d": 4}
+
+    def test_lift_record_checks_invariance_under_the_whole_group(
+            self, monkeypatch):
+        # (x1^2 - x2^2)(x3^2 + x4^2) restricts to 0 and is fixed by every
+        # element of W(B4) that maps {x1, x2} to itself, but not by the
+        # swap of x1 and x2, so adding it breaks invariance
+        bad = MultivariatePolynomial(4, {(2, 0, 2, 0): 1, (2, 0, 0, 2): 1,
+                                         (0, 2, 2, 0): -1, (0, 2, 0, 2): -1})
+        real = weyl.ow1_lift
+        monkeypatch.setattr(weyl, "ow1_lift",
+                            lambda *args: real(*args) + bad)
+        report = run(RunConfig("weyl"))
+        assert not _record(report, "averaging-decomposition lift")["passed"]
 
 
 class TestReportShape:

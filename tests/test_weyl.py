@@ -320,6 +320,16 @@ class TestOw1Lift:
         assert H.restrict(n + 1) == target
         assert all(H.apply(w) == H for w in weyl_group(spec_k))
 
+    @pytest.mark.xfail(raises=ObstructionHit, strict=True,
+                       reason="the family-A invariant basis omits e1")
+    def test_family_a_target_with_e1_lifts(self):
+        # x1^2 + x2^2 + x3^2 is W(A2)-invariant and restricts to the target
+        spec_k, spec_n = RootSystemSpec("A", 2), RootSystemSpec("A", 1)
+        target = P(2, {(2, 0): Fraction(1), (0, 2): Fraction(1)})
+        H = ow1_lift(target, spec_k, spec_n)
+        assert H.restrict(2) == target
+        assert all(H.apply(w) == H for w in weyl_group(spec_k))
+
 
 class TestPolynomialAlgebra:
     def test_text_round_trip(self):
