@@ -21,10 +21,10 @@ grid = GridSpec(2, 1.5, 257)
 f = make_bump([0.25, 0.1], 0.55, 1.0, grid)
 dirs = DirectionSet.circle(64)
 
-print("Fourier-slice defect (direct 2-D quadrature vs Radon + 1-D): %.2e"
-      % fourier_slice_defect(f, directions=dirs))
-
 sino = radon_transform(f, directions=dirs)
+print("Fourier-slice defect (direct 2-D quadrature vs Radon + 1-D): %.2e"
+      % fourier_slice_defect(f, sino))
+
 r_max, tail = choose_r_max(sino)
 print("adaptive radial cutoff: r_max = %.1f (reported tail estimate %.1e)"
       % (r_max, tail))
@@ -35,7 +35,7 @@ direct = fourier_on_rays(f, radii, dirs)
 print("spot check along radii up to 6: max |slice - direct| = %.2e"
       % np.abs(vft.values - direct).max())
 
-defect, info = plancherel_defect(f, directions=dirs, return_details=True)
+defect, info = plancherel_defect(f, sino, return_details=True)
 print("\nPlancherel: ||f||_2^2 = %.8f, spectral sum = %.8f"
       % (info["norm_sq"], info["spectral_sum"]))
 print("relative defect %.2e (radial points: %d)"

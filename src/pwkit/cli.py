@@ -63,6 +63,7 @@ DEFAULT_TOLERANCES = {
 ROUND_TRIP_DIRECTIONS = 256   # Q of the 2-D round trip
 SPHERE_M_MAX = 12             # highest zonal degree of the sphere records
 SUPPORT_SAMPLES = 2049        # profile samples of the sphere support check
+COMPAT_BUMPS = 2              # 3-D bumps of the projection compatibility check
 GROUP_ORDERS = {("A", 2): 6, ("B", 2): 8, ("D", 4): 192}
 B_RESTRICTIONS = [(k, n) for k in range(3, 6) for n in range(2, k)]
 D_RESTRICTIONS = [(k, n) for k in (4, 5) for n in range(2, k)]
@@ -70,14 +71,13 @@ LIFT_FAMILY, LIFT_K, LIFT_N, LIFT_DEGREE = "B", 4, 2, 6
 
 
 class RunConfig:
-    """Configuration of one pipeline run; tolerances must be positive and
-    the seed makes the randomized test-function suite replayable."""
+    """Configuration of one pipeline run; the seed makes the randomized
+    test-function suite replayable."""
 
     def __init__(self, subcommand, grid_points=257, half_width=1.5,
                  directions=64, kmax=6, seminorm_order=2, preset="desk",
                  seed=7, report_path=None, input_path=None, output_path=None,
-                 tolerances=None, sphere_dim=3, family="B", k_rank=4,
-                 n_rank=2, degree=6):
+                 sphere_dim=3, family="B", k_rank=4, n_rank=2, degree=6):
         if subcommand not in ("radon", "slice", "pw", "sphere", "weyl", "all"):
             raise ConfigError("unknown subcommand %r" % (subcommand,))
         if preset not in ("desk", "thorough"):
@@ -98,12 +98,6 @@ class RunConfig:
         self.k_rank = int(k_rank)
         self.n_rank = int(n_rank)
         self.degree = int(degree)
-        self.tolerances = dict(DEFAULT_TOLERANCES)
-        if tolerances:
-            self.tolerances.update(tolerances)
-        for key, val in self.tolerances.items():
-            if val <= 0:
-                raise ConfigError("tolerance %s must be positive" % key)
 
     @property
     def suite_size(self):
@@ -178,29 +172,33 @@ def _json_record(record):
 
 
 def _load_or_suite(cfg):
+    """The grid, the `--in` file's function or the seeded suite, the
+    direction rule, one sinogram per function and the mesh they share."""
     if cfg.input_path:
         f = _grid.load_function(cfg.input_path)
         live = np.abs(f.values) > 0
         if live.any():
             r2 = _grid._radius_sq_mesh(f.grid)
             f.support_radius = float(np.sqrt(r2[live].max()))
-        return f.grid, [f]
-    g = _grid.GridSpec(2, cfg.half_width, cfg.grid_points)
-    return g, _grid.random_bump_suite(g, cfg.suite_size, cfg.seed)
-
-
-def run_radon(cfg, report):
-    g, funcs = _load_or_suite(cfg)
+        g, funcs = f.grid, [f]
+    else:
+        g = _grid.GridSpec(2, cfg.half_width, cfg.grid_points)
+        funcs = _grid.random_bump_suite(g, cfg.suite_size, cfg.seed)
     dirs = _grid._directions_for(g.n, cfg.directions)
     sinos = [_radon.radon_transform(f, directions=dirs) for f in funcs]
     mesh = {"M": g.points, "L": g.half_width, "Q": len(dirs)}
+    return g, funcs, dirs, sinos, mesh
+
+
+def run_radon(cfg, report, inputs):
+    g, funcs, dirs, sinos, mesh = inputs
 
     # 0 by construction: radon_transform samples one direction of each
     # antipodal pair, so this checks the bookkeeping of the reuse
     report.check(
         "radon evenness", "plumbing",
         lambda: max(_radon.evenness_defect(s) for s in sinos),
-        cfg.tolerances["evenness"], mesh)
+        DEFAULT_TOLERANCES["evenness"], mesh)
 
     def support_local():
         worst = 0.0
@@ -212,7 +210,7 @@ def run_radon(cfg, report):
         return worst
     report.check("radon support localization",
                  "support of the transform inside the support radius",
-                 support_local, cfg.tolerances["support_localization"], mesh)
+                 support_local, DEFAULT_TOLERANCES["support_localization"], mesh)
 
     def moment_consistency():
         worst = 0.0
@@ -221,7 +219,7 @@ def run_radon(cfg, report):
             worst = max(worst, float(np.abs(m0 - _grid.integrate(f)).max()))
         return worst
     report.check("zeroth moment equals total mass", "moment compatibility",
-                 moment_consistency, cfg.tolerances["moment_k0"], mesh)
+                 moment_consistency, DEFAULT_TOLERANCES["moment_k0"], mesh)
 
     def round_trip():
         f = funcs[0]
@@ -232,7 +230,7 @@ def run_radon(cfg, report):
                      / np.abs(f.values).max())
     if g.n == 2:
         report.check("radon round trip", "inversion formula", round_trip,
-                     cfg.tolerances["round_trip"],
+                     DEFAULT_TOLERANCES["round_trip"],
                      dict(mesh, Q=ROUND_TRIP_DIRECTIONS))
 
     if cfg.output_path and sinos:
@@ -240,34 +238,35 @@ def run_radon(cfg, report):
                              direction_path=cfg.output_path + ".directions")
 
 
-def run_slice(cfg, report):
-    g, funcs = _load_or_suite(cfg)
-    dirs = _grid._directions_for(g.n, cfg.directions)
-    mesh = {"M": g.points, "L": g.half_width, "Q": len(dirs)}
+def run_slice(cfg, report, inputs):
+    g, funcs, dirs, sinos, mesh = inputs
 
     report.check(
         "fourier slice identity", "fourier-slice identity",
-        lambda: max(_fourier.fourier_slice_defect(f, directions=dirs)
-                    for f in funcs),
-        cfg.tolerances["fourier_slice"], mesh)
+        lambda: max(_fourier.fourier_slice_defect(f, s)
+                    for f, s in zip(funcs, sinos)),
+        DEFAULT_TOLERANCES["fourier_slice"], mesh)
 
     report.check(
         "motion-group plancherel", "plancherel identity, d tau = sigma_n r^{n-1} dr",
-        lambda: max(_fourier.plancherel_defect(f, directions=dirs)
-                    for f in funcs),
-        cfg.tolerances["plancherel"], mesh)
+        lambda: max(_fourier.plancherel_defect(f, s)
+                    for f, s in zip(funcs, sinos)),
+        DEFAULT_TOLERANCES["plancherel"], mesh)
+
+    fine_mesh = dict(mesh, M_fine=2 * g.points - 1, Q_fine=2 * len(dirs))
 
     def plancherel_ratio():
-        f = funcs[0]
-        coarse = _fourier.plancherel_defect(f, directions=dirs)
-        g2 = _grid.GridSpec(2, g.half_width, 2 * g.points - 1)
-        f2 = _grid.random_bump_suite(g2, cfg.suite_size, cfg.seed)[0]
-        dirs2 = _grid.DirectionSet.circle(2 * len(dirs))
-        fine = _fourier.plancherel_defect(f2, directions=dirs2)
+        coarse = _fourier.plancherel_defect(funcs[0], sinos[0])
+        g2 = _grid.GridSpec(2, g.half_width, fine_mesh["M_fine"])
+        # the suite draws its bumps in turn: a suite of one has its first
+        f2 = _grid.random_bump_suite(g2, 1, cfg.seed)[0]
+        s2 = _radon.radon_transform(
+            f2, directions=_grid.DirectionSet.circle(fine_mesh["Q_fine"]))
+        fine = _fourier.plancherel_defect(f2, s2)
         return coarse / fine if fine > 0 else np.inf
     report.check("plancherel refinement", "plancherel identity, d tau = sigma_n r^{n-1} dr",
-                 plancherel_ratio, cfg.tolerances["plancherel_ratio"], mesh,
-                 compare="ge")
+                 plancherel_ratio, DEFAULT_TOLERANCES["plancherel_ratio"],
+                 fine_mesh, compare="ge")
 
     def inversion():
         f = funcs[0]
@@ -279,35 +278,33 @@ def run_slice(cfg, report):
         ref = f.values[idx[:, 0], idx[:, 1]]
         return float(np.abs(vals - ref).max() / np.abs(f.values).max())
     report.check("pointwise inversion", "inversion formula", inversion,
-                 cfg.tolerances["inversion"],
+                 DEFAULT_TOLERANCES["inversion"],
                  dict(mesh, Q=_fourier.INVERSION_CIRCLE))
 
     def compat():
         g3 = _grid.GridSpec(3, cfg.half_width, cfg.grid3_points)
         rng = np.random.default_rng(cfg.seed + 2)
         worst = 0.0
-        for _ in range(2):
+        for _ in range(COMPAT_BUMPS):
             c = rng.uniform(-0.25, 0.25, size=3) * (cfg.half_width / 1.5)
             rad = rng.uniform(0.5, 0.7) * (cfg.half_width / 1.5)
             f3 = _grid.make_bump(c, rad, 1.0, g3)
             worst = max(worst, _fourier.projection_compatibility_defect(f3))
         return worst
     report.check("projection compatibility", "marginal projection / slice square",
-                 compat, cfg.tolerances["projection_compat"],
-                 {"M3": cfg.grid3_points})
+                 compat, DEFAULT_TOLERANCES["projection_compat"],
+                 {"M3": cfg.grid3_points, "Q": _fourier.COMPAT_AZIMUTHS,
+                  "bumps": COMPAT_BUMPS})
 
 
-def run_pw(cfg, report):
-    g, funcs = _load_or_suite(cfg)
-    dirs = _grid._directions_for(g.n, cfg.directions)
-    sinos = [_radon.radon_transform(f, directions=dirs) for f in funcs]
-    mesh = {"M": g.points, "Q": len(dirs), "kmax": cfg.kmax,
-            "N": cfg.seminorm_order}
+def run_pw(cfg, report, inputs):
+    g, funcs, dirs, sinos, mesh = inputs
+    mesh = dict(mesh, kmax=cfg.kmax, N=cfg.seminorm_order)
 
     report.check(
         "moment homogeneity", "homogeneous-moment condition",
         lambda: max(_pw.homogeneity_defect(s, cfg.kmax) for s in sinos),
-        cfg.tolerances["homogeneity"], mesh)
+        DEFAULT_TOLERANCES["homogeneity"], mesh)
 
     def violation():
         th = np.arctan2(dirs.vectors[:, 1], dirs.vectors[:, 0])
@@ -316,7 +313,7 @@ def run_pw(cfg, report):
                               np.outer(prof, np.cos(3 * th)))
         return _pw.homogeneity_defect(bad, 0)
     report.check("homogeneity violation detected", "homogeneous-moment condition",
-                 violation, cfg.tolerances["violation_floor"], mesh,
+                 violation, DEFAULT_TOLERANCES["violation_floor"], mesh,
                  compare="ge")
 
     def support_recovery():
@@ -336,7 +333,7 @@ def run_pw(cfg, report):
                             / f.support_radius)
         return worst
     report.check("support radius recovery", "support radius from exponential type",
-                 support_recovery, cfg.tolerances["support_recovery"], mesh)
+                 support_recovery, DEFAULT_TOLERANCES["support_recovery"], mesh)
 
     def _growth_ratios(s, exp_type, doublings):
         """Ratios of successive growth seminorms of s at `exp_type` as the
@@ -352,19 +349,19 @@ def run_pw(cfg, report):
         "growth stability at the critical type", "growth dichotomy",
         lambda: max(_growth_ratios(s, 2 * np.pi * s.support_radius, 1)[0]
                     for s in sinos),
-        cfg.tolerances["growth_stable"], mesh)
+        DEFAULT_TOLERANCES["growth_stable"], mesh)
     report.check(
         "growth divergence below the critical type", "growth dichotomy",
         lambda: min(min(_growth_ratios(s, np.pi * s.support_radius, 2))
                     for s in sinos),
-        cfg.tolerances["growth_divergent"], mesh, compare="ge")
+        DEFAULT_TOLERANCES["growth_divergent"], mesh, compare="ge")
 
     ext = _pw.EXTENSION_MESH
     ext_dirs = len(_grid._directions_for(g.n, _pw.EXTENSION_DIRECTIONS))
     report.check(
         "extension consistency", "slice extension agrees with the sphere extension",
         lambda: max(_pw.extension_consistency_defect(f) for f in funcs),
-        cfg.tolerances["extension_consistency"],
+        DEFAULT_TOLERANCES["extension_consistency"],
         dict(mesh, Q=ext_dirs, z_mesh="%dx%d" % (ext.n_re, ext.n_im)))
 
     def extension_evenness():
@@ -378,18 +375,12 @@ def run_pw(cfg, report):
                 worst = max(worst, float(np.abs(a - b).max()))
         return worst
     report.check("evenness of the slice extension", "even extension",
-                 extension_evenness, cfg.tolerances["extension_evenness"], mesh)
+                 extension_evenness, DEFAULT_TOLERANCES["extension_evenness"], mesh)
 
     def schwartz_finite():
-        worst = 0.0
-        for s in sinos[:1]:
-            for kk in range(5):
-                for ll in range(5):
-                    v = _pw.schwartz_seminorm(s, kk, ll)
-                    if not np.isfinite(v):
-                        return np.inf
-                    worst = max(worst, v)
-        return 0.0 if np.isfinite(worst) else np.inf
+        finite = all(np.isfinite(_pw.schwartz_seminorm(sinos[0], kk, ll))
+                     for kk in range(5) for ll in range(5))
+        return 0.0 if finite else np.inf
     # 0 or inf against 0.5: this checks that the seminorms are finite, not
     # that they decay
     report.check("decay seminorms finite", "plumbing", schwartz_finite, 0.5,
@@ -418,7 +409,7 @@ def run_sphere(cfg, report):
             name, "cosine-kernel slice identity",
             lambda ps=ps: max(_sphere.sphere_slice_defect(p, SPHERE_M_MAX)
                               for p in ps),
-            cfg.tolerances[tolerance], mesh)
+            DEFAULT_TOLERANCES[tolerance], mesh)
 
     def constant_stability():
         worst = 0.0
@@ -427,7 +418,7 @@ def run_sphere(cfg, report):
             worst = max(worst, float(np.abs(cm - cm[0]).max() / abs(cm[0])))
         return worst
     report.check("slice constant stability", "cosine-kernel slice identity",
-                 constant_stability, cfg.tolerances["sphere_constant"], mesh)
+                 constant_stability, DEFAULT_TOLERANCES["sphere_constant"], mesh)
 
     def support_equivalence():
         worst = 0.0
@@ -535,15 +526,21 @@ PIPELINES = {
     "sphere": run_sphere,
     "weyl": run_weyl,
 }
+SHARED_INPUTS = ("radon", "slice", "pw")   # the users of _load_or_suite
 
 
-def _run_pipeline(name, config, report):
-    """Run one pipeline.  An exception outside its checks (an unreadable
-    input file, a transform built before the first check) is recorded as
-    a failed "<name> pipeline" record carrying the error, so the records
-    made so far and the report are kept."""
+def _run_pipeline(name, config, report, inputs):
+    """Run one pipeline on what `_load_or_suite` returned or raised.  An
+    exception outside its checks (an unreadable input file, a sinogram that
+    cannot be built) is recorded as a failed "<name> pipeline" record
+    carrying the error, so the records made so far and the report are kept."""
     try:
-        PIPELINES[name](config, report)
+        if name not in SHARED_INPUTS:
+            PIPELINES[name](config, report)
+        elif isinstance(inputs, Exception):
+            raise inputs
+        else:
+            PIPELINES[name](config, report, inputs)
     except Exception as exc:  # the report must survive a broken input
         def reraise():
             raise exc
@@ -551,29 +548,30 @@ def _run_pipeline(name, config, report):
 
 
 def run(config):
-    """Execute the configured pipeline(s) and return the Report."""
+    """Execute the configured pipeline(s) and return the Report; the
+    shared inputs are built once, and only if a pipeline uses them."""
     report = Report(config)
-    if config.subcommand == "all":
-        names = ["radon", "slice", "pw", "sphere", "weyl"]
-        workers = int(os.environ.get("PWKIT_THREADS", "1"))
-        if workers > 1:
-            # checks append records concurrently; order them afterwards
-            sub_reports = {}
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                futs = {}
-                for nm in names:
-                    r = Report(config)
-                    sub_reports[nm] = r
-                    futs[nm] = pool.submit(_run_pipeline, nm, config, r)
-                for nm in names:
-                    futs[nm].result()
-            for nm in names:
-                report.records.extend(sub_reports[nm].records)
-        else:
-            for nm in names:
-                _run_pipeline(nm, config, report)
+    names = (list(PIPELINES) if config.subcommand == "all"
+             else [config.subcommand])
+    inputs = None
+    if any(nm in SHARED_INPUTS for nm in names):
+        try:
+            inputs = _load_or_suite(config)
+        except Exception as exc:  # each pipeline that uses it records it
+            inputs = exc
+    workers = int(os.environ.get("PWKIT_THREADS", "1"))
+    if len(names) > 1 and workers > 1:
+        # checks append records concurrently; order them afterwards
+        subs = [Report(config) for _ in names]
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            futs = [pool.submit(_run_pipeline, nm, config, sub, inputs)
+                    for nm, sub in zip(names, subs)]
+        for fut, sub in zip(futs, subs):
+            fut.result()
+            report.records.extend(sub.records)
     else:
-        _run_pipeline(config.subcommand, config, report)
+        for nm in names:
+            _run_pipeline(nm, config, report, inputs)
     if config.report_path:
         report.write(config.report_path)
     return report

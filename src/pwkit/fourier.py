@@ -18,6 +18,10 @@ on both sides, so no comparison is circular:
 - Round trip and pointwise inversion: `radon.inverse_radon` and
   `pointwise_inversion` (offset) vs the grid samples of f (no kernel).
   Both sum the one inversion quadrature, `radon._inversion_quadrature`.
+
+`fourier_slice_defect(f, s)` and `plancherel_defect(f, s)` take f for the
+direct or norm side and its sinogram s = R f for the offset side, so one
+transform serves several certificates.
 """
 
 import numpy as np
@@ -140,22 +144,21 @@ def choose_r_max(s, tail_fraction=1e-6):
     return float(coarse[idx]), float(tail[idx])
 
 
-def fourier_slice_defect(f, directions=None):
-    """max |F_{R^n} f (r omega) - F_R(R f)(r, omega)| over the radii
-    SLICE_RADII and the sinogram directions.
+def fourier_slice_defect(f, s):
+    """max |F_{R^n} f (r omega) - F_R(s)(r, omega)| over the radii
+    SLICE_RADII and the directions of the sinogram s = R f.
 
-    The left side is direct n-D oscillatory quadrature; the right side goes
-    through the Radon transform.  Their agreement is the Fourier-slice
-    identity.
+    The left side is direct n-D oscillatory quadrature of f; the right side
+    is the 1-D Fourier integral of s in the offset.  Their agreement is the
+    Fourier-slice identity.
     """
-    s = radon_transform(f, directions=directions)
     direct = fourier_on_rays(f, SLICE_RADII, s.directions)
     sliced = radial_fourier(s, SLICE_RADII).values
     return float(np.abs(direct - sliced).max())
 
 
-def plancherel_defect(f, directions=None, return_details=False):
-    """Relative Plancherel defect for the motion-group decomposition.
+def plancherel_defect(f, s, return_details=False):
+    """Relative Plancherel defect of f, with f_hat_r from its sinogram s.
 
     |  ||f||_2^2 - int_0^{r_max} sum_j w_j |f_hat_r(omega_j)|^2
        sigma_n r^{n-1} dr  |  /  ||f||_2^2,
@@ -166,7 +169,6 @@ def plancherel_defect(f, directions=None, return_details=False):
     norm = l2_norm_sq(f)
     if norm == 0:
         raise ZeroFunction("Plancherel defect undefined for the zero function")
-    s = radon_transform(f, directions=directions)
     # cutoff well beyond the reporting rule so the truncation floor stays
     # under the radial quadrature error as the grid refines
     r_max, tail = choose_r_max(s, tail_fraction=1e-9)

@@ -292,10 +292,10 @@ class DirectionSet:
                 k += 1
         return cls(vecs, wts, band_limit)
 
-    def _verify_exactness(self, tol=1e-10):
+    def _verify_exactness(self):
         blocks = _real_harmonic_basis(self, self.band_limit)
         for l, block in enumerate(blocks[1:], start=1):
-            if np.abs(block @ self.weights).max() > tol:
+            if np.abs(block @ self.weights).max() > 1e-10:
                 raise ValueError("rule not exact at harmonic degree %d" % l)
 
     def _antipodes(self):

@@ -32,7 +32,7 @@ __all__ = [
 ]
 
 SUPPORT_Y_FACTORS = (3, 4, 5, 6, 7, 8)  # heights y = c / r of the support ladder
-EXTENSION_DIRECTIONS = 16               # default directions of the extension check
+EXTENSION_DIRECTIONS = 16               # directions of the extension check
 
 
 class ZeroInput(ValueError):
@@ -196,12 +196,10 @@ class HarmonicExpansion:
                                  % (cn, qn))
 
     @classmethod
-    def from_values(cls, values, directions, band=None):
-        """Expansion of `values` at the direction nodes through degree
-        `band`, by default the rule's band limit."""
-        if band is None:
-            band = directions.band_limit
-        blocks = _real_harmonic_basis(directions, band)
+    def from_values(cls, values, directions):
+        """Expansion of `values` at the direction nodes through the rule's
+        band limit."""
+        blocks = _real_harmonic_basis(directions, directions.band_limit)
         w = directions.weights
         coeffs = [blk @ (w * values) for blk in blocks]
         return cls(directions, coeffs, values=values)
@@ -220,7 +218,7 @@ class HarmonicExpansion:
         return float(sum(self.degree_power(l) for l in range(self.band + 1)))
 
 
-def taylor_coefficient(s, k, band=None):
+def taylor_coefficient(s, k):
     """Expansion of omega -> (-2 pi i)^k int s(p, omega) p^k dp.
 
     These are the Taylor coefficients (in the spectral parameter at 0) of
@@ -231,10 +229,10 @@ def taylor_coefficient(s, k, band=None):
         raise ValueError("moment order above 8 is numerically ill-conditioned "
                          "on the offset range")
     vals = (-2j * np.pi) ** k * moment(s, k)
-    return HarmonicExpansion.from_values(vals, s.directions, band=band)
+    return HarmonicExpansion.from_values(vals, s.directions)
 
 
-def homogeneity_defect(s, k_max, band=None):
+def homogeneity_defect(s, k_max):
     """Coefficient mass of the k-th Taylor expansion outside the harmonic
     degrees {k, k-2, ..., k mod 2}, relative to its total mass; maximum
     over k <= k_max.  Mass ratios of negligible moments count as zero (the
@@ -242,7 +240,7 @@ def homogeneity_defect(s, k_max, band=None):
     """
     if k_max > 8:
         raise ValueError("k_max capped at 8")
-    expansions = [taylor_coefficient(s, k, band=band) for k in range(k_max + 1)]
+    expansions = [taylor_coefficient(s, k) for k in range(k_max + 1)]
     totals = np.array([e.total_power() for e in expansions])
     scale = totals.max()
     if scale == 0:
@@ -268,13 +266,13 @@ def complexified_sphere_eval(f, z, pt):
     return out if out.shape else complex(out)
 
 
-def extension_consistency_defect(f, n_directions=EXTENSION_DIRECTIONS):
+def extension_consistency_defect(f):
     """The slice extensions (Radon then 1-D complex quadrature) and the
     complexified-sphere extension (direct n-D complex quadrature) continue
     the same function; this returns their maximum discrepancy over the
     complex mesh EXTENSION_MESH times the real directions
-    `_directions_for(n, n_directions)`."""
-    dirs = _directions_for(f.grid.n, n_directions)
+    `_directions_for(n, EXTENSION_DIRECTIONS)`."""
+    dirs = _directions_for(f.grid.n, EXTENSION_DIRECTIONS)
     s = radon_transform(f, directions=dirs)
     Z = EXTENSION_MESH.mesh()
     side_slice = _slice_transform(s, Z)

@@ -78,14 +78,14 @@ class ZonalProfile:
         return self.thetas[1] - self.thetas[0]
 
 
-def cap_bump(t_supp, n, samples=DEFAULT_SAMPLES, amplitude=1.0):
+def cap_bump(t_supp, n, samples=DEFAULT_SAMPLES):
     """Smooth polar-cap profile exp(-t^2/(t_supp^2 - t^2)) on [0, t_supp)."""
     if not 0 < t_supp < np.pi:
         raise ValueError("cap angle must lie in (0, pi)")
     t = np.linspace(0.0, np.pi, samples)
     vals = np.zeros(samples)
     ins = t < t_supp
-    vals[ins] = amplitude * np.exp(-t[ins] ** 2 / (t_supp**2 - t[ins] ** 2))
+    vals[ins] = np.exp(-t[ins] ** 2 / (t_supp**2 - t[ins] ** 2))
     return ZonalProfile(n, vals, support_angle=t_supp)
 
 

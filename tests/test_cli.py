@@ -1,8 +1,10 @@
+import hashlib
 import json
 import re
 
 import pytest
 
+import pwkit
 from pwkit import (GridSpec, MultivariatePolynomial, cap_bump, make_bump,
                    save_function, save_profile)
 from pwkit import fourier, pw, radon, sphere, weyl
@@ -13,10 +15,6 @@ class TestConfig:
     def test_unknown_subcommand(self):
         with pytest.raises(ConfigError):
             RunConfig("plot")
-
-    def test_bad_tolerance(self):
-        with pytest.raises(ConfigError):
-            RunConfig("radon", tolerances={"evenness": -1})
 
     def test_bad_preset(self):
         with pytest.raises(ConfigError):
@@ -69,7 +67,7 @@ class TestRecordMeshes:
     @staticmethod
     def spy(monkeypatch, module, fn_name, measure):
         """Patch module.fn_name; return a dict that maps each record name to
-        the set of measure(args, result) over the calls its check made."""
+        the list of measure(args, result) over the calls its check made."""
         seen, current = {}, []
         real = getattr(module, fn_name)
 
@@ -83,7 +81,7 @@ class TestRecordMeshes:
         def check(self, name, *args, **kwargs):
             current.clear()
             value = real_check(self, name, *args, **kwargs)
-            seen[name] = set(current)
+            seen[name] = list(current)
             return value
         monkeypatch.setattr(Report, "check", check)
         return seen
@@ -97,14 +95,38 @@ class TestRecordMeshes:
         seen = self.spy(monkeypatch, module, "radon_transform",
                         lambda args, s: len(s.directions))
         report = run(RunConfig(subcommand, grid_points=65, directions=32))
-        assert seen[name] == {_record(report, name)["mesh"]["Q"]}
+        assert set(seen[name]) == {_record(report, name)["mesh"]["Q"]}
+
+    def test_plancherel_refinement_rungs(self, monkeypatch):
+        name = "plancherel refinement"
+        seen = self.spy(monkeypatch, fourier, "plancherel_defect",
+                        lambda args, out: (args[0].grid.points,
+                                           len(args[1].directions)))
+        report = run(RunConfig("slice", grid_points=65, directions=32))
+        mesh = _record(report, name)["mesh"]
+        assert seen[name] == [(mesh["M"], mesh["Q"]),
+                              (mesh["M_fine"], mesh["Q_fine"])]
+        assert (mesh["M_fine"], mesh["Q_fine"]) == (129, 64)
+
+    def test_projection_compatibility_directions_and_bumps(self,
+                                                           monkeypatch):
+        name = "projection compatibility"
+        bumps = self.spy(monkeypatch, fourier,
+                         "projection_compatibility_defect",
+                         lambda args, out: args[0].grid.points)
+        dirs = self.spy(monkeypatch, fourier, "radon_transform",
+                        lambda args, s: len(s.directions))
+        report = run(RunConfig("slice", grid_points=65, directions=32))
+        mesh = _record(report, name)["mesh"]
+        assert bumps[name] == [mesh["M3"]] * mesh["bumps"]
+        assert set(dirs[name]) == {mesh["Q"]}
 
     def test_sphere_support_samples(self, monkeypatch):
         name = "sphere support equivalence"
         seen = self.spy(monkeypatch, sphere, "sphere_support_check",
                         lambda args, out: len(args[0].values))
         report = run(RunConfig("sphere"))
-        assert seen[name] == {_record(report, name)["mesh"]["T"]}
+        assert set(seen[name]) == {_record(report, name)["mesh"]["T"]}
 
     def test_lift_spec_and_degree(self, monkeypatch):
         # the certificate runs the requested D5 -> D4 pair; the lift record
@@ -134,6 +156,42 @@ class TestRecordMeshes:
                             lambda *args: real(*args) + bad)
         report = run(RunConfig("weyl"))
         assert not _record(report, "averaging-decomposition lift")["passed"]
+
+
+class TestSharedInputs:
+    """The radon, slice and pw pipelines certify one set of inputs per run."""
+
+    @staticmethod
+    def spy(monkeypatch):
+        """Patch every binding of radon_transform; return the list of
+        (function values, direction set) digests of its calls."""
+        calls = []
+        real = radon.radon_transform
+
+        def digest(a):
+            return a.shape, hashlib.sha256(a.tobytes()).hexdigest()
+
+        def spied(f, *args, **kwargs):
+            s = real(f, *args, **kwargs)
+            calls.append((digest(f.values), digest(s.directions.vectors)))
+            return s
+        for module in (radon, fourier, pw, pwkit):
+            monkeypatch.setattr(module, "radon_transform", spied)
+        return calls
+
+    def test_no_function_is_transformed_twice_on_one_direction_set(
+            self, monkeypatch):
+        calls = self.spy(monkeypatch)
+        run(RunConfig("all", grid_points=65, directions=32))
+        assert calls
+        assert len(set(calls)) == len(calls)
+
+    @pytest.mark.parametrize("subcommand", ["weyl", "sphere"])
+    def test_pipelines_without_sinograms_build_none(self, monkeypatch,
+                                                    subcommand):
+        calls = self.spy(monkeypatch)
+        run(RunConfig(subcommand))
+        assert calls == []
 
 
 class TestReportShape:

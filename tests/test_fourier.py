@@ -55,16 +55,16 @@ class TestRadialFourier:
 
 
 class TestFourierSlice:
-    def test_bump_defect(self, bump):
-        assert fourier_slice_defect(bump, directions=DIRS) < 1e-5
+    def test_bump_defect(self, bump, bump_sino):
+        assert fourier_slice_defect(bump, bump_sino) < 1e-5
 
     def test_zero(self):
         z = SampledFunction(G, np.zeros((257, 257)), support_radius=1.0)
-        assert fourier_slice_defect(z, directions=DIRS) == 0
+        assert fourier_slice_defect(z, radon_transform(z, directions=DIRS)) == 0
 
     def test_shifted_bump_defect(self):
         f = make_bump([0.35, 0.2], 0.45, 1.0, G)
-        assert fourier_slice_defect(f, directions=DIRS) < 1e-5
+        assert fourier_slice_defect(f, radon_transform(f, directions=DIRS)) < 1e-5
 
     def test_direct_side_at_zero_is_mass(self, bump):
         vals = fourier_on_rays(bump, np.array([0.0]), DIRS)
@@ -72,28 +72,31 @@ class TestFourierSlice:
 
 
 class TestPlancherel:
-    def test_bump(self, bump):
-        assert plancherel_defect(bump, directions=DIRS) < 1e-4
+    def test_bump(self, bump, bump_sino):
+        assert plancherel_defect(bump, bump_sino) < 1e-4
 
-    def test_scale_invariance(self, bump):
-        d1 = plancherel_defect(bump, directions=DIRS)
-        d2 = plancherel_defect(bump * 3.7, directions=DIRS)
+    def test_scale_invariance(self, bump, bump_sino):
+        d1 = plancherel_defect(bump, bump_sino)
+        scaled = bump * 3.7
+        d2 = plancherel_defect(scaled,
+                               radon_transform(scaled, directions=DIRS))
         assert d2 == pytest.approx(d1, rel=1e-6)
 
     def test_two_disjoint_bumps(self):
         f = make_bump([-0.6, 0.0], 0.35, 1.0, G) + make_bump([0.55, 0.2], 0.3, 1.0, G)
-        assert plancherel_defect(f, directions=DIRS) < 1e-4
+        assert plancherel_defect(f, radon_transform(f, directions=DIRS)) < 1e-4
 
     def test_zero_function_rejected(self):
         z = SampledFunction(G, np.zeros((257, 257)), support_radius=1.0)
         with pytest.raises(ZeroFunction):
-            plancherel_defect(z, directions=DIRS)
+            plancherel_defect(z, radon_transform(z, directions=DIRS))
 
-    def test_defect_decreases_with_resolution(self, bump):
-        coarse = plancherel_defect(bump, directions=DIRS)
+    def test_defect_decreases_with_resolution(self, bump, bump_sino):
+        coarse = plancherel_defect(bump, bump_sino)
         g2 = GridSpec(2, 1.5, 513)
         f2 = make_bump([0.0, 0.0], 0.6, 1.0, g2)
-        fine = plancherel_defect(f2, directions=DirectionSet.circle(128))
+        fine = plancherel_defect(
+            f2, radon_transform(f2, directions=DirectionSet.circle(128)))
         assert coarse / fine >= 4.0
 
     def test_r_max_detection(self, bump_sino):

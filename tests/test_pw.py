@@ -244,7 +244,7 @@ class TestHarmonicExpansion:
         coeffs = [rng.normal(size=2 * l + 1) for l in range(9)]
         e0 = HarmonicExpansion(d3, coeffs)
         vals = e0.synthesize().real
-        e = HarmonicExpansion.from_values(vals, d3, band=8)
+        e = HarmonicExpansion.from_values(vals, d3)
         qn = float(d3.weights @ np.abs(vals) ** 2)
         assert e.total_power() == pytest.approx(qn, rel=1e-10)
 
