@@ -43,10 +43,11 @@ print("relative defect %.2e (radial points: %d)"
 print("for reference l2_norm_sq(f) = %.8f" % l2_norm_sq(f))
 
 pts = np.array([[0.25, 0.1], [0.4, 0.25], [-0.9, 0.6]])
-vals = pointwise_inversion(f, pts)
+vals = pointwise_inversion(
+    radon_transform(f, directions=DirectionSet.circle(192)), pts)
 print("\npointwise inversion:")
 for x, v in zip(pts, vals):
     i = np.argmin(np.abs(grid.axis() - x[0]))
     j = np.argmin(np.abs(grid.axis() - x[1]))
-    print("  f(%5.2f, %5.2f): inverted %.6f%+.1ei, sampled %.6f"
-          % (x[0], x[1], v.real, v.imag, f.values[i, j]))
+    print("  f(%5.2f, %5.2f): inverted %.6f, sampled %.6f"
+          % (x[0], x[1], v, f.values[i, j]))

@@ -17,11 +17,13 @@ on both sides, so no comparison is circular:
   `pw.complexified_sphere_eval` at a complexified direction (direct).
 - Round trip and pointwise inversion: `radon.inverse_radon` and
   `pointwise_inversion` (offset) vs the grid samples of f (no kernel).
-  Both sum the one inversion quadrature, `radon._inversion_quadrature`.
+  Both sum the one inversion quadrature, `radon._inversion_quadrature`,
+  over one direction of each antipodal pair.
 
 `fourier_slice_defect(f, s)` and `plancherel_defect(f, s)` take f for the
-direct or norm side and its sinogram s = R f for the offset side, so one
-transform serves several certificates.
+direct or norm side and its sinogram s = R f for the offset side, and
+`pointwise_inversion(s, x)` takes only s, so one transform serves several
+certificates.
 """
 
 import numpy as np
@@ -30,7 +32,7 @@ from scipy.integrate import simpson
 from .grid import (GridSpec, SampledFunction, DirectionSet, SPHERE_AREA,
                    l2_norm_sq, _direct_transform)
 from .radon import (radon_transform, default_offsets, _require_even,
-                    _inversion_quadrature, _slice_transform)
+                    _inversion_quadrature, _recombine, _slice_transform)
 
 __all__ = [
     "VectorFT",
@@ -49,7 +51,6 @@ __all__ = [
 
 R_SCAN_STEP = 0.5                        # radial step of the choose_r_max scan
 SLICE_RADII = np.linspace(0.0, 12.0, 25)  # radii of the Fourier-slice check
-INVERSION_CIRCLE = 192                   # 2-D directions of pointwise_inversion
 COMPAT_AZIMUTHS = 16                     # directions of the compatibility square
 
 
@@ -188,28 +189,26 @@ def plancherel_defect(f, s, return_details=False):
     return defect
 
 
-def pointwise_inversion(f, x, directions=None, r_max=None):
-    """Motion-group inversion integral evaluated at grid points x.
+def pointwise_inversion(s, x, r_max=None):
+    """Motion-group inversion integral of the sinogram s at points x.
 
     int_0^{r_max} sum_j w_j f_hat_{r}(omega_j) e^{2 pi i r x.omega_j}
-    sigma_n r^{n-1} dr, by the quadrature `inverse_radon` sums on the grid.
-    x may be one point (n,) or a batch (m, n); returns complex values.
-    The directions default to circle(INVERSION_CIRCLE) in 2-D and
-    sphere(12) in 3-D.
+    sigma_n r^{n-1} dr, by the quadrature `inverse_radon` sums on the grid:
+    one direction of each antipodal pair, real part exact.  x may be one
+    point (n,) or a batch (m, n); the values are real for a real sinogram
+    and complex for a complex one, as in `inverse_radon`.
     """
-    if directions is None:
-        directions = (DirectionSet.circle(INVERSION_CIRCLE) if f.grid.n == 2
-                      else DirectionSet.sphere(12))
-    s = radon_transform(f, directions=directions)
-    radii, coef = _inversion_quadrature(s, r_max)
+    radii, vectors, parts = _inversion_quadrature(s, r_max)
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
-    pts = np.atleast_2d(x)
-    xdotw = pts @ s.directions.vectors.T                     # (m, Q)
-    out = np.empty(len(pts), dtype=complex)
-    for i in range(len(pts)):
-        out[i] = (coef * np.exp(2j * np.pi * np.outer(radii, xdotw[i]))).sum()
-    return complex(out[0]) if single else out
+    xdotw = np.atleast_2d(x) @ vectors.T                     # (m, Q/2)
+    out = np.empty((len(parts), len(xdotw)))
+    for i, xw in enumerate(xdotw):
+        theta = 2 * np.pi * np.outer(radii, xw)
+        cos, sin = np.cos(theta), np.sin(theta)
+        out[:, i] = [(c.real * cos - c.imag * sin).sum() for c in parts]
+    out = _recombine(out)
+    return out[0] if single else out
 
 
 def marginal_projection(f):

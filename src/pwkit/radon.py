@@ -20,6 +20,14 @@ Each hyperplane has two names, xi(p, omega) = xi(-p, -omega), so only one
 direction of each antipodal pair in the direction set is sampled; the
 other's column is the same integrals with the offsets reversed.  The
 transform is therefore even by construction.
+
+Inversion sums one direction of each antipodal pair too, in real
+arithmetic.  The term of -omega in the inversion integral has the real part
+of the conjugate of its coefficient times the phase of omega, so the half
+sum with folded coefficients c(omega) + conj(c(-omega)) has exactly the
+real part of the full sum, whether or not the sinogram is even; for a real
+sinogram that real part is the reconstruction.  A complex sinogram is
+inverted as its real and imaginary parts.
 """
 
 import numpy as np
@@ -236,10 +244,19 @@ def _inversion_quadrature(s, r_max):
     """The one quadrature of the motion-group inversion integral
     int_0^{r_max} sum_j w_j f_hat_r(omega_j) e^{2 pi i r x.omega_j}
     sigma_n r^{n-1} dr = sum_ij c_ij e^{2 pi i r_i x.omega_j}: composite
-    Gauss-Legendre in r, f_hat_r from the offset kernel.  Returns the radii
-    r_i and the (R, Q) coefficients c_ij; r_max None means `choose_r_max`.
-    Raises NotEven for sinograms whose evenness defect exceeds the
-    admissibility tolerance."""
+    Gauss-Legendre in r, f_hat_r from the offset kernel; r_max None means
+    `choose_r_max`.
+
+    For a real sinogram the terms of omega_j and of its antipode omega_j'
+    have the same real part as c_ij' e^{-2 pi i r_i x.omega_j}, so the real
+    part of the sum is Re sum_i sum_{j in H} (c_ij + conj(c_ij'))
+    e^{2 pi i r_i x.omega_j} over a set H of one direction of each pair,
+    exactly and without using evenness.  A complex sinogram is linear in its
+    real and imaginary parts and is summed as the two.  Returns the radii
+    r_i, the (Q/2, n) vectors of H and, per real part of s (one, or Re and
+    Im; see `_recombine`), the (R, Q/2) folded coefficients.  Raises NotEven
+    for sinograms whose evenness defect exceeds the admissibility
+    tolerance."""
     from .fourier import choose_r_max
 
     _require_even(s)
@@ -253,20 +270,41 @@ def _inversion_quadrature(s, r_max):
     radii = (mid[:, None] + hw * xg[None, :]).ravel()
     wr = np.tile(hw * wg, nseg)
     radial = wr * SPHERE_AREA[s.n] * radii**(s.n - 1)
-    coef = radial[:, None] * s.directions.weights * _slice_transform(s, radii)
-    return radii, coef
+    anti = s.directions.antipodal_index()
+    kept = np.flatnonzero(anti > np.arange(len(anti)))
+    parts = []
+    for v in ((s.values.real, s.values.imag) if np.iscomplexobj(s.values)
+              else (s.values,)):
+        part = Sinogram(s.offsets, s.directions, v)
+        c = radial[:, None] * s.directions.weights * _slice_transform(part, radii)
+        parts.append(c[:, kept] + c[:, anti[kept]].conj())
+    return radii, s.directions.vectors[kept], parts
+
+
+def _recombine(parts):
+    """One synthesis per real part of the sinogram back into one value:
+    parts[0] for a real sinogram, parts[0] + i parts[1] for a complex one."""
+    return sum(unit * part for unit, part in zip((1, 1j), parts))
 
 
 def inverse_radon(s, grid=None, r_max=None):
     """Reconstruction through the Fourier-slice route.
 
-    The inversion integral (`_inversion_quadrature`) on the Cartesian
-    grid.  Its phase separates over the axes: per radius, the factors of
-    axes 2..n fold into one (Q, M^{n-1}) block, and one matrix product with
-    the axis-1 factor adds that radius to every grid point.  Raises NotEven
-    like `_inversion_quadrature`.
+    The real part of the inversion integral (`_inversion_quadrature`) on the
+    Cartesian grid, which is the whole integral for a real sinogram: one
+    direction of each antipodal pair is summed, with the folded
+    coefficients, and that real part is exact.  A complex sinogram gives
+    the synthesis of its real part plus i times that of its imaginary part.
+
+    The phase separates over the axes.  Each axis is odd about its middle
+    node, so per radius cos and sin of the phase are computed on x >= 0 only
+    and the x < 0 half is their mirror (cos even, sin odd).  The factors of
+    axes 2..n fold into one complex (Q/2, M^{n-1}) block; with the axis-1
+    factor, cos.T @ Re(block) and sin.T @ Im(block) give that radius's term
+    at x_1 >= 0 as their difference and at -x_1 as their sum.  Raises
+    NotEven like `_inversion_quadrature`.
     """
-    radii, coef = _inversion_quadrature(s, r_max)
+    radii, vectors, parts = _inversion_quadrature(s, r_max)
     n = s.n
     if grid is None:
         pmax = s.offsets[-1]
@@ -277,18 +315,27 @@ def inverse_radon(s, grid=None, r_max=None):
             m += 1
         grid = GridSpec(n, L, m)
 
-    ax = grid.axis()
     m = grid.points
-    out = np.zeros((m, m ** (n - 1)), dtype=complex)
-    for r, c in zip(radii, coef):
-        # one (Q, M) phase factor e^{2 pi i r omega_a x_m} per axis a
-        first, *rest = np.exp(2j * np.pi * r
-                              * np.multiply.outer(s.directions.vectors.T, ax))
-        block = c[:, None]
-        for phase in rest:
-            block = (block[:, :, None] * phase[:, None, :]).reshape(len(c), -1)
-        out += first.T @ block
-    vals = (out.real if np.isrealobj(s.values) else out).reshape((m,) * n)
+    h = m // 2
+    half = grid.axis()[h:]                       # x >= 0, from the middle node
+    outs = [np.zeros((m, m ** (n - 1))) for _ in parts]
+    for i, r in enumerate(radii):
+        theta = 2 * np.pi * r * np.multiply.outer(vectors.T, half)
+        cos, sin = np.cos(theta), np.sin(theta)
+        # the factor e^{2 pi i r omega_a x} of axes a = 2..n on the whole
+        # axis: its x < 0 half is the mirrored conjugate of the x >= 0 half
+        rest = [np.concatenate([e[:, :0:-1].conj(), e], axis=1)
+                for e in cos[1:] + 1j * sin[1:]]
+        for out, coef in zip(outs, parts):
+            block = coef[i][:, None]
+            for phase in rest:
+                block = (block[:, :, None] * phase[:, None, :]).reshape(
+                    len(block), -1)
+            even = cos[0].T @ block.real
+            odd = sin[0].T @ block.imag
+            out[h:] += even - odd                # x_1 >= 0
+            out[h - 1::-1] += even[1:] + odd[1:]  # x_1 < 0, mirrored
+    vals = _recombine(outs).reshape((m,) * n)
     return SampledFunction(grid, vals, support_radius=None)
 
 

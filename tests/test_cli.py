@@ -88,7 +88,7 @@ class TestRecordMeshes:
 
     @pytest.mark.parametrize("subcommand, module, name", [
         ("radon", radon, "radon round trip"),
-        ("slice", fourier, "pointwise inversion"),
+        ("slice", radon, "pointwise inversion"),
         ("pw", pw, "extension consistency"),
     ], ids=["round-trip", "inversion", "extension"])
     def test_direction_count(self, monkeypatch, subcommand, module, name):
@@ -179,10 +179,15 @@ class TestSharedInputs:
             monkeypatch.setattr(module, "radon_transform", spied)
         return calls
 
+    # at --directions 192 (256) the run's rule is the pointwise inversion's
+    # (the round trip's) own circle
+    @pytest.mark.parametrize("subcommand, count", [
+        ("all", 32), ("slice", 192), ("radon", 256)],
+        ids=["all", "inversion", "round-trip"])
     def test_no_function_is_transformed_twice_on_one_direction_set(
-            self, monkeypatch):
+            self, monkeypatch, subcommand, count):
         calls = self.spy(monkeypatch)
-        run(RunConfig("all", grid_points=65, directions=32))
+        run(RunConfig(subcommand, grid_points=65, directions=count))
         assert calls
         assert len(set(calls)) == len(calls)
 

@@ -293,4 +293,4 @@ class TestKernels:
         pw_seminorm(s, 2, 2 * np.pi * s.support_radius,
                     ComplexGrid(2.0, 1.0, 5, 5))
         inverse_radon(s)
-        pointwise_inversion(f, np.zeros(2), directions=s.directions)
+        pointwise_inversion(s, np.zeros(2))
