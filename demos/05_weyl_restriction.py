@@ -1,6 +1,5 @@
 """Weyl groups as signed permutations, restriction of invariants, the
-type-D obstruction, the lift of invariants, and the decomposition over
-the Chevalley generators.
+type-D obstruction, and the lift of invariants.
 
 Restricting the subgroup that stabilizes an embedded coordinate subspace
 recovers the smaller Weyl group for families A, B, C; for family D the
@@ -14,9 +13,8 @@ basis.
 from fractions import Fraction
 
 from pwkit import (MultivariatePolynomial, ObstructionHit, RootSystemSpec,
-                   chevalley_generators, ow1_lift, rais_decompose,
-                   restricted_group, reynolds, stabilizer,
-                   surjectivity_certificate, weyl_group)
+                   chevalley_generators, ow1_lift, restricted_group,
+                   stabilizer, surjectivity_certificate, weyl_group)
 
 b4, b2 = RootSystemSpec("B", 4), RootSystemSpec("B", 2)
 d5, d4 = RootSystemSpec("D", 5), RootSystemSpec("D", 4)
@@ -57,15 +55,3 @@ except ObstructionHit as exc:
     # no restricted W(D5)-invariant has odd Pfaffian content
     print("\nlifting the D4 Pfaffian fails as the theory demands:")
     print("  ObstructionHit:", exc)
-
-# the decomposition over the generators, for a stabilizer-invariant input
-b3 = RootSystemSpec("B", 3)
-x = [MultivariatePolynomial.variable(i, 3) for i in range(3)]
-G = reynolds(x[0] * x[0] * x[0] * x[0] * x[2] * x[2], stabilizer(b3, 2))
-ps = rais_decompose(G, b3, 2)
-gens = chevalley_generators(b3)
-acc = MultivariatePolynomial.zero(3)
-for p, g in zip(ps, gens):
-    acc = acc + p * g
-print("\ndecomposition of an averaged degree-6 input over the W(B3) "
-      "generators: residual zero =", acc == G)

@@ -12,8 +12,7 @@ from .radon import (Sinogram, UnsupportedDimension, NotEven, radon_transform,
 from .fourier import (VectorFT, ZeroFunction, UnsupportedPair, radial_fourier,
                       fourier_on_rays, choose_r_max, fourier_slice_defect,
                       plancherel_defect, pointwise_inversion,
-                      marginal_projection, projection_compatibility_defect,
-                      save_vector_ft)
+                      marginal_projection, projection_compatibility_defect)
 from .pw import (ComplexGrid, ComplexSpherePoint, HarmonicExpansion, ZeroInput,
                  complex_slice_eval, pw_seminorm, support_radius_estimate,
                  taylor_coefficient, homogeneity_defect,
@@ -26,10 +25,9 @@ from .sphere import (ZonalProfile, SphericalCoefficients,
                      sphere_support_check, save_profile, load_profile)
 from .weyl import (SignedPermutation, RootSystemSpec, MultivariatePolynomial,
                    GroupTooLarge, DegreeTooLarge, NotInvariant,
-                   NoSolutionAtDegree, ObstructionHit, weyl_group, group_order,
-                   stabilizer, restricted_group, reynolds,
-                   chevalley_generators, invariant_basis,
-                   surjectivity_certificate, SurjectivityCertificate,
-                   rais_decompose, ow1_lift)
+                   ObstructionHit, weyl_group, group_order, stabilizer,
+                   restricted_group, reynolds, chevalley_generators,
+                   invariant_basis, surjectivity_certificate,
+                   SurjectivityCertificate, ow1_lift)
 
 __version__ = "0.1.0"

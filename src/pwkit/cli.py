@@ -504,15 +504,8 @@ def run_weyl(cfg, report):
         lift_k = _weyl.RootSystemSpec(LIFT_FAMILY, LIFT_K)
         lift_n = _weyl.RootSystemSpec(LIFT_FAMILY, LIFT_N)
         basis = _weyl.invariant_basis(lift_n, LIFT_DEGREE)
-        # the simple reflections of W(B_k), the adjacent transpositions and
-        # the sign change of x_k, generate it: invariance under them is
-        # invariance under the whole group
-        simple = [_weyl.SignedPermutation(range(LIFT_K),
-                                          (1,) * (LIFT_K - 1) + (-1,))]
-        for i in range(LIFT_K - 1):
-            perm = list(range(LIFT_K))
-            perm[i], perm[i + 1] = perm[i + 1], perm[i]
-            simple.append(_weyl.SignedPermutation(perm))
+        # invariance under the generators is invariance under W(k)
+        simple = _weyl._simple_reflections(lift_k)
         for _ in range(10):
             target = _weyl.MultivariatePolynomial.zero(lift_n.ambient_vars)
             for b in basis:

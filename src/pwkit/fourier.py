@@ -46,7 +46,6 @@ __all__ = [
     "pointwise_inversion",
     "marginal_projection",
     "projection_compatibility_defect",
-    "save_vector_ft",
 ]
 
 R_SCAN_STEP = 0.5                        # radial step of the choose_r_max scan
@@ -253,12 +252,3 @@ def projection_compatibility_defect(f):
     proj = marginal_projection(f)
     s2 = radon_transform(proj, offsets=offsets, directions=dirs2)
     return float(np.abs(s2.values - s3.values).max())
-
-
-def save_vector_ft(vft, path):
-    """CSV rows `r,omega_index,re,im`."""
-    with open(path, "w") as fh:
-        for i, r in enumerate(vft.radii):
-            for j in range(len(vft.directions)):
-                v = vft.values[i, j]
-                fh.write("%.17g,%d,%.17g,%.17g\n" % (r, j, v.real, v.imag))

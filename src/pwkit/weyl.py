@@ -1,7 +1,6 @@
 """Weyl groups of the classical families as signed permutation groups,
 subspace stabilizers, Reynolds averaging, restriction of invariant
-polynomials, surjectivity certificates with the type-D obstruction, the
-decomposition of stabilizer invariants over the Chevalley generators, and
+polynomials, surjectivity certificates with the type-D obstruction, and
 the lift of invariants from a subspace through one exact solve.
 
 All polynomial algebra is exact over the rationals: surjectivity and
@@ -12,10 +11,8 @@ sum-zero hyperplane; the subspace embeddings append trailing zeros.
 Linear systems (one row per monomial, one unknown per candidate
 polynomial) are solved by Gauss-Jordan elimination on sparse row dicts:
 each row is reduced against the pivot rows found so far and pivoted on its
-smallest remaining column, so no dense matrix is built.  The columns of
-the decomposition system are a monomial times one generator and have few
-nonzeros.  A group action or group average accumulates every element's
-image into one dict.
+smallest remaining column, so no dense matrix is built.  A group action
+or group average accumulates every element's image into one dict.
 """
 
 from fractions import Fraction
@@ -28,7 +25,6 @@ __all__ = [
     "GroupTooLarge",
     "DegreeTooLarge",
     "NotInvariant",
-    "NoSolutionAtDegree",
     "ObstructionHit",
     "weyl_group",
     "group_order",
@@ -39,7 +35,6 @@ __all__ = [
     "invariant_basis",
     "surjectivity_certificate",
     "SurjectivityCertificate",
-    "rais_decompose",
     "ow1_lift",
 ]
 
@@ -56,10 +51,6 @@ class DegreeTooLarge(ValueError):
 
 
 class NotInvariant(ValueError):
-    pass
-
-
-class NoSolutionAtDegree(ValueError):
     pass
 
 
@@ -184,6 +175,28 @@ def weyl_group(spec):
                     if SignedPermutation(range(k), s).sign_product() == 1]
     return [SignedPermutation(p, s) for p in permutations(range(k))
             for s in signings]
+
+
+def _simple_reflections(spec):
+    """The simple reflections of W(spec) over its ambient coordinates.
+
+    They generate the group, so invariance under them is invariance under
+    W(spec): the adjacent transpositions, for B/C also the sign change of
+    the last coordinate, for D also the swap of the last two coordinates
+    with both signs flipped (W(D_1) is trivial and has none).
+    """
+    k = spec.ambient_vars
+    out = []
+    for i in range(k - 1):
+        perm = list(range(k))
+        perm[i], perm[i + 1] = perm[i + 1], perm[i]
+        out.append(SignedPermutation(perm))
+    if spec.family in "BC":
+        out.append(SignedPermutation(range(k), (1,) * (k - 1) + (-1,)))
+    elif spec.family == "D" and k > 1:
+        # the last transposition, with both signs flipped
+        out.append(SignedPermutation(out[-1].perm, (1,) * (k - 2) + (-1, -1)))
+    return out
 
 
 def _block_size(spec, n):
@@ -607,85 +620,6 @@ def _check_invariant(p, group_elements):
     return True
 
 
-def rais_decompose(G, spec_k, n):
-    """Write a W_n(k)-invariant polynomial as sum_j p_j G_j over the
-    Chevalley generators G_j of the full invariant ring, with each
-    coefficient p_j averaged over W_n(k) afterwards (the identity is
-    preserved because the G_j are fully invariant).
-
-    The membership solve runs once, with coefficients p_j of degree up to
-    deg G - deg G_j; when it has no solution NoSolutionAtDegree is raised,
-    since ideal membership over homogeneous generators is graded and a
-    higher degree cannot help.  Raises NotInvariant when G is not
-    W_n(k)-invariant; a nonzero constant term never lies in the generator
-    ideal.
-    """
-    nv = spec_k.ambient_vars
-    if G.nvars != nv:
-        raise ValueError("polynomial arity %d does not match %r ambient %d"
-                         % (G.nvars, spec_k, nv))
-    stab = stabilizer(spec_k, n)
-    if not _check_invariant(G, stab):
-        raise NotInvariant("input is not invariant under the subspace stabilizer")
-    gens = chevalley_generators(spec_k)
-    if G.is_zero():
-        return [MultivariatePolynomial.zero(nv) for _ in gens]
-    if G.constant_term() != 0:
-        raise NoSolutionAtDegree("nonzero constant term cannot be decomposed "
-                                 "over constant-free generators")
-    ps = _rais_solve(G, gens, G.degree())
-    if ps is None:
-        # the generators are homogeneous, so ideal membership is graded:
-        # a failed solve at deg(G) cannot be rescued by higher-degree
-        # coefficients (their contributions truncate away)
-        raise NoSolutionAtDegree("polynomial is not a generator combination "
-                                 "(checked conclusively at degree %d)"
-                                 % G.degree())
-    averaged = [reynolds(p, stab) for p in ps]
-    acc = MultivariatePolynomial.zero(nv)
-    for p, g in zip(averaged, gens):
-        acc = acc + p * g
-    if acc != G:
-        raise AssertionError("averaged decomposition failed to reproduce input")
-    return averaged
-
-
-def _rais_solve(G, gens, degree):
-    nv = G.nvars
-    unknowns = []      # (generator index, coefficient exponent)
-    columns = []       # polynomial attached to each unknown
-    for j, g in enumerate(gens):
-        room = degree - g.degree()
-        if room < 0:
-            continue
-        for e in _monomials_up_to(nv, room):
-            unknowns.append((j, e))
-            mono = MultivariatePolynomial._from_terms(nv, {e: Fraction(1)})
-            columns.append(mono * g)
-    sol = _solve_combination(columns, G)
-    if sol is None:
-        return None
-    ps = [{} for _ in gens]
-    for coeff, (j, e) in zip(sol, unknowns):
-        ps[j][e] = coeff
-    return [MultivariatePolynomial._from_terms(nv, p) for p in ps]
-
-
-def _monomials_up_to(nvars, d):
-    out = []
-
-    def rec(pos, remaining, cur):
-        if pos == nvars:
-            out.append(tuple(cur))
-            return
-        for a in range(remaining + 1):
-            rec(pos + 1, remaining - a, cur + [a])
-
-    if d >= 0:
-        rec(0, d, [])
-    return out
-
-
 def ow1_lift(target, spec_k, spec_n):
     """Extend a W(n)-invariant polynomial to a W(k)-invariant one with
     exact restriction.
@@ -699,13 +633,16 @@ def ow1_lift(target, spec_k, spec_n):
     invariant is even in each coordinate, so a target with odd Pfaffian
     content has no preimage; this raises ObstructionHit, on exactly the
     span that `surjectivity_certificate` reports as obstructed.
+
+    The target's W(n)-invariance is checked on the simple reflections of
+    W(n), which generate it; the group is not enumerated.
     """
     if spec_k.family != spec_n.family:
         raise ValueError("lift is defined within one family")
     nkeep = spec_n.ambient_vars
     if target.nvars != nkeep:
         raise ValueError("target arity does not match the downstairs spec")
-    if not _check_invariant(target, weyl_group(spec_n)):
+    if not _check_invariant(target, _simple_reflections(spec_n)):
         raise NotInvariant("target is not invariant downstairs")
 
     const = target.constant_term()

@@ -118,12 +118,6 @@ class TestPointwiseInversion:
         val = pointwise_inversion(inversion_sino, np.array([1.4, 1.4]))
         assert abs(val) < 1e-3
 
-    def test_imaginary_part_small(self, inversion_sino):
-        ax = G.axis()
-        pts = np.array([[ax[100], ax[140]], [ax[128], ax[90]]])
-        vals = pointwise_inversion(inversion_sino, pts)
-        assert np.abs(vals.imag).max() < 1e-6
-
     @pytest.mark.parametrize("n, points, directions", [
         (2, 129, DirectionSet.circle(48)),
         (3, 33, DirectionSet.sphere(4)),
@@ -140,6 +134,7 @@ class TestPointwiseInversion:
         idx = np.array([[c] * n, [c + 3, c - 2, c + 1][:n],
                         [c - 5, c + 4, c][:n], [2, points - 3, c][:n]])
         vals = pointwise_inversion(s, g.axis()[idx], r_max=r_max)
+        assert np.isrealobj(vals)
         want = grid_vals[tuple(idx.T)]
         assert np.abs(vals - want).max() <= 1e-12 * np.abs(grid_vals).max()
 

@@ -272,6 +272,9 @@ class TestInverseRadon:
         f = make_bump([0.2, -0.1, 0.1][:g.n], 0.6, 1.0, g)
         s = radon_transform(f, directions=directions)
         full = full_inversion_sum(s, g, 6.0, sel)
+        # the sum over all directions of an even sinogram is real up to
+        # roundoff (2-D 8.7e-15, 3-D 5.2e-16 of |full|)
+        assert np.abs(full.imag).max() <= 1e-12 * np.abs(full).max()
         rec = inverse_radon(s, grid=g, r_max=6.0).values
         assert np.isrealobj(rec)
         assert np.abs(rec[sel] - full.real).max() <= 1e-13 * np.abs(full).max()

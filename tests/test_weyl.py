@@ -1,22 +1,28 @@
 import math
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
 
 from pwkit import weyl
 from pwkit import (DegreeTooLarge, GroupTooLarge, MultivariatePolynomial,
-                   NoSolutionAtDegree, NotInvariant, ObstructionHit,
-                   RootSystemSpec, SignedPermutation, chevalley_generators,
-                   group_order, invariant_basis, ow1_lift, rais_decompose,
-                   restricted_group, reynolds, stabilizer,
-                   surjectivity_certificate, weyl_group)
+                   NotInvariant, ObstructionHit, RootSystemSpec,
+                   SignedPermutation, chevalley_generators, group_order,
+                   invariant_basis, ow1_lift, restricted_group, reynolds,
+                   stabilizer, surjectivity_certificate, weyl_group)
+from pwkit.weyl import _simple_reflections
 
 P = MultivariatePolynomial
 
 
 def var(i, nv):
     return P.variable(i, nv)
+
+
+def exponents(nvars, d):
+    """Every exponent tuple in nvars variables of total degree <= d."""
+    return [e for e in product(range(d + 1), repeat=nvars) if sum(e) <= d]
 
 
 class TestGroups:
@@ -48,6 +54,23 @@ class TestGroups:
     def test_d_signs_even(self):
         for w in weyl_group(RootSystemSpec("D", 4)):
             assert w.sign_product() == 1
+
+
+class TestSimpleReflections:
+    @pytest.mark.parametrize("family,rank", [
+        ("A", 1), ("A", 2), ("A", 3), ("B", 1), ("B", 2), ("B", 3), ("C", 3),
+        ("D", 1), ("D", 2), ("D", 3), ("D", 4), ("D", 5),
+    ])
+    def test_generate_the_group(self, family, rank):
+        spec = RootSystemSpec(family, rank)
+        gens = _simple_reflections(spec)
+        closure = {SignedPermutation.identity(spec.ambient_vars)}
+        frontier = list(closure)
+        while frontier:
+            new = {g.compose(w) for g in gens for w in frontier} - closure
+            closure |= new
+            frontier = list(new)
+        assert closure == set(weyl_group(spec))
 
 
 class TestStabilizer:
@@ -101,8 +124,7 @@ class TestReynolds:
 
     def test_idempotent_on_low_degree(self):
         # projection property on every monomial of degree <= 6
-        from pwkit.weyl import _monomials_up_to
-        for e in _monomials_up_to(2, 6):
+        for e in exponents(2, 6):
             p = P(2, {e: Fraction(1)})
             once = reynolds(p, self.B2)
             twice = reynolds(once, self.B2)
@@ -135,11 +157,10 @@ class TestInvariantBasis:
     def test_dimensions_match_molien(self):
         # Molien oracle: dim of degree-d invariants equals the group average
         # of the trace of w acting on degree-d monomials
-        from pwkit.weyl import _monomials_up_to
         spec = RootSystemSpec("B", 2)
         group = weyl_group(spec)
         for d in range(7):
-            monos = [e for e in _monomials_up_to(2, d) if sum(e) == d]
+            monos = [e for e in exponents(2, d) if sum(e) == d]
             dim = Fraction(0)
             for w in group:
                 tr = Fraction(0)
@@ -230,44 +251,6 @@ class TestSurjectivity:
         assert cert.surjective
         for t, q in enumerate(cert.downstairs_basis):
             assert cert.preimage(t).restrict(3) == q
-
-
-class TestRais:
-    SPEC = RootSystemSpec("B", 3)
-
-    def test_generator_decomposes_to_itself(self):
-        gens = chevalley_generators(self.SPEC)
-        ps = rais_decompose(gens[0], self.SPEC, 3)
-        acc = P.zero(3)
-        for p, g in zip(ps, gens):
-            acc = acc + p * g
-        assert acc == gens[0]
-
-    def test_zero_polynomial(self):
-        ps = rais_decompose(P.zero(3), self.SPEC, 2)
-        assert all(p.is_zero() for p in ps)
-
-    def test_b3_worked_example(self):
-        x1, x3 = var(0, 3), var(2, 3)
-        stab = stabilizer(self.SPEC, 2)
-        G = reynolds(x1 * x1 * x1 * x1 * x3 * x3, stab)
-        ps = rais_decompose(G, self.SPEC, 2)
-        gens = chevalley_generators(self.SPEC)
-        acc = P.zero(3)
-        for p, g in zip(ps, gens):
-            acc = acc + p * g
-        assert acc == G
-        # the decomposition coefficients came out stabilizer-invariant
-        for p in ps:
-            assert reynolds(p, stab) == p
-
-    def test_not_invariant_rejected(self):
-        with pytest.raises(NotInvariant):
-            rais_decompose(var(0, 3), self.SPEC, 2)
-
-    def test_constant_term_has_no_decomposition(self):
-        with pytest.raises(NoSolutionAtDegree):
-            rais_decompose(P.constant(3, 1), self.SPEC, 2)
 
 
 class TestOw1Lift:
@@ -461,3 +444,22 @@ class TestLiftScaling:
         H = ow1_lift(target, spec_k, spec_n)
         assert H.restrict(2) == target
         assert calls.count(("B", 4)) == 0
+
+    def test_invariance_checked_without_enumeration(self, monkeypatch):
+        # the input check runs on the simple reflections of W(n): neither an
+        # accepted, an obstructed nor a rejected target enumerates a group
+        calls = []
+        enumerate_group = weyl.weyl_group
+
+        def counted(spec):
+            calls.append((spec.family, spec.rank))
+            return enumerate_group(spec)
+        monkeypatch.setattr(weyl, "weyl_group", counted)
+        spec_k, spec_n = RootSystemSpec("B", 4), RootSystemSpec("B", 2)
+        ow1_lift(chevalley_generators(spec_n)[1], spec_k, spec_n)
+        with pytest.raises(NotInvariant):
+            ow1_lift(var(0, 2), spec_k, spec_n)
+        with pytest.raises(ObstructionHit):
+            ow1_lift(P(4, {(1, 1, 1, 1): Fraction(1)}),
+                     RootSystemSpec("D", 5), RootSystemSpec("D", 4))
+        assert calls == []
