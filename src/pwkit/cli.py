@@ -4,7 +4,8 @@ and CSV artifact emission.
 Subcommands: radon, slice, pw, sphere, weyl, all.  Every check record in
 the report carries the name of the mathematical identity it certifies (or
 "plumbing" for bookkeeping checks), the measured defect, the pass
-threshold, and mesh metadata, so reports are diff-able across runs; with a
+threshold, the margin (how close the defect came to the threshold; below 1
+passes), and mesh metadata, so reports are diff-able across runs; with a
 fixed seed the pass/fail vector is deterministic.  A check that raises is
 recorded as failed, with the exception in its "error" field, and the run
 goes on; an exception outside every check ends only its pipeline, as one
@@ -131,6 +132,7 @@ class Report:
             value = math.nan
             record["error"] = "%s: %s" % (type(exc).__name__, exc)
         record.update(defect=value, passed=bool(beats(value, threshold)),
+                      margin=_margin(value, threshold, compare),
                       runtime_s=round(time.perf_counter() - t0, 3))
         self.records.append(record)
         return value
@@ -162,14 +164,26 @@ class Report:
             fh.write("\n")
 
 
+def _margin(value, threshold, compare):
+    """How close a check came to its threshold, 1 at the threshold and
+    below 1 inside it: defect/threshold for "le", threshold/defect for
+    "ge"; a positive numerator over 0 is inf and 0/0 or NaN is NaN."""
+    num, den = (value, threshold) if compare == "le" else (threshold, value)
+    if den == 0:
+        return math.inf if num > 0 else math.nan
+    return num / den
+
+
 def _json_record(record):
     """The record as strict JSON: a non-finite defect is written as null,
-    with "nonfinite" set to "inf", "-inf" or "nan"."""
-    d = record["defect"]
-    if np.isfinite(d):
-        return record
-    kind = "nan" if np.isnan(d) else ("inf" if d > 0 else "-inf")
-    return dict(record, defect=None, nonfinite=kind)
+    with "nonfinite" set to "inf", "-inf" or "nan", and a non-finite margin
+    as null."""
+    d, m = record["defect"], record["margin"]
+    out = dict(record, margin=m if np.isfinite(m) else None)
+    if not np.isfinite(d):
+        kind = "nan" if np.isnan(d) else ("inf" if d > 0 else "-inf")
+        out.update(defect=None, nonfinite=kind)
+    return out
 
 
 def _load_or_suite(cfg):

@@ -2,19 +2,33 @@
 and inversion through the Fourier-slice route.
 
 A hyperplane is xi(p, omega) = {x : x . omega = p}.  The transform is
-computed matrix-free from the quintic B-spline interpolant of the samples.
-One in-plane lattice, spacing at most the grid spacing h over
-[-rs - 3h, rs + 3h]^(n-1) for the support radius rs, serves every
-hyperplane: for an offset |p| <= rs only its nodes inside the disk of
-radius sqrt(rs^2 - p^2) + 3h, where the plane can meet the support ball,
-are kept.  Each sampled direction is one spline evaluation at all kept
-nodes of all offsets, and each offset's integral is the sum of its nodes'
-values times the lattice cell area (the integrand vanishes at the disk rim,
-so no end weights are needed).  Offsets cover [-L sqrt(n), L sqrt(n)] so
-every hyperplane meeting the box is represented; rows with |p| beyond the
-declared support radius are exactly zero (those hyperplanes miss the
-support ball).  Complex samples are transformed as their real and
-imaginary parts.
+computed matrix-free from the quintic B-spline interpolant of the samples,
+on the nodes t_j, spacing dt at most the grid spacing h, of
+[-rs - 3h, rs + 3h] for the support radius rs.  For an offset |p| <= rs
+only the in-plane nodes inside the disk of radius sqrt(rs^2 - p^2) + 3h,
+where the plane can meet the support ball, are kept, and the offset's
+integral is the sum of its nodes' values times the lattice cell (the
+integrand vanishes at the disk rim, so no end weights are needed).
+
+In 2-D the nodes of a line are t_j along it, with the cell dt, and each
+sampled direction is one spline evaluation at the kept nodes of all
+offsets.  In 3-D a plane integral is the integral over the slabs
+x_e = t_k of its line integrals, where the slab axis e is the coordinate
+axis least aligned with omega.  A tensor-product spline restricted to
+x_e = t_k is a 2-D spline whose coefficients are the 3-D ones resampled
+along e at t_k, so the coefficients are resampled once per call and slab
+axis, by one (T, M) B-spline matrix, and each plane's nodes on each slab
+are one 2-D evaluation (36 taps instead of 216).  The plane meets slab k
+in a line along its in-plane vector u (with u_e = 0); on it the nodes are
+t_j along u, and across the slabs they step by dt / rho along the other
+in-plane vector v, with rho = v_e = sqrt(1 - omega_e^2) >= sqrt(2/3).  A
+node's cell is dt^2 / rho on this lattice, which is sheared along v; for
+omega_e = 0 it is the unsheared (t_j, t_k) lattice with the cell dt^2.
+
+Offsets cover [-L sqrt(n), L sqrt(n)] so every hyperplane meeting the box
+is represented; rows with |p| beyond the declared support radius are
+exactly zero (those hyperplanes miss the support ball).  Complex samples
+are transformed as their real and imaginary parts.
 
 Each hyperplane has two names, xi(p, omega) = xi(-p, -omega), so only one
 direction of each antipodal pair in the direction set is sampled; the
@@ -29,6 +43,8 @@ real part of the full sum, whether or not the sinogram is even; for a real
 sinogram that real part is the reconstruction.  A complex sinogram is
 inverted as its real and imaginary parts.
 """
+
+import math
 
 import numpy as np
 from scipy import ndimage
@@ -111,6 +127,11 @@ def default_offsets(grid):
     return np.linspace(-pmax, pmax, 2 * half + 1)
 
 
+def _slab_axis(w):
+    """The coordinate axis least aligned with the 3-D normal w."""
+    return int(np.argmin(np.abs(w)))
+
+
 def _hyperplane_basis(w):
     """Orthonormal basis of the hyperplane with normal w, as the rows of an
     (n-1, n) array: (-w_2, w_1) in 2-D; in 3-D u = e x w / |e x w| for the
@@ -118,7 +139,7 @@ def _hyperplane_basis(w):
     if len(w) == 2:
         return np.array([[-w[1], w[0]]])
     e = np.zeros(3)
-    e[np.argmin(np.abs(w))] = 1.0
+    e[_slab_axis(w)] = 1.0
     u = np.cross(e, w)
     u /= np.linalg.norm(u)
     return np.stack([u, np.cross(w, u)])
@@ -131,6 +152,86 @@ def _effective_support(f):
     return min(float(rs), f.grid.half_width * np.sqrt(f.grid.n))
 
 
+def _bspline(z):
+    """The centred B-spline of odd degree d = SPLINE_ORDER at z: the sum of
+    (-1)^k C(d+1, k) ((d+1)/2 - |z| - k)_+^d / d! over the k <= (d-1)/2
+    whose terms can be nonzero."""
+    d = SPLINE_ORDER
+    a = (d + 1) / 2 - np.abs(z)
+    return sum((-1) ** k * math.comb(d + 1, k) * np.maximum(a - k, 0.0) ** d
+               for k in range((d + 1) // 2)) / math.factorial(d)
+
+
+def _resampling_matrix(x, m):
+    """The (len(x), m) matrix that takes spline coefficients on the nodes
+    0..m-1 to the spline's values at the coordinates x, by the rule of
+    ndimage.map_coordinates(c, [x], order=SPLINE_ORDER, prefilter=False,
+    mode="constant"): a coordinate outside [0, m-1] gives 0, and the taps
+    of one inside it that fall beyond an end are mirrored about that end."""
+    out = np.zeros((len(x), m))
+    inside = np.flatnonzero((x >= 0) & (x <= m - 1))
+    taps = (np.floor(x[inside]).astype(int)[:, None]
+            + np.arange(-(SPLINE_ORDER // 2), SPLINE_ORDER // 2 + 2))
+    weights = _bspline(x[inside, None] - taps)
+    taps = np.abs(taps) % (2 * (m - 1))
+    np.add.at(out, (inside[:, None], np.minimum(taps, 2 * (m - 1) - taps)),
+              weights)
+    return out
+
+
+def _line_sampler(coeffs, p, reach, t, h, L):
+    """Sampler of the lines xi(p_i, w) of a 2-D transform: offset p_i keeps
+    the nodes p_i w + t_j w_perp with |t_j| <= reach_i, all of them in one
+    spline evaluation, each with the cell dt.  sample(w) returns the row
+    index i of each node, its value and the cell."""
+    owner, node = np.nonzero(t**2 <= reach[:, None]**2)
+    p, s = p[owner], t[node][None]
+
+    def sample(w):
+        x = w[:, None] * p + _hyperplane_basis(w).T @ s
+        vals = ndimage.map_coordinates(
+            coeffs, (x + L) / h, order=SPLINE_ORDER, prefilter=False,
+            mode="constant", cval=0.0)
+        return owner, vals, t[1] - t[0]
+    return sample
+
+
+def _plane_sampler(coeffs, p, reach, t, h, L):
+    """Sampler of the planes xi(p_i, w) of a 3-D transform, slab by slab
+    (see the module docstring).  For the slab axis e = `_slab_axis(w)`,
+    `_hyperplane_basis` gives v = (e - w_e w) / rho, so v_e = rho.  The
+    plane meets the slab x_e = t_k in the line
+    p_i w + s u + ((t_k - p_i w_e) / rho) v, whose nodes s = t_j inside
+    the disk of radius reach_i are kept, each with the cell dt^2 / rho.
+    An axis's resampled coefficients are made on its first use, from coeffs
+    and t alone, so a column does not depend on the rest of the direction
+    set.  sample(w) returns the row index i of each node, its value and
+    the cell."""
+    resample = _resampling_matrix((t + L) / h, coeffs.shape[0])
+    stacks = {}
+
+    def sample(w):
+        e = _slab_axis(w)
+        if e not in stacks:
+            stacks[e] = np.tensordot(resample, coeffs, axes=(1, e))
+        rho = np.sqrt(1.0 - w[e]**2)
+        s = (t[:, None] - p * w[e]) / rho      # (slab k, row i): v-coordinate
+        slab, owner, node = np.nonzero(
+            t**2 + s[:, :, None]**2 <= reach[:, None]**2)
+        x = (w[:, None] * p[owner]
+             + _hyperplane_basis(w).T @ np.stack([t[node], s[slab, owner]]))
+        x = (np.delete(x, e, axis=0) + L) / h
+        vals = np.empty(len(owner))
+        ends = np.searchsorted(slab, np.arange(len(t) + 1))
+        for k in np.flatnonzero(np.diff(ends)):
+            cut = slice(ends[k], ends[k + 1])
+            vals[cut] = ndimage.map_coordinates(
+                stacks[e][k], x[:, cut], order=SPLINE_ORDER, prefilter=False,
+                mode="constant", cval=0.0)
+        return owner, vals, (t[1] - t[0]) ** 2 / rho
+    return sample
+
+
 def radon_transform(f, offsets=None, directions=None):
     """Radon transform of a SampledFunction; returns a Sinogram.
 
@@ -140,6 +241,12 @@ def radon_transform(f, offsets=None, directions=None):
     integrals to be complete) carries over to the sinogram.  A direction
     whose antipode comes earlier in the set is not sampled: its column is
     the antipode's with the offsets reversed.
+
+    In 2-D each sampled direction is one spline evaluation at the kept
+    nodes of all its lines.  In 3-D its planes are sampled on the slabs
+    x_e = t_k of the axis e least aligned with omega, with one 2-D spline
+    evaluation per slab, on a lattice sheared along the plane whose cell is
+    dt^2 / rho for rho = sqrt(1 - omega_e^2) (see the module docstring).
     """
     n = f.grid.n
     if n not in (2, 3):
@@ -168,18 +275,14 @@ def radon_transform(f, offsets=None, directions=None):
     coeffs = ndimage.spline_filter(f.values, order=SPLINE_ORDER)
     tmax = rs + 3 * h
     t = np.linspace(-tmax, tmax, int(2 * np.ceil(tmax / h)) + 1)
-    dt = t[1] - t[0]
 
-    # in-plane lattice t^(n-1); offset p_i, |p_i| <= rs, keeps the nodes
-    # inside the disk of radius sqrt(rs^2 - p_i^2) + 3h, beyond which the
-    # integrand vanishes.  Kept point k is p[k] w + basis(w)^T s[:, k].
-    lattice = np.stack(np.meshgrid(*[t] * (n - 1), indexing="ij"))
-    lattice = lattice.reshape(n - 1, -1)
+    # offset p_i, |p_i| <= rs, keeps the in-plane nodes inside the disk of
+    # radius sqrt(rs^2 - p_i^2) + 3h about p_i w, beyond which the
+    # integrand vanishes
     rows = np.flatnonzero(np.abs(offsets) <= rs)
     reach = np.sqrt(rs**2 - offsets[rows]**2) + 3 * h
-    owner, node = np.nonzero((lattice**2).sum(axis=0) <= reach[:, None]**2)
-    p = offsets[rows[owner]]
-    s = lattice[:, node]
+    sample = (_line_sampler if n == 2 else _plane_sampler)(
+        coeffs, offsets[rows], reach, t, h, L)
 
     out = np.zeros((len(offsets), len(directions)))
     partner = directions._antipodes()
@@ -189,11 +292,8 @@ def radon_transform(f, offsets=None, directions=None):
             # xi(p, w) = xi(-p, -w), and the offsets are symmetric
             out[:, j] = out[::-1, k]
         else:
-            x = w[:, None] * p + _hyperplane_basis(w).T @ s
-            vals = ndimage.map_coordinates(
-                coeffs, (x + L) / h, order=SPLINE_ORDER, prefilter=False,
-                mode="constant", cval=0.0)
-            out[rows, j] = np.bincount(owner, vals, len(rows)) * dt ** (n - 1)
+            owner, vals, cell = sample(w)
+            out[rows, j] = np.bincount(owner, vals, len(rows)) * cell
 
     return Sinogram(offsets, directions, out,
                     support_radius=f.support_radius

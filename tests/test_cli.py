@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import re
 
 import pytest
@@ -235,6 +236,29 @@ class TestReportShape:
         assert undefined["defect"] is None and undefined["nonfinite"] == "nan"
         # the in-memory records keep the floats
         assert report.records[1]["defect"] == float("inf")
+
+
+    def test_records_carry_their_margin(self, tmp_path):
+        # defect/threshold for "le", threshold/defect for "ge"; a
+        # non-finite margin is written as null
+        def no_constants(name):
+            raise ValueError("non-standard JSON constant %s" % name)
+        report = Report(RunConfig("weyl"))
+        report.check("inside", "plumbing", lambda: 0.25, 0.5)
+        report.check("outside", "plumbing", lambda: 3.0, 2.0)
+        report.check("ratio", "plumbing", lambda: 8.0, 4.0, compare="ge")
+        report.check("unbounded ratio", "plumbing", lambda: float("inf"), 4.0,
+                     compare="ge")
+        report.check("zero ratio", "plumbing", lambda: 0.0, 4.0, compare="ge")
+        report.check("raised", "plumbing", lambda: 1 / 0, 0.0)
+        margins = [r["margin"] for r in report.records]
+        assert margins[:4] == [0.5, 1.5, 0.5, 0.0]
+        assert margins[4] == math.inf and math.isnan(margins[5])
+        path = tmp_path / "r.json"
+        report.write(str(path))
+        data = json.loads(path.read_text(), parse_constant=no_constants)
+        assert [r["margin"] for r in data["records"]] == [0.5, 1.5, 0.5, 0.0,
+                                                          None, None]
 
 
 class TestFileDriven:
