@@ -17,12 +17,15 @@ import json
 import math
 import operator
 import os
+import platform
+import subprocess
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
+import scipy
 
 from . import grid as _grid
 from . import radon as _radon
@@ -154,6 +157,7 @@ class Report:
                      "directions": self.config.directions},
             "total_runtime_s": round(time.perf_counter() - self.started, 3),
             "all_passed": self.all_passed,
+            "environment": _environment(),
             "records": [_json_record(r) for r in self.records],
         }
 
@@ -162,6 +166,44 @@ class Report:
             json.dump(self.to_dict(), fh, indent=2, sort_keys=True,
                       allow_nan=False)
             fh.write("\n")
+
+
+THREAD_VARIABLES = ("PWKIT_THREADS", "OMP_NUM_THREADS",
+                    "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _environment():
+    """What the run ran on, so that two reports can be diffed: the python,
+    numpy and scipy versions, the platform, numpy's BLAS, the CPU count, the
+    thread variables that are set, and the git sha of the checkout that
+    holds this package.  A field that cannot be read is None; this never
+    raises."""
+    def read(field):
+        try:
+            return field()
+        except Exception:
+            return None
+    return {
+        "python": read(platform.python_version),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "platform": read(platform.platform),
+        "blas": read(lambda: np.show_config(mode="dicts")
+                     ["Build Dependencies"]["blas"]["name"]),
+        "cpu_count": os.cpu_count(),
+        "thread_variables": {k: os.environ[k] for k in THREAD_VARIABLES
+                             if k in os.environ},
+        "git_sha": read(_git_sha),
+    }
+
+
+def _git_sha():
+    """HEAD of the git work tree that holds this package, or None when the
+    package is not in one."""
+    proc = subprocess.run(["git", "rev-parse", "HEAD"],
+                          cwd=os.path.dirname(os.path.abspath(__file__)),
+                          capture_output=True, text=True, timeout=10)
+    return proc.stdout.strip() if proc.returncode == 0 else None
 
 
 def _margin(value, threshold, compare):

@@ -236,7 +236,10 @@ def projection_compatibility_defect(f):
 
     The two routes (project-then-transform vs transform-then-restrict) are
     computed independently; their agreement is the marginal/slice
-    compatibility square.
+    compatibility square.  They are independent quadratures too: the 2-D
+    side places its nodes where each line crosses the rows of its slab
+    axis, with the cell dt / rho, while the 3-D side's horizontal normals
+    keep the unsheared (t_j, t_k) lattice of each plane.
     """
     if f.grid.n != 3:
         raise UnsupportedPair("compatibility check needs a 3-D input")

@@ -10,15 +10,24 @@ where the plane can meet the support ball, are kept, and the offset's
 integral is the sum of its nodes' values times the lattice cell (the
 integrand vanishes at the disk rim, so no end weights are needed).
 
-In 2-D the nodes of a line are t_j along it, with the cell dt, and each
-sampled direction is one spline evaluation at the kept nodes of all
-offsets.  In 3-D a plane integral is the integral over the slabs
-x_e = t_k of its line integrals, where the slab axis e is the coordinate
+Both dimensions sample slab by slab.  The slab axis e is the coordinate
 axis least aligned with omega.  A tensor-product spline restricted to
-x_e = t_k is a 2-D spline whose coefficients are the 3-D ones resampled
-along e at t_k, so the coefficients are resampled once per call and slab
-axis, by one (T, M) B-spline matrix, and each plane's nodes on each slab
-are one 2-D evaluation (36 taps instead of 216).  The plane meets slab k
+x_e = t_k is an (n-1)-D spline whose coefficients are the n-D ones
+resampled along e at t_k, so the coefficients are resampled once per call
+and slab axis, by one (T, M) B-spline matrix.
+
+In 2-D a line integral is the sum over the rows x_e = t_k it crosses.  The
+line p w + s u (u = (-w_2, w_1)) meets row k at s = (t_k - p w_e) / u_e,
+and the crossings step by dt / rho along the line, with
+rho = |u_e| = sqrt(1 - omega_e^2) >= sqrt(1/2); each node's cell is
+dt / rho.  The rows are padded by 3 mirrored columns at each end and
+flattened, so all the nodes of a sampled direction are one 1-D spline
+evaluation (6 taps instead of 36).  For omega_e = 0 the crossings are the
+nodes t_j along the line, with the cell dt.
+
+In 3-D a plane integral is the integral over the slabs x_e = t_k of its
+line integrals, and each plane's nodes on each slab are one 2-D
+evaluation (36 taps instead of 216).  The plane meets slab k
 in a line along its in-plane vector u (with u_e = 0); on it the nodes are
 t_j along u, and across the slabs they step by dt / rho along the other
 in-plane vector v, with rho = v_e = sqrt(1 - omega_e^2) >= sqrt(2/3).  A
@@ -128,7 +137,8 @@ def default_offsets(grid):
 
 
 def _slab_axis(w):
-    """The coordinate axis least aligned with the 3-D normal w."""
+    """The coordinate axis least aligned with the normal w (n = 2 or 3),
+    the axis along which `radon_transform` cuts slabs."""
     return int(np.argmin(np.abs(w)))
 
 
@@ -179,20 +189,63 @@ def _resampling_matrix(x, m):
     return out
 
 
+# mirrored columns padded to each end of a 1-D row: the taps of a
+# coordinate in [0, m-1] reach at most this far beyond an end
+ROW_PAD = SPLINE_ORDER // 2 + 1
+
+
+def _slab_stacks(coeffs, t, h, L, pad=0):
+    """The coefficients restricted to the slabs x_e = t_k of an axis e, by
+    the rule of `_resampling_matrix`: stacks(e) is the (T, M, ...) stack of
+    the (n-1)-D coefficient arrays, each padded by `pad` mirrored entries
+    at both ends of its axes (np.pad's "reflect", which is map_coordinates'
+    rule for taps beyond an end).  A stack is made on the first use of its
+    axis, from coeffs and t alone, so a column of the transform does not
+    depend on the rest of the direction set."""
+    resample = _resampling_matrix((t + L) / h, coeffs.shape[0])
+    cache = {}
+
+    def stacks(e):
+        if e not in cache:
+            stack = np.tensordot(resample, coeffs, axes=(1, e))
+            if pad:
+                widths = [(0, 0)] + [(pad, pad)] * (stack.ndim - 1)
+                stack = np.pad(stack, widths, mode="reflect")
+            cache[e] = stack
+        return cache[e]
+    return stacks
+
+
+def _row_values(rows, k, x):
+    """Values of the 1-D splines whose coefficients are the rows of `rows`,
+    each padded by ROW_PAD mirrored entries at both ends (see
+    `_slab_stacks`): row k_i at the coordinate x_i in grid steps, by one
+    spline evaluation on the flattened rows.  A coordinate outside
+    [0, m-1] gives 0, the rule of map_coordinates' mode="constant"."""
+    width = rows.shape[1]
+    vals = ndimage.map_coordinates(rows.ravel(), [k * width + ROW_PAD + x],
+                                   order=SPLINE_ORDER, prefilter=False)
+    vals[(x < 0) | (x > width - 2 * ROW_PAD - 1)] = 0.0
+    return vals
+
+
 def _line_sampler(coeffs, p, reach, t, h, L):
-    """Sampler of the lines xi(p_i, w) of a 2-D transform: offset p_i keeps
-    the nodes p_i w + t_j w_perp with |t_j| <= reach_i, all of them in one
-    spline evaluation, each with the cell dt.  sample(w) returns the row
-    index i of each node, its value and the cell."""
-    owner, node = np.nonzero(t**2 <= reach[:, None]**2)
-    p, s = p[owner], t[node][None]
+    """Sampler of the lines xi(p_i, w) of a 2-D transform, row by row (see
+    the module docstring).  For the slab axis e = `_slab_axis(w)` and
+    u = `_hyperplane_basis(w)[0]`, rho = |u_e| = sqrt(1 - w_e^2).  The line
+    meets the row x_e = t_k at p_i w + s u with s = (t_k - p_i w_e) / u_e;
+    the nodes with |s| <= reach_i are kept, each with the cell dt / rho.
+    sample(w) returns the row index i of each node, its value and the
+    cell."""
+    stacks = _slab_stacks(coeffs, t, h, L, pad=ROW_PAD)
 
     def sample(w):
-        x = w[:, None] * p + _hyperplane_basis(w).T @ s
-        vals = ndimage.map_coordinates(
-            coeffs, (x + L) / h, order=SPLINE_ORDER, prefilter=False,
-            mode="constant", cval=0.0)
-        return owner, vals, t[1] - t[0]
+        e = _slab_axis(w)
+        u = _hyperplane_basis(w)[0]
+        s = (t[:, None] - p * w[e]) / u[e]       # (row k, offset i)
+        row, owner = np.nonzero(np.abs(s) <= reach)
+        x = (w[1 - e] * p[owner] + u[1 - e] * s[row, owner] + L) / h
+        return owner, _row_values(stacks(e), row, x), (t[1] - t[0]) / abs(u[e])
     return sample
 
 
@@ -203,17 +256,13 @@ def _plane_sampler(coeffs, p, reach, t, h, L):
     plane meets the slab x_e = t_k in the line
     p_i w + s u + ((t_k - p_i w_e) / rho) v, whose nodes s = t_j inside
     the disk of radius reach_i are kept, each with the cell dt^2 / rho.
-    An axis's resampled coefficients are made on its first use, from coeffs
-    and t alone, so a column does not depend on the rest of the direction
-    set.  sample(w) returns the row index i of each node, its value and
-    the cell."""
-    resample = _resampling_matrix((t + L) / h, coeffs.shape[0])
-    stacks = {}
+    sample(w) returns the row index i of each node, its value and the
+    cell."""
+    stacks = _slab_stacks(coeffs, t, h, L)
 
     def sample(w):
         e = _slab_axis(w)
-        if e not in stacks:
-            stacks[e] = np.tensordot(resample, coeffs, axes=(1, e))
+        stack = stacks(e)
         rho = np.sqrt(1.0 - w[e]**2)
         s = (t[:, None] - p * w[e]) / rho      # (slab k, row i): v-coordinate
         slab, owner, node = np.nonzero(
@@ -226,7 +275,7 @@ def _plane_sampler(coeffs, p, reach, t, h, L):
         for k in np.flatnonzero(np.diff(ends)):
             cut = slice(ends[k], ends[k + 1])
             vals[cut] = ndimage.map_coordinates(
-                stacks[e][k], x[:, cut], order=SPLINE_ORDER, prefilter=False,
+                stack[k], x[:, cut], order=SPLINE_ORDER, prefilter=False,
                 mode="constant", cval=0.0)
         return owner, vals, (t[1] - t[0]) ** 2 / rho
     return sample
@@ -242,11 +291,13 @@ def radon_transform(f, offsets=None, directions=None):
     whose antipode comes earlier in the set is not sampled: its column is
     the antipode's with the offsets reversed.
 
-    In 2-D each sampled direction is one spline evaluation at the kept
-    nodes of all its lines.  In 3-D its planes are sampled on the slabs
-    x_e = t_k of the axis e least aligned with omega, with one 2-D spline
+    The hyperplanes are sampled on the slabs x_e = t_k of the axis e least
+    aligned with omega, with rho = sqrt(1 - omega_e^2) (see the module
+    docstring).  In 2-D a line's nodes are its crossings with the rows
+    x_e = t_k, with the cell dt / rho, and each sampled direction is one
+    1-D spline evaluation on the rows.  In 3-D there is one 2-D spline
     evaluation per slab, on a lattice sheared along the plane whose cell is
-    dt^2 / rho for rho = sqrt(1 - omega_e^2) (see the module docstring).
+    dt^2 / rho.
     """
     n = f.grid.n
     if n not in (2, 3):

@@ -238,6 +238,32 @@ class TestReportShape:
         assert report.records[1]["defect"] == float("inf")
 
 
+    def test_report_records_its_environment(self, tmp_path, monkeypatch):
+        from pwkit import cli
+
+        def no_constants(name):
+            raise ValueError("non-standard JSON constant %s" % name)
+        monkeypatch.setenv("OMP_NUM_THREADS", "1")
+        report = Report(RunConfig("weyl"))
+        report.check("finite", "plumbing", lambda: 0.25, 0.5)
+        path = tmp_path / "r.json"
+        report.write(str(path))
+        env = json.loads(path.read_text(), parse_constant=no_constants)[
+            "environment"]
+        assert set(env) == {"python", "numpy", "scipy", "platform", "blas",
+                            "cpu_count", "thread_variables", "git_sha"}
+        assert env["numpy"] == cli.np.__version__ and env["python"]
+        assert env["thread_variables"]["OMP_NUM_THREADS"] == "1"
+        assert env["git_sha"] is None or len(env["git_sha"]) == 40
+
+        # no git, and a numpy without a readable build configuration
+        def missing(*args, **kwargs):
+            raise FileNotFoundError("git")
+        monkeypatch.setattr(cli.subprocess, "run", missing)
+        monkeypatch.setattr(cli.np, "show_config", missing)
+        env = report.to_dict()["environment"]
+        assert env["git_sha"] is None and env["blas"] is None
+
     def test_records_carry_their_margin(self, tmp_path):
         # defect/threshold for "le", threshold/defect for "ge"; a
         # non-finite margin is written as null
