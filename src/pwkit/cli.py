@@ -21,7 +21,6 @@ import platform
 import subprocess
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -168,8 +167,8 @@ class Report:
             fh.write("\n")
 
 
-THREAD_VARIABLES = ("PWKIT_THREADS", "OMP_NUM_THREADS",
-                    "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+THREAD_VARIABLES = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                    "MKL_NUM_THREADS")
 
 
 def _environment():
@@ -589,27 +588,13 @@ PIPELINES = {
 SHARED_INPUTS = ("radon", "slice", "pw")   # the users of _load_or_suite
 
 
-def _run_pipeline(name, config, report, inputs):
-    """Run one pipeline on what `_load_or_suite` returned or raised.  An
-    exception outside its checks (an unreadable input file, a sinogram that
-    cannot be built) is recorded as a failed "<name> pipeline" record
-    carrying the error, so the records made so far and the report are kept."""
-    try:
-        if name not in SHARED_INPUTS:
-            PIPELINES[name](config, report)
-        elif isinstance(inputs, Exception):
-            raise inputs
-        else:
-            PIPELINES[name](config, report, inputs)
-    except Exception as exc:  # the report must survive a broken input
-        def reraise():
-            raise exc
-        report.check("%s pipeline" % name, "plumbing", reraise, 0.0)
-
-
 def run(config):
     """Execute the configured pipeline(s) and return the Report; the
-    shared inputs are built once, and only if a pipeline uses them."""
+    shared inputs are built once, and only if a pipeline uses them.  An
+    exception outside a pipeline's checks (an unreadable input file, a
+    sinogram that cannot be built) is recorded as a failed "<name>
+    pipeline" record carrying the error, so the records made so far and
+    the report are kept."""
     report = Report(config)
     names = (list(PIPELINES) if config.subcommand == "all"
              else [config.subcommand])
@@ -619,19 +604,18 @@ def run(config):
             inputs = _load_or_suite(config)
         except Exception as exc:  # each pipeline that uses it records it
             inputs = exc
-    workers = int(os.environ.get("PWKIT_THREADS", "1"))
-    if len(names) > 1 and workers > 1:
-        # checks append records concurrently; order them afterwards
-        subs = [Report(config) for _ in names]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futs = [pool.submit(_run_pipeline, nm, config, sub, inputs)
-                    for nm, sub in zip(names, subs)]
-        for fut, sub in zip(futs, subs):
-            fut.result()
-            report.records.extend(sub.records)
-    else:
-        for nm in names:
-            _run_pipeline(nm, config, report, inputs)
+    for nm in names:
+        try:
+            if nm not in SHARED_INPUTS:
+                PIPELINES[nm](config, report)
+            elif isinstance(inputs, Exception):
+                raise inputs
+            else:
+                PIPELINES[nm](config, report, inputs)
+        except Exception as exc:  # the report must survive a broken input
+            def reraise():
+                raise exc
+            report.check("%s pipeline" % nm, "plumbing", reraise, 0.0)
     if config.report_path:
         report.write(config.report_path)
     return report

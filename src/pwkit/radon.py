@@ -14,25 +14,28 @@ Both dimensions sample slab by slab.  The slab axis e is the coordinate
 axis least aligned with omega.  A tensor-product spline restricted to
 x_e = t_k is an (n-1)-D spline whose coefficients are the n-D ones
 resampled along e at t_k, so the coefficients are resampled once per call
-and slab axis, by one (T, M) B-spline matrix.
+and slab axis, by one (T, M) B-spline matrix.  Each slab is padded by 3
+mirrored entries at both ends of its axes and the slabs are stacked along
+their first axis, so all the nodes of a sampled direction are one
+(n-1)-D spline evaluation.
 
 In 2-D a line integral is the sum over the rows x_e = t_k it crosses.  The
 line p w + s u (u = (-w_2, w_1)) meets row k at s = (t_k - p w_e) / u_e,
 and the crossings step by dt / rho along the line, with
 rho = |u_e| = sqrt(1 - omega_e^2) >= sqrt(1/2); each node's cell is
-dt / rho.  The rows are padded by 3 mirrored columns at each end and
-flattened, so all the nodes of a sampled direction are one 1-D spline
-evaluation (6 taps instead of 36).  For omega_e = 0 the crossings are the
-nodes t_j along the line, with the cell dt.
+dt / rho.  The nodes of a sampled direction are one 1-D evaluation (6
+taps instead of 36).  For omega_e = 0 the crossings are the nodes t_j
+along the line, with the cell dt.
 
 In 3-D a plane integral is the integral over the slabs x_e = t_k of its
-line integrals, and each plane's nodes on each slab are one 2-D
-evaluation (36 taps instead of 216).  The plane meets slab k
-in a line along its in-plane vector u (with u_e = 0); on it the nodes are
-t_j along u, and across the slabs they step by dt / rho along the other
-in-plane vector v, with rho = v_e = sqrt(1 - omega_e^2) >= sqrt(2/3).  A
-node's cell is dt^2 / rho on this lattice, which is sheared along v; for
-omega_e = 0 it is the unsheared (t_j, t_k) lattice with the cell dt^2.
+line integrals, and the nodes of a sampled direction, on all its planes
+and slabs, are one 2-D evaluation (36 taps instead of 216).  The plane
+meets slab k in a line along its in-plane vector u (with u_e = 0); on it
+the nodes are t_j along u, and across the slabs they step by dt / rho
+along the other in-plane vector v, with
+rho = v_e = sqrt(1 - omega_e^2) >= sqrt(2/3).  A node's cell is
+dt^2 / rho on this lattice, which is sheared along v; for omega_e = 0 it
+is the unsheared (t_j, t_k) lattice with the cell dt^2.
 
 Offsets cover [-L sqrt(n), L sqrt(n)] so every hyperplane meeting the box
 is represented; rows with |p| beyond the declared support radius are
@@ -58,7 +61,7 @@ import math
 import numpy as np
 from scipy import ndimage
 
-from .grid import (GridSpec, SampledFunction, DirectionSet, SPHERE_AREA,
+from .grid import (SampledFunction, DirectionSet, SPHERE_AREA,
                    _trapezoid_weights)
 
 __all__ = [
@@ -189,15 +192,15 @@ def _resampling_matrix(x, m):
     return out
 
 
-# mirrored columns padded to each end of a 1-D row: the taps of a
+# mirrored entries padded to each end of a slab axis: the taps of a
 # coordinate in [0, m-1] reach at most this far beyond an end
 ROW_PAD = SPLINE_ORDER // 2 + 1
 
 
-def _slab_stacks(coeffs, t, h, L, pad=0):
+def _slab_stacks(coeffs, t, h, L):
     """The coefficients restricted to the slabs x_e = t_k of an axis e, by
     the rule of `_resampling_matrix`: stacks(e) is the (T, M, ...) stack of
-    the (n-1)-D coefficient arrays, each padded by `pad` mirrored entries
+    the (n-1)-D coefficient arrays, each padded by ROW_PAD mirrored entries
     at both ends of its axes (np.pad's "reflect", which is map_coordinates'
     rule for taps beyond an end).  A stack is made on the first use of its
     axis, from coeffs and t alone, so a column of the transform does not
@@ -208,24 +211,26 @@ def _slab_stacks(coeffs, t, h, L, pad=0):
     def stacks(e):
         if e not in cache:
             stack = np.tensordot(resample, coeffs, axes=(1, e))
-            if pad:
-                widths = [(0, 0)] + [(pad, pad)] * (stack.ndim - 1)
-                stack = np.pad(stack, widths, mode="reflect")
-            cache[e] = stack
+            widths = [(0, 0)] + [(ROW_PAD, ROW_PAD)] * (stack.ndim - 1)
+            cache[e] = np.pad(stack, widths, mode="reflect")
         return cache[e]
     return stacks
 
 
-def _row_values(rows, k, x):
-    """Values of the 1-D splines whose coefficients are the rows of `rows`,
-    each padded by ROW_PAD mirrored entries at both ends (see
-    `_slab_stacks`): row k_i at the coordinate x_i in grid steps, by one
-    spline evaluation on the flattened rows.  A coordinate outside
-    [0, m-1] gives 0, the rule of map_coordinates' mode="constant"."""
-    width = rows.shape[1]
-    vals = ndimage.map_coordinates(rows.ravel(), [k * width + ROW_PAD + x],
-                                   order=SPLINE_ORDER, prefilter=False)
-    vals[(x < 0) | (x > width - 2 * ROW_PAD - 1)] = 0.0
+def _row_values(slabs, k, x):
+    """Values of the (n-1)-D splines whose coefficients are the (T, ...)
+    stack `slabs`, each slab padded by ROW_PAD mirrored entries at both
+    ends of its axes (see `_slab_stacks`): slab k_i at the coordinates
+    x[:, i] in grid steps, by one spline evaluation on the slabs joined
+    along their first axis.  A node with a coordinate outside [0, m-1]
+    gives 0, the rule of map_coordinates' mode="constant"."""
+    width = slabs.shape[1]
+    coords = ROW_PAD + x
+    coords[0] = k * width + ROW_PAD + x[0]
+    vals = ndimage.map_coordinates(slabs.reshape((-1,) + slabs.shape[2:]),
+                                   coords, order=SPLINE_ORDER,
+                                   prefilter=False)
+    vals[((x < 0) | (x > width - 2 * ROW_PAD - 1)).any(axis=0)] = 0.0
     return vals
 
 
@@ -237,7 +242,7 @@ def _line_sampler(coeffs, p, reach, t, h, L):
     the nodes with |s| <= reach_i are kept, each with the cell dt / rho.
     sample(w) returns the row index i of each node, its value and the
     cell."""
-    stacks = _slab_stacks(coeffs, t, h, L, pad=ROW_PAD)
+    stacks = _slab_stacks(coeffs, t, h, L)
 
     def sample(w):
         e = _slab_axis(w)
@@ -245,7 +250,8 @@ def _line_sampler(coeffs, p, reach, t, h, L):
         s = (t[:, None] - p * w[e]) / u[e]       # (row k, offset i)
         row, owner = np.nonzero(np.abs(s) <= reach)
         x = (w[1 - e] * p[owner] + u[1 - e] * s[row, owner] + L) / h
-        return owner, _row_values(stacks(e), row, x), (t[1] - t[0]) / abs(u[e])
+        return (owner, _row_values(stacks(e), row, x[None]),
+                (t[1] - t[0]) / abs(u[e]))
     return sample
 
 
@@ -262,7 +268,6 @@ def _plane_sampler(coeffs, p, reach, t, h, L):
 
     def sample(w):
         e = _slab_axis(w)
-        stack = stacks(e)
         rho = np.sqrt(1.0 - w[e]**2)
         s = (t[:, None] - p * w[e]) / rho      # (slab k, row i): v-coordinate
         slab, owner, node = np.nonzero(
@@ -270,14 +275,7 @@ def _plane_sampler(coeffs, p, reach, t, h, L):
         x = (w[:, None] * p[owner]
              + _hyperplane_basis(w).T @ np.stack([t[node], s[slab, owner]]))
         x = (np.delete(x, e, axis=0) + L) / h
-        vals = np.empty(len(owner))
-        ends = np.searchsorted(slab, np.arange(len(t) + 1))
-        for k in np.flatnonzero(np.diff(ends)):
-            cut = slice(ends[k], ends[k + 1])
-            vals[cut] = ndimage.map_coordinates(
-                stack[k], x[:, cut], order=SPLINE_ORDER, prefilter=False,
-                mode="constant", cval=0.0)
-        return owner, vals, (t[1] - t[0]) ** 2 / rho
+        return owner, _row_values(stacks(e), slab, x), (t[1] - t[0]) ** 2 / rho
     return sample
 
 
@@ -295,9 +293,9 @@ def radon_transform(f, offsets=None, directions=None):
     aligned with omega, with rho = sqrt(1 - omega_e^2) (see the module
     docstring).  In 2-D a line's nodes are its crossings with the rows
     x_e = t_k, with the cell dt / rho, and each sampled direction is one
-    1-D spline evaluation on the rows.  In 3-D there is one 2-D spline
-    evaluation per slab, on a lattice sheared along the plane whose cell is
-    dt^2 / rho.
+    1-D spline evaluation on the rows.  In 3-D each sampled direction is
+    one 2-D spline evaluation on the slabs, on a lattice sheared along the
+    plane whose cell is dt^2 / rho.
     """
     n = f.grid.n
     if n not in (2, 3):
@@ -438,11 +436,11 @@ def _recombine(parts):
     return sum(unit * part for unit, part in zip((1, 1j), parts))
 
 
-def inverse_radon(s, grid=None, r_max=None):
+def inverse_radon(s, grid, r_max=None):
     """Reconstruction through the Fourier-slice route.
 
-    The real part of the inversion integral (`_inversion_quadrature`) on the
-    Cartesian grid, which is the whole integral for a real sinogram: one
+    The real part of the inversion integral (`_inversion_quadrature`) on
+    `grid`, which is the whole integral for a real sinogram: one
     direction of each antipodal pair is summed, with the folded
     coefficients, and that real part is exact.  A complex sinogram gives
     the synthesis of its real part plus i times that of its imaginary part.
@@ -457,15 +455,6 @@ def inverse_radon(s, grid=None, r_max=None):
     """
     radii, vectors, parts = _inversion_quadrature(s, r_max)
     n = s.n
-    if grid is None:
-        pmax = s.offsets[-1]
-        L = pmax / np.sqrt(n)
-        dp = s.offsets[1] - s.offsets[0]
-        m = int(round(2 * L / dp)) + 1
-        if m % 2 == 0:
-            m += 1
-        grid = GridSpec(n, L, m)
-
     m = grid.points
     h = m // 2
     half = grid.axis()[h:]                       # x >= 0, from the middle node

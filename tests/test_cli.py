@@ -199,6 +199,22 @@ class TestSharedInputs:
         run(RunConfig(subcommand))
         assert calls == []
 
+    def test_all_calls_every_pipeline_through_the_table(self, monkeypatch):
+        # perfbench's tracer wraps the entries of cli.PIPELINES, so `run`
+        # must look each pipeline up there at call time
+        from pwkit import cli
+        shared = object()
+        monkeypatch.setattr(cli, "_load_or_suite", lambda config: shared)
+        calls = []
+        for name in list(cli.PIPELINES):
+            def spied(config, report, *inputs, name=name):
+                calls.append((name, inputs))
+            monkeypatch.setitem(cli.PIPELINES, name, spied)
+        report = run(RunConfig("all"))
+        assert calls == [("radon", (shared,)), ("slice", (shared,)),
+                         ("pw", (shared,)), ("sphere", ()), ("weyl", ())]
+        assert report.records == []
+
 
 class TestReportShape:
     def test_records_carry_anchor_and_mesh(self):
@@ -359,6 +375,29 @@ class TestFileDriven:
         assert not record["passed"]
         assert record["defect"] is None and record["nonfinite"] == "nan"
         assert record["error"].startswith("ValueError: ")
+
+    def test_unreadable_input_fails_each_pipeline_that_reads_it(self,
+                                                                tmp_path):
+        # `all` records one failed "<name> pipeline" per pipeline that reads
+        # the file, in pipeline order, runs the weyl checks in full and
+        # still writes the report
+        fpath = tmp_path / "f.csv"
+        fpath.write_text("garbage\n")
+        rpath = tmp_path / "rep.json"
+        code = main(["all", "--in", str(fpath), "--report", str(rpath)])
+        assert code == 1
+        data = json.loads(rpath.read_text())
+        failed = ["radon pipeline", "slice pipeline", "pw pipeline",
+                  "sphere pipeline"]
+        assert [r["name"] for r in data["records"]] == failed + [
+            "group enumeration orders",
+            "restricted stabilizer equals the smaller Weyl group",
+            "type-D restriction gives all sign changes",
+            "restriction surjectivity certified",
+            "averaging-decomposition lift"]
+        for r in data["records"][:4]:
+            assert not r["passed"] and re.match(r"\w+: ", r["error"])
+        assert all(r["passed"] for r in data["records"][4:])
 
     @pytest.mark.parametrize("subcommand, names", [
         ("slice", ["fourier slice identity", "motion-group plancherel",

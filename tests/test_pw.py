@@ -292,5 +292,5 @@ class TestKernels:
         complex_slice_eval(s, 1 + 1j, 0)
         pw_seminorm(s, 2, 2 * np.pi * s.support_radius,
                     ComplexGrid(2.0, 1.0, 5, 5))
-        inverse_radon(s)
+        inverse_radon(s, grid=g)
         pointwise_inversion(s, np.zeros(2))
