@@ -20,6 +20,12 @@ on both sides, so no comparison is circular:
   Both sum the one inversion quadrature, `radon._inversion_quadrature`,
   over one direction of each antipodal pair.
 
+The direct kernel takes all directions of a call at once.  It contracts
+the grid's last axis once per ring (the directions that share the exact
+value of their last component: a polar ring of `DirectionSet.sphere`), then
+the remaining axes per direction.  That is a reordering of the same sum, so
+neither side borrows from the other.
+
 `fourier_slice_defect(f, s)` and `plancherel_defect(f, s)` take f for the
 direct or norm side and its sinogram s = R f for the offset side, and
 `pointwise_inversion(s, x)` takes only s, so one transform serves several
@@ -109,14 +115,13 @@ def radial_fourier(s, radii):
 def fourier_on_rays(f, radii, directions):
     """F_{R^n} f (r_i omega_j) by direct oscillatory quadrature on the grid.
 
-    One direction at a time, so the largest intermediate is (R, M^{n-1}).
-    This is the oracle side of the Fourier-slice check.
+    One `_direct_transform` call for all directions: the grid is contracted
+    once per ring of directions sharing a last component, so the largest
+    intermediate is one (R, M^{n-1}) partial sum per ring.  This is the
+    oracle side of the Fourier-slice check.
     """
-    radii = np.asarray(radii, dtype=float)
-    out = np.empty((len(radii), len(directions)), dtype=complex)
-    for j, w in enumerate(directions.vectors):
-        out[:, j] = _direct_transform(f, radii, w)
-    return out
+    return _direct_transform(f, np.asarray(radii, dtype=float),
+                             directions.vectors)
 
 
 def choose_r_max(s, tail_fraction=1e-6):

@@ -192,22 +192,52 @@ def l2_norm_sq(f):
     return float(integrate(SampledFunction(f.grid, np.abs(f.values) ** 2)))
 
 
-def _direct_transform(f, z, omega):
-    """int f(x) e^{-2 pi i z (omega . x)} dx by direct quadrature on the
-    grid, for an array z and one real or complex direction omega (bilinear
-    pairing, no conjugation); shape z.shape.  Separable phases keep it
-    O(K M^n) without forming the full phase tensor.  The direct n-D kernel,
-    never used on a slice side (see the module docstring of fourier)."""
+def _direct_transform(f, z, omegas):
+    """int f(x) e^{-2 pi i z (omega_j . x)} dx by direct quadrature on the
+    grid, for an array z and a (Q, n) array of real or complex directions
+    omega_j (bilinear pairing, no conjugation); shape z.shape + (Q,).
+
+    Separable phases keep it O(K M^n) per ring without forming the full
+    phase tensor.  A ring is the directions that share the exact value of
+    their last component: f's last axis is contracted once per ring, into
+    a (K, M^{n-1}) partial sum, the largest intermediate.  The remaining
+    axes are then contracted per direction, or in 3-D for a ring of G > 1
+    directions by one batched matmul against their (K, M, G) phases.
+    The direct n-D kernel, never used on a slice side (see the module
+    docstring of fourier)."""
     z = np.asarray(z)
+    omegas = np.asarray(omegas)
+    n = f.grid.n
+    if omegas.ndim != 2 or omegas.shape[1] != n:
+        raise ValueError("direction dimension does not match the grid")
+    zk = z.reshape(-1)
     ax = f.grid.axis()
-    # one (K, M) phase factor e^{-2 pi i z_k omega_a x_m} per axis a
-    first, *rest = [np.exp(-2j * np.pi * np.outer(z, w * ax)) for w in omega]
-    # real and imaginary parts apart, so real samples are never cast to complex
-    out = (np.tensordot(first.real, f.values, axes=(1, 0))
-           + 1j * np.tensordot(first.imag, f.values, axes=(1, 0)))  # (K, M, ...)
-    for phase in rest:
-        out = np.einsum("km...,km->k...", out, phase)
-    return (out * f.grid.spacing ** f.grid.n).reshape(z.shape)
+
+    def phase(w):
+        """e^{-2 pi i z_k w x_m}, shape (K, M) + w.shape."""
+        return np.exp(-2j * np.pi
+                      * np.multiply.outer(zk, np.multiply.outer(ax, w)))
+
+    out = np.empty((len(zk), len(omegas)), dtype=complex)
+    last = omegas[:, -1]
+    for c in np.unique(last):
+        ring = np.flatnonzero(last == c)
+        p = phase(c)
+        # real and imaginary parts apart, so real samples are never cast
+        # to complex: one contraction of the (2, K, M) pair
+        part = np.tensordot(np.stack([p.real, p.imag]), f.values,
+                            axes=(2, n - 1))
+        part = part[0] + 1j * part[1]                     # (K, M, ...)
+        if n == 3 and len(ring) > 1:
+            x, y = omegas[ring, 0], omegas[ring, 1]
+            out[:, ring] = np.einsum("kmq,kmq->kq", phase(x), part @ phase(y))
+        else:
+            for j in ring:
+                acc = part
+                for w in omegas[j, :-1]:
+                    acc = np.einsum("km...,km->k...", acc, phase(w))
+                out[:, j] = acc
+    return (out * f.grid.spacing ** n).reshape(z.shape + (len(omegas),))
 
 
 def _real_harmonic_basis(directions, band):

@@ -262,7 +262,7 @@ def complexified_sphere_eval(f, z, pt):
     z may be scalar or an array."""
     if pt.n != f.grid.n:
         raise ValueError("sphere point dimension does not match the grid")
-    out = _direct_transform(f, z, pt.vector())
+    out = _direct_transform(f, z, pt.vector()[None])[..., 0]
     return out if out.shape else complex(out)
 
 

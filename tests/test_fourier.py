@@ -2,12 +2,15 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from pwkit import (DirectionSet, GridSpec, SampledFunction, ZeroFunction,
+from pwkit import (ComplexSpherePoint, DirectionSet, GridSpec,
+                   SampledFunction, ZeroFunction,
                    choose_r_max, fourier_on_rays, fourier_slice_defect,
                    integrate, inverse_radon, make_bump, marginal_projection,
                    moment, plancherel_defect, pointwise_inversion,
                    projection_compatibility_defect, radial_fourier,
                    radon_transform)
+from pwkit.fourier import SLICE_RADII
+from pwkit.grid import _direct_transform
 
 G = GridSpec(2, 1.5, 257)
 DIRS = DirectionSet.circle(64)
@@ -69,6 +72,90 @@ class TestFourierSlice:
     def test_direct_side_at_zero_is_mass(self, bump):
         vals = fourier_on_rays(bump, np.array([0.0]), DIRS)
         assert_allclose(vals[0], integrate(bump), atol=1e-12)
+
+
+def _per_direction(f, z, omegas):
+    """Reference: the direct quadrature one direction at a time, contracting
+    the first grid axis first."""
+    z = np.asarray(z)
+    ax = f.grid.axis()
+    cols = []
+    for omega in omegas:
+        first, *rest = [np.exp(-2j * np.pi * np.outer(z, w * ax))
+                        for w in omega]
+        out = (np.tensordot(first.real, f.values, axes=(1, 0))
+               + 1j * np.tensordot(first.imag, f.values, axes=(1, 0)))
+        for phase in rest:
+            out = np.einsum("km...,km->k...", out, phase)
+        cols.append((out * f.grid.spacing ** f.grid.n).reshape(z.shape))
+    return np.stack(cols, axis=-1)
+
+
+def _rotated_sphere(band, seed):
+    q, _ = np.linalg.qr(np.random.default_rng(seed).normal(size=(3, 3)))
+    return DirectionSet.sphere(band).vectors @ q.T
+
+
+class TestDirectKernel:
+    """`grid._direct_transform` contracts the grid once per ring of
+    directions sharing a last component; the sum is the per-direction one."""
+
+    @pytest.mark.parametrize("n, points, omegas", [
+        (3, 33, DirectionSet.sphere(3).vectors),
+        (3, 33, _rotated_sphere(2, 5)),
+        (2, 65, DirectionSet.circle(16).vectors),
+    ], ids=["sphere3", "rotated-sphere2", "circle16"])
+    def test_agrees_with_per_direction_sum(self, n, points, omegas):
+        g = GridSpec(n, 1.5, points)
+        f = make_bump([0.2, -0.1, 0.15][:n], 0.6, 1.3, g)
+        got = _direct_transform(f, SLICE_RADII, omegas)
+        want = _per_direction(f, SLICE_RADII, omegas)
+        assert got.shape == (len(SLICE_RADII), len(omegas))
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+    def test_complex_direction_and_complex_mesh(self):
+        f = make_bump([0.2, -0.1, 0.15], 0.6, 1.3, GridSpec(3, 1.5, 33))
+        omegas = ComplexSpherePoint(0.4 + 0.2j, azimuth=0.7).vector()[None]
+        z = np.add.outer(np.linspace(0.5, 2.0, 3), 1j * np.linspace(0, 1, 4))
+        got = _direct_transform(f, z, omegas)
+        want = _per_direction(f, z, omegas)
+        assert got.shape == (3, 4, 1)
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+    @pytest.mark.parametrize("directions, rings", [
+        (DirectionSet.sphere(3), 4),
+        (DirectionSet.circle(8), 8),
+        # sin(3 pi / 8) and sin(5 pi / 8) round to the same double
+        (DirectionSet.circle(16), 15),
+    ], ids=["sphere3", "circle8", "circle16"])
+    def test_one_grid_contraction_per_ring(self, monkeypatch, directions,
+                                           rings):
+        f = make_bump([0.1] * directions.n, 0.5, 1.0,
+                      GridSpec(directions.n, 1.5, 33))
+        calls = []
+        tensordot = np.tensordot
+
+        def spy(*args, **kwargs):
+            calls.append(1)
+            return tensordot(*args, **kwargs)
+
+        monkeypatch.setattr(np, "tensordot", spy)
+        fourier_on_rays(f, SLICE_RADII, directions)
+        assert len(np.unique(directions.vectors[:, -1])) == rings
+        assert len(calls) == rings
+
+    @pytest.mark.parametrize("call", [
+        lambda f2, f3, s2: fourier_on_rays(f3, [1.0], DirectionSet.circle(8)),
+        lambda f2, f3, s2: fourier_on_rays(f2, [1.0], DirectionSet.sphere(2)),
+        lambda f2, f3, s2: fourier_slice_defect(f3, s2),
+    ], ids=["circle-on-3d", "sphere-on-2d", "slice-defect-3d-on-2d"])
+    def test_direction_dimension_must_match_the_grid(self, call):
+        f2 = make_bump([0.1, 0.0], 0.5, 1.0, GridSpec(2, 1.5, 33))
+        f3 = make_bump([0.1, 0.0, 0.0], 0.5, 1.0, GridSpec(3, 1.5, 33))
+        s2 = radon_transform(f2, directions=DirectionSet.circle(8))
+        with pytest.raises(ValueError, match="direction dimension does not "
+                           "match the grid"):
+            call(f2, f3, s2)
 
 
 class TestPlancherel:
