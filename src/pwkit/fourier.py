@@ -23,8 +23,8 @@ on both sides, so no comparison is circular:
 The direct kernel takes all directions of a call at once.  It contracts
 the grid's last axis once per ring (the directions that share the exact
 value of their last component: a polar ring of `DirectionSet.sphere`), then
-the remaining axes per direction.  That is a reordering of the same sum, so
-neither side borrows from the other.
+the remaining axes for all directions of the ring at once.  That is a
+reordering of the same sum, so neither side borrows from the other.
 
 `fourier_slice_defect(f, s)` and `plancherel_defect(f, s)` take f for the
 direct or norm side and its sinogram s = R f for the offset side, and

@@ -201,8 +201,9 @@ def _direct_transform(f, z, omegas):
     phase tensor.  A ring is the directions that share the exact value of
     their last component: f's last axis is contracted once per ring, into
     a (K, M^{n-1}) partial sum, the largest intermediate.  The remaining
-    axes are then contracted per direction, or in 3-D for a ring of G > 1
-    directions by one batched matmul against their (K, M, G) phases.
+    axes are then contracted for all G directions of the ring at once
+    against their stacked (K, M, G) phases: one einsum in 2-D, one batched
+    matmul and one einsum in 3-D.
     The direct n-D kernel, never used on a slice side (see the module
     docstring of fourier)."""
     z = np.asarray(z)
@@ -228,15 +229,12 @@ def _direct_transform(f, z, omegas):
         part = np.tensordot(np.stack([p.real, p.imag]), f.values,
                             axes=(2, n - 1))
         part = part[0] + 1j * part[1]                     # (K, M, ...)
-        if n == 3 and len(ring) > 1:
-            x, y = omegas[ring, 0], omegas[ring, 1]
-            out[:, ring] = np.einsum("kmq,kmq->kq", phase(x), part @ phase(y))
+        x = phase(omegas[ring, 0])                        # (K, M, G)
+        if n == 2:
+            out[:, ring] = np.einsum("km,kmq->kq", part, x)
         else:
-            for j in ring:
-                acc = part
-                for w in omegas[j, :-1]:
-                    acc = np.einsum("km...,km->k...", acc, phase(w))
-                out[:, j] = acc
+            y = phase(omegas[ring, 1])
+            out[:, ring] = np.einsum("kmq,kmq->kq", x, part @ y)
     return (out * f.grid.spacing ** n).reshape(z.shape + (len(omegas),))
 
 

@@ -122,14 +122,17 @@ class TestDirectKernel:
         assert got.shape == (3, 4, 1)
         assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
+    # a circle rule's rings are its distinct last components, about Q;
+    # which of them coincide depends on how sin rounds in the last bit
     @pytest.mark.parametrize("directions, rings", [
         (DirectionSet.sphere(3), 4),
-        (DirectionSet.circle(8), 8),
-        # sin(3 pi / 8) and sin(5 pi / 8) round to the same double
-        (DirectionSet.circle(16), 15),
+        (DirectionSet.circle(8), None),
+        (DirectionSet.circle(16), None),
     ], ids=["sphere3", "circle8", "circle16"])
     def test_one_grid_contraction_per_ring(self, monkeypatch, directions,
                                            rings):
+        if rings is None:
+            rings = len(np.unique(directions.vectors[:, -1]))
         f = make_bump([0.1] * directions.n, 0.5, 1.0,
                       GridSpec(directions.n, 1.5, 33))
         calls = []
@@ -141,7 +144,6 @@ class TestDirectKernel:
 
         monkeypatch.setattr(np, "tensordot", spy)
         fourier_on_rays(f, SLICE_RADII, directions)
-        assert len(np.unique(directions.vectors[:, -1])) == rings
         assert len(calls) == rings
 
     @pytest.mark.parametrize("call", [
