@@ -13,8 +13,8 @@ quadrature on the grid: the direct route).  No certificate uses one kernel
 on both sides, so no comparison is circular:
 
 - Fourier slice: `radial_fourier` (offset) vs `fourier_on_rays` (direct).
-- Extension consistency: slice extensions at complex z (offset) vs
-  `pw.complexified_sphere_eval` at a complexified direction (direct).
+- Extension consistency: slice extensions at complex z (offset) vs the
+  direct kernel at the same z and directions (direct).
 - Round trip and pointwise inversion: `radon.inverse_radon` and
   `pointwise_inversion` (offset) vs the grid samples of f (no kernel).
   Both sum the one inversion quadrature, `radon._inversion_quadrature`,
@@ -242,9 +242,11 @@ def projection_compatibility_defect(f):
     The two routes (project-then-transform vs transform-then-restrict) are
     computed independently; their agreement is the marginal/slice
     compatibility square.  They are independent quadratures too: the 2-D
-    side places its nodes where each line crosses the rows of its slab
-    axis, with the cell dt / rho, while the 3-D side's horizontal normals
-    keep the unsheared (t_j, t_k) lattice of each plane.
+    side places its nodes where each line crosses its pencils, the rows of
+    the axis other than its pencil axis g, with the cell dt / |omega_g|,
+    while the 3-D side samples horizontal normals on slabs, on the
+    unsheared (t_j, t_k) lattice of each plane, not on pencils (see the
+    module docstring of radon).
     """
     if f.grid.n != 3:
         raise UnsupportedPair("compatibility check needs a 3-D input")

@@ -5,37 +5,46 @@ A hyperplane is xi(p, omega) = {x : x . omega = p}.  The transform is
 computed matrix-free from the quintic B-spline interpolant of the samples,
 on the nodes t_j, spacing dt at most the grid spacing h, of
 [-rs - 3h, rs + 3h] for the support radius rs.  For an offset |p| <= rs
-only the in-plane nodes inside the disk of radius sqrt(rs^2 - p^2) + 3h,
-where the plane can meet the support ball, are kept, and the offset's
-integral is the sum of its nodes' values times the lattice cell (the
-integrand vanishes at the disk rim, so no end weights are needed).
+only the nodes within sqrt(rs^2 - p^2) + 3h of p omega, where the
+hyperplane can meet the support ball, are kept, and the offset's integral
+is the sum of its nodes' values times the node cell (the integrand
+vanishes at that rim, so no end weights are needed).
 
-Both dimensions sample slab by slab.  The slab axis e is the coordinate
-axis least aligned with omega.  A tensor-product spline restricted to
-x_e = t_k is an (n-1)-D spline whose coefficients are the n-D ones
-resampled along e at t_k, so the coefficients are resampled once per call
-and slab axis, by one (T, M) B-spline matrix.  Each slab is padded by 3
-mirrored entries at both ends of its axes and the slabs are stacked along
-their first axis, so all the nodes of a sampled direction are one
-(n-1)-D spline evaluation.
+2-D lines and 3-D planes are sampled by one construction, on pencils.  The
+pencil axis g is the coordinate axis most aligned with omega, so
+|omega_g| >= 1/sqrt(n).  A tensor-product spline restricted to the line
+along g through x_a = t_(k_a), for each other axis a, is a 1-D spline
+whose coefficients are the n-D ones resampled at t_(k_a) along every a.  So
+the coefficients are resampled once per call and pencil axis, by one
+(T, M) B-spline matrix applied along each of the n - 1 other axes, into a
+(T^(n-1), M) stack of 1-D splines.  The hyperplane meets the pencil at
+x_g = (p - sum_a omega_a t_(k_a)) / omega_g.  The nodes with
+|x|^2 <= p^2 + reach^2 are kept, each with the cell dt^(n-1) / |omega_g|,
+the area of the hyperplane above one pencil's cross-section.  The pencils
+are padded by 3 mirrored entries at both ends and joined into one 1-D
+array, so all the nodes of a sampled direction, on all its hyperplanes,
+are one 1-D spline evaluation (6 taps a node instead of 36 in 2-D and 216
+in 3-D).  The joined coordinate reaches T^(n-1) (M + 6), about 3e5 at
+97^3, where a double still resolves about 1e-10 of a grid step.  In 2-D
+the pencils are the rows x_e = t_k of the other axis e, and a line's nodes
+are its crossings with them, which step by dt / |omega_g| along the line.
 
-In 2-D a line integral is the sum over the rows x_e = t_k it crosses.  The
-line p w + s u (u = (-w_2, w_1)) meets row k at s = (t_k - p w_e) / u_e,
-and the crossings step by dt / rho along the line, with
-rho = |u_e| = sqrt(1 - omega_e^2) >= sqrt(1/2); each node's cell is
-dt / rho.  The nodes of a sampled direction are one 1-D evaluation (6
-taps instead of 36).  For omega_e = 0 the crossings are the nodes t_j
-along the line, with the cell dt.
-
-In 3-D a plane integral is the integral over the slabs x_e = t_k of its
-line integrals, and the nodes of a sampled direction, on all its planes
-and slabs, are one 2-D evaluation (36 taps instead of 216).  The plane
-meets slab k in a line along its in-plane vector u (with u_e = 0); on it
-the nodes are t_j along u, and across the slabs they step by dt / rho
-along the other in-plane vector v, with
-rho = v_e = sqrt(1 - omega_e^2) >= sqrt(2/3).  A node's cell is
-dt^2 / rho on this lattice, which is sheared along v; for omega_e = 0 it
-is the unsheared (t_j, t_k) lattice with the cell dt^2.
+In 3-D a horizontal normal (|omega_3| <= HORIZONTAL_TOL, a roundoff
+tolerance that treats omega and -omega alike) keeps the slab lattice
+instead.  For such a normal the pencils' nodes in each slab z = t_k would
+be the 2-D sampler's crossings of that slab's line, and spline evaluation
+is linear and separable.  `fourier.projection_compatibility_defect`, which
+compares the 3-D transform on horizontal normals with the 2-D transform of
+the z-marginal, would then compare two z-quadratures of one xy
+interpolant, which certifies nothing about the xy sampling.  The slab
+lattice gives those planes nodes the 2-D side does not share.  The
+coefficients are resampled along the slab axis e, the axis least aligned
+with omega (so omega_e = 0 to roundoff), into a (T, M, M) stack of 2-D
+splines.  The plane meets slab k in a line along its in-plane vector u
+(with u_e = 0), whose nodes are t_j along u, so the nodes are the
+unsheared (t_j, t_k) lattice of the plane, each with the cell dt^2, and
+all the nodes of a sampled direction are one 2-D spline evaluation on the
+joined slabs.
 
 Offsets cover [-L sqrt(n), L sqrt(n)] so every hyperplane meeting the box
 is represented; rows with |p| beyond the declared support radius are
@@ -192,35 +201,47 @@ def _resampling_matrix(x, m):
     return out
 
 
-# mirrored entries padded to each end of a slab axis: the taps of a
+# mirrored entries padded to each end of a slab or pencil axis: the taps of a
 # coordinate in [0, m-1] reach at most this far beyond an end
 ROW_PAD = SPLINE_ORDER // 2 + 1
 
+# |omega_3| at or below which a 3-D normal is horizontal and keeps the slab
+# lattice (see the module docstring); a roundoff tolerance, the same for
+# omega and -omega
+HORIZONTAL_TOL = 1e-12
+
 
 def _slab_stacks(coeffs, t, h, L):
-    """The coefficients restricted to the slabs x_e = t_k of an axis e, by
-    the rule of `_resampling_matrix`: stacks(e) is the (T, M, ...) stack of
-    the (n-1)-D coefficient arrays, each padded by ROW_PAD mirrored entries
-    at both ends of its axes (np.pad's "reflect", which is map_coordinates'
-    rule for taps beyond an end).  A stack is made on the first use of its
-    axis, from coeffs and t alone, so a column of the transform does not
-    depend on the rest of the direction set."""
+    """The coefficients restricted to the slabs x_e = t_k of an axis e, or
+    to the pencils (x_e, x_f) = (t_k, t_l) of two axes e < f, by the rule of
+    `_resampling_matrix`: stacks(e) is the (T, M, ...) stack of the (n-1)-D
+    slab coefficient arrays, and stacks(e, f) the (T^2, M) stack of the 1-D
+    pencil ones, pencil (k, l) at k T + l.  Each array is padded by ROW_PAD
+    mirrored entries at both ends of its axes (np.pad's "reflect", which is
+    map_coordinates' rule for taps beyond an end).  The slabs of e are
+    resampled along f by one batched matmul.  A stack is made on the first
+    use of its axes, from coeffs and t alone, so a column of the transform
+    does not depend on the rest of the direction set."""
     resample = _resampling_matrix((t + L) / h, coeffs.shape[0])
     cache = {}
 
-    def stacks(e):
-        if e not in cache:
-            stack = np.tensordot(resample, coeffs, axes=(1, e))
+    def stacks(*axes):
+        if axes not in cache:
+            stack = np.tensordot(resample, coeffs, axes=(1, axes[0]))
+            if len(axes) == 2:  # f > e: the slabs' first axis if f = 1
+                stack = (np.matmul(resample, stack) if axes[1] == 1 else
+                         np.matmul(stack, resample.T).swapaxes(1, 2))
+                stack = stack.reshape((-1,) + stack.shape[2:])
             widths = [(0, 0)] + [(ROW_PAD, ROW_PAD)] * (stack.ndim - 1)
-            cache[e] = np.pad(stack, widths, mode="reflect")
-        return cache[e]
+            cache[axes] = np.pad(stack, widths, mode="reflect")
+        return cache[axes]
     return stacks
 
 
 def _row_values(slabs, k, x):
-    """Values of the (n-1)-D splines whose coefficients are the (T, ...)
-    stack `slabs`, each slab padded by ROW_PAD mirrored entries at both
-    ends of its axes (see `_slab_stacks`): slab k_i at the coordinates
+    """Values of the splines whose coefficients are the stack `slabs` of
+    `_slab_stacks` (slabs or pencils), each padded by ROW_PAD mirrored
+    entries at both ends of its axes: slab k_i at the coordinates
     x[:, i] in grid steps, by one spline evaluation on the slabs joined
     along their first axis.  A node with a coordinate outside [0, m-1]
     gives 0, the rule of map_coordinates' mode="constant"."""
@@ -234,48 +255,62 @@ def _row_values(slabs, k, x):
     return vals
 
 
-def _line_sampler(coeffs, p, reach, t, h, L):
-    """Sampler of the lines xi(p_i, w) of a 2-D transform, row by row (see
-    the module docstring).  For the slab axis e = `_slab_axis(w)` and
-    u = `_hyperplane_basis(w)[0]`, rho = |u_e| = sqrt(1 - w_e^2).  The line
-    meets the row x_e = t_k at p_i w + s u with s = (t_k - p_i w_e) / u_e;
-    the nodes with |s| <= reach_i are kept, each with the cell dt / rho.
-    sample(w) returns the row index i of each node, its value and the
-    cell."""
+def _pencil_axis(w):
+    """The coordinate axis most aligned with the normal w, so
+    |w_g| >= 1/sqrt(n), the axis of the pencils `radon_transform` samples
+    on; a tie goes to the last axis, so in 2-D g = 1 - `_slab_axis(w)`."""
+    return len(w) - 1 - int(np.argmax(np.abs(w[::-1])))
+
+
+def _pencil_sampler(coeffs, p, reach, t, h, L):
+    """Sampler of the hyperplanes xi(p_i, w) on pencils (see the module
+    docstring): the rows of a 2-D transform and the non-horizontal planes
+    of a 3-D one.  For the pencil axis g = `_pencil_axis(w)` and the other
+    axes a, the hyperplane meets the pencil x_a = t_(k_a) at
+    x_g = (p_i - sum_a w_a t_(k_a)) / w_g; the nodes with
+    |x|^2 <= p_i^2 + reach_i^2 are kept, each with the cell
+    dt^(n-1) / |w_g|.  sample(w) returns the row index i of each node, its
+    value and the cell."""
     stacks = _slab_stacks(coeffs, t, h, L)
+    n = coeffs.ndim
+    lattice = np.stack(np.meshgrid(*[t] * (n - 1), indexing="ij")).reshape(
+        n - 1, -1)                             # pencil k T + l at (t_k, t_l)
+    norm2 = (lattice**2).sum(axis=0)
+    bound = p**2 + reach**2
 
     def sample(w):
-        e = _slab_axis(w)
-        u = _hyperplane_basis(w)[0]
-        s = (t[:, None] - p * w[e]) / u[e]       # (row k, offset i)
-        row, owner = np.nonzero(np.abs(s) <= reach)
-        x = (w[1 - e] * p[owner] + u[1 - e] * s[row, owner] + L) / h
-        return (owner, _row_values(stacks(e), row, x[None]),
-                (t[1] - t[0]) / abs(u[e]))
+        g = _pencil_axis(w)
+        rest = [a for a in range(n) if a != g]
+        # (pencil, row i): a pencil's nodes are consecutive, as its
+        # coefficients are
+        x = (p - (w[rest] @ lattice)[:, None]) / w[g]
+        pencil, owner = np.nonzero(norm2[:, None] + x**2 <= bound)
+        x = (x[pencil, owner] + L)[None] / h
+        return (owner, _row_values(stacks(*rest), pencil, x),
+                (t[1] - t[0]) ** (n - 1) / abs(w[g]))
     return sample
 
 
-def _plane_sampler(coeffs, p, reach, t, h, L):
-    """Sampler of the planes xi(p_i, w) of a 3-D transform, slab by slab
-    (see the module docstring).  For the slab axis e = `_slab_axis(w)`,
-    `_hyperplane_basis` gives v = (e - w_e w) / rho, so v_e = rho.  The
-    plane meets the slab x_e = t_k in the line
-    p_i w + s u + ((t_k - p_i w_e) / rho) v, whose nodes s = t_j inside
-    the disk of radius reach_i are kept, each with the cell dt^2 / rho.
-    sample(w) returns the row index i of each node, its value and the
-    cell."""
+def _slab_sampler(coeffs, p, reach, t, h, L):
+    """Sampler of the planes xi(p_i, w) of a 3-D transform with a
+    horizontal normal w, slab by slab (see the module docstring).  For the
+    slab axis e = `_slab_axis(w)`, where w_e = 0 to roundoff,
+    `_hyperplane_basis` gives v = e - w_e w.  The plane meets the slab
+    x_e = t_k in the line p_i w + s u + (t_k - p_i w_e) v, whose nodes
+    s = t_j inside the disk of radius reach_i are kept, each with the cell
+    dt^2.  sample(w) returns the row index i of each node, its value and
+    the cell."""
     stacks = _slab_stacks(coeffs, t, h, L)
 
     def sample(w):
         e = _slab_axis(w)
-        rho = np.sqrt(1.0 - w[e]**2)
-        s = (t[:, None] - p * w[e]) / rho      # (slab k, row i): v-coordinate
+        s = t[:, None] - p * w[e]              # (slab k, row i): v-coordinate
         slab, owner, node = np.nonzero(
             t**2 + s[:, :, None]**2 <= reach[:, None]**2)
         x = (w[:, None] * p[owner]
              + _hyperplane_basis(w).T @ np.stack([t[node], s[slab, owner]]))
         x = (np.delete(x, e, axis=0) + L) / h
-        return owner, _row_values(stacks(e), slab, x), (t[1] - t[0]) ** 2 / rho
+        return owner, _row_values(stacks(e), slab, x), (t[1] - t[0]) ** 2
     return sample
 
 
@@ -289,13 +324,16 @@ def radon_transform(f, offsets=None, directions=None):
     whose antipode comes earlier in the set is not sampled: its column is
     the antipode's with the offsets reversed.
 
-    The hyperplanes are sampled on the slabs x_e = t_k of the axis e least
-    aligned with omega, with rho = sqrt(1 - omega_e^2) (see the module
-    docstring).  In 2-D a line's nodes are its crossings with the rows
-    x_e = t_k, with the cell dt / rho, and each sampled direction is one
-    1-D spline evaluation on the rows.  In 3-D each sampled direction is
-    one 2-D spline evaluation on the slabs, on a lattice sheared along the
-    plane whose cell is dt^2 / rho.
+    The hyperplanes are sampled on pencils, lines along the axis g most
+    aligned with omega through the nodes t of the other axes, with the
+    cell dt^(n-1) / |omega_g| (see the module docstring).  In 2-D the
+    pencils are the rows crossed by each line.  Each sampled direction is
+    one 1-D spline evaluation on the joined pencils.  A horizontal 3-D
+    normal (|omega_3| <= HORIZONTAL_TOL) is sampled instead on the slabs
+    x_e = t_k of the axis e least aligned with omega, on the plane's
+    unsheared (t_j, t_k) lattice with the cell dt^2, by one 2-D spline
+    evaluation on the joined slabs, so that the 2-D transform of a
+    marginal does not share its nodes.
     """
     n = f.grid.n
     if n not in (2, 3):
@@ -330,8 +368,8 @@ def radon_transform(f, offsets=None, directions=None):
     # integrand vanishes
     rows = np.flatnonzero(np.abs(offsets) <= rs)
     reach = np.sqrt(rs**2 - offsets[rows]**2) + 3 * h
-    sample = (_line_sampler if n == 2 else _plane_sampler)(
-        coeffs, offsets[rows], reach, t, h, L)
+    pencils = _pencil_sampler(coeffs, offsets[rows], reach, t, h, L)
+    slabs = _slab_sampler(coeffs, offsets[rows], reach, t, h, L)
 
     out = np.zeros((len(offsets), len(directions)))
     partner = directions._antipodes()
@@ -341,7 +379,8 @@ def radon_transform(f, offsets=None, directions=None):
             # xi(p, w) = xi(-p, -w), and the offsets are symmetric
             out[:, j] = out[::-1, k]
         else:
-            owner, vals, cell = sample(w)
+            horizontal = n == 3 and abs(w[2]) <= HORIZONTAL_TOL
+            owner, vals, cell = (slabs if horizontal else pencils)(w)
             out[rows, j] = np.bincount(owner, vals, len(rows)) * cell
 
     return Sinogram(offsets, directions, out,

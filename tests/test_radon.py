@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -37,6 +39,32 @@ def analytic_line_integral(center, radius, p, theta, oversample=2):
     ins = r2 < radius**2
     vals[ins] = np.exp(-r2[ins] / (radius**2 - r2[ins]))
     return np.trapezoid(vals, dx=step)
+
+
+OFFCENTRE = ([0.2, -0.1, 0.15], 0.6)   # centre and radius of a 3-D bump
+
+
+@functools.lru_cache(maxsize=None)
+def offcentre_sinogram(points):
+    """The transform of the OFFCENTRE bump on the 3-D grid of `points` at
+    the `sphere(3)` normals, shared by the checks that compare it."""
+    f = make_bump(*OFFCENTRE, 1.0, GridSpec(3, 1.5, points))
+    return radon_transform(f, directions=DirectionSet.sphere(3))
+
+
+def radial_oracle(s, center, radius):
+    """The exact transform of make_bump(center, radius, 1.0) on the
+    sinogram's offsets and directions: the plane at distance q from the
+    centre meets the bump's profile f(r) = exp(-r^2 / (radius^2 - r^2)) in
+    2 pi int_|q|^radius f(r) r dr, by adaptive quadrature."""
+    from scipy.integrate import quad
+    q = s.offsets[:, None] - s.directions.vectors @ np.asarray(center)
+    out = np.zeros(q.shape)
+    for i, j in zip(*np.nonzero(np.abs(q) < radius)):
+        out[i, j] = 2 * np.pi * quad(
+            lambda r: np.exp(-r**2 / (radius**2 - r**2)) * r,
+            abs(q[i, j]), radius)[0]
+    return out
 
 
 class TestRadonTransform:
@@ -132,6 +160,21 @@ class TestRadonTransform:
         assert oracle.max() == pytest.approx(0.457, abs=1e-3)
         assert np.abs(s.values - oracle[:, None]).max() < 2e-4
 
+    def test_3d_off_centre_bump_matches_the_radial_oracle(self):
+        # a bump of radius a about c is radial about c, so R f(p, omega) =
+        # 2 pi int_|q|^a f(r) r dr with q = p - c . omega; measured relative
+        # to the largest exact value: 2.81e-3, 1.62e-4 and 1.67e-5 at 33^3,
+        # 65^3 and 97^3; each bound is twice what the slab lattice read on
+        # every normal (2.81e-3, 1.62e-4, 1.66e-5), so pencils must keep
+        # its accuracy
+        errors = []
+        for points, bound in [(33, 5.62e-3), (65, 3.24e-4), (97, 3.33e-5)]:
+            s = offcentre_sinogram(points)
+            exact = radial_oracle(s, OFFCENTRE[0], OFFCENTRE[1])
+            errors.append(np.abs(s.values - exact).max() / exact.max())
+            assert errors[-1] <= bound
+        assert all(np.diff(errors) < 0)
+
     def test_linearity(self):
         # equal declared support radii so both transforms share the grid
         f = make_bump([0.4, 0.0], 0.5, 1.0, G)
@@ -141,6 +184,14 @@ class TestRadonTransform:
                - 2.0 * radon_transform(g, directions=DIRS).values)
         scale = np.abs(rhs).max()
         assert np.abs(lhs - rhs).max() < 1e-6 * scale
+
+
+def compat_directions():
+    """The horizontal normals of `projection_compatibility_defect`."""
+    from pwkit.fourier import COMPAT_AZIMUTHS as q
+    phis = 2 * np.pi * np.arange(q) / q
+    return DirectionSet(np.stack([np.cos(phis), np.sin(phis), np.zeros(q)], 1),
+                        np.full(q, 1.0 / q), band_limit=0)
 
 
 class TestAntipodalReuse:
@@ -153,7 +204,10 @@ class TestAntipodalReuse:
         (GridSpec(2, 1.5, 129), [0.3, -0.2], 0.5, DirectionSet.circle(64)),
         (GridSpec(3, 1.5, 33), [0.2, -0.1, 0.15], 0.6, DirectionSet.sphere(3)),
         (GridSpec(2, 1.5, 129), [0.3, -0.2], 0.5, DirectionSet.circle(9)),
-    ], ids=["circle64", "sphere3", "circle9"])
+        # horizontal, so both on the slab lattice, though only one w_3 is 0
+        (GridSpec(3, 1.5, 33), [0.2, -0.1, 0.15], 0.6,
+         DirectionSet([[0.6, 0.8, 0.0], [-0.6, -0.8, -1e-17]], [0.5, 0.5], 0)),
+    ], ids=["circle64", "sphere3", "circle9", "horizontal-pair"])
     def test_columns_match_single_directions(self, grid, center, radius, dirs):
         f = make_bump(center, radius, 1.0, grid)
         s = radon_transform(f, directions=dirs)
@@ -169,27 +223,34 @@ class TestAntipodalReuse:
 
     @staticmethod
     def spline_calls(monkeypatch, f, dirs):
+        """The dimension of the coefficient array of each map_coordinates
+        call that radon_transform(f, directions=dirs) makes."""
         from pwkit import radon
         calls = []
         real = radon.ndimage.map_coordinates
 
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return real(*args, **kwargs)
+        def counting(values, *args, **kwargs):
+            calls.append(values.ndim)
+            return real(values, *args, **kwargs)
         with monkeypatch.context() as patch:
             patch.setattr(radon.ndimage, "map_coordinates", counting)
             radon_transform(f, directions=dirs)
-        return len(calls)
+        return calls
 
-    @pytest.mark.parametrize("grid, center, dirs, sampled", [
-        (GridSpec(2, 1.5, 129), [0.3, -0.2], DirectionSet.circle(64), 32),
-        (GridSpec(2, 1.5, 129), [0.3, -0.2], DirectionSet.circle(9), 9),
-        (GridSpec(3, 1.5, 33), [0.2, -0.1, 0.15], DirectionSet.sphere(3), 16),
-    ], ids=["64-32", "9-9", "sphere3-16"])
+    # a sampled direction is one spline evaluation: 1-D on the rows or
+    # pencils, 2-D on the slabs of a horizontal 3-D normal
+    @pytest.mark.parametrize("grid, center, dirs, sampled, dim", [
+        (GridSpec(2, 1.5, 129), [0.3, -0.2], DirectionSet.circle(64), 32, 1),
+        (GridSpec(2, 1.5, 129), [0.3, -0.2], DirectionSet.circle(9), 9, 1),
+        (GridSpec(3, 1.5, 33), [0.2, -0.1, 0.15], DirectionSet.sphere(3),
+         16, 1),
+        (GridSpec(3, 1.5, 33), [0.2, -0.1, 0.15], compat_directions(), 8, 2),
+    ], ids=["64-32", "9-9", "sphere3-16", "compat-8"])
     def test_one_spline_call_per_sampled_direction(self, monkeypatch, grid,
-                                                    center, dirs, sampled):
+                                                    center, dirs, sampled,
+                                                    dim):
         f = make_bump(center, 0.5, 1.0, grid)
-        assert self.spline_calls(monkeypatch, f, dirs) == sampled
+        assert self.spline_calls(monkeypatch, f, dirs) == [dim] * sampled
 
     def test_asymmetric_offsets_rejected(self, shifted_bump):
         with pytest.raises(ValueError, match="symmetric"):
@@ -200,9 +261,9 @@ class TestAntipodalReuse:
 
 
 def rotated_lattice_transform(f, directions):
-    """Reference for the slab samplers: the transform on the default
-    offsets with each hyperplane's nodes on the unsheared lattice of its
-    `_hyperplane_basis`, t_j along a line in 2-D and (t_j, t_k) in a plane
+    """Reference for the pencil and slab samplers: the transform on the
+    default offsets with each hyperplane's nodes on the unsheared lattice of
+    its `_hyperplane_basis`, t_j along a line in 2-D and (t_j, t_k) in a plane
     in 3-D, with the cell dt^(n-1), evaluated by one n-D spline call per
     sampled direction.  In 2-D this is the line sampler that the row-by-row
     one replaced."""
@@ -233,14 +294,6 @@ def rotated_lattice_transform(f, directions):
         out[rows, j] = (np.bincount(owner, vals, len(rows))
                         * (t[1] - t[0])**(n - 1))
     return out
-
-
-def compat_directions():
-    """The horizontal normals of `projection_compatibility_defect`."""
-    from pwkit.fourier import COMPAT_AZIMUTHS as q
-    phis = 2 * np.pi * np.arange(q) / q
-    return DirectionSet(np.stack([np.cos(phis), np.sin(phis), np.zeros(q)], 1),
-                        np.full(q, 1.0 / q), band_limit=0)
 
 
 class TestSlabSampler:
@@ -279,19 +332,32 @@ class TestSlabSampler:
         got = radon_transform(f, directions=dirs).values
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
-    @pytest.mark.parametrize("points, bound", [(33, 1e-4), (65, 3.5e-6)])
+    @pytest.mark.parametrize("points, bound", [
+        (33, 2.2e-4), (65, 1.8e-5), (97, 3.1e-6)], ids=["33", "65", "97"])
     def test_general_normals_agree_to_the_quadrature_error(self, points,
                                                            bound):
-        # sphere(3) normals get a sheared lattice, so the two quadratures
+        # sphere(3) normals are sampled on pencils, so the two quadratures
         # differ by their discretisation error; measured relative to the
-        # largest value: 5.0e-5 at 33^3, 1.7e-6 at 65^3 and 2.2e-7 at 97^3
-        # (about h^5); each bound is twice the measurement
-        g = GridSpec(3, 1.5, points)
-        f = make_bump([0.2, -0.1, 0.15], 0.6, 1.0, g)
-        dirs = DirectionSet.sphere(3)
-        want = rotated_lattice_transform(f, dirs)
-        got = radon_transform(f, directions=dirs).values
-        assert np.abs(got - want).max() <= bound * np.abs(want).max()
+        # largest value: 1.06e-4 at 33^3, 8.7e-6 at 65^3 and 1.5e-6 at 97^3;
+        # each bound is twice the measurement.  The gap is not the error:
+        # against the exact transform both lattices read the same
+        # (test_3d_off_centre_bump_matches_the_radial_oracle)
+        assert general_normal_gap(points) <= bound
+
+    def test_general_normal_gap_falls_with_m(self):
+        gaps = [general_normal_gap(points) for points in (33, 65, 97)]
+        assert all(np.diff(gaps) < 0)
+
+
+@functools.lru_cache(maxsize=None)
+def general_normal_gap(points):
+    """The largest difference of the OFFCENTRE bump's transform at the
+    sphere(3) normals from `rotated_lattice_transform`, relative to the
+    latter's largest value."""
+    s = offcentre_sinogram(points)
+    f = make_bump(*OFFCENTRE, 1.0, GridSpec(3, 1.5, points))
+    want = rotated_lattice_transform(f, s.directions)
+    return np.abs(s.values - want).max() / np.abs(want).max()
 
 
 def desk_bump(points, declared=True):
@@ -304,9 +370,10 @@ def desk_bump(points, declared=True):
 
 
 class TestRowSampler:
-    """The 2-D transform samples each line on the rows x_e = t_k of its
-    slab axis e; `rotated_lattice_transform` is the line sampler it
-    replaced, with nodes t_j along each line."""
+    """The 2-D transform samples each line on its pencils, the rows
+    x_e = t_k of the axis e other than its pencil axis;
+    `rotated_lattice_transform` is the line sampler they replaced, with
+    nodes t_j along each line."""
 
     @pytest.mark.parametrize("points, declared", [
         (65, True), (257, True), (65, False)],
@@ -374,6 +441,31 @@ class TestRowSampler:
             want = np.einsum("ij...,ij->i...", want, _resampling_matrix(xa, m))
         assert np.abs(got - want).max() <= 1e-14 * np.abs(stack).max()
         assert not got[((x < 0) | (x > m - 1)).any(axis=0)].any()
+
+    @pytest.mark.parametrize("m", [5, 33])
+    @pytest.mark.parametrize("e, f", [(0, 1), (0, 2), (1, 2)],
+                             ids=["g2", "g1", "g0"])
+    def test_pencil_values_are_the_resampling_matrix(self, m, e, f):
+        # the pencils of a random 3-D coefficient array at 7 coordinates
+        # along e and f, evaluated along the remaining axis g at
+        # coordinates beyond each end, within 3 steps of it, on it, and
+        # inside; each value sums coefficients with B-spline weights of at
+        # most 1 in all, so its roundoff scales with the largest coefficient
+        from pwkit.radon import _resampling_matrix, _row_values, _slab_stacks
+        rng = np.random.default_rng(m)
+        coeffs = rng.standard_normal((m,) * 3)
+        t = rng.uniform(0, m - 1, 7)
+        ends = np.linspace(-4.0, 3.5, 31)
+        x = np.concatenate([ends, m - 1 - ends, [0.0, m - 1.0, -1e-12],
+                            rng.uniform(0, m - 1, 20)])
+        k = rng.integers(0, len(t) ** 2, len(x))
+        got = _row_values(_slab_stacks(coeffs, t, 1.0, 0.0)(e, f), k, x[None])
+        resample = _resampling_matrix(t, m)
+        pencils = np.einsum("ka,lb,abc->klc", resample, resample,
+                            np.moveaxis(coeffs, (e, f), (0, 1))).reshape(-1, m)
+        want = np.einsum("ic,ic->i", pencils[k], _resampling_matrix(x, m))
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(coeffs).max()
+        assert not got[(x < 0) | (x > m - 1)].any()
 
 
 class TestEvenness:
