@@ -72,6 +72,9 @@ GROUP_ORDERS = {("A", 2): 6, ("B", 2): 8, ("D", 4): 192}
 B_RESTRICTIONS = [(k, n) for k in range(3, 6) for n in range(2, k)]
 D_RESTRICTIONS = [(k, n) for k in (4, 5) for n in range(2, k)]
 LIFT_FAMILY, LIFT_K, LIFT_N, LIFT_DEGREE = "B", 4, 2, 6
+# all that a preset sets: the suite size and the 3-D grid points per axis
+PRESETS = {"desk": {"suite_size": 3, "grid3_points": 97},
+           "thorough": {"suite_size": 5, "grid3_points": 161}}
 
 
 class RunConfig:
@@ -84,8 +87,8 @@ class RunConfig:
                  sphere_dim=3, family="B", k_rank=4, n_rank=2, degree=6):
         if subcommand not in ("radon", "slice", "pw", "sphere", "weyl", "all"):
             raise ConfigError("unknown subcommand %r" % (subcommand,))
-        if preset not in ("desk", "thorough"):
-            raise ConfigError("preset must be desk or thorough")
+        if preset not in PRESETS:
+            raise ConfigError("preset must be %s" % " or ".join(PRESETS))
         self.subcommand = subcommand
         self.grid_points = int(grid_points)
         self.half_width = float(half_width)
@@ -102,14 +105,7 @@ class RunConfig:
         self.k_rank = int(k_rank)
         self.n_rank = int(n_rank)
         self.degree = int(degree)
-
-    @property
-    def suite_size(self):
-        return 3 if self.preset == "desk" else 5
-
-    @property
-    def grid3_points(self):
-        return 97 if self.preset == "desk" else 161
+        vars(self).update(PRESETS[preset])
 
 
 class Report:
@@ -266,26 +262,20 @@ def run_radon(cfg, report, inputs):
         lambda: max(_radon.evenness_defect(s) for s in sinos),
         DEFAULT_TOLERANCES["evenness"], mesh)
 
-    def support_local():
-        worst = 0.0
-        for f, s in zip(funcs, sinos):
-            outside = np.abs(s.offsets) > (f.support_radius or g.half_width) \
-                + g.spacing
-            if outside.any():
-                worst = max(worst, float(np.abs(s.values[outside]).max()))
-        return worst
+    def outside_mass(f, s):
+        outside = np.abs(s.offsets) > (f.support_radius or g.half_width) \
+            + g.spacing
+        return float(np.abs(s.values[outside]).max()) if outside.any() else 0.0
     report.check("radon support localization",
                  "support of the transform inside the support radius",
-                 support_local, DEFAULT_TOLERANCES["support_localization"], mesh)
+                 lambda: max(map(outside_mass, funcs, sinos)),
+                 DEFAULT_TOLERANCES["support_localization"], mesh)
 
-    def moment_consistency():
-        worst = 0.0
-        for f, s in zip(funcs, sinos):
-            m0 = _radon.moment(s, 0)
-            worst = max(worst, float(np.abs(m0 - _grid.integrate(f)).max()))
-        return worst
+    def moment_error(f, s):
+        return float(np.abs(_radon.moment(s, 0) - _grid.integrate(f)).max())
     report.check("zeroth moment equals total mass", "moment compatibility",
-                 moment_consistency, DEFAULT_TOLERANCES["moment_k0"], mesh)
+                 lambda: max(map(moment_error, funcs, sinos)),
+                 DEFAULT_TOLERANCES["moment_k0"], mesh)
 
     def round_trip():
         f = funcs[0]
@@ -308,14 +298,12 @@ def run_slice(cfg, report, inputs):
 
     report.check(
         "fourier slice identity", "fourier-slice identity",
-        lambda: max(_fourier.fourier_slice_defect(f, s)
-                    for f, s in zip(funcs, sinos)),
+        lambda: max(map(_fourier.fourier_slice_defect, funcs, sinos)),
         DEFAULT_TOLERANCES["fourier_slice"], mesh)
 
     report.check(
         "motion-group plancherel", "plancherel identity, d tau = sigma_n r^{n-1} dr",
-        lambda: max(_fourier.plancherel_defect(f, s)
-                    for f, s in zip(funcs, sinos)),
+        lambda: max(map(_fourier.plancherel_defect, funcs, sinos)),
         DEFAULT_TOLERANCES["plancherel"], mesh)
 
     fine_mesh = dict(mesh, M_fine=2 * g.points - 1, Q_fine=2 * len(dirs))
@@ -329,9 +317,12 @@ def run_slice(cfg, report, inputs):
             f2, directions=_grid.DirectionSet.circle(fine_mesh["Q_fine"]))
         fine = _fourier.plancherel_defect(f2, s2)
         return coarse / fine if fine > 0 else np.inf
-    report.check("plancherel refinement", "plancherel identity, d tau = sigma_n r^{n-1} dr",
-                 plancherel_ratio, DEFAULT_TOLERANCES["plancherel_ratio"],
-                 fine_mesh, compare="ge")
+    # the ratio's fine rung and the inversion's points are 2-D
+    if g.n == 2:
+        report.check("plancherel refinement",
+                     "plancherel identity, d tau = sigma_n r^{n-1} dr",
+                     plancherel_ratio, DEFAULT_TOLERANCES["plancherel_ratio"],
+                     fine_mesh, compare="ge")
 
     def inversion():
         f = funcs[0]
@@ -343,20 +334,20 @@ def run_slice(cfg, report, inputs):
         vals = _fourier.pointwise_inversion(s, pts)
         ref = f.values[idx[:, 0], idx[:, 1]]
         return float(np.abs(vals - ref).max() / np.abs(f.values).max())
-    report.check("pointwise inversion", "inversion formula", inversion,
-                 DEFAULT_TOLERANCES["inversion"],
-                 dict(mesh, Q=INVERSION_CIRCLE))
+    if g.n == 2:
+        report.check("pointwise inversion", "inversion formula", inversion,
+                     DEFAULT_TOLERANCES["inversion"],
+                     dict(mesh, Q=INVERSION_CIRCLE))
 
     def compat():
         g3 = _grid.GridSpec(3, cfg.half_width, cfg.grid3_points)
         rng = np.random.default_rng(cfg.seed + 2)
-        worst = 0.0
-        for _ in range(COMPAT_BUMPS):
-            c = rng.uniform(-0.25, 0.25, size=3) * (cfg.half_width / 1.5)
-            rad = rng.uniform(0.5, 0.7) * (cfg.half_width / 1.5)
-            f3 = _grid.make_bump(c, rad, 1.0, g3)
-            worst = max(worst, _fourier.projection_compatibility_defect(f3))
-        return worst
+        scale = cfg.half_width / 1.5
+        # each bump draws its centre, then its radius
+        return max(_fourier.projection_compatibility_defect(
+            _grid.make_bump(rng.uniform(-0.25, 0.25, size=3) * scale,
+                            rng.uniform(0.5, 0.7) * scale, 1.0, g3))
+                   for _ in range(COMPAT_BUMPS))
     report.check("projection compatibility", "marginal projection / slice square",
                  compat, DEFAULT_TOLERANCES["projection_compat"],
                  {"M3": cfg.grid3_points, "Q": _fourier.COMPAT_AZIMUTHS,
@@ -383,23 +374,24 @@ def run_pw(cfg, report, inputs):
                  compare="ge")
 
     def support_recovery():
-        worst = 0.0
         rng = np.random.default_rng(cfg.seed + 3)
-        for radius in (0.3, 0.6, 0.9):
-            for shift in (False, True):
-                c = np.zeros(2)
-                if shift:
-                    c = rng.uniform(-1, 1, 2)
-                    c *= rng.uniform(0.1, 0.3) / np.linalg.norm(c)
-                scale = cfg.half_width / 1.5
-                f = _grid.make_bump(c * scale, radius * scale, 1.0, g)
-                s = _radon.radon_transform(f, directions=dirs)
-                est = _pw.support_radius_estimate(s)
-                worst = max(worst, abs(est - f.support_radius)
-                            / f.support_radius)
-        return worst
-    report.check("support radius recovery", "support radius from exponential type",
-                 support_recovery, DEFAULT_TOLERANCES["support_recovery"], mesh)
+        scale = cfg.half_width / 1.5
+
+        def error(radius, shift):
+            c = np.zeros(2)
+            if shift:
+                c = rng.uniform(-1, 1, 2)
+                c *= rng.uniform(0.1, 0.3) / np.linalg.norm(c)
+            f = _grid.make_bump(c * scale, radius * scale, 1.0, g)
+            est = _pw.support_radius_estimate(
+                _radon.radon_transform(f, directions=dirs))
+            return abs(est - f.support_radius) / f.support_radius
+        return max(error(radius, shift) for radius in (0.3, 0.6, 0.9)
+                   for shift in (False, True))
+    if g.n == 2:   # its bumps are 2-D
+        report.check("support radius recovery",
+                     "support radius from exponential type", support_recovery,
+                     DEFAULT_TOLERANCES["support_recovery"], mesh)
 
     def _growth_ratios(s, exp_type, doublings):
         """Ratios of successive growth seminorms of s at `exp_type` as the
@@ -430,18 +422,15 @@ def run_pw(cfg, report, inputs):
         DEFAULT_TOLERANCES["extension_consistency"],
         dict(mesh, Q=ext_dirs, z_mesh="%dx%d" % (ext.n_re, ext.n_im)))
 
-    def extension_evenness():
-        worst = 0.0
+    def extension_evenness(s):
         zs = np.array([0.3 + 0.2j, -1.1 + 0.4j, 0.7 - 0.35j])
-        for s in sinos:
-            anti = s.directions.antipodal_index()
-            for j in range(0, len(s.directions), 8):
-                a = _pw.complex_slice_eval(s, zs, j)
-                b = _pw.complex_slice_eval(s, -zs, int(anti[j]))
-                worst = max(worst, float(np.abs(a - b).max()))
-        return worst
+        j = np.arange(0, len(s.directions), 8)
+        a = _pw.complex_slice_eval(s, zs, j)
+        b = _pw.complex_slice_eval(s, -zs, s.directions.antipodal_index()[j])
+        return float(np.abs(a - b).max())
     report.check("evenness of the slice extension", "even extension",
-                 extension_evenness, DEFAULT_TOLERANCES["extension_evenness"], mesh)
+                 lambda: max(map(extension_evenness, sinos)),
+                 DEFAULT_TOLERANCES["extension_evenness"], mesh)
 
     def schwartz_finite():
         finite = all(np.isfinite(_pw.schwartz_seminorm(sinos[0], kk, ll))
@@ -477,87 +466,76 @@ def run_sphere(cfg, report):
                               for p in ps),
             DEFAULT_TOLERANCES[tolerance], mesh)
 
-    def constant_stability():
-        worst = 0.0
-        for p in profiles:
-            cm = _sphere.sphere_slice_constants(p, SPHERE_M_MAX)
-            worst = max(worst, float(np.abs(cm - cm[0]).max() / abs(cm[0])))
-        return worst
+    def constant_spread(p):
+        cm = _sphere.sphere_slice_constants(p, SPHERE_M_MAX)
+        return float(np.abs(cm - cm[0]).max() / abs(cm[0]))
     report.check("slice constant stability", "cosine-kernel slice identity",
-                 constant_stability, DEFAULT_TOLERANCES["sphere_constant"], mesh)
+                 lambda: max(map(constant_spread, profiles)),
+                 DEFAULT_TOLERANCES["sphere_constant"], mesh)
 
-    def support_equivalence():
-        worst = 0.0
-        for t in cap_angles:
-            p = _sphere.cap_bump(t, 3, samples=SUPPORT_SAMPLES)
-            rp, rr = _sphere.sphere_support_check(p)
-            worst = max(worst, abs(rp - rr) / p.step)
-        return worst
+    def support_gap(t):
+        p = _sphere.cap_bump(t, 3, samples=SUPPORT_SAMPLES)
+        rp, rr = _sphere.sphere_support_check(p)
+        return abs(rp - rr) / p.step
     if cap_angles:
         report.check("sphere support equivalence", "zonal support theorem",
-                     support_equivalence, 1.0, {"T": SUPPORT_SAMPLES})
+                     lambda: max(map(support_gap, cap_angles)), 1.0,
+                     {"T": SUPPORT_SAMPLES})
+
+
+def _check_holds(report, name, anchor, holds, mesh):
+    """Record a check that holds or not: its defect is 0 if holds() is
+    true and 1 if not, against the threshold 0.5."""
+    report.check(name, anchor, lambda: 0.0 if holds() else 1.0, 0.5, mesh)
 
 
 def run_weyl(cfg, report):
-    def orders():
-        for (fam, rk), order in GROUP_ORDERS.items():
-            got = len(_weyl.weyl_group(_weyl.RootSystemSpec(fam, rk)))
-            if got != order:
-                return 1.0
-        return 0.0
-    report.check("group enumeration orders", "plumbing", orders, 0.5,
-                 {"groups": ["%s%d" % key for key in GROUP_ORDERS]})
+    spec = _weyl.RootSystemSpec
+    _check_holds(
+        report, "group enumeration orders", "plumbing",
+        lambda: all(len(_weyl.weyl_group(spec(*key))) == order
+                    for key, order in GROUP_ORDERS.items()),
+        {"groups": ["%s%d" % key for key in GROUP_ORDERS]})
 
-    def restriction_b():
-        for k, n in B_RESTRICTIONS:
-            spec = _weyl.RootSystemSpec("B", k)
-            img = set(_weyl.restricted_group(spec, n))
-            full = set(_weyl.weyl_group(_weyl.RootSystemSpec("B", n)))
-            if img != full:
-                return 1.0
-        return 0.0
-    report.check("restricted stabilizer equals the smaller Weyl group",
-                 "restriction of Weyl groups", restriction_b, 0.5,
-                 {"family": "B", "k_n": B_RESTRICTIONS})
+    _check_holds(
+        report, "restricted stabilizer equals the smaller Weyl group",
+        "restriction of Weyl groups",
+        lambda: all(set(_weyl.restricted_group(spec("B", k), n))
+                    == set(_weyl.weyl_group(spec("B", n)))
+                    for k, n in B_RESTRICTIONS),
+        {"family": "B", "k_n": B_RESTRICTIONS})
 
-    def restriction_d():
-        for k, n in D_RESTRICTIONS:
-            img = _weyl.restricted_group(_weyl.RootSystemSpec("D", k), n)
-            if len(img) != 2**n * math.factorial(n):
-                return 1.0
-        return 0.0
-    report.check("type-D restriction gives all sign changes",
-                 "restriction of Weyl groups", restriction_d, 0.5,
-                 {"family": "D", "k_n": D_RESTRICTIONS})
+    _check_holds(
+        report, "type-D restriction gives all sign changes",
+        "restriction of Weyl groups",
+        lambda: all(len(_weyl.restricted_group(spec("D", k), n))
+                    == 2**n * math.factorial(n) for k, n in D_RESTRICTIONS),
+        {"family": "D", "k_n": D_RESTRICTIONS})
 
     obstructed = cfg.family == "D" and cfg.n_rank < cfg.k_rank
 
     def surjectivity():
-        spec_n = _weyl.RootSystemSpec(cfg.family, cfg.n_rank)
+        spec_n = spec(cfg.family, cfg.n_rank)
         cert = _weyl.surjectivity_certificate(
-            _weyl.RootSystemSpec(cfg.family, cfg.k_rank), spec_n, cfg.degree)
+            spec(cfg.family, cfg.k_rank), spec_n, cfg.degree)
         if obstructed:
             down = cert.downstairs_basis
             pf_odd = [i for i, b in enumerate(down) if b.degree() > 0
                       and all(all(a % 2 == 1 for a in e) for e in b.terms)]
-            ok = set(cert.obstruction) == set(pf_odd) and not cert.surjective
-            return 0.0 if ok else 1.0
-        if not cert.surjective:
-            return 1.0
-        for t, q in enumerate(cert.downstairs_basis):
-            if cert.preimage(t).restrict(spec_n.ambient_vars) != q:
-                return 1.0
-        return 0.0
+            return set(cert.obstruction) == set(pf_odd) and not cert.surjective
+        return cert.surjective and all(
+            cert.preimage(t).restrict(spec_n.ambient_vars) == q
+            for t, q in enumerate(cert.downstairs_basis))
     name = ("restriction obstruction certified" if obstructed
             else "restriction surjectivity certified")
-    report.check(name, "invariant restriction surjectivity", surjectivity,
-                 0.5, {"family": cfg.family, "k": cfg.k_rank,
-                       "n": cfg.n_rank, "d": cfg.degree})
+    _check_holds(report, name, "invariant restriction surjectivity",
+                 surjectivity, {"family": cfg.family, "k": cfg.k_rank,
+                                "n": cfg.n_rank, "d": cfg.degree})
 
     def lift_random():
         rng = np.random.default_rng(cfg.seed + 4)
-        lift_k = _weyl.RootSystemSpec(LIFT_FAMILY, LIFT_K)
-        lift_n = _weyl.RootSystemSpec(LIFT_FAMILY, LIFT_N)
+        lift_k = spec(LIFT_FAMILY, LIFT_K)
+        lift_n = spec(LIFT_FAMILY, LIFT_N)
         basis = _weyl.invariant_basis(lift_n, LIFT_DEGREE)
         # invariance under the generators is invariance under W(k)
         simple = _weyl._simple_reflections(lift_k)
@@ -568,14 +546,14 @@ def run_weyl(cfg, report):
                 if c:
                     target = target + b.scale(Fraction(c))
             H = _weyl.ow1_lift(target, lift_k, lift_n)
-            if H.restrict(lift_n.ambient_vars) != target:
-                return 1.0
-            if any(H.apply(w) != H for w in simple):
-                return 1.0
-        return 0.0
-    report.check("averaging-decomposition lift", "invariant extension pipeline",
-                 lift_random, 0.5, {"family": LIFT_FAMILY, "k": LIFT_K,
-                                    "n": LIFT_N, "d": LIFT_DEGREE})
+            if (H.restrict(lift_n.ambient_vars) != target
+                    or any(H.apply(w) != H for w in simple)):
+                return False
+        return True
+    _check_holds(report, "averaging-decomposition lift",
+                 "invariant extension pipeline", lift_random,
+                 {"family": LIFT_FAMILY, "k": LIFT_K, "n": LIFT_N,
+                  "d": LIFT_DEGREE})
 
 
 PIPELINES = {
@@ -636,59 +614,50 @@ def build_parser():
                     "/ sphere transforms and Weyl-group invariant restriction.")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
+    # no defaults here: a flag that is not given keeps RunConfig's default
     def common(p):
-        p.add_argument("--grid", default=None, metavar="M,L",
+        p.add_argument("--grid", metavar="M,L",
                        help="grid points per axis and half-width")
-        p.add_argument("--directions", type=int, default=64, metavar="Q")
-        p.add_argument("--kmax", type=int, default=6)
-        p.add_argument("--N", type=int, default=2, dest="seminorm_order")
-        p.add_argument("--preset", choices=("desk", "thorough"), default="desk")
-        p.add_argument("--seed", type=int, default=7)
-        p.add_argument("--report", default=None, metavar="PATH")
-        p.add_argument("--in", dest="input_path", default=None, metavar="PATH")
-        p.add_argument("--out", dest="output_path", default=None, metavar="PATH")
+        p.add_argument("--directions", type=int, metavar="Q")
+        p.add_argument("--kmax", type=int)
+        p.add_argument("--N", type=int, dest="seminorm_order")
+        p.add_argument("--preset", choices=PRESETS)
+        p.add_argument("--seed", type=int)
+        p.add_argument("--report", dest="report_path", metavar="PATH")
+        p.add_argument("--in", dest="input_path", metavar="PATH")
+        p.add_argument("--out", dest="output_path", metavar="PATH")
 
     for name in ("radon", "slice", "pw", "all"):
         common(sub.add_parser(name))
 
     ps = sub.add_parser("sphere")
     common(ps)
-    ps.add_argument("--n", type=int, default=3, dest="sphere_dim",
-                    choices=(2, 3))
+    ps.add_argument("--n", type=int, dest="sphere_dim", choices=(2, 3))
 
     pw_ = sub.add_parser("weyl")
     wsub = pw_.add_subparsers(dest="weyl_action", required=True)
     cert = wsub.add_parser("certify")
     cert.add_argument("--family", choices=tuple("ABCD"), required=True)
-    cert.add_argument("--k", type=int, required=True)
-    cert.add_argument("--n", type=int, required=True)
-    cert.add_argument("--d", type=int, default=6)
-    cert.add_argument("--seed", type=int, default=7)
-    cert.add_argument("--preset", choices=("desk", "thorough"), default="desk")
-    cert.add_argument("--report", default=None, metavar="PATH")
+    cert.add_argument("--k", type=int, dest="k_rank", metavar="K",
+                      required=True)
+    cert.add_argument("--n", type=int, dest="n_rank", metavar="N",
+                      required=True)
+    cert.add_argument("--d", type=int, dest="degree", metavar="D")
+    cert.add_argument("--seed", type=int)
+    cert.add_argument("--preset", choices=PRESETS)
+    cert.add_argument("--report", dest="report_path", metavar="PATH")
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    kwargs = {"subcommand": args.subcommand, "seed": args.seed,
-              "preset": args.preset, "report_path": args.report}
-    if args.subcommand == "weyl":
-        kwargs.update(family=args.family, k_rank=args.k, n_rank=args.n,
-                      degree=args.d)
-    else:
-        if args.grid:
-            m, L = _parse_grid(args.grid)
-            kwargs.update(grid_points=m, half_width=L)
-        kwargs.update(directions=args.directions, kmax=args.kmax,
-                      seminorm_order=args.seminorm_order,
-                      input_path=args.input_path, output_path=args.output_path)
-        if args.subcommand == "sphere":
-            kwargs["sphere_dim"] = args.sphere_dim
+    args = build_parser().parse_args(argv)
+    kwargs = {k: v for k, v in vars(args).items()
+              if v is not None and k != "weyl_action"}
     try:
-        config = RunConfig(**kwargs)
-        report = run(config)
+        if "grid" in kwargs:
+            kwargs["grid_points"], kwargs["half_width"] = _parse_grid(
+                kwargs.pop("grid"))
+        report = run(RunConfig(**kwargs))
     except ConfigError as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return 2

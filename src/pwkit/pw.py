@@ -101,7 +101,7 @@ class ComplexSpherePoint:
 def complex_slice_eval(s, z, j):
     """Entire extension of the radial Fourier transform of one slice:
     int s(p, omega_j) e^{-2 pi i p z} dp for the sinogram's direction of
-    index j.  z may be scalar or an array.
+    index j.  z may be scalar or an array, j an index or an index array.
 
     For a slice supported in |p| <= rho the modulus is bounded by the
     quadrature mass times e^{2 pi rho |Im z|}.

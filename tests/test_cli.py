@@ -8,7 +8,7 @@ import pytest
 import pwkit
 from pwkit import (GridSpec, MultivariatePolynomial, cap_bump, make_bump,
                    save_function, save_profile)
-from pwkit import fourier, pw, radon, sphere, weyl
+from pwkit import cli, fourier, pw, radon, sphere, weyl
 from pwkit.cli import ConfigError, Report, RunConfig, build_parser, main, run
 
 
@@ -29,6 +29,36 @@ class TestConfig:
         from pwkit.cli import _parse_grid
         with pytest.raises(ConfigError):
             _parse_grid("129")
+
+    @pytest.mark.parametrize("grid", ["129", "129,x"])
+    def test_malformed_grid_flag_is_a_config_error(self, grid, capsys):
+        # reported as a config error with exit code 2, like a bad preset,
+        # not raised
+        assert main(["radon", "--grid", grid]) == 2
+        assert "config error: --grid expects M,L" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, fields", [
+        ("pw --kmax 4 --N 3", {"kmax": 4, "seminorm_order": 3}),
+        ("sphere --n 2", {"sphere_dim": 2}),
+        ("weyl certify --family D --k 5 --n 4",
+         {"family": "D", "k_rank": 5, "n_rank": 4, "degree": 6}),
+        ("all --grid 129,1.0 --in f.csv --report r.json",
+         {"grid_points": 129, "half_width": 1.0, "input_path": "f.csv",
+          "report_path": "r.json"}),
+    ] + [(name, {}) for name in ("radon", "slice", "pw", "sphere", "all")])
+    def test_each_flag_lands_in_its_config_field(self, monkeypatch, argv,
+                                                 fields):
+        # every other field keeps RunConfig's default
+        seen = []
+
+        def capture(config):
+            seen.append(config)
+            return Report(config)
+        monkeypatch.setattr(cli, "run", capture)
+        main(argv.split())
+        [config] = seen
+        expected = vars(RunConfig(config.subcommand, **fields))
+        assert vars(config) == expected
 
 
 class TestWeylPipeline:
@@ -202,7 +232,6 @@ class TestSharedInputs:
     def test_all_calls_every_pipeline_through_the_table(self, monkeypatch):
         # perfbench's tracer wraps the entries of cli.PIPELINES, so `run`
         # must look each pipeline up there at call time
-        from pwkit import cli
         shared = object()
         monkeypatch.setattr(cli, "_load_or_suite", lambda config: shared)
         calls = []
@@ -255,8 +284,6 @@ class TestReportShape:
 
 
     def test_report_records_its_environment(self, tmp_path, monkeypatch):
-        from pwkit import cli
-
         def no_constants(name):
             raise ValueError("non-standard JSON constant %s" % name)
         monkeypatch.setenv("OMP_NUM_THREADS", "1")
@@ -401,10 +428,8 @@ class TestFileDriven:
 
     @pytest.mark.parametrize("subcommand, names", [
         ("slice", ["fourier slice identity", "motion-group plancherel",
-                   "plancherel refinement", "pointwise inversion",
                    "projection compatibility"]),
         ("pw", ["moment homogeneity", "homogeneity violation detected",
-                "support radius recovery",
                 "growth stability at the critical type",
                 "growth divergence below the critical type",
                 "extension consistency", "evenness of the slice extension",
@@ -412,8 +437,9 @@ class TestFileDriven:
     ], ids=["slice", "pw"])
     def test_3d_function_keeps_every_record(self, tmp_path, subcommand,
                                             names):
-        # checks written for 2-D inputs raise on a 3-D file; each one that
-        # does is recorded as failed with its error, and the report is kept
+        # the checks written for 2-D inputs (plancherel refinement,
+        # pointwise inversion, support radius recovery) are left out on a
+        # 3-D file, and every other check runs without raising
         def no_constants(name):
             raise ValueError("non-standard JSON constant %s" % name)
         g = GridSpec(3, 1.5, 33)
@@ -423,10 +449,23 @@ class TestFileDriven:
         code = main([subcommand, "--in", str(fpath), "--report", str(rpath)])
         data = json.loads(rpath.read_text(), parse_constant=no_constants)
         assert [r["name"] for r in data["records"]] == names
-        errors = [r for r in data["records"] if "error" in r]
-        assert errors
-        for r in errors:
-            assert r["defect"] is None and r["nonfinite"] == "nan"
-            assert not r["passed"]
-            assert re.match(r"\w+: ", r["error"])
-        assert code == 1
+        assert not [r for r in data["records"] if "error" in r]
+        assert code == (0 if data["all_passed"] else 1)
+
+    def test_a_check_that_raises_is_recorded_and_the_run_goes_on(
+            self, monkeypatch):
+        def broken(s):
+            raise RuntimeError("no growth ladder")
+        monkeypatch.setattr(pw, "support_radius_estimate", broken)
+        report = run(RunConfig("pw", grid_points=65, directions=32))
+        names = [r["name"] for r in report.records]
+        at = names.index("support radius recovery")
+        record = report.records[at]
+        assert record["error"] == "RuntimeError: no growth ladder"
+        assert not record["passed"] and math.isnan(record["defect"])
+        assert names[at + 1:] == [
+            "growth stability at the critical type",
+            "growth divergence below the critical type",
+            "extension consistency", "evenness of the slice extension",
+            "decay seminorms finite"]
+        assert all("error" not in r for r in report.records[at + 1:])

@@ -75,6 +75,15 @@ class TestComplexSliceEval:
             b = complex_slice_eval(sino, -zs, int(anti[j]))
             assert np.abs(a - b).max() < 1e-10
 
+    def test_index_array_gives_the_single_index_columns(self, sino):
+        zs = np.array([0.4 + 0.3j, -1.2 + 0.1j])
+        js = np.array([0, 9, 31])
+        got = complex_slice_eval(sino, zs, js)
+        assert got.shape == (2, 3)
+        for col, j in enumerate(js):
+            assert np.array_equal(got[:, col],
+                                  complex_slice_eval(sino, zs, int(j)))
+
 
 class TestPwSeminorm:
     def test_stable_at_critical_type(self, sino):
