@@ -246,7 +246,11 @@ def projection_compatibility_defect(f):
     the axis other than its pencil axis g, with the cell dt / |omega_g|,
     while the 3-D side samples horizontal normals on slabs, on the
     unsheared (t_j, t_k) lattice of each plane, not on pencils (see the
-    module docstring of radon).
+    module docstring of radon).  A node's in-slab coordinates are the same
+    in every slab (a term of order |omega_e| <= 1e-12 is dropped), so each
+    direction is one sparse interpolation matrix applied to every slab:
+    every node of the lattice is still evaluated, and z is not integrated
+    before the xy interpolation, as it is on the 2-D side.
     """
     if f.grid.n != 3:
         raise UnsupportedPair("compatibility check needs a 3-D input")

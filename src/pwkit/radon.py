@@ -39,12 +39,19 @@ the z-marginal, would then compare two z-quadratures of one xy
 interpolant, which certifies nothing about the xy sampling.  The slab
 lattice gives those planes nodes the 2-D side does not share.  The
 coefficients are resampled along the slab axis e, the axis least aligned
-with omega (so omega_e = 0 to roundoff), into a (T, M, M) stack of 2-D
-splines.  The plane meets slab k in a line along its in-plane vector u
-(with u_e = 0), whose nodes are t_j along u, so the nodes are the
-unsheared (t_j, t_k) lattice of the plane, each with the cell dt^2, and
-all the nodes of a sampled direction are one 2-D spline evaluation on the
-joined slabs.
+with omega (so omega_e = 0 to roundoff), into an (M^2, T) stack of 2-D
+splines, slab k in column k.  The plane meets slab k in a line along its
+in-plane vector u (with u_e = 0), whose nodes are t_j along u, so the
+nodes are the unsheared (t_j, t_k) lattice of the plane, each with the
+cell dt^2.  Node (i, j) of offset p_i has the same in-slab coordinates
+p_i omega + t_j u in every slab; the slab-dependent in-slab term, of order
+|omega_e|, is dropped (it is 0 when omega_e = 0).  So a sampled direction
+is one sparse (N, M^2) interpolation matrix of its N nodes (i, j), 36
+entries a row, applied to the whole stack: every node's value in every
+slab, each (i, j) then summed over the slabs its disk keeps.  Every node
+(i, j, k) is still evaluated on the plane's own lattice; this is not the
+marginal route, which would integrate over z first and then interpolate at
+the 2-D side's nodes.
 
 Offsets cover [-L sqrt(n), L sqrt(n)] so every hyperplane meeting the box
 is represented; rows with |p| beyond the declared support radius are
@@ -68,7 +75,7 @@ inverted as its real and imaginary parts.
 import math
 
 import numpy as np
-from scipy import ndimage
+from scipy import ndimage, sparse
 
 from .grid import (SampledFunction, DirectionSet, SPHERE_AREA,
                    _trapezoid_weights)
@@ -184,25 +191,46 @@ def _bspline(z):
                for k in range((d + 1) // 2)) / math.factorial(d)
 
 
+def _spline_taps(x, m):
+    """The taps and weights, each (len(x), SPLINE_ORDER + 1), of the spline
+    on the coefficient nodes 0..m-1 at the coordinates x, by the rule of
+    ndimage.map_coordinates(c, [x], order=SPLINE_ORDER, prefilter=False,
+    mode="constant"): the taps that fall beyond an end are mirrored about
+    that end, and a coordinate outside [0, m-1] has the weights 0."""
+    taps = (np.floor(x).astype(int)[:, None]
+            + np.arange(-(SPLINE_ORDER // 2), SPLINE_ORDER // 2 + 2))
+    weights = _bspline(x[:, None] - taps)
+    weights[(x < 0) | (x > m - 1)] = 0.0
+    taps = np.abs(taps) % (2 * (m - 1))
+    return np.minimum(taps, 2 * (m - 1) - taps), weights
+
+
 def _resampling_matrix(x, m):
     """The (len(x), m) matrix that takes spline coefficients on the nodes
     0..m-1 to the spline's values at the coordinates x, by the rule of
-    ndimage.map_coordinates(c, [x], order=SPLINE_ORDER, prefilter=False,
-    mode="constant"): a coordinate outside [0, m-1] gives 0, and the taps
-    of one inside it that fall beyond an end are mirrored about that end."""
+    `_spline_taps`."""
+    taps, weights = _spline_taps(x, m)
     out = np.zeros((len(x), m))
-    inside = np.flatnonzero((x >= 0) & (x <= m - 1))
-    taps = (np.floor(x[inside]).astype(int)[:, None]
-            + np.arange(-(SPLINE_ORDER // 2), SPLINE_ORDER // 2 + 2))
-    weights = _bspline(x[inside, None] - taps)
-    taps = np.abs(taps) % (2 * (m - 1))
-    np.add.at(out, (inside[:, None], np.minimum(taps, 2 * (m - 1) - taps)),
-              weights)
+    np.add.at(out, (np.arange(len(x))[:, None], taps), weights)
     return out
 
 
-# mirrored entries padded to each end of a slab or pencil axis: the taps of a
-# coordinate in [0, m-1] reach at most this far beyond an end
+def _slab_matrix(x, m):
+    """The sparse (N, m^2) matrix that takes the coefficients of a 2-D
+    spline on the nodes (0..m-1)^2, flattened in C order, to the spline's
+    values at the N coordinate pairs x[:, i]: per row the products of the
+    `_spline_taps` of both axes, (SPLINE_ORDER + 1)^2 entries, where a
+    mirrored tap may repeat a column (the entries are summed)."""
+    (ta, wa), (tb, wb) = (_spline_taps(xa, m) for xa in x)
+    width = ta.shape[1] ** 2
+    return sparse.csr_array(
+        ((wa[:, :, None] * wb[:, None, :]).ravel(),
+         (ta[:, :, None] * m + tb[:, None, :]).ravel(),
+         np.arange(0, width * len(ta) + 1, width)), shape=(len(ta), m * m))
+
+
+# mirrored entries padded to each end of a pencil: the taps of a coordinate
+# in [0, m-1] reach at most this far beyond an end
 ROW_PAD = SPLINE_ORDER // 2 + 1
 
 # |omega_3| at or below which a 3-D normal is horizontal and keeps the slab
@@ -214,44 +242,45 @@ HORIZONTAL_TOL = 1e-12
 def _slab_stacks(coeffs, t, h, L):
     """The coefficients restricted to the slabs x_e = t_k of an axis e, or
     to the pencils (x_e, x_f) = (t_k, t_l) of two axes e < f, by the rule of
-    `_resampling_matrix`: stacks(e) is the (T, M, ...) stack of the (n-1)-D
-    slab coefficient arrays, and stacks(e, f) the (T^2, M) stack of the 1-D
-    pencil ones, pencil (k, l) at k T + l.  Each array is padded by ROW_PAD
-    mirrored entries at both ends of its axes (np.pad's "reflect", which is
-    map_coordinates' rule for taps beyond an end).  The slabs of e are
-    resampled along f by one batched matmul.  A stack is made on the first
-    use of its axes, from coeffs and t alone, so a column of the transform
-    does not depend on the rest of the direction set."""
+    `_resampling_matrix`.  The 1-D stacks, stacks(e) in 2-D and
+    stacks(e, f) in 3-D, are (T^(n-1), M + 2 ROW_PAD): pencil (k, l) at
+    k T + l, padded by ROW_PAD mirrored entries at both ends (np.pad's
+    "reflect", which is map_coordinates' rule for taps beyond an end).
+    stacks(e) in 3-D is (M^2, T): column k is slab k's coefficient array,
+    flattened in C order and not padded.  The slabs of e are resampled
+    along f by one batched matmul.  A stack is made on the first use of its
+    axes, from coeffs and t alone, so a column of the transform does not
+    depend on the rest of the direction set."""
     resample = _resampling_matrix((t + L) / h, coeffs.shape[0])
     cache = {}
 
     def stacks(*axes):
         if axes not in cache:
             stack = np.tensordot(resample, coeffs, axes=(1, axes[0]))
-            if len(axes) == 2:  # f > e: the slabs' first axis if f = 1
-                stack = (np.matmul(resample, stack) if axes[1] == 1 else
-                         np.matmul(stack, resample.T).swapaxes(1, 2))
-                stack = stack.reshape((-1,) + stack.shape[2:])
-            widths = [(0, 0)] + [(ROW_PAD, ROW_PAD)] * (stack.ndim - 1)
-            cache[axes] = np.pad(stack, widths, mode="reflect")
+            if len(axes) < coeffs.ndim - 1:  # the slabs of a 3-D array
+                cache[axes] = np.ascontiguousarray(
+                    stack.reshape(len(t), -1).T)
+            else:
+                if len(axes) == 2:  # f > e: the slabs' first axis if f = 1
+                    stack = (np.matmul(resample, stack) if axes[1] == 1 else
+                             np.matmul(stack, resample.T).swapaxes(1, 2))
+                    stack = stack.reshape(-1, stack.shape[2])
+                cache[axes] = np.pad(stack, [(0, 0), (ROW_PAD, ROW_PAD)],
+                                     mode="reflect")
         return cache[axes]
     return stacks
 
 
-def _row_values(slabs, k, x):
-    """Values of the splines whose coefficients are the stack `slabs` of
-    `_slab_stacks` (slabs or pencils), each padded by ROW_PAD mirrored
-    entries at both ends of its axes: slab k_i at the coordinates
-    x[:, i] in grid steps, by one spline evaluation on the slabs joined
-    along their first axis.  A node with a coordinate outside [0, m-1]
-    gives 0, the rule of map_coordinates' mode="constant"."""
-    width = slabs.shape[1]
-    coords = ROW_PAD + x
-    coords[0] = k * width + ROW_PAD + x[0]
-    vals = ndimage.map_coordinates(slabs.reshape((-1,) + slabs.shape[2:]),
-                                   coords, order=SPLINE_ORDER,
-                                   prefilter=False)
-    vals[((x < 0) | (x > width - 2 * ROW_PAD - 1)).any(axis=0)] = 0.0
+def _row_values(pencils, k, x):
+    """Values of the 1-D splines whose coefficients are the padded stack
+    `pencils` of `_slab_stacks`: pencil k_i at the coordinate x[0, i] in
+    grid steps (x is (1, N), map_coordinates' layout), by one spline
+    evaluation on the pencils joined end to end.  A coordinate outside
+    [0, m-1] gives 0, the rule of map_coordinates' mode="constant"."""
+    width = pencils.shape[1]
+    vals = ndimage.map_coordinates(pencils.ravel(), k * width + ROW_PAD + x,
+                                   order=SPLINE_ORDER, prefilter=False)
+    vals[((x < 0) | (x > width - 2 * ROW_PAD - 1))[0]] = 0.0
     return vals
 
 
@@ -295,22 +324,28 @@ def _slab_sampler(coeffs, p, reach, t, h, L):
     """Sampler of the planes xi(p_i, w) of a 3-D transform with a
     horizontal normal w, slab by slab (see the module docstring).  For the
     slab axis e = `_slab_axis(w)`, where w_e = 0 to roundoff,
-    `_hyperplane_basis` gives v = e - w_e w.  The plane meets the slab
-    x_e = t_k in the line p_i w + s u + (t_k - p_i w_e) v, whose nodes
-    s = t_j inside the disk of radius reach_i are kept, each with the cell
-    dt^2.  sample(w) returns the row index i of each node, its value and
+    `_hyperplane_basis` gives u with u_e = 0 and v = e - w_e w.  The plane
+    meets the slab x_e = t_k in the line p_i w + s u + (t_k - p_i w_e) v,
+    whose nodes s = t_j inside the disk of radius reach_i are kept, each
+    with the cell dt^2.  Node (i, j) has the in-slab coordinates p_i w + t_j u
+    in every slab: the term -w_e (t_k - p_i w_e) w of v, of order |w_e|,
+    is dropped (it is 0 when w_e = 0).  So one `_slab_matrix` of the (i, j)
+    that any slab keeps, applied to the (M^2, T) slab stack, gives every
+    node's value in every slab, and each (i, j) sums the slabs that keep
+    it.  sample(w) returns the row index i of each (i, j), its slab sum and
     the cell."""
     stacks = _slab_stacks(coeffs, t, h, L)
 
     def sample(w):
         e = _slab_axis(w)
-        s = t[:, None] - p * w[e]              # (slab k, row i): v-coordinate
-        slab, owner, node = np.nonzero(
-            t**2 + s[:, :, None]**2 <= reach[:, None]**2)
-        x = (w[:, None] * p[owner]
-             + _hyperplane_basis(w).T @ np.stack([t[node], s[slab, owner]]))
+        s = t - p[:, None] * w[e]              # (row i, slab k): v-coordinate
+        keep = t[:, None]**2 + s[:, None, :]**2 <= reach[:, None, None]**2
+        owner, node = np.nonzero(keep.any(axis=2))  # keep: (i, node j, k)
+        x = w[:, None] * p[owner] + _hyperplane_basis(w)[0][:, None] * t[node]
         x = (np.delete(x, e, axis=0) + L) / h
-        return owner, _row_values(stacks(e), slab, x), (t[1] - t[0]) ** 2
+        vals = _slab_matrix(x, coeffs.shape[0]) @ stacks(e)
+        return (owner, (vals * keep[owner, node]).sum(axis=1),
+                (t[1] - t[0]) ** 2)
     return sample
 
 
@@ -331,9 +366,11 @@ def radon_transform(f, offsets=None, directions=None):
     one 1-D spline evaluation on the joined pencils.  A horizontal 3-D
     normal (|omega_3| <= HORIZONTAL_TOL) is sampled instead on the slabs
     x_e = t_k of the axis e least aligned with omega, on the plane's
-    unsheared (t_j, t_k) lattice with the cell dt^2, by one 2-D spline
-    evaluation on the joined slabs, so that the 2-D transform of a
-    marginal does not share its nodes.
+    unsheared (t_j, t_k) lattice with the cell dt^2, so that the 2-D
+    transform of a marginal does not share its nodes.  Its in-slab
+    coordinates are the same in every slab (a term of order |omega_e| is
+    dropped), so the direction is one sparse interpolation matrix applied
+    to every slab at once, on that unchanged lattice.
     """
     n = f.grid.n
     if n not in (2, 3):

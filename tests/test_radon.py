@@ -207,7 +207,9 @@ class TestAntipodalReuse:
         # horizontal, so both on the slab lattice, though only one w_3 is 0
         (GridSpec(3, 1.5, 33), [0.2, -0.1, 0.15], 0.6,
          DirectionSet([[0.6, 0.8, 0.0], [-0.6, -0.8, -1e-17]], [0.5, 0.5], 0)),
-    ], ids=["circle64", "sphere3", "circle9", "horizontal-pair"])
+        # 16 horizontal normals in 8 antipodal pairs, on slab axes 1 and 2
+        (GridSpec(3, 1.5, 33), [0.2, -0.1, 0.15], 0.6, compat_directions()),
+    ], ids=["circle64", "sphere3", "circle9", "horizontal-pair", "compat16"])
     def test_columns_match_single_directions(self, grid, center, radius, dirs):
         f = make_bump(center, radius, 1.0, grid)
         s = radon_transform(f, directions=dirs)
@@ -237,20 +239,20 @@ class TestAntipodalReuse:
             radon_transform(f, directions=dirs)
         return calls
 
-    # a sampled direction is one spline evaluation: 1-D on the rows or
-    # pencils, 2-D on the slabs of a horizontal 3-D normal
-    @pytest.mark.parametrize("grid, center, dirs, sampled, dim", [
-        (GridSpec(2, 1.5, 129), [0.3, -0.2], DirectionSet.circle(64), 32, 1),
-        (GridSpec(2, 1.5, 129), [0.3, -0.2], DirectionSet.circle(9), 9, 1),
+    # a sampled direction is one 1-D spline evaluation on the rows or
+    # pencils; the 8 sampled horizontal 3-D normals of compat-8 are sparse
+    # matrix products on the slabs and make no map_coordinates call
+    @pytest.mark.parametrize("grid, center, dirs, calls", [
+        (GridSpec(2, 1.5, 129), [0.3, -0.2], DirectionSet.circle(64), 32),
+        (GridSpec(2, 1.5, 129), [0.3, -0.2], DirectionSet.circle(9), 9),
         (GridSpec(3, 1.5, 33), [0.2, -0.1, 0.15], DirectionSet.sphere(3),
-         16, 1),
-        (GridSpec(3, 1.5, 33), [0.2, -0.1, 0.15], compat_directions(), 8, 2),
+         16),
+        (GridSpec(3, 1.5, 33), [0.2, -0.1, 0.15], compat_directions(), 0),
     ], ids=["64-32", "9-9", "sphere3-16", "compat-8"])
     def test_one_spline_call_per_sampled_direction(self, monkeypatch, grid,
-                                                    center, dirs, sampled,
-                                                    dim):
+                                                    center, dirs, calls):
         f = make_bump(center, 0.5, 1.0, grid)
-        assert self.spline_calls(monkeypatch, f, dirs) == [dim] * sampled
+        assert self.spline_calls(monkeypatch, f, dirs) == [1] * calls
 
     def test_asymmetric_offsets_rejected(self, shifted_bump):
         with pytest.raises(ValueError, match="symmetric"):
@@ -312,6 +314,30 @@ class TestSlabSampler:
             for unit in np.eye(m)], axis=1)
         assert np.abs(got - want).max() <= 1e-15
         assert not got[(x < 0) | (x > m - 1)].any()
+
+    @pytest.mark.parametrize("m", [5, 33])
+    @pytest.mark.parametrize("e", [0, 1, 2])
+    def test_slab_matrix_is_map_coordinates(self, m, e):
+        # coordinates in grid steps along each in-slab axis: beyond each
+        # end, within 3 steps of it, on it, and inside, shuffled between the
+        # two axes; the slabs are those of a random 3-D coefficient array at
+        # 7 coordinates along e, laid out as the columns of stacks(e)
+        from scipy import ndimage
+        from pwkit.radon import _resampling_matrix, _slab_matrix, _slab_stacks
+        rng = np.random.default_rng(m)
+        coeffs = rng.standard_normal((m,) * 3)
+        t = rng.uniform(0, m - 1, 7)
+        ends = np.linspace(-4.0, 3.5, 31)
+        axis = np.concatenate([ends, m - 1 - ends, [0.0, m - 1.0, -1e-12],
+                               rng.uniform(0, m - 1, 20)])
+        x = np.stack([axis, rng.permutation(axis)])
+        got = _slab_matrix(x, m) @ _slab_stacks(coeffs, t, 1.0, 0.0)(e)
+        slabs = np.tensordot(_resampling_matrix(t, m), coeffs, axes=(1, e))
+        want = np.stack([ndimage.map_coordinates(
+            slab, x, order=5, prefilter=False, mode="constant")
+            for slab in slabs], axis=1)
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(slabs).max()
+        assert not got[((x < 0) | (x > m - 1)).any(axis=0)].any()
 
     @pytest.mark.parametrize("points, declared", [
         (33, True), (97, True), (33, False)],
@@ -418,29 +444,24 @@ class TestRowSampler:
         assert np.abs(got - want).max() <= bound * np.abs(want).max()
 
     @pytest.mark.parametrize("m", [5, 33])
-    @pytest.mark.parametrize("n, e", [(2, 0), (2, 1), (3, 0), (3, 1), (3, 2)],
-                             ids=["0", "1", "3d-0", "3d-1", "3d-2"])
-    def test_row_values_are_the_resampling_matrix(self, m, n, e):
-        # coordinates in grid steps along each slab axis: beyond each end,
-        # within 3 steps of it, on it, and inside, shuffled between the axes
-        # of a 2-D slab; the slabs are those of a random n-D coefficient
-        # array at 7 coordinates along e
+    @pytest.mark.parametrize("e", [0, 1])
+    def test_row_values_are_the_resampling_matrix(self, m, e):
+        # coordinates in grid steps along each row: beyond each end, within
+        # 3 steps of it, on it, and inside; the rows are those of a random
+        # 2-D coefficient array at 7 coordinates along e
         from pwkit.radon import _resampling_matrix, _row_values, _slab_stacks
         rng = np.random.default_rng(m)
-        coeffs = rng.standard_normal((m,) * n)
+        coeffs = rng.standard_normal((m, m))
         t = rng.uniform(0, m - 1, 7)
         ends = np.linspace(-4.0, 3.5, 31)
-        axis = np.concatenate([ends, m - 1 - ends, [0.0, m - 1.0, -1e-12],
-                               rng.uniform(0, m - 1, 20)])
-        x = np.stack([axis] + [rng.permutation(axis) for _ in range(n - 2)])
-        k = rng.integers(0, len(t), len(axis))
-        got = _row_values(_slab_stacks(coeffs, t, 1.0, 0.0)(e), k, x)
+        x = np.concatenate([ends, m - 1 - ends, [0.0, m - 1.0, -1e-12],
+                            rng.uniform(0, m - 1, 20)])
+        k = rng.integers(0, len(t), len(x))
+        got = _row_values(_slab_stacks(coeffs, t, 1.0, 0.0)(e), k, x[None])
         stack = np.tensordot(_resampling_matrix(t, m), coeffs, axes=(1, e))
-        want = stack[k]
-        for xa in x:  # contract the slab axes one at a time
-            want = np.einsum("ij...,ij->i...", want, _resampling_matrix(xa, m))
+        want = np.einsum("ij,ij->i", stack[k], _resampling_matrix(x, m))
         assert np.abs(got - want).max() <= 1e-14 * np.abs(stack).max()
-        assert not got[((x < 0) | (x > m - 1)).any(axis=0)].any()
+        assert not got[(x < 0) | (x > m - 1)].any()
 
     @pytest.mark.parametrize("m", [5, 33])
     @pytest.mark.parametrize("e, f", [(0, 1), (0, 2), (1, 2)],
