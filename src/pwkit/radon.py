@@ -2,22 +2,27 @@
 and inversion through the Fourier-slice route.
 
 A hyperplane is xi(p, omega) = {x : x . omega = p}.  The transform is
-computed matrix-free from the quintic B-spline interpolant of the samples,
-on the nodes t_j, spacing dt at most the grid spacing h, of
-[-rs - 3h, rs + 3h] for the support radius rs.  For an offset |p| <= rs
-only the nodes within sqrt(rs^2 - p^2) + 3h of p omega, where the
-hyperplane can meet the support ball, are kept, and the offset's integral
-is the sum of its nodes' values times the node cell (the integrand
-vanishes at that rim, so no end weights are needed).
+computed matrix-free from the quintic B-spline interpolant of the samples
+(mirrored at the box's faces), on the nodes t_j, spacing dt at most the
+grid spacing h, of [-rs - 3h, rs + 3h] for the support radius rs.  For an
+offset |p| <= rs only the nodes within sqrt(rs^2 - p^2) + 3h of p omega,
+where the hyperplane can meet the support ball, are kept, and the offset's
+integral is the sum of its nodes' values times the node cell (the
+integrand vanishes at that rim, so no end weights are needed).
 
 2-D lines and 3-D planes are sampled by one construction, on pencils.  The
 pencil axis g is the coordinate axis most aligned with omega, so
 |omega_g| >= 1/sqrt(n).  A tensor-product spline restricted to the line
 along g through x_a = t_(k_a), for each other axis a, is a 1-D spline
-whose coefficients are the n-D ones resampled at t_(k_a) along every a.  So
-the coefficients are resampled once per call and pencil axis, by one
-(T, M) B-spline matrix applied along each of the n - 1 other axes, into a
-(T^(n-1), M) stack of 1-D splines.  The hyperplane meets the pencil at
+whose coefficients are the n-D ones resampled at t_(k_a) along every a.  The
+n-D coefficients are the samples with the one-axis prefilter F, the inverse
+of the (M, M) collocation matrix, applied along every axis (Unser, Aldroubi
+and Eden, "B-spline signal processing", IEEE TSP 1993), so F is folded into
+the (T, M) B-spline resampling matrix R: the samples are resampled once per
+call and pencil axis, by R F applied along each of the n - 1 other axes,
+and F is applied along g alone, into a (T^(n-1), M) stack of 1-D splines.
+No n-D prefilter runs over the M^n samples, while the stacks keep T < M
+nodes along each resampled axis.  The hyperplane meets the pencil at
 x_g = (p - sum_a omega_a t_(k_a)) / omega_g.  The nodes with
 |x|^2 <= p^2 + reach^2 are kept, each with the cell dt^(n-1) / |omega_g|,
 the area of the hyperplane above one pencil's cross-section.  The pencils
@@ -37,10 +42,11 @@ is linear and separable.  `fourier.projection_compatibility_defect`, which
 compares the 3-D transform on horizontal normals with the 2-D transform of
 the z-marginal, would then compare two z-quadratures of one xy
 interpolant, which certifies nothing about the xy sampling.  The slab
-lattice gives those planes nodes the 2-D side does not share.  The
-coefficients are resampled along the slab axis e, the axis least aligned
-with omega (so omega_e = 0 to roundoff), into an (M^2, T) stack of 2-D
-splines, slab k in column k.  The plane meets slab k in a line along its
+lattice gives those planes nodes the 2-D side does not share.  The samples
+are resampled by R F along the slab axis e = z of every horizontal normal
+(so omega_e = 0 to roundoff, and one stack serves them all), and F is
+applied along the two in-slab axes, into an (M^2, T) stack of 2-D splines,
+slab k in column k.  The plane meets slab k in a line along its
 in-plane vector u (with u_e = 0), whose nodes are t_j along u, so the
 nodes are the unsheared (t_j, t_k) lattice of the plane, each with the
 cell dt^2.  Node (i, j) of offset p_i has the same in-slab coordinates
@@ -156,15 +162,18 @@ def default_offsets(grid):
 
 
 def _slab_axis(w):
-    """The coordinate axis least aligned with the normal w (n = 2 or 3),
-    the axis along which `radon_transform` cuts slabs."""
-    return int(np.argmin(np.abs(w)))
+    """The coordinate axis across which `_hyperplane_basis` takes the first
+    vector of the plane with the 3-D normal w: the slab axis z for a
+    horizontal normal (|w_3| <= HORIZONTAL_TOL), so that one slab stack
+    serves every horizontal normal of a call, and otherwise the axis least
+    aligned with w."""
+    return 2 if abs(w[2]) <= HORIZONTAL_TOL else int(np.argmin(np.abs(w)))
 
 
 def _hyperplane_basis(w):
     """Orthonormal basis of the hyperplane with normal w, as the rows of an
     (n-1, n) array: (-w_2, w_1) in 2-D; in 3-D u = e x w / |e x w| for the
-    coordinate axis e least aligned with w, and v = w x u."""
+    coordinate axis e = `_slab_axis(w)`, and v = w x u."""
     if len(w) == 2:
         return np.array([[-w[1], w[0]]])
     e = np.zeros(3)
@@ -239,25 +248,42 @@ ROW_PAD = SPLINE_ORDER // 2 + 1
 HORIZONTAL_TOL = 1e-12
 
 
-def _slab_stacks(coeffs, t, h, L):
-    """The coefficients restricted to the slabs x_e = t_k of an axis e, or
-    to the pencils (x_e, x_f) = (t_k, t_l) of two axes e < f, by the rule of
-    `_resampling_matrix`.  The 1-D stacks, stacks(e) in 2-D and
-    stacks(e, f) in 3-D, are (T^(n-1), M + 2 ROW_PAD): pencil (k, l) at
+def _prefilter_matrix(m):
+    """The (m, m) matrix F of the one-axis quintic B-spline prefilter with
+    mirrored ends, F @ x = ndimage.spline_filter1d(x, order=SPLINE_ORDER):
+    the inverse of the collocation matrix `_resampling_matrix(arange(m), m)`,
+    which takes a spline's coefficients on the nodes 0..m-1 to its values
+    there."""
+    return ndimage.spline_filter1d(np.eye(m), order=SPLINE_ORDER, axis=0)
+
+
+def _slab_stacks(values, t, h, L):
+    """The spline interpolant of the samples `values` restricted to the
+    slabs x_e = t_k of an axis e, or to the pencils (x_e, x_f) = (t_k, t_l)
+    of two axes e < f, as spline coefficients by the rule of
+    `_resampling_matrix`.  The n-D coefficients are the samples with the
+    prefilter F = `_prefilter_matrix(M)` applied along every axis, and the
+    resampling R = `_resampling_matrix` at t is linear, so a resampled axis
+    contracts the samples with R F, and F is applied only along the axes a
+    stack keeps: the pencil axis, or the two in-slab axes.  No n-D
+    prefilter runs over the M^n samples.  The 1-D stacks, stacks(e) in 2-D
+    and stacks(e, f) in 3-D, are (T^(n-1), M + 2 ROW_PAD): pencil (k, l) at
     k T + l, padded by ROW_PAD mirrored entries at both ends (np.pad's
     "reflect", which is map_coordinates' rule for taps beyond an end).
     stacks(e) in 3-D is (M^2, T): column k is slab k's coefficient array,
     flattened in C order and not padded.  The slabs of e are resampled
     along f by one batched matmul.  A stack is made on the first use of its
-    axes, from coeffs and t alone, so a column of the transform does not
+    axes, from values and t alone, so a column of the transform does not
     depend on the rest of the direction set."""
-    resample = _resampling_matrix((t + L) / h, coeffs.shape[0])
+    prefilter = _prefilter_matrix(values.shape[0])
+    resample = _resampling_matrix((t + L) / h, values.shape[0]) @ prefilter
     cache = {}
 
     def stacks(*axes):
         if axes not in cache:
-            stack = np.tensordot(resample, coeffs, axes=(1, axes[0]))
-            if len(axes) < coeffs.ndim - 1:  # the slabs of a 3-D array
+            stack = np.tensordot(resample, values, axes=(1, axes[0]))
+            if len(axes) < values.ndim - 1:  # the slabs of a 3-D array
+                stack = prefilter @ stack @ prefilter.T
                 cache[axes] = np.ascontiguousarray(
                     stack.reshape(len(t), -1).T)
             else:
@@ -265,7 +291,8 @@ def _slab_stacks(coeffs, t, h, L):
                     stack = (np.matmul(resample, stack) if axes[1] == 1 else
                              np.matmul(stack, resample.T).swapaxes(1, 2))
                     stack = stack.reshape(-1, stack.shape[2])
-                cache[axes] = np.pad(stack, [(0, 0), (ROW_PAD, ROW_PAD)],
+                cache[axes] = np.pad(stack @ prefilter.T,
+                                     [(0, 0), (ROW_PAD, ROW_PAD)],
                                      mode="reflect")
         return cache[axes]
     return stacks
@@ -287,25 +314,28 @@ def _row_values(pencils, k, x):
 def _pencil_axis(w):
     """The coordinate axis most aligned with the normal w, so
     |w_g| >= 1/sqrt(n), the axis of the pencils `radon_transform` samples
-    on; a tie goes to the last axis, so in 2-D g = 1 - `_slab_axis(w)`."""
+    on; a tie goes to the last axis."""
     return len(w) - 1 - int(np.argmax(np.abs(w[::-1])))
 
 
-def _pencil_sampler(coeffs, p, reach, t, h, L):
+def _pencil_sampler(stacks, n, p, reach, t, h, L):
     """Sampler of the hyperplanes xi(p_i, w) on pencils (see the module
     docstring): the rows of a 2-D transform and the non-horizontal planes
     of a 3-D one.  For the pencil axis g = `_pencil_axis(w)` and the other
     axes a, the hyperplane meets the pencil x_a = t_(k_a) at
     x_g = (p_i - sum_a w_a t_(k_a)) / w_g; the nodes with
     |x|^2 <= p_i^2 + reach_i^2 are kept, each with the cell
-    dt^(n-1) / |w_g|.  sample(w) returns the row index i of each node, its
-    value and the cell."""
-    stacks = _slab_stacks(coeffs, t, h, L)
-    n = coeffs.ndim
+    dt^(n-1) / |w_g|.  A pencil with sum_a t_(k_a)^2 beyond every
+    p_i^2 + reach_i^2 keeps no node, so only the others are searched, in
+    their order.  The pencils come from `stacks`, the `_slab_stacks` of the
+    n-D samples.  sample(w) returns the row index i of each node, its value
+    and the cell."""
     lattice = np.stack(np.meshgrid(*[t] * (n - 1), indexing="ij")).reshape(
         n - 1, -1)                             # pencil k T + l at (t_k, t_l)
     norm2 = (lattice**2).sum(axis=0)
     bound = p**2 + reach**2
+    ids = np.flatnonzero(norm2 <= bound.max())
+    lattice, norm2 = lattice[:, ids], norm2[ids]
 
     def sample(w):
         g = _pencil_axis(w)
@@ -315,15 +345,15 @@ def _pencil_sampler(coeffs, p, reach, t, h, L):
         x = (p - (w[rest] @ lattice)[:, None]) / w[g]
         pencil, owner = np.nonzero(norm2[:, None] + x**2 <= bound)
         x = (x[pencil, owner] + L)[None] / h
-        return (owner, _row_values(stacks(*rest), pencil, x),
+        return (owner, _row_values(stacks(*rest), ids[pencil], x),
                 (t[1] - t[0]) ** (n - 1) / abs(w[g]))
     return sample
 
 
-def _slab_sampler(coeffs, p, reach, t, h, L):
+def _slab_sampler(stacks, m, p, reach, t, h, L):
     """Sampler of the planes xi(p_i, w) of a 3-D transform with a
     horizontal normal w, slab by slab (see the module docstring).  For the
-    slab axis e = `_slab_axis(w)`, where w_e = 0 to roundoff,
+    slab axis e = `_slab_axis(w)`, which is z, so w_e = 0 to roundoff,
     `_hyperplane_basis` gives u with u_e = 0 and v = e - w_e w.  The plane
     meets the slab x_e = t_k in the line p_i w + s u + (t_k - p_i w_e) v,
     whose nodes s = t_j inside the disk of radius reach_i are kept, each
@@ -332,9 +362,9 @@ def _slab_sampler(coeffs, p, reach, t, h, L):
     is dropped (it is 0 when w_e = 0).  So one `_slab_matrix` of the (i, j)
     that any slab keeps, applied to the (M^2, T) slab stack, gives every
     node's value in every slab, and each (i, j) sums the slabs that keep
-    it.  sample(w) returns the row index i of each (i, j), its slab sum and
-    the cell."""
-    stacks = _slab_stacks(coeffs, t, h, L)
+    it.  The slabs come from `stacks`, the `_slab_stacks` of the samples on
+    m points an axis.  sample(w) returns the row index i of each (i, j), its
+    slab sum and the cell."""
 
     def sample(w):
         e = _slab_axis(w)
@@ -343,7 +373,7 @@ def _slab_sampler(coeffs, p, reach, t, h, L):
         owner, node = np.nonzero(keep.any(axis=2))  # keep: (i, node j, k)
         x = w[:, None] * p[owner] + _hyperplane_basis(w)[0][:, None] * t[node]
         x = (np.delete(x, e, axis=0) + L) / h
-        vals = _slab_matrix(x, coeffs.shape[0]) @ stacks(e)
+        vals = _slab_matrix(x, m) @ stacks(e)
         return (owner, (vals * keep[owner, node]).sum(axis=1),
                 (t[1] - t[0]) ** 2)
     return sample
@@ -365,12 +395,14 @@ def radon_transform(f, offsets=None, directions=None):
     pencils are the rows crossed by each line.  Each sampled direction is
     one 1-D spline evaluation on the joined pencils.  A horizontal 3-D
     normal (|omega_3| <= HORIZONTAL_TOL) is sampled instead on the slabs
-    x_e = t_k of the axis e least aligned with omega, on the plane's
-    unsheared (t_j, t_k) lattice with the cell dt^2, so that the 2-D
-    transform of a marginal does not share its nodes.  Its in-slab
-    coordinates are the same in every slab (a term of order |omega_e| is
-    dropped), so the direction is one sparse interpolation matrix applied
-    to every slab at once, on that unchanged lattice.
+    z = t_k, on the plane's unsheared (t_j, t_k) lattice with the cell
+    dt^2, so that the 2-D transform of a marginal does not share its
+    nodes.  Its in-slab coordinates are the same in every slab (a term of
+    order |omega_3| is dropped), so the direction is one sparse
+    interpolation matrix applied to every slab at once, on that unchanged
+    lattice.  The spline's prefilter is folded into the resampling of each
+    stack and applied only along the axes the stack keeps (see
+    `_slab_stacks`), so no n-D prefilter runs over the samples.
     """
     n = f.grid.n
     if n not in (2, 3):
@@ -396,7 +428,6 @@ def radon_transform(f, offsets=None, directions=None):
     h = f.grid.spacing
     L = f.grid.half_width
     rs = _effective_support(f)
-    coeffs = ndimage.spline_filter(f.values, order=SPLINE_ORDER)
     tmax = rs + 3 * h
     t = np.linspace(-tmax, tmax, int(2 * np.ceil(tmax / h)) + 1)
 
@@ -405,8 +436,9 @@ def radon_transform(f, offsets=None, directions=None):
     # integrand vanishes
     rows = np.flatnonzero(np.abs(offsets) <= rs)
     reach = np.sqrt(rs**2 - offsets[rows]**2) + 3 * h
-    pencils = _pencil_sampler(coeffs, offsets[rows], reach, t, h, L)
-    slabs = _slab_sampler(coeffs, offsets[rows], reach, t, h, L)
+    stacks = _slab_stacks(f.values, t, h, L)
+    pencils = _pencil_sampler(stacks, n, offsets[rows], reach, t, h, L)
+    slabs = _slab_sampler(stacks, f.grid.points, offsets[rows], reach, t, h, L)
 
     out = np.zeros((len(offsets), len(directions)))
     partner = directions._antipodes()

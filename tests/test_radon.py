@@ -207,7 +207,7 @@ class TestAntipodalReuse:
         # horizontal, so both on the slab lattice, though only one w_3 is 0
         (GridSpec(3, 1.5, 33), [0.2, -0.1, 0.15], 0.6,
          DirectionSet([[0.6, 0.8, 0.0], [-0.6, -0.8, -1e-17]], [0.5, 0.5], 0)),
-        # 16 horizontal normals in 8 antipodal pairs, on slab axes 1 and 2
+        # 16 horizontal normals in 8 antipodal pairs, all on the slab axis z
         (GridSpec(3, 1.5, 33), [0.2, -0.1, 0.15], 0.6, compat_directions()),
     ], ids=["circle64", "sphere3", "circle9", "horizontal-pair", "compat16"])
     def test_columns_match_single_directions(self, grid, center, radius, dirs):
@@ -320,18 +320,20 @@ class TestSlabSampler:
     def test_slab_matrix_is_map_coordinates(self, m, e):
         # coordinates in grid steps along each in-slab axis: beyond each
         # end, within 3 steps of it, on it, and inside, shuffled between the
-        # two axes; the slabs are those of a random 3-D coefficient array at
-        # 7 coordinates along e, laid out as the columns of stacks(e)
+        # two axes; the slabs are those of the spline of a random 3-D sample
+        # array at 7 coordinates along e, laid out as the columns of
+        # stacks(e), which takes the samples and folds in the prefilter
         from scipy import ndimage
         from pwkit.radon import _resampling_matrix, _slab_matrix, _slab_stacks
         rng = np.random.default_rng(m)
-        coeffs = rng.standard_normal((m,) * 3)
+        values = rng.standard_normal((m,) * 3)
+        coeffs = ndimage.spline_filter(values, order=5)
         t = rng.uniform(0, m - 1, 7)
         ends = np.linspace(-4.0, 3.5, 31)
         axis = np.concatenate([ends, m - 1 - ends, [0.0, m - 1.0, -1e-12],
                                rng.uniform(0, m - 1, 20)])
         x = np.stack([axis, rng.permutation(axis)])
-        got = _slab_matrix(x, m) @ _slab_stacks(coeffs, t, 1.0, 0.0)(e)
+        got = _slab_matrix(x, m) @ _slab_stacks(values, t, 1.0, 0.0)(e)
         slabs = np.tensordot(_resampling_matrix(t, m), coeffs, axes=(1, e))
         want = np.stack([ndimage.map_coordinates(
             slab, x, order=5, prefilter=False, mode="constant")
@@ -447,17 +449,20 @@ class TestRowSampler:
     @pytest.mark.parametrize("e", [0, 1])
     def test_row_values_are_the_resampling_matrix(self, m, e):
         # coordinates in grid steps along each row: beyond each end, within
-        # 3 steps of it, on it, and inside; the rows are those of a random
-        # 2-D coefficient array at 7 coordinates along e
+        # 3 steps of it, on it, and inside; the rows are those of the spline
+        # of a random 2-D sample array at 7 coordinates along e, whose
+        # coefficients the reference takes from ndimage.spline_filter
+        from scipy import ndimage
         from pwkit.radon import _resampling_matrix, _row_values, _slab_stacks
         rng = np.random.default_rng(m)
-        coeffs = rng.standard_normal((m, m))
+        values = rng.standard_normal((m, m))
+        coeffs = ndimage.spline_filter(values, order=5)
         t = rng.uniform(0, m - 1, 7)
         ends = np.linspace(-4.0, 3.5, 31)
         x = np.concatenate([ends, m - 1 - ends, [0.0, m - 1.0, -1e-12],
                             rng.uniform(0, m - 1, 20)])
         k = rng.integers(0, len(t), len(x))
-        got = _row_values(_slab_stacks(coeffs, t, 1.0, 0.0)(e), k, x[None])
+        got = _row_values(_slab_stacks(values, t, 1.0, 0.0)(e), k, x[None])
         stack = np.tensordot(_resampling_matrix(t, m), coeffs, axes=(1, e))
         want = np.einsum("ij,ij->i", stack[k], _resampling_matrix(x, m))
         assert np.abs(got - want).max() <= 1e-14 * np.abs(stack).max()
@@ -467,26 +472,106 @@ class TestRowSampler:
     @pytest.mark.parametrize("e, f", [(0, 1), (0, 2), (1, 2)],
                              ids=["g2", "g1", "g0"])
     def test_pencil_values_are_the_resampling_matrix(self, m, e, f):
-        # the pencils of a random 3-D coefficient array at 7 coordinates
-        # along e and f, evaluated along the remaining axis g at
+        # the pencils of the spline of a random 3-D sample array at 7
+        # coordinates along e and f, evaluated along the remaining axis g at
         # coordinates beyond each end, within 3 steps of it, on it, and
         # inside; each value sums coefficients with B-spline weights of at
         # most 1 in all, so its roundoff scales with the largest coefficient
+        # of ndimage.spline_filter, the reference's
+        from scipy import ndimage
         from pwkit.radon import _resampling_matrix, _row_values, _slab_stacks
         rng = np.random.default_rng(m)
-        coeffs = rng.standard_normal((m,) * 3)
+        values = rng.standard_normal((m,) * 3)
+        coeffs = ndimage.spline_filter(values, order=5)
         t = rng.uniform(0, m - 1, 7)
         ends = np.linspace(-4.0, 3.5, 31)
         x = np.concatenate([ends, m - 1 - ends, [0.0, m - 1.0, -1e-12],
                             rng.uniform(0, m - 1, 20)])
         k = rng.integers(0, len(t) ** 2, len(x))
-        got = _row_values(_slab_stacks(coeffs, t, 1.0, 0.0)(e, f), k, x[None])
+        got = _row_values(_slab_stacks(values, t, 1.0, 0.0)(e, f), k, x[None])
         resample = _resampling_matrix(t, m)
         pencils = np.einsum("ka,lb,abc->klc", resample, resample,
                             np.moveaxis(coeffs, (e, f), (0, 1))).reshape(-1, m)
         want = np.einsum("ic,ic->i", pencils[k], _resampling_matrix(x, m))
         assert np.abs(got - want).max() <= 1e-14 * np.abs(coeffs).max()
         assert not got[(x < 0) | (x > m - 1)].any()
+
+
+class TestPrefilterFold:
+    """The transform takes the samples: the quintic prefilter, one (M, M)
+    matrix per axis, is folded into each stack's resampling and applied only
+    along the axes a stack keeps."""
+
+    @pytest.mark.parametrize("m", [5, 33, 97])
+    def test_prefilter_matrix_is_spline_filter1d(self, m):
+        from scipy import ndimage
+        from pwkit.radon import _prefilter_matrix, _resampling_matrix
+        prefilter = _prefilter_matrix(m)
+        x = np.random.default_rng(m).standard_normal((m, 4))
+        want = ndimage.spline_filter1d(x, order=5, axis=0)
+        assert np.abs(prefilter @ x - want).max() <= 1e-14 * np.abs(want).max()
+        # the inverse of the collocation matrix
+        collocation = _resampling_matrix(np.arange(m, dtype=float), m)
+        assert np.abs(prefilter @ collocation - np.eye(m)).max() <= 1e-14
+
+    @pytest.mark.parametrize("grid, dirs", [
+        (GridSpec(2, 1.5, 65), DirectionSet.circle(16)),
+        (GridSpec(3, 1.5, 33), DirectionSet.sphere(3)),
+        (GridSpec(3, 1.5, 33), compat_directions()),
+    ], ids=["2d", "3d-pencils", "3d-slabs"])
+    def test_no_n_dimensional_prefilter(self, monkeypatch, grid, dirs):
+        from pwkit import radon
+        calls = []
+        real = radon.ndimage.spline_filter
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].shape)
+            return real(*args, **kwargs)
+        monkeypatch.setattr(radon.ndimage, "spline_filter", counting)
+        f = make_bump([0.2, -0.1, 0.15][:grid.n], 0.5, 1.0, grid)
+        s = radon_transform(f, directions=dirs)
+        assert calls == []
+        assert np.abs(s.values).max() > 0
+
+    def test_horizontal_normals_slab_on_z(self):
+        # so one slab stack serves every horizontal normal of a call,
+        # w = (1, 0, 0) included
+        from pwkit.radon import _slab_axis
+        dirs = np.concatenate([compat_directions().vectors,
+                               [[0.6, 0.8, 0.0], [-0.6, -0.8, -1e-17],
+                                [1.0, 0.0, 1e-13]]])
+        assert [_slab_axis(w) for w in dirs] == [2] * len(dirs)
+
+    def test_pencil_pruning_keeps_every_node(self):
+        # the sampler searches only the pencils within the largest
+        # p^2 + reach^2; the search over the whole T x T lattice must keep
+        # the same nodes in the same order, with the same values
+        from pwkit.radon import (_effective_support, _pencil_axis,
+                                 _pencil_sampler, _row_values, _slab_stacks)
+        g = GridSpec(3, 1.5, 33)
+        f = make_bump(*OFFCENTRE, 1.0, g)
+        h, L = g.spacing, g.half_width
+        rs = _effective_support(f)
+        tmax = rs + 3 * h
+        t = np.linspace(-tmax, tmax, int(2 * np.ceil(tmax / h)) + 1)
+        offsets = default_offsets(g)
+        p = offsets[np.abs(offsets) <= rs]
+        reach = np.sqrt(rs**2 - p**2) + 3 * h
+        stacks = _slab_stacks(f.values, t, h, L)
+        sample = _pencil_sampler(stacks, 3, p, reach, t, h, L)
+        lattice = np.stack(np.meshgrid(t, t, indexing="ij")).reshape(2, -1)
+        norm2 = (lattice**2).sum(axis=0)
+        assert (norm2 > (p**2 + reach**2).max()).sum() > 0.2 * len(norm2)
+        for w in DirectionSet.sphere(3).vectors:
+            axis = _pencil_axis(w)
+            rest = [a for a in range(3) if a != axis]
+            x = (p - (w[rest] @ lattice)[:, None]) / w[axis]
+            pencil, owner = np.nonzero(norm2[:, None] + x**2 <= p**2 + reach**2)
+            vals = _row_values(stacks(*rest), pencil,
+                               ((x[pencil, owner] + L) / h)[None])
+            got_owner, got_vals, _ = sample(w)
+            np.testing.assert_array_equal(got_owner, owner)
+            np.testing.assert_array_equal(got_vals, vals)
 
 
 class TestEvenness:
