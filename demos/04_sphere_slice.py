@@ -28,7 +28,7 @@ for n in (3, 2):
     coeffs = spherical_transform(prof, 12)
     cm = sphere_slice_constants(prof, 12)
     print("\nS^%d polar cap (angle 0.5):" % n)
-    print("  f_hat(0..4):", np.array2string(coeffs.values[:5], precision=6))
+    print("  f_hat(0..4):", np.array2string(coeffs[:5], precision=6))
     print("  slice identity defect (m <= 12): %.2e"
           % sphere_slice_defect(prof, 12))
     print("  calibration constant c = %.10f, drift across m: %.1e"

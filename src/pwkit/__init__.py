@@ -18,11 +18,11 @@ from .pw import (ComplexGrid, ComplexSpherePoint, HarmonicExpansion, ZeroInput,
                  taylor_coefficient, homogeneity_defect,
                  complexified_sphere_eval, extension_consistency_defect,
                  schwartz_seminorm)
-from .sphere import (ZonalProfile, SphericalCoefficients,
-                     DegenerateCalibration, UnsupportedSphereDimension,
-                     cap_bump, spherical_function, spherical_transform,
-                     sphere_radon, sphere_slice_defect, sphere_slice_constants,
-                     sphere_support_check, save_profile, load_profile)
+from .sphere import (ZonalProfile, DegenerateCalibration,
+                     UnsupportedSphereDimension, cap_bump, spherical_function,
+                     spherical_transform, sphere_radon, sphere_slice_defect,
+                     sphere_slice_constants, sphere_support_check,
+                     save_profile, load_profile)
 from .weyl import (SignedPermutation, RootSystemSpec, MultivariatePolynomial,
                    GroupTooLarge, DegreeTooLarge, NotInvariant,
                    ObstructionHit, weyl_group, group_order, stabilizer,

@@ -84,7 +84,7 @@ class RunConfig:
     def __init__(self, subcommand, grid_points=257, half_width=1.5,
                  directions=64, kmax=6, seminorm_order=2, preset="desk",
                  seed=7, report_path=None, input_path=None, output_path=None,
-                 sphere_dim=3, family="B", k_rank=4, n_rank=2, degree=6):
+                 sphere_dim=None, family="B", k_rank=4, n_rank=2, degree=6):
         if subcommand not in ("radon", "slice", "pw", "sphere", "weyl", "all"):
             raise ConfigError("unknown subcommand %r" % (subcommand,))
         if preset not in PRESETS:
@@ -100,7 +100,7 @@ class RunConfig:
         self.report_path = report_path
         self.input_path = input_path
         self.output_path = output_path
-        self.sphere_dim = int(sphere_dim)
+        self.sphere_dim = None if sphere_dim is None else int(sphere_dim)
         self.family = family
         self.k_rank = int(k_rank)
         self.n_rank = int(n_rank)
@@ -443,15 +443,15 @@ def run_pw(cfg, report, inputs):
 
 
 def run_sphere(cfg, report):
-    # profiles by sphere dimension; a file is one profile on S^n, n = --n
+    # profiles by sphere dimension: a file is one profile on S^n, n = --n
+    # (3 if not given); the synthetic caps are on S^n, or on both spheres
+    # if --n is not given
     if cfg.input_path:
-        caps = {cfg.sphere_dim: [_sphere.load_profile(cfg.input_path,
-                                                      cfg.sphere_dim)]}
-        cap_angles = []
+        n = cfg.sphere_dim or 3
+        caps = {n: [_sphere.load_profile(cfg.input_path, n)]}
     else:
         caps = {n: [_sphere.cap_bump(t, n) for t in (0.5, 1.2)]
-                for n in (3, 2)}
-        cap_angles = [0.3, 0.5, 0.8, 1.2]
+                for n in ((cfg.sphere_dim,) if cfg.sphere_dim else (3, 2))}
     profiles = [p for ps in caps.values() for p in ps]
     mesh = {"T": len(profiles[0].values), "m_max": SPHERE_M_MAX}
 
@@ -477,10 +477,10 @@ def run_sphere(cfg, report):
         p = _sphere.cap_bump(t, 3, samples=SUPPORT_SAMPLES)
         rp, rr = _sphere.sphere_support_check(p)
         return abs(rp - rr) / p.step
-    if cap_angles:
+    if 3 in caps and not cfg.input_path:
         report.check("sphere support equivalence", "zonal support theorem",
-                     lambda: max(map(support_gap, cap_angles)), 1.0,
-                     {"T": SUPPORT_SAMPLES})
+                     lambda: max(map(support_gap, (0.3, 0.5, 0.8, 1.2))),
+                     1.0, {"T": SUPPORT_SAMPLES})
 
 
 def _check_holds(report, name, anchor, holds, mesh):

@@ -266,7 +266,9 @@ def _slab_stacks(values, t, h, L):
     resampling R = `_resampling_matrix` at t is linear, so a resampled axis
     contracts the samples with R F, and F is applied only along the axes a
     stack keeps: the pencil axis, or the two in-slab axes.  No n-D
-    prefilter runs over the M^n samples.  The 1-D stacks, stacks(e) in 2-D
+    prefilter runs over the M^n samples.  In 3-D the pencil stacks (0, 1)
+    and (0, 2) share their first contraction, along x, so a call contracts
+    the M^3 samples at most once per axis.  The 1-D stacks, stacks(e) in 2-D
     and stacks(e, f) in 3-D, are (T^(n-1), M + 2 ROW_PAD): pencil (k, l) at
     k T + l, padded by ROW_PAD mirrored entries at both ends (np.pad's
     "reflect", which is map_coordinates' rule for taps beyond an end).
@@ -279,9 +281,18 @@ def _slab_stacks(values, t, h, L):
     resample = _resampling_matrix((t + L) / h, values.shape[0]) @ prefilter
     cache = {}
 
+    def contract(axes):
+        # the 3-D pencil stacks (0, 1) and (0, 2) start from one
+        # contraction along x, kept until both are made
+        if axes not in ((0, 1), (0, 2)):
+            return np.tensordot(resample, values, axes=(1, axes[0]))
+        if "x" not in cache:
+            cache["x"] = np.tensordot(resample, values, axes=(1, 0))
+        return cache.pop("x") if (0, 3 - axes[1]) in cache else cache["x"]
+
     def stacks(*axes):
         if axes not in cache:
-            stack = np.tensordot(resample, values, axes=(1, axes[0]))
+            stack = contract(axes)
             if len(axes) < values.ndim - 1:  # the slabs of a 3-D array
                 stack = prefilter @ stack @ prefilter.T
                 cache[axes] = np.ascontiguousarray(

@@ -7,20 +7,20 @@ with rho = (n-1)/2, the cosine-kernel slice identity relating the two, and
 the support equivalence between a profile and its transform.
 
 A rotation-invariant function on S^n is identified with the even profile
-F(t) = f(cos t e_1 + sin t e_2) on [0, pi].  For n = 2 the Abel kernel is
-weakly singular (rho = 1/2); the substitution u = cos s - cos t turns it
-into u^{-1/2}, handled by Gauss-Jacobi quadrature.
+F(t) = f(cos t e_1 + sin t e_2) on [0, pi].  The substitution
+u = cos s - cos t turns the Abel kernel into the weight u^(rho-1), which is
+weakly singular for n = 2 (rho = 1/2) and 1 for n = 3 (rho = 1); one
+Gauss-Jacobi rule with beta = rho - 1 integrates it on both spheres.
 """
 
 import numpy as np
 from scipy.integrate import simpson
-from scipy.interpolate import CubicSpline, make_interp_spline
+from scipy.interpolate import make_interp_spline
 from scipy.optimize import minimize_scalar
 from scipy.special import gamma, roots_jacobi
 
 __all__ = [
     "ZonalProfile",
-    "SphericalCoefficients",
     "DegenerateCalibration",
     "UnsupportedSphereDimension",
     "cap_bump",
@@ -35,7 +35,7 @@ __all__ = [
 ]
 
 DEFAULT_SAMPLES = 4097
-JACOBI_NODES = 96        # Gauss-Jacobi nodes of the rho = 1/2 Abel integral
+JACOBI_NODES = 96        # Gauss-Jacobi nodes of the Abel integral
 EDGE_THRESHOLD = 1e-9    # support edges are detected at this fraction of the max
 
 
@@ -110,28 +110,11 @@ def spherical_function(m, t, n):
     return cur / norm
 
 
-class SphericalCoefficients:
-    """Zonal Fourier coefficients f_hat(m), m = 0..m_max.
-
-    normalization records the quadrature convention: plain integral of
-    F(t) psi_m(t) sin^{n-1}(t) dt over [0, pi] (surface-measure weight,
-    no sphere-area prefactor).
-    """
-
-    def __init__(self, values, n):
-        self.values = np.asarray(values, dtype=float)
-        self.n = n
-        self.normalization = "int_0^pi F(t) psi_m(t) sin^%d(t) dt" % (n - 1)
-
-    def __len__(self):
-        return len(self.values)
-
-    def __getitem__(self, m):
-        return self.values[m]
-
-
 def spherical_transform(profile, m_max):
-    """Zonal Fourier coefficients by Simpson quadrature on the theta grid.
+    """Zonal Fourier coefficients f_hat(m), m = 0..m_max, as an
+    (m_max + 1,) array: the plain integral of F(t) psi_m(t) sin^(n-1)(t)
+    over [0, pi] (surface-measure weight, no sphere-area prefactor), by
+    Simpson quadrature on the theta grid.
 
     Simpson rather than trapezoid because the integrand has a nonzero
     derivative at t = 0 when n = 2 (the sin weight is only first order
@@ -143,7 +126,7 @@ def spherical_transform(profile, m_max):
     for m in range(m_max + 1):
         psi = spherical_function(m, profile.thetas, profile.n)
         out[m] = simpson(base * psi, dx=profile.step)
-    return SphericalCoefficients(out, profile.n)
+    return out
 
 
 def _support_cut(profile):
@@ -156,45 +139,34 @@ def _support_cut(profile):
     return float(profile.thetas[live].max())
 
 
-def sphere_radon(profile, s=None):
-    """Abel-type Radon transform of a zonal profile.
+def sphere_radon(profile):
+    """Abel-type Radon transform of a zonal profile on its theta grid.
 
-    With s=None returns the transform on the whole theta grid, otherwise
-    the scalar value at the angle s.  For n=3 (rho=1) the kernel is 1 and
-    the integral is a plain cumulative integral, evaluated from a cubic
-    spline antiderivative.  For n=2 (rho=1/2) the substitution
-    u = cos s - cos t yields the weight u^{-1/2} on [0, cos s - cos t_cut],
-    integrated by JACOBI_NODES Gauss-Jacobi nodes; the profile is
-    interpolated by a quintic spline.
+    The substitution u = cos s - cos t, for the cut t_cut beyond which the
+    profile vanishes and U = cos s - cos t_cut, gives
+
+        int_0^U F(arccos(cos s - u)) u^(rho-1) du
+            = (U/2)^rho sum_j w_j F(t_j)
+
+    with the JACOBI_NODES Gauss-Jacobi nodes x_j and weights w_j of the
+    weight (1 + x)^(rho-1) on [-1, 1] (Gauss-Legendre for rho = 1), at
+    t_j = arccos(cos s - u_j), u_j = U (x_j + 1) / 2.  F is the quintic spline interpolant of the
+    profile, evaluated at all nodes of all angles s < t_cut at once; the
+    transform is 0 from t_cut on.
     """
     rho = profile.rho
-    const = 2**rho * rho / np.pi
     t = profile.thetas
-    squery = t if s is None else np.atleast_1d(np.asarray(s, dtype=float))
-    if np.any((squery < 0) | (squery > np.pi)):
-        raise ValueError("angle must lie in [0, pi]")
     tcut = _support_cut(profile)
-    if profile.n == 3:
-        anti = CubicSpline(t, profile.values * np.sin(t)).antiderivative()
-        top = anti(min(tcut, np.pi))
-        out = const * (top - anti(np.minimum(squery, tcut)))
-        out[squery >= tcut] = 0.0
-    else:
-        spline = make_interp_spline(t, profile.values, k=5)
-        xj, wj = roots_jacobi(JACOBI_NODES, 0.0, -0.5)
-        out = np.zeros(len(squery))
-        cos_cut = np.cos(tcut)
-        for i, sv in enumerate(squery):
-            if sv >= tcut:
-                continue
-            U = np.cos(sv) - cos_cut
-            u = U * (xj + 1) / 2
-            tt = np.arccos(np.clip(np.cos(sv) - u, -1.0, 1.0))
-            # int_0^U g(u) u^{-1/2} du = sqrt(U/2) sum w_j g(u_j)
-            out[i] = const * np.sqrt(U / 2.0) * (wj @ spline(tt))
-    if s is None:
-        return out
-    return float(out[0]) if np.isscalar(s) else out
+    live = t < tcut
+    xj, wj = roots_jacobi(JACOBI_NODES, 0.0, rho - 1.0)
+    cos_s = np.cos(t[live])
+    U = cos_s - np.cos(tcut)
+    tj = np.arccos(np.clip(cos_s[:, None] - np.outer(U, (xj + 1) / 2),
+                           -1.0, 1.0))
+    spline = make_interp_spline(t, profile.values, k=5)
+    out = np.zeros(len(t))
+    out[live] = 2**rho * rho / np.pi * (U / 2) ** rho * (spline(tj) @ wj)
+    return out
 
 
 def _slice_integrals(profile, m_max):
@@ -209,7 +181,7 @@ def _slice_integrals(profile, m_max):
 
 def _slice_pair(profile, m_max):
     """Both sides (f_hat(m), I(m)), m <= m_max, of the slice identity."""
-    fh = spherical_transform(profile, m_max).values
+    fh = spherical_transform(profile, m_max)
     I = _slice_integrals(profile, m_max)
     if fh[0] == 0 or I[0] == 0:
         raise DegenerateCalibration("mean coefficient vanishes; cannot calibrate")

@@ -384,6 +384,26 @@ class TestFileDriven:
             record, "slice constant stability"]
         assert code == 0 and data["all_passed"]
 
+    @pytest.mark.parametrize("argv, records", [
+        (["--n", "2"], ["sphere slice identity (rho = 1/2)",
+                        "slice constant stability"]),
+        (["--n", "3"], ["sphere slice identity (rho = 1)",
+                        "slice constant stability",
+                        "sphere support equivalence"]),
+        ([], ["sphere slice identity (rho = 1)",
+              "sphere slice identity (rho = 1/2)",
+              "slice constant stability", "sphere support equivalence"]),
+    ], ids=["n2", "n3", "both"])
+    def test_synthetic_sphere_run_keeps_to_its_sphere(self, tmp_path, argv,
+                                                      records):
+        # without --in, --n selects the sphere of the synthetic caps, and
+        # no --n selects both; the support record runs on S^3 only
+        rpath = tmp_path / "rep.json"
+        code = main(["sphere"] + argv + ["--report", str(rpath)])
+        data = json.loads(rpath.read_text())
+        assert [r["name"] for r in data["records"]] == records
+        assert code == 0 and data["all_passed"]
+
     @pytest.mark.parametrize("subcommand", ["pw", "radon"])
     def test_unreadable_input_keeps_the_report(self, tmp_path, subcommand):
         # the input is read before the first check; its error becomes a

@@ -533,6 +533,23 @@ class TestPrefilterFold:
         assert calls == []
         assert np.abs(s.values).max() > 0
 
+    def test_pencil_stacks_share_the_contraction_along_x(self, monkeypatch):
+        # the pencil stacks (0, 1) and (0, 2) start from one contraction of
+        # the samples along x, so the sphere(3) normals, which use all three
+        # pencil axes, contract the full grid once along x and once along y
+        from pwkit import radon
+        f = make_bump(*OFFCENTRE, 1.0, GridSpec(3, 1.5, 33))
+        axes = []
+        real = radon.np.tensordot
+
+        def counting(a, b, **kwargs):
+            if b is f.values:
+                axes.append(kwargs["axes"][1])
+            return real(a, b, **kwargs)
+        monkeypatch.setattr(radon.np, "tensordot", counting)
+        radon_transform(f, directions=DirectionSet.sphere(3))
+        assert sorted(axes) == [0, 1]
+
     def test_horizontal_normals_slab_on_z(self):
         # so one slab stack serves every horizontal normal of a call,
         # w = (1, 0, 0) included
