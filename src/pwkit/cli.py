@@ -299,7 +299,8 @@ def run_slice(cfg, report, inputs):
     report.check(
         "fourier slice identity", "fourier-slice identity",
         lambda: max(map(_fourier.fourier_slice_defect, funcs, sinos)),
-        DEFAULT_TOLERANCES["fourier_slice"], mesh)
+        DEFAULT_TOLERANCES["fourier_slice"],
+        dict(mesh, r_max=float(_fourier._slice_radii(g)[-1])))
 
     report.check(
         "motion-group plancherel", "plancherel identity, d tau = sigma_n r^{n-1} dr",
@@ -443,10 +444,12 @@ def run_pw(cfg, report, inputs):
 
 
 def run_sphere(cfg, report):
-    # profiles by sphere dimension: a file is one profile on S^n, n = --n
-    # (3 if not given); the synthetic caps are on S^n, or on both spheres
-    # if --n is not given
-    if cfg.input_path:
+    # profiles by sphere dimension: under `pwkit sphere` a file is one
+    # profile on S^n, n = --n (3 if not given); otherwise the synthetic caps
+    # are on S^n, or on both spheres if --n is not given.  `pwkit all` has
+    # no --n, and its --in file is an n-D function for the other pipelines
+    from_file = cfg.input_path and cfg.subcommand == "sphere"
+    if from_file:
         n = cfg.sphere_dim or 3
         caps = {n: [_sphere.load_profile(cfg.input_path, n)]}
     else:
@@ -477,7 +480,7 @@ def run_sphere(cfg, report):
         p = _sphere.cap_bump(t, 3, samples=SUPPORT_SAMPLES)
         rp, rr = _sphere.sphere_support_check(p)
         return abs(rp - rr) / p.step
-    if 3 in caps and not cfg.input_path:
+    if 3 in caps and not from_file:
         report.check("sphere support equivalence", "zonal support theorem",
                      lambda: max(map(support_gap, (0.3, 0.5, 0.8, 1.2))),
                      1.0, {"T": SUPPORT_SAMPLES})

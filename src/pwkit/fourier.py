@@ -26,6 +26,17 @@ value of their last component: a polar ring of `DirectionSet.sphere`), then
 the remaining axes for all directions of the ring at once.  That is a
 reordering of the same sum, so neither side borrows from the other.
 
+The phases of an equispaced grid axis, e^{i theta k} for k = 0..M-1, are
+tabulated by angle addition (`grid._phase_table`: about 2 sqrt(M)
+exponentials instead of M, each entry off by a few ulp of its modulus plus
+the rounding of its argument, as with np.exp) in two places only: the
+direct kernel and the grid synthesis of `radon.inverse_radon`.  The offset
+kernel and `pointwise_inversion` keep np.exp, cos and sin.  So no
+certificate uses the table on both sides: the Fourier slice and extension
+consistency compare the direct side (table) with the offset side (np.exp),
+and the round trip compares the synthesis with the grid samples of f,
+which pass through no kernel.
+
 `fourier_slice_defect(f, s)` and `plancherel_defect(f, s)` take f for the
 direct or norm side and its sinogram s = R f for the offset side, and
 `pointwise_inversion(s, x)` takes only s, so one transform serves several
@@ -149,16 +160,24 @@ def choose_r_max(s, tail_fraction=1e-6):
     return float(coarse[idx]), float(tail[idx])
 
 
+def _slice_radii(grid):
+    """The radii of SLICE_RADII that `grid` resolves: those at most its
+    Nyquist radius 1/(2h).  Beyond it the grid aliases f's transform, and
+    the two sides of the slice identity part for that reason alone."""
+    return SLICE_RADII[SLICE_RADII <= 0.5 / grid.spacing]
+
+
 def fourier_slice_defect(f, s):
     """max |F_{R^n} f (r omega) - F_R(s)(r, omega)| over the radii
-    SLICE_RADII and the directions of the sinogram s = R f.
+    `_slice_radii(f.grid)` and the directions of the sinogram s = R f.
 
     The left side is direct n-D oscillatory quadrature of f; the right side
     is the 1-D Fourier integral of s in the offset.  Their agreement is the
     Fourier-slice identity.
     """
-    direct = fourier_on_rays(f, SLICE_RADII, s.directions)
-    sliced = radial_fourier(s, SLICE_RADII).values
+    radii = _slice_radii(f.grid)
+    direct = fourier_on_rays(f, radii, s.directions)
+    sliced = radial_fourier(s, radii).values
     return float(np.abs(direct - sliced).max())
 
 

@@ -8,6 +8,8 @@ S^{n-1} come with quadrature weights for the normalized measure (weights
 sum to 1).
 """
 
+import math
+
 import numpy as np
 
 __all__ = [
@@ -192,6 +194,22 @@ def l2_norm_sq(f):
     return float(integrate(SampledFunction(f.grid, np.abs(f.values) ** 2)))
 
 
+def _phase_table(theta, m):
+    """e^{i theta k} for k = 0..m-1, shape theta.shape + (m,), for real or
+    complex theta, by angle addition: with b = ceil(sqrt(m)) and
+    k = b q + r, e^{i theta k} = e^{i theta b q} e^{i theta r}, so each
+    theta costs about 2 sqrt(m) exponentials instead of m.  Each entry
+    is the product of two exponentials of rounded arguments, so its error
+    is a few ulp of |e^{i theta k}| plus the rounding of theta k, as with
+    np.exp(1j * theta * k)."""
+    theta = np.asarray(theta)
+    b = math.isqrt(m - 1) + 1
+    low = np.exp(1j * np.multiply.outer(theta, np.arange(b)))
+    high = np.exp(1j * np.multiply.outer(theta, np.arange(0, m, b)))
+    table = high[..., :, None] * low[..., None, :]
+    return table.reshape(theta.shape + (-1,))[..., :m]
+
+
 def _direct_transform(f, z, omegas):
     """int f(x) e^{-2 pi i z (omega_j . x)} dx by direct quadrature on the
     grid, for an array z and a (Q, n) array of real or complex directions
@@ -202,8 +220,12 @@ def _direct_transform(f, z, omegas):
     their last component: f's last axis is contracted once per ring, into
     a (K, M^{n-1}) partial sum, the largest intermediate.  The remaining
     axes are then contracted for all G directions of the ring at once
-    against their stacked (K, M, G) phases: one einsum in 2-D, one batched
-    matmul and one einsum in 3-D.
+    against their stacked (K, G, M) phases: one einsum in 2-D, one batched
+    matmul and one einsum in 3-D.  Each axis's phase e^{-2 pi i z w x_m}
+    at x_m = -L + m h is e^{2 pi i z w L} times `_phase_table` of
+    -2 pi z w h, about 2 sqrt(M) exponentials per (z, w) instead of M; an
+    entry is off by a few ulp of its modulus plus the rounding of its
+    argument, as with np.exp.
     The direct n-D kernel, never used on a slice side (see the module
     docstring of fourier)."""
     z = np.asarray(z)
@@ -212,12 +234,13 @@ def _direct_transform(f, z, omegas):
     if omegas.ndim != 2 or omegas.shape[1] != n:
         raise ValueError("direction dimension does not match the grid")
     zk = z.reshape(-1)
-    ax = f.grid.axis()
+    h, L = f.grid.spacing, f.grid.half_width
 
     def phase(w):
-        """e^{-2 pi i z_k w x_m}, shape (K, M) + w.shape."""
-        return np.exp(-2j * np.pi
-                      * np.multiply.outer(zk, np.multiply.outer(ax, w)))
+        """e^{-2 pi i z_k w x_m}, shape (K,) + w.shape + (M,)."""
+        zw = 2 * np.pi * np.multiply.outer(zk, w)
+        return (_phase_table(-zw * h, f.grid.points)
+                * np.exp(1j * L * zw)[..., None])
 
     out = np.empty((len(zk), len(omegas)), dtype=complex)
     last = omegas[:, -1]
@@ -229,12 +252,13 @@ def _direct_transform(f, z, omegas):
         part = np.tensordot(np.stack([p.real, p.imag]), f.values,
                             axes=(2, n - 1))
         part = part[0] + 1j * part[1]                     # (K, M, ...)
-        x = phase(omegas[ring, 0])                        # (K, M, G)
+        x = phase(omegas[ring, 0])                        # (K, G, M)
         if n == 2:
-            out[:, ring] = np.einsum("km,kmq->kq", part, x)
+            out[:, ring] = np.einsum("km,kqm->kq", part, x)
         else:
             y = phase(omegas[ring, 1])
-            out[:, ring] = np.einsum("kmq,kmq->kq", x, part @ y)
+            out[:, ring] = np.einsum("kqm,kqm->kq", x,
+                                     y @ part.transpose(0, 2, 1))
     return (out * f.grid.spacing ** n).reshape(z.shape + (len(omegas),))
 
 

@@ -75,7 +75,11 @@ of the conjugate of its coefficient times the phase of omega, so the half
 sum with folded coefficients c(omega) + conj(c(-omega)) has exactly the
 real part of the full sum, whether or not the sinogram is even; for a real
 sinogram that real part is the reconstruction.  A complex sinogram is
-inverted as its real and imaginary parts.
+inverted as its real and imaginary parts.  On the grid the phase of each
+axis is tabulated by angle addition (`grid._phase_table`), a few ulp of
+each entry plus the rounding of its argument, as with np.exp.  The offset
+kernel `_slice_transform` keeps np.exp, so no certificate uses the table
+on both sides (see the module docstring of fourier).
 """
 
 import math
@@ -84,7 +88,7 @@ import numpy as np
 from scipy import ndimage, sparse
 
 from .grid import (SampledFunction, DirectionSet, SPHERE_AREA,
-                   _trapezoid_weights)
+                   _phase_table, _trapezoid_weights)
 
 __all__ = [
     "Sinogram",
@@ -565,33 +569,43 @@ def inverse_radon(s, grid, r_max=None):
     the synthesis of its real part plus i times that of its imaginary part.
 
     The phase separates over the axes.  Each axis is odd about its middle
-    node, so per radius cos and sin of the phase are computed on x >= 0 only
-    and the x < 0 half is their mirror (cos even, sin odd).  The factors of
-    axes 2..n fold into one complex (Q/2, M^{n-1}) block; with the axis-1
-    factor, cos.T @ Re(block) and sin.T @ Im(block) give that radius's term
-    at x_1 >= 0 as their difference and at -x_1 as their sum.  Raises
-    NotEven like `_inversion_quadrature`.
+    node, so per radius the factor e^{2 pi i r omega_a x} of each axis a is
+    tabulated on x_k = k dx >= 0 only, by angle addition
+    (`grid._phase_table`: a few ulp of each entry plus the rounding of its
+    argument, as with np.exp), and the x < 0 half is its mirrored
+    conjugate.  The factors of axes 2..n make one complex (Q/2, M^{n-1})
+    block, whose real and imaginary parts are formed apart, each by one
+    batched matmul of inner dimension 2 against the last axis's factor, so
+    both are contiguous and no complex block is stored.  With the cos and
+    sin of the axis-1 factor, cos.T @ Re(block) and sin.T @ Im(block) give
+    that radius's term at x_1 >= 0 as their difference and at -x_1 as
+    their sum: one radius per step, two GEMMs.  Raises NotEven like
+    `_inversion_quadrature`.
     """
     radii, vectors, parts = _inversion_quadrature(s, r_max)
     n = s.n
     m = grid.points
     h = m // 2
-    half = grid.axis()[h:]                       # x >= 0, from the middle node
+    q = len(vectors)
     outs = [np.zeros((m, m ** (n - 1))) for _ in parts]
     for i, r in enumerate(radii):
-        theta = 2 * np.pi * r * np.multiply.outer(vectors.T, half)
-        cos, sin = np.cos(theta), np.sin(theta)
-        # the factor e^{2 pi i r omega_a x} of axes a = 2..n on the whole
-        # axis: its x < 0 half is the mirrored conjugate of the x >= 0 half
-        rest = [np.concatenate([e[:, :0:-1].conj(), e], axis=1)
-                for e in cos[1:] + 1j * sin[1:]]
+        table = _phase_table(2 * np.pi * r * grid.spacing * vectors.T, h + 1)
+        cos, sin = (np.ascontiguousarray(t) for t in (table[0].real,
+                                                        table[0].imag))
+        # the factor of axes a = 2..n on the whole axis: its x < 0 half is
+        # the mirrored conjugate of the x >= 0 half
+        *rest, last = [np.concatenate([e[:, :0:-1].conj(), e], axis=1)
+                       for e in table[1:]]
+        last = last.view(float).reshape(q, m, 2).transpose(0, 2, 1)
         for out, coef in zip(outs, parts):
-            block = coef[i][:, None]
+            head = coef[i][:, None]
             for phase in rest:
-                block = (block[:, :, None] * phase[:, None, :]).reshape(
-                    len(block), -1)
-            even = cos[0].T @ block.real
-            odd = sin[0].T @ block.imag
+                head = (head[:, :, None] * phase[:, None, :]).reshape(q, -1)
+            # (Re, -Im) and (Im, Re) of head against (Re, Im) of last
+            even = cos.T @ (np.stack([head.real, -head.imag], axis=2)
+                            @ last).reshape(q, -1)
+            odd = sin.T @ (np.stack([head.imag, head.real], axis=2)
+                           @ last).reshape(q, -1)
             out[h:] += even - odd                # x_1 >= 0
             out[h - 1::-1] += even[1:] + odd[1:]  # x_1 < 0, mirrored
     vals = _recombine(outs).reshape((m,) * n)

@@ -152,6 +152,15 @@ class TestRecordMeshes:
         assert bumps[name] == [mesh["M3"]] * mesh["bumps"]
         assert set(dirs[name]) == {mesh["Q"]}
 
+    def test_fourier_slice_radii(self, monkeypatch):
+        name = "fourier slice identity"
+        seen = self.spy(monkeypatch, fourier, "fourier_on_rays",
+                        lambda args, out: max(args[1]))
+        report = run(RunConfig("slice", grid_points=65, directions=32))
+        # 65 points over [-1.5, 1.5]: the Nyquist radius is 32/3
+        assert set(seen[name]) == {_record(report, name)["mesh"]["r_max"]}
+        assert _record(report, name)["mesh"]["r_max"] == 10.5
+
     def test_sphere_support_samples(self, monkeypatch):
         name = "sphere support equivalence"
         seen = self.spy(monkeypatch, sphere, "sphere_support_check",
@@ -404,6 +413,20 @@ class TestFileDriven:
         assert [r["name"] for r in data["records"]] == records
         assert code == 0 and data["all_passed"]
 
+    def test_all_reads_its_file_as_a_function_only(self, tmp_path):
+        # the --in file of `pwkit all` is an n-D function; the sphere
+        # pipeline certifies both spheres' synthetic caps, as without --in
+        fpath = tmp_path / "f.csv"
+        save_function(make_bump([0.1, 0.0], 0.5, 1.0, GridSpec(2, 1.5, 65)),
+                      str(fpath))
+        rpath = tmp_path / "rep.json"
+        main(["all", "--in", str(fpath), "--grid", "65,1.5",
+              "--directions", "32", "--report", str(rpath)])
+        names = [r["name"] for r in json.loads(rpath.read_text())["records"]]
+        assert "sphere pipeline" not in names
+        assert {"sphere slice identity (rho = 1)",
+                "sphere slice identity (rho = 1/2)"} <= set(names)
+
     @pytest.mark.parametrize("subcommand", ["pw", "radon"])
     def test_unreadable_input_keeps_the_report(self, tmp_path, subcommand):
         # the input is read before the first check; its error becomes a
@@ -426,25 +449,27 @@ class TestFileDriven:
     def test_unreadable_input_fails_each_pipeline_that_reads_it(self,
                                                                 tmp_path):
         # `all` records one failed "<name> pipeline" per pipeline that reads
-        # the file, in pipeline order, runs the weyl checks in full and
-        # still writes the report
+        # the file, in pipeline order, runs the sphere (synthetic caps) and
+        # weyl checks in full and still writes the report
         fpath = tmp_path / "f.csv"
         fpath.write_text("garbage\n")
         rpath = tmp_path / "rep.json"
         code = main(["all", "--in", str(fpath), "--report", str(rpath)])
         assert code == 1
         data = json.loads(rpath.read_text())
-        failed = ["radon pipeline", "slice pipeline", "pw pipeline",
-                  "sphere pipeline"]
+        failed = ["radon pipeline", "slice pipeline", "pw pipeline"]
         assert [r["name"] for r in data["records"]] == failed + [
+            "sphere slice identity (rho = 1)",
+            "sphere slice identity (rho = 1/2)",
+            "slice constant stability", "sphere support equivalence",
             "group enumeration orders",
             "restricted stabilizer equals the smaller Weyl group",
             "type-D restriction gives all sign changes",
             "restriction surjectivity certified",
             "averaging-decomposition lift"]
-        for r in data["records"][:4]:
+        for r in data["records"][:3]:
             assert not r["passed"] and re.match(r"\w+: ", r["error"])
-        assert all(r["passed"] for r in data["records"][4:])
+        assert all(r["passed"] for r in data["records"][3:])
 
     @pytest.mark.parametrize("subcommand, names", [
         ("slice", ["fourier slice identity", "motion-group plancherel",

@@ -9,8 +9,9 @@ from pwkit import (ComplexSpherePoint, DirectionSet, GridSpec,
                    moment, plancherel_defect, pointwise_inversion,
                    projection_compatibility_defect, radial_fourier,
                    radon_transform)
+import pwkit.fourier as fourier_module
 from pwkit.fourier import SLICE_RADII
-from pwkit.grid import _direct_transform
+from pwkit.grid import _direct_transform, _directions_for
 
 G = GridSpec(2, 1.5, 257)
 DIRS = DirectionSet.circle(64)
@@ -68,6 +69,24 @@ class TestFourierSlice:
     def test_shifted_bump_defect(self):
         f = make_bump([0.35, 0.2], 0.45, 1.0, G)
         assert fourier_slice_defect(f, radon_transform(f, directions=DIRS)) < 1e-5
+
+    @pytest.mark.parametrize("g, radii", [
+        (GridSpec(3, 1.5, 33), 11),   # Nyquist radius 16/3: 0, 0.5, .., 5
+        (G, len(SLICE_RADII)),        # Nyquist radius 42.7: every radius
+    ], ids=["33^3", "257^2"])
+    def test_checks_only_radii_the_grid_resolves(self, monkeypatch, g, radii):
+        f = make_bump([0.1, 0.0, -0.1][:g.n], 0.6, 1.0, g)
+        s = radon_transform(f, directions=_directions_for(g.n, 64))
+        seen = []
+
+        def spy(f, radii, directions):
+            seen.append(np.asarray(radii))
+            return fourier_on_rays(f, radii, directions)
+        monkeypatch.setattr(fourier_module, "fourier_on_rays", spy)
+        fourier_slice_defect(f, s)
+        assert len(seen) == 1
+        assert_allclose(seen[0], SLICE_RADII[:radii], rtol=0, atol=0)
+        assert seen[0].max() <= 0.5 / g.spacing
 
     def test_direct_side_at_zero_is_mass(self, bump):
         vals = fourier_on_rays(bump, np.array([0.0]), DIRS)

@@ -2,9 +2,15 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from pwkit import (BallOutsideGrid, DirectionSet, DirectionsNotAntipodal,
-                   GridSpec, SampledFunction, integrate, l2_norm_sq,
-                   load_function, make_bump, save_function)
+import pwkit.grid as grid_module
+import pwkit.radon as radon_module
+from pwkit import (BallOutsideGrid, ComplexGrid, DirectionSet,
+                   DirectionsNotAntipodal, GridSpec, SampledFunction,
+                   fourier_on_rays, integrate, inverse_radon, l2_norm_sq,
+                   load_function, make_bump, pw_seminorm, radial_fourier,
+                   radon_transform, save_function, support_radius_estimate)
+from pwkit.grid import _phase_table
+from pwkit.radon import _slice_transform
 
 # Oracle values for the unit bump exp(-r^2/(1-r^2)) on the unit disk,
 # computed by high-resolution 2-D tensor-product trapezoid quadrature at
@@ -176,3 +182,48 @@ class TestSampledFunctionInvariants:
         vals[3, 3] = np.nan
         with pytest.raises(ValueError):
             SampledFunction(g, vals)
+
+
+class TestPhaseTable:
+    """`grid._phase_table`, the angle-addition table of the direct kernel
+    and the inversion synthesis, and the offset kernel's independence of
+    it."""
+
+    H = 3.0 / 256                     # the spacing of the 257^2 desk grid
+    THETA_MAX = 2 * np.pi * 14.5 * H  # the largest round-trip step angle
+
+    @pytest.mark.parametrize("m", [1, 2, 16, 17, 129, 257])
+    def test_matches_exponentials(self, m):
+        re = np.linspace(-self.THETA_MAX, self.THETA_MAX, 41)
+        # the growth of the extension mesh, |Im z| <= 0.5, per grid step
+        im = 2 * np.pi * 0.5 * self.H * np.array([-1.0, -0.3, 0.3, 1.0])
+        k = np.arange(m)
+        for theta in (re, np.add.outer(re, 1j * im).ravel()):
+            want = np.exp(1j * np.multiply.outer(theta, k))
+            got = _phase_table(theta, m)
+            assert got.shape == theta.shape + (m,)
+            bound = (4 * np.finfo(float).eps
+                     * (1 + np.abs(theta)[:, None] * m) * np.abs(want))
+            assert np.all(np.abs(got - want) <= bound)
+
+    def test_offset_kernel_never_uses_the_table(self, monkeypatch):
+        g = grid(65)
+        f = make_bump([0.2, 0.1], 0.5, 1.0, g)
+        s = radon_transform(f, directions=DirectionSet.circle(32))
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return _phase_table(*args)
+        for mod in (grid_module, radon_module):
+            monkeypatch.setattr(mod, "_phase_table", spy)
+        _slice_transform(s, np.linspace(0, 4, 9))
+        radial_fourier(s, np.linspace(0, 4, 9))
+        pw_seminorm(s, 2, 2 * np.pi * s.support_radius,
+                    ComplexGrid(2.0, 1.0, 5, 5))
+        support_radius_estimate(s)
+        assert calls == []
+        # the spy sees the table where it is used
+        fourier_on_rays(f, [1.0], s.directions)
+        inverse_radon(s, grid=g)
+        assert calls
