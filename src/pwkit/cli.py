@@ -415,13 +415,14 @@ def run_pw(cfg, report, inputs):
                     for s in sinos),
         DEFAULT_TOLERANCES["growth_divergent"], mesh, compare="ge")
 
-    ext = _pw.EXTENSION_MESH
+    ext = _pw._extension_mesh(g)
     ext_dirs = len(_grid._directions_for(g.n, _pw.EXTENSION_DIRECTIONS))
     report.check(
         "extension consistency", "slice extension agrees with the sphere extension",
         lambda: max(_pw.extension_consistency_defect(f) for f in funcs),
         DEFAULT_TOLERANCES["extension_consistency"],
-        dict(mesh, Q=ext_dirs, z_mesh="%dx%d" % (ext.n_re, ext.n_im)))
+        dict(mesh, Q=ext_dirs, z_mesh="%dx%d" % (ext.n_re, ext.n_im),
+             z_re_extent=ext.re_extent))
 
     def extension_evenness(s):
         zs = np.array([0.3 + 0.2j, -1.1 + 0.4j, 0.7 - 0.35j])

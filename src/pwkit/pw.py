@@ -60,8 +60,11 @@ class ComplexGrid:
                            2 * self.n_im - 1)
 
 
-# the real segment [-12, 12] covers the radii the slice checks sample
-EXTENSION_MESH = ComplexGrid(12.0, 0.5, 9, 9)
+def _extension_mesh(grid):
+    """The 9 x 9 mesh of [-a, a] x i[-0.5, 0.5] of the extension check, with
+    a = min(12, 1/(2h)): the largest slice radius, clipped as in
+    `fourier._slice_radii` to the Nyquist radius of `grid`."""
+    return ComplexGrid(min(12.0, 0.5 / grid.spacing), 0.5, 9, 9)
 
 
 class ComplexSpherePoint:
@@ -270,13 +273,13 @@ def extension_consistency_defect(f):
     """The slice extensions (Radon then 1-D complex quadrature) and the
     complexified-sphere extension (direct n-D complex quadrature) continue
     the same function; this returns their maximum discrepancy over the
-    complex mesh EXTENSION_MESH times the real directions
+    complex mesh `_extension_mesh(f.grid)` times the real directions
     `_directions_for(n, EXTENSION_DIRECTIONS)`.  The direct side is one
     kernel call at the directions' own vectors, so a polar ring of the
     direction rule stays one ring of the kernel."""
     dirs = _directions_for(f.grid.n, EXTENSION_DIRECTIONS)
     s = radon_transform(f, directions=dirs)
-    Z = EXTENSION_MESH.mesh()
+    Z = _extension_mesh(f.grid).mesh()
     side_slice = _slice_transform(s, Z)
     side_sphere = _direct_transform(f, Z, dirs.vectors)
     return float(np.abs(side_slice - side_sphere).max())

@@ -26,13 +26,14 @@ nodes along each resampled axis.  The hyperplane meets the pencil at
 x_g = (p - sum_a omega_a t_(k_a)) / omega_g.  The nodes with
 |x|^2 <= p^2 + reach^2 are kept, each with the cell dt^(n-1) / |omega_g|,
 the area of the hyperplane above one pencil's cross-section.  The pencils
-are padded by 3 mirrored entries at both ends and joined into one 1-D
-array, so all the nodes of a sampled direction, on all its hyperplanes,
-are one 1-D spline evaluation (6 taps a node instead of 36 in 2-D and 216
-in 3-D).  The joined coordinate reaches T^(n-1) (M + 6), about 3e5 at
-97^3, where a double still resolves about 1e-10 of a grid step.  In 2-D
-the pencils are the rows x_e = t_k of the other axis e, and a line's nodes
-are its crossings with them, which step by dt / |omega_g| along the line.
+are padded by 3 mirrored entries at both ends, and all the nodes of a
+sampled direction, on all its hyperplanes, are one 1-D spline evaluation
+(6 taps a node instead of 36 in 2-D and 216 in 3-D) through the quintic's
+polynomial pieces on [0, 1): `_PIECES` times a node's 6 taps is its
+piece's coefficients in the fraction of its coordinate, one matrix product
+for all the nodes.  In 2-D the pencils are the rows x_e = t_k of the other
+axis e, and a line's nodes are its crossings with them, which step by
+dt / |omega_g| along the line.
 
 In 3-D a horizontal normal (|omega_3| <= HORIZONTAL_TOL, a roundoff
 tolerance that treats omega and -omega alike) keeps the slab lattice
@@ -81,8 +82,6 @@ each entry plus the rounding of its argument, as with np.exp.  The offset
 kernel `_slice_transform` keeps np.exp, so no certificate uses the table
 on both sides (see the module docstring of fourier).
 """
-
-import math
 
 import numpy as np
 from scipy import ndimage, sparse
@@ -194,27 +193,23 @@ def _effective_support(f):
     return min(float(rs), f.grid.half_width * np.sqrt(f.grid.n))
 
 
-def _bspline(z):
-    """The centred B-spline of odd degree d = SPLINE_ORDER at z: the sum of
-    (-1)^k C(d+1, k) ((d+1)/2 - |z| - k)_+^d / d! over the k <= (d-1)/2
-    whose terms can be nonzero."""
-    d = SPLINE_ORDER
-    a = (d + 1) / 2 - np.abs(z)
-    return sum((-1) ** k * math.comb(d + 1, k) * np.maximum(a - k, 0.0) ** d
-               for k in range((d + 1) // 2)) / math.factorial(d)
+# the quintic B-spline's pieces: entry (p, r) is the coefficient of f^p in
+# beta_5(f - r) on 0 <= f < 1, for the taps r = -2..3 about floor(x)
+_PIECES = np.array([[1, 26, 66, 26, 1, 0], [-5, -50, 0, 50, 5, 0],
+                    [10, 20, -60, 20, 10, 0], [-10, 20, 0, -20, 10, 0],
+                    [5, -20, 30, -20, 5, 0], [-1, 5, -10, 10, -5, 1]]) / 120
 
 
 def _spline_taps(x, m):
-    """The taps and weights, each (len(x), SPLINE_ORDER + 1), of the spline
-    on the coefficient nodes 0..m-1 at the coordinates x, by the rule of
-    ndimage.map_coordinates(c, [x], order=SPLINE_ORDER, prefilter=False,
-    mode="constant"): the taps that fall beyond an end are mirrored about
-    that end, and a coordinate outside [0, m-1] has the weights 0."""
-    taps = (np.floor(x).astype(int)[:, None]
-            + np.arange(-(SPLINE_ORDER // 2), SPLINE_ORDER // 2 + 2))
-    weights = _bspline(x[:, None] - taps)
+    """The taps floor(x) - 2..floor(x) + 3 and weights (1, f, ..., f^5)
+    `_PIECES`, f = x - floor(x), each (len(x), 6), of the spline on the
+    coefficient nodes 0..m-1 at the coordinates x, by the edge rule of
+    scipy's map_coordinates(c, [x], order=5, prefilter=False, mode="constant"):
+    taps beyond an end mirror about it; x outside [0, m-1] weighs 0."""
+    j = np.floor(x)
+    weights = (x - j)[:, None] ** np.arange(SPLINE_ORDER + 1) @ _PIECES
     weights[(x < 0) | (x > m - 1)] = 0.0
-    taps = np.abs(taps) % (2 * (m - 1))
+    taps = np.abs(j.astype(int)[:, None] + np.arange(-2, 4)) % (2 * (m - 1))
     return np.minimum(taps, 2 * (m - 1) - taps), weights
 
 
@@ -275,7 +270,7 @@ def _slab_stacks(values, t, h, L):
     the M^3 samples at most once per axis.  The 1-D stacks, stacks(e) in 2-D
     and stacks(e, f) in 3-D, are (T^(n-1), M + 2 ROW_PAD): pencil (k, l) at
     k T + l, padded by ROW_PAD mirrored entries at both ends (np.pad's
-    "reflect", which is map_coordinates' rule for taps beyond an end).
+    "reflect", the mirror rule of `_spline_taps`), which hold every tap.
     stacks(e) in 3-D is (M^2, T): column k is slab k's coefficient array,
     flattened in C order and not padded.  The slabs of e are resampled
     along f by one batched matmul.  A stack is made on the first use of its
@@ -315,15 +310,22 @@ def _slab_stacks(values, t, h, L):
 
 def _row_values(pencils, k, x):
     """Values of the 1-D splines whose coefficients are the padded stack
-    `pencils` of `_slab_stacks`: pencil k_i at the coordinate x[0, i] in
-    grid steps (x is (1, N), map_coordinates' layout), by one spline
-    evaluation on the pencils joined end to end.  A coordinate outside
-    [0, m-1] gives 0, the rule of map_coordinates' mode="constant"."""
+    `pencils` of `_slab_stacks`: pencil k_i at x_i grid steps (x flattened),
+    0 for x outside [0, m-1].  For j = int(x) clipped to [0, m-1], `_PIECES`
+    times the taps j - 2..j + 3 is the piece in f = x - j (Horner's rule)."""
     width = pencils.shape[1]
-    vals = ndimage.map_coordinates(pencils.ravel(), k * width + ROW_PAD + x,
-                                   order=SPLINE_ORDER, prefilter=False)
-    vals[((x < 0) | (x > width - 2 * ROW_PAD - 1))[0]] = 0.0
-    return vals
+    last = width - 2 * ROW_PAD - 1  # m - 1
+    j = np.clip(x.astype(int), 0, last)
+    f = x - j
+    coef = _PIECES @ pencils.take(k * width + ROW_PAD + j
+                                  + np.arange(-2, 4)[:, None])
+    vals = coef[-1] * f
+    for c in coef[-2:0:-1]:
+        vals += c
+        vals *= f
+    vals += coef[0]
+    vals[(x < 0) | (x > last)] = 0.0
+    return vals.ravel()
 
 
 def _pencil_axis(w):
@@ -351,16 +353,18 @@ def _pencil_sampler(stacks, n, p, reach, t, h, L):
     bound = p**2 + reach**2
     ids = np.flatnonzero(norm2 <= bound.max())
     lattice, norm2 = lattice[:, ids], norm2[ids]
+    pencil = np.broadcast_to(ids[:, None], (len(ids), len(p)))
+    owner = np.broadcast_to(np.arange(len(p)), pencil.shape)
 
     def sample(w):
         g = _pencil_axis(w)
         rest = [a for a in range(n) if a != g]
-        # (pencil, row i): a pencil's nodes are consecutive, as its
-        # coefficients are
+        # (pencil, row i), compressed in C order: a pencil's nodes are
+        # consecutive, as its coefficients are
         x = (p - (w[rest] @ lattice)[:, None]) / w[g]
-        pencil, owner = np.nonzero(norm2[:, None] + x**2 <= bound)
-        x = (x[pencil, owner] + L)[None] / h
-        return (owner, _row_values(stacks(*rest), ids[pencil], x),
+        keep = norm2[:, None] + x**2 <= bound
+        return (owner[keep],
+                _row_values(stacks(*rest), pencil[keep], (x[keep] + L) / h),
                 (t[1] - t[0]) ** (n - 1) / abs(w[g]))
     return sample
 
@@ -408,8 +412,8 @@ def radon_transform(f, offsets=None, directions=None):
     aligned with omega through the nodes t of the other axes, with the
     cell dt^(n-1) / |omega_g| (see the module docstring).  In 2-D the
     pencils are the rows crossed by each line.  Each sampled direction is
-    one 1-D spline evaluation on the joined pencils.  A horizontal 3-D
-    normal (|omega_3| <= HORIZONTAL_TOL) is sampled instead on the slabs
+    one 1-D spline evaluation on its pencils (`_row_values`).  A horizontal
+    3-D normal (|omega_3| <= HORIZONTAL_TOL) is sampled instead on the slabs
     z = t_k, on the plane's unsheared (t_j, t_k) lattice with the cell
     dt^2, so that the 2-D transform of a marginal does not share its
     nodes.  Its in-slab coordinates are the same in every slab (a term of

@@ -161,6 +161,20 @@ class TestRecordMeshes:
         assert set(seen[name]) == {_record(report, name)["mesh"]["r_max"]}
         assert _record(report, name)["mesh"]["r_max"] == 10.5
 
+    @pytest.mark.parametrize("points, extent", [(65, 32 / 3), (129, 12.0)],
+                             ids=["65", "129"])
+    def test_extension_mesh_extent(self, monkeypatch, points, extent):
+        # the real extent of the extension mesh stops at the Nyquist
+        # radius 1/(2h), 32/3 on 65 points over [-1.5, 1.5]; from 129
+        # points on it is the largest slice radius, 12
+        name = "extension consistency"
+        seen = self.spy(monkeypatch, pw, "_slice_transform",
+                        lambda args, out: abs(args[1].real).max())
+        report = run(RunConfig("pw", grid_points=points, directions=16))
+        assert set(seen[name]) == {
+            _record(report, name)["mesh"]["z_re_extent"]}
+        assert _record(report, name)["mesh"]["z_re_extent"] == extent
+
     def test_sphere_support_samples(self, monkeypatch):
         name = "sphere support equivalence"
         seen = self.spy(monkeypatch, sphere, "sphere_support_check",

@@ -225,23 +225,28 @@ class TestAntipodalReuse:
 
     @staticmethod
     def spline_calls(monkeypatch, f, dirs):
-        """The dimension of the coefficient array of each map_coordinates
-        call that radon_transform(f, directions=dirs) makes."""
+        """The number of `_row_values` calls and of map_coordinates calls
+        that radon_transform(f, directions=dirs) makes."""
         from pwkit import radon
-        calls = []
-        real = radon.ndimage.map_coordinates
+        counts = {}
 
-        def counting(values, *args, **kwargs):
-            calls.append(values.ndim)
-            return real(values, *args, **kwargs)
+        def counting(module, name):
+            real = getattr(module, name)
+
+            def spied(*args, **kwargs):
+                counts[name] = counts.get(name, 0) + 1
+                return real(*args, **kwargs)
+            patch.setattr(module, name, spied)
         with monkeypatch.context() as patch:
-            patch.setattr(radon.ndimage, "map_coordinates", counting)
+            counting(radon, "_row_values")
+            counting(radon.ndimage, "map_coordinates")
             radon_transform(f, directions=dirs)
-        return calls
+        return counts.get("_row_values", 0), counts.get("map_coordinates", 0)
 
     # a sampled direction is one 1-D spline evaluation on the rows or
-    # pencils; the 8 sampled horizontal 3-D normals of compat-8 are sparse
-    # matrix products on the slabs and make no map_coordinates call
+    # pencils, by pwkit's own polynomial pieces; the 8 sampled horizontal
+    # 3-D normals of compat-8 are sparse matrix products on the slabs and
+    # evaluate no pencil
     @pytest.mark.parametrize("grid, center, dirs, calls", [
         (GridSpec(2, 1.5, 129), [0.3, -0.2], DirectionSet.circle(64), 32),
         (GridSpec(2, 1.5, 129), [0.3, -0.2], DirectionSet.circle(9), 9),
@@ -252,7 +257,7 @@ class TestAntipodalReuse:
     def test_one_spline_call_per_sampled_direction(self, monkeypatch, grid,
                                                     center, dirs, calls):
         f = make_bump(center, 0.5, 1.0, grid)
-        assert self.spline_calls(monkeypatch, f, dirs) == [1] * calls
+        assert self.spline_calls(monkeypatch, f, dirs) == (calls, 0)
 
     def test_asymmetric_offsets_rejected(self, shifted_bump):
         with pytest.raises(ValueError, match="symmetric"):
@@ -468,6 +473,24 @@ class TestRowSampler:
         assert np.abs(got - want).max() <= 1e-14 * np.abs(stack).max()
         assert not got[(x < 0) | (x > m - 1)].any()
 
+    def test_row_values_do_not_depend_on_the_pencil_index(self):
+        # a node's value is its own pencil's: one pencil at stack index 0
+        # and at 3000 gives the same bits at coordinates inside, on the
+        # ends and beyond them (a coordinate joined across the stack would
+        # round x near 1e5)
+        from pwkit.radon import ROW_PAD, _row_values
+        m = 33
+        rng = np.random.default_rng(3)
+        pencils = np.zeros((3001, m + 2 * ROW_PAD))
+        pencils[[0, 3000]] = np.pad(rng.standard_normal(m), ROW_PAD,
+                                    mode="reflect")
+        x = np.concatenate([rng.uniform(0, m - 1, 200),
+                            [-0.5, 0.0, m - 1.0, m - 0.5]])[None]
+        first = _row_values(pencils, np.zeros(x.size, int), x)
+        last = _row_values(pencils, np.full(x.size, 3000), x)
+        np.testing.assert_array_equal(first, last)
+        assert np.abs(first).max() > 0
+
     @pytest.mark.parametrize("m", [5, 33])
     @pytest.mark.parametrize("e, f", [(0, 1), (0, 2), (1, 2)],
                              ids=["g2", "g1", "g0"])
@@ -495,6 +518,32 @@ class TestRowSampler:
         want = np.einsum("ic,ic->i", pencils[k], _resampling_matrix(x, m))
         assert np.abs(got - want).max() <= 1e-14 * np.abs(coeffs).max()
         assert not got[(x < 0) | (x > m - 1)].any()
+
+
+class TestPolynomialPieces:
+    """`_PIECES` is the quintic B-spline on [0, 1), one column a tap."""
+
+    def test_pieces_are_the_quintic_bspline(self):
+        from scipy.interpolate import BSpline
+        from pwkit.radon import _PIECES
+        beta = BSpline.basis_element(np.arange(-3, 4))
+        f = np.linspace(0.0, 1.0, 257)[:-1]
+        got = f[:, None] ** np.arange(6) @ _PIECES
+        want = beta(f[:, None] - np.arange(-2, 4))
+        assert np.abs(got - want).max() <= 1e-15
+        # a partition of unity on every f
+        assert np.abs(got.sum(axis=1) - 1.0).max() <= 1e-15
+
+    def test_weights_at_the_nodes_are_exact(self):
+        # at integer coordinates the weights are the rationals
+        # (1, 26, 66, 26, 1, 0) / 120 rounded once, so the collocation
+        # matrix that the prefilter inverts holds exactly those
+        from pwkit.radon import _spline_taps
+        x = np.arange(2.0, 6.0)
+        taps, weights = _spline_taps(x, 9)
+        want = np.array([1, 26, 66, 26, 1, 0]) / 120
+        np.testing.assert_array_equal(weights, np.tile(want, (4, 1)))
+        np.testing.assert_array_equal(taps, x[:, None] + np.arange(-2, 4))
 
 
 class TestPrefilterFold:
