@@ -6,8 +6,8 @@ entire of exponential type 2 pi rho: weighted sup-norms are stable when
 damped at that type and blow up when damped below it.  The growth rate
 along the imaginary axis recovers rho itself.  The offset moments of
 the sinogram synthesize homogeneous polynomials on the sphere (harmonic
-degrees k, k-2, ...), and the slice extension agrees with the extension
-over the complexified sphere.
+degrees k, k-2, ...), and at complex z the slice extension agrees with
+the direct n-D quadrature of the same Fourier integral.
 """
 
 import numpy as np
@@ -49,5 +49,5 @@ violation = Sinogram(p, dirs, np.outer(np.exp(-p**2), np.cos(3 * th)))
 print("hand-built violation (degree-3 angular factor): defect %.2f"
       % homogeneity_defect(violation, 0))
 
-print("\nslice extension vs complexified-sphere extension: max |diff| %.2e"
+print("\nslice extension vs direct extension at complex z: max |diff| %.2e"
       % extension_consistency_defect(f))

@@ -13,10 +13,9 @@ from .fourier import (VectorFT, ZeroFunction, UnsupportedPair, radial_fourier,
                       fourier_on_rays, choose_r_max, fourier_slice_defect,
                       plancherel_defect, pointwise_inversion,
                       marginal_projection, projection_compatibility_defect)
-from .pw import (ComplexGrid, ComplexSpherePoint, HarmonicExpansion, ZeroInput,
-                 complex_slice_eval, pw_seminorm, support_radius_estimate,
-                 taylor_coefficient, homogeneity_defect,
-                 complexified_sphere_eval, extension_consistency_defect,
+from .pw import (ComplexGrid, HarmonicExpansion, ZeroInput, complex_slice_eval,
+                 pw_seminorm, support_radius_estimate, taylor_coefficient,
+                 homogeneity_defect, extension_consistency_defect,
                  schwartz_seminorm)
 from .sphere import (ZonalProfile, DegenerateCalibration,
                      UnsupportedSphereDimension, cap_bump, spherical_function,
@@ -26,7 +25,7 @@ from .sphere import (ZonalProfile, DegenerateCalibration,
 from .weyl import (SignedPermutation, RootSystemSpec, MultivariatePolynomial,
                    GroupTooLarge, DegreeTooLarge, NotInvariant,
                    ObstructionHit, weyl_group, group_order, stabilizer,
-                   restricted_group, reynolds, chevalley_generators,
+                   restricted_group, chevalley_generators,
                    invariant_basis, surjectivity_certificate,
                    SurjectivityCertificate, ow1_lift)
 

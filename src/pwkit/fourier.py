@@ -106,11 +106,6 @@ class VectorFT:
     def n(self):
         return self.directions.n
 
-    def negative_radius(self):
-        """Values at -r via the evenness relation F(-r)(omega) = F(r)(-omega)."""
-        anti = self.directions.antipodal_index()
-        return self.values[:, anti]
-
 
 def radial_fourier(s, radii):
     """Fourier transform of the sinogram in the offset variable.

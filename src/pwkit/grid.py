@@ -334,15 +334,11 @@ class DirectionSet:
         nodes, glw = np.polynomial.legendre.leggauss(g)
         phi = 2 * np.pi * np.arange(naz) / naz
         st = np.sqrt(1.0 - nodes**2)
-        vecs = np.empty((g * naz, 3))
-        wts = np.empty(g * naz)
-        k = 0
-        for a in range(g):
-            for b in range(naz):
-                vecs[k] = (st[a] * np.cos(phi[b]), st[a] * np.sin(phi[b]), nodes[a])
-                wts[k] = glw[a] / (2.0 * naz)
-                k += 1
-        return cls(vecs, wts, band_limit)
+        # row a * naz + b is polar node a at azimuth b
+        vecs = np.stack([np.outer(st, np.cos(phi)).ravel(),
+                         np.outer(st, np.sin(phi)).ravel(),
+                         np.repeat(nodes, naz)], axis=1)
+        return cls(vecs, np.repeat(glw / (2.0 * naz), naz), band_limit)
 
     def _verify_exactness(self):
         blocks = _real_harmonic_basis(self, self.band_limit)

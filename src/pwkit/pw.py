@@ -1,6 +1,5 @@
-"""Holomorphic continuation in the spectral parameter and on the
-complexified sphere, growth seminorms, exponential-type support recovery,
-and the moment-homogeneity certificate.
+"""Holomorphic continuation in the spectral parameter, growth seminorms,
+exponential-type support recovery, and the moment-homogeneity certificate.
 
 The central objects are sinogram slices p -> s(p, omega) of compactly
 supported functions.  Their Fourier transforms extend to entire functions
@@ -18,7 +17,6 @@ from .radon import moment, radon_transform, _slice_transform
 
 __all__ = [
     "ComplexGrid",
-    "ComplexSpherePoint",
     "HarmonicExpansion",
     "ZeroInput",
     "complex_slice_eval",
@@ -26,7 +24,6 @@ __all__ = [
     "support_radius_estimate",
     "taylor_coefficient",
     "homogeneity_defect",
-    "complexified_sphere_eval",
     "extension_consistency_defect",
     "schwartz_seminorm",
 ]
@@ -65,40 +62,6 @@ def _extension_mesh(grid):
     a = min(12, 1/(2h)): the largest slice radius, clipped as in
     `fourier._slice_radii` to the Nyquist radius of `grid`."""
     return ComplexGrid(min(12.0, 0.5 / grid.spacing), 0.5, 9, 9)
-
-
-class ComplexSpherePoint:
-    """Point of the complexified sphere {z : z_1^2 + ... + z_n^2 = 1}.
-
-    Parametrized by a complex polar parameter zeta (and a real azimuth for
-    n=3): omega~(zeta) = (cos zeta, sin zeta) resp.
-    (cos zeta, sin zeta cos phi, sin zeta sin phi).  The defining quadric
-    identity holds analytically; the constructor checks it to 1e-12.
-    """
-
-    def __init__(self, zeta, azimuth=None, n=None):
-        self.zeta = complex(zeta)
-        self.azimuth = None if azimuth is None else float(azimuth)
-        self.n = 2 if n is None and azimuth is None else (n or 3)
-        v = self.vector()
-        if abs((v * v).sum() - 1.0) > 1e-12:
-            raise ValueError("complexified sphere identity violated")
-
-    def vector(self):
-        cz, sz = np.cos(self.zeta), np.sin(self.zeta)
-        if self.n == 2:
-            return np.array([cz, sz], dtype=complex)
-        phi = self.azimuth or 0.0
-        return np.array([cz, sz * np.cos(phi), sz * np.sin(phi)], dtype=complex)
-
-    @classmethod
-    def from_real(cls, omega):
-        """Lift a real unit vector to the complexified sphere."""
-        omega = np.asarray(omega, dtype=float)
-        if len(omega) == 2:
-            return cls(np.arctan2(omega[1], omega[0]))
-        zeta = np.arccos(np.clip(omega[0], -1, 1))
-        return cls(zeta, azimuth=np.arctan2(omega[2], omega[1]), n=3)
 
 
 def complex_slice_eval(s, z, j):
@@ -182,30 +145,29 @@ class HarmonicExpansion:
 
     Coefficients are grouped per degree l <= band; the basis is orthonormal
     for the normalized measure, so Parseval reads
-    sum |c|^2 = sum_j w_j |f(omega_j)|^2, which the constructor verifies
-    whenever the expansion is alias-free (band within the rule's exactness).
+    sum |c|^2 = sum_j w_j |f(omega_j)|^2, which `from_values` verifies.
     """
 
-    def __init__(self, directions, coefficients, values=None):
+    def __init__(self, directions, coefficients):
         self.directions = directions
         self.coefficients = coefficients    # list of complex arrays per degree
         self.band = len(coefficients) - 1
-        if values is not None:
-            synth = self.synthesize()
-            cn = self.total_power()
-            qn = float(directions.weights @ (np.abs(synth) ** 2))
-            if cn > 0 and abs(cn - qn) > 1e-8 * max(cn, 1.0):
-                raise ValueError("Parseval consistency violated: %g vs %g"
-                                 % (cn, qn))
 
     @classmethod
     def from_values(cls, values, directions):
         """Expansion of `values` at the direction nodes through the rule's
-        band limit."""
+        band limit.  Raises ValueError if Parseval fails on the synthesis,
+        as it does when the rule is not exact to twice its band."""
         blocks = _real_harmonic_basis(directions, directions.band_limit)
         w = directions.weights
-        coeffs = [blk @ (w * values) for blk in blocks]
-        return cls(directions, coeffs, values=values)
+        out = cls(directions, [blk @ (w * values) for blk in blocks])
+        synth = sum(c @ blk for c, blk in zip(out.coefficients, blocks))
+        cn = out.total_power()
+        qn = float(w @ (np.abs(synth) ** 2))
+        if cn > 0 and abs(cn - qn) > 1e-8 * max(cn, 1.0):
+            raise ValueError("Parseval consistency violated: %g vs %g"
+                             % (cn, qn))
+        return out
 
     def synthesize(self):
         blocks = _real_harmonic_basis(self.directions, self.band)
@@ -259,30 +221,20 @@ def homogeneity_defect(s, k_max):
     return float(worst)
 
 
-def complexified_sphere_eval(f, z, pt):
-    """F(z, omega~) = int f(x) e^{-2 pi i z (omega~ . x)} dx by direct
-    quadrature, where omega~ . x is the bilinear pairing (no conjugation).
-    z may be scalar or an array."""
-    if pt.n != f.grid.n:
-        raise ValueError("sphere point dimension does not match the grid")
-    out = _direct_transform(f, z, pt.vector()[None])[..., 0]
-    return out if out.shape else complex(out)
-
-
 def extension_consistency_defect(f):
     """The slice extensions (Radon then 1-D complex quadrature) and the
-    complexified-sphere extension (direct n-D complex quadrature) continue
-    the same function; this returns their maximum discrepancy over the
-    complex mesh `_extension_mesh(f.grid)` times the real directions
-    `_directions_for(n, EXTENSION_DIRECTIONS)`.  The direct side is one
-    kernel call at the directions' own vectors, so a polar ring of the
-    direction rule stays one ring of the kernel."""
+    direct extension z -> int f(x) e^{-2 pi i z (omega . x)} dx (n-D complex
+    quadrature) continue the same function; this returns their maximum
+    discrepancy over the complex mesh `_extension_mesh(f.grid)` times the
+    real directions `_directions_for(n, EXTENSION_DIRECTIONS)`.  The direct
+    side is one kernel call at the directions' own vectors, so a polar ring
+    of the direction rule stays one ring of the kernel."""
     dirs = _directions_for(f.grid.n, EXTENSION_DIRECTIONS)
     s = radon_transform(f, directions=dirs)
     Z = _extension_mesh(f.grid).mesh()
     side_slice = _slice_transform(s, Z)
-    side_sphere = _direct_transform(f, Z, dirs.vectors)
-    return float(np.abs(side_slice - side_sphere).max())
+    side_direct = _direct_transform(f, Z, dirs.vectors)
+    return float(np.abs(side_slice - side_direct).max())
 
 
 def schwartz_seminorm(s, k, l, r_extent=12.0, n_r=49):

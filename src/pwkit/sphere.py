@@ -280,4 +280,8 @@ def load_profile(path, n, support_angle=None):
     t = data[:, 0]
     if abs(t[0]) > 1e-12 or abs(t[-1] - np.pi) > 1e-9:
         raise ValueError("profile grid must cover [0, pi]")
+    # ZonalProfile puts the values on linspace(0, pi, T)
+    dt = np.diff(t)
+    if np.any(np.abs(dt - dt.mean()) > 1e-9 * dt.mean()):
+        raise ValueError("profile angles must be equispaced")
     return ZonalProfile(n, data[:, 1], support_angle=support_angle)

@@ -1,7 +1,7 @@
 """Weyl groups of the classical families as signed permutation groups,
-subspace stabilizers, Reynolds averaging, restriction of invariant
-polynomials, surjectivity certificates with the type-D obstruction, and
-the lift of invariants from a subspace through one exact solve.
+subspace stabilizers, restriction of invariant polynomials, surjectivity
+certificates with the type-D obstruction, and the lift of invariants from
+a subspace through one exact solve.
 
 All polynomial algebra is exact over the rationals: surjectivity and
 obstruction are rank statements and must not depend on floating-point
@@ -11,8 +11,9 @@ sum-zero hyperplane; the subspace embeddings append trailing zeros.
 Linear systems (one row per monomial, one unknown per candidate
 polynomial) are solved by Gauss-Jordan elimination on sparse row dicts:
 each row is reduced against the pivot rows found so far and pivoted on its
-smallest remaining column, so no dense matrix is built.  A group action
-or group average accumulates every element's image into one dict.
+smallest remaining column, so no dense matrix is built.
+`MultivariatePolynomial.apply` is the one group action; `ow1_lift` checks
+a target's invariance through it.
 """
 
 from fractions import Fraction
@@ -30,7 +31,6 @@ __all__ = [
     "group_order",
     "stabilizer",
     "restricted_group",
-    "reynolds",
     "chevalley_generators",
     "invariant_basis",
     "surjectivity_certificate",
@@ -115,13 +115,7 @@ class SignedPermutation:
 
 
 class RootSystemSpec:
-    """Classical family (A, B, C or D) and rank.
-
-    Ranks below the Dynkin-faithful bounds (A >= 1, B >= 2, C >= 3, D >= 4)
-    are still constructible as groups but flagged degenerate.
-    """
-
-    _FAITHFUL_RANK = {"A": 1, "B": 2, "C": 3, "D": 4}
+    """Classical family (A, B, C or D) and rank."""
 
     def __init__(self, family, rank):
         family = family.upper()
@@ -131,10 +125,6 @@ class RootSystemSpec:
             raise ValueError("rank must be >= 1")
         self.family = family
         self.rank = int(rank)
-
-    @property
-    def degenerate(self):
-        return self.rank < self._FAITHFUL_RANK[self.family]
 
     @property
     def ambient_vars(self):
@@ -334,8 +324,17 @@ class MultivariatePolynomial:
         Under w e_j = signs[j] e_{perm[j]} the monomial prod x_j^{a_j}
         pulls back to prod (signs[j] x_{perm[j]})^{a_j}.
         """
+        perm, signs = w.perm, w.signs
         out = {}
-        _act_into(out, self.terms, w)
+        for e, c in self.terms.items():
+            newe = [0] * len(e)
+            neg = False
+            for j, a in enumerate(e):
+                if a:
+                    newe[perm[j]] = a
+                    if a & 1 and signs[j] < 0:
+                        neg = not neg
+            out[tuple(newe)] = -c if neg else c
         return MultivariatePolynomial._from_terms(self.nvars, out)
 
     def restrict(self, nkeep):
@@ -365,54 +364,9 @@ class MultivariatePolynomial:
             lines.append(str(c) + (" * " + " ".join(factors) if factors else ""))
         return "\n".join(lines) + "\n"
 
-    @classmethod
-    def from_text(cls, text, nvars):
-        terms = {}
-        for line in text.strip().splitlines():
-            line = line.strip()
-            if not line or line == "0":
-                continue
-            if "*" in line:
-                coeff_s, mono = line.split("*", 1)
-            else:
-                coeff_s, mono = line, ""
-            e = [0] * nvars
-            for factor in mono.split():
-                name, _, power = factor.partition("^")
-                idx = int(name.lstrip("x")) - 1
-                e[idx] += int(power) if power else 1
-            key = tuple(e)
-            terms[key] = terms.get(key, Fraction(0)) + Fraction(coeff_s.strip())
-        return cls(nvars, terms)
-
     def __repr__(self):
         return "MultivariatePolynomial(%d vars, %d terms)" % (
             self.nvars, len(self.terms))
-
-
-def _act_into(out, terms, w):
-    """Add w . p, for p given by its terms, into the dict `out`."""
-    perm, signs = w.perm, w.signs
-    for e, c in terms.items():
-        newe = [0] * len(e)
-        neg = False
-        for j, a in enumerate(e):
-            if a:
-                newe[perm[j]] = a
-                if a & 1 and signs[j] < 0:
-                    neg = not neg
-        key = tuple(newe)
-        out[key] = out.get(key, 0) + (-c if neg else c)
-
-
-def reynolds(p, group):
-    """Group average (1/|W|) sum_w w.p; the projection onto invariants."""
-    acc = {}
-    for w in group:
-        _act_into(acc, p.terms, w)
-    n = len(group)
-    return MultivariatePolynomial._from_terms(
-        p.nvars, {e: c / n for e, c in acc.items()})
 
 
 def _elementary_symmetric(j, nvars, power):
@@ -611,15 +565,6 @@ def surjectivity_certificate(spec_k, spec_n, d):
                                    witnesses, obstruction)
 
 
-def _check_invariant(p, group_elements):
-    for w in group_elements:
-        image = {}
-        _act_into(image, p.terms, w)
-        if image != p.terms:
-            return False
-    return True
-
-
 def ow1_lift(target, spec_k, spec_n):
     """Extend a W(n)-invariant polynomial to a W(k)-invariant one with
     exact restriction.
@@ -642,7 +587,7 @@ def ow1_lift(target, spec_k, spec_n):
     nkeep = spec_n.ambient_vars
     if target.nvars != nkeep:
         raise ValueError("target arity does not match the downstairs spec")
-    if not _check_invariant(target, _simple_reflections(spec_n)):
+    if any(target.apply(w) != target for w in _simple_reflections(spec_n)):
         raise NotInvariant("target is not invariant downstairs")
 
     const = target.constant_term()

@@ -3,14 +3,14 @@ import sys
 import numpy as np
 import pytest
 
-from pwkit import (ComplexGrid, ComplexSpherePoint, DirectionSet, GridSpec,
-                   HarmonicExpansion, Sinogram, ZeroInput, complex_slice_eval,
-                   complexified_sphere_eval, default_offsets,
+from pwkit import (ComplexGrid, DirectionSet, GridSpec, HarmonicExpansion,
+                   Sinogram, ZeroInput, complex_slice_eval, default_offsets,
                    extension_consistency_defect, fourier_on_rays,
                    homogeneity_defect, integrate, inverse_radon, make_bump,
                    moment, pointwise_inversion, pw_seminorm, radial_fourier,
                    radon_transform, schwartz_seminorm,
                    support_radius_estimate, taylor_coefficient)
+from pwkit.grid import _direct_transform
 from pwkit.radon import _slice_transform
 
 G = GridSpec(2, 1.5, 257)
@@ -184,30 +184,17 @@ class TestHomogeneity:
 
 
 class TestComplexSphere:
-    def test_real_point_matches_ray_transform(self, bump):
-        pt = ComplexSpherePoint.from_real(DIRS.vectors[5])
-        radii = np.array([0.0, 1.0, 2.5])
-        direct = fourier_on_rays(bump, radii, DIRS)[:, 5]
-        vals = complexified_sphere_eval(bump, radii.astype(complex), pt)
-        assert np.abs(vals - direct).max() < 1e-10
-
-    def test_hyperbolic_identity(self):
-        pt = ComplexSpherePoint(1j * 0.7)
-        v = pt.vector()
-        assert v[0] == pytest.approx(np.cosh(0.7))
-        assert v[1] == pytest.approx(1j * np.sinh(0.7))
-        assert abs(v @ v - 1.0) < 1e-12
-
     def test_weighted_modulus_mesh_stable(self, bump):
-        # (1+|z w|^2)^N e^{-R |Im(z w)|} |F| on a coarse and refined mesh
+        # (1+|z w|^2)^N e^{-R |Im(z w)|} |F| on a coarse and refined mesh, at
+        # w = (cos zeta, sin zeta) on the complexified circle
         R = 2 * np.pi * bump.support_radius
-        pt = ComplexSpherePoint(0.4 + 0.3j)
-        w = pt.vector()
+        zeta = 0.4 + 0.3j
+        w = np.array([np.cos(zeta), np.sin(zeta)])
 
         def weighted_max(nz):
             zs = (np.linspace(-2, 2, nz)[:, None]
                   + 1j * np.linspace(-1, 1, nz)[None, :]).ravel()
-            F = complexified_sphere_eval(bump, zs, pt)
+            F = _direct_transform(bump, zs, w[None])[:, 0]
             zw = np.abs(zs[:, None] * w[None, :])
             im = np.abs((zs[:, None] * w[None, :]).imag)
             weight = (1 + (zw**2).sum(axis=1)) ** 2 \
@@ -245,6 +232,13 @@ class TestHarmonicExpansion:
         e = HarmonicExpansion.from_values(vals, DIRS)
         qn = float(DIRS.weights @ np.abs(e.synthesize()) ** 2)
         assert e.total_power() == pytest.approx(qn, rel=1e-10)
+
+    def test_rule_not_exact_to_twice_the_band_rejected(self):
+        # circle(8) is exact through degree 7, so Parseval at band 5 aliases
+        d = DirectionSet.circle(8, band_limit=5)
+        vals = np.random.default_rng(5).normal(size=len(d))
+        with pytest.raises(ValueError, match="Parseval"):
+            HarmonicExpansion.from_values(vals, d)
 
     def test_parseval_sphere(self):
         d3 = DirectionSet.sphere(8)
@@ -287,8 +281,7 @@ class TestKernels:
         with pytest.raises(AssertionError):
             radial_fourier(sino, [1.0])
         fourier_on_rays(bump, np.linspace(0, 4, 3), DIRS)
-        complexified_sphere_eval(bump, np.array([0.5, 1 + 0.3j]),
-                                 ComplexSpherePoint(0.4 + 0.2j))
+        _direct_transform(bump, np.array([0.5, 1 + 0.3j]), DIRS.vectors[:1])
 
     def test_slice_side_never_uses_direct_kernel(self, monkeypatch, bump):
         g = GridSpec(2, 1.5, 65)

@@ -170,3 +170,11 @@ class TestProfileIO:
         back = load_profile(str(path), 3, support_angle=0.7)
         assert_allclose(back.values, prof.values, atol=1e-16)
         assert back.n == 3
+
+    def test_unequal_spacing_rejected(self, tmp_path):
+        # the endpoints are right, the angles between them are not
+        t = np.pi * np.linspace(0, 1, 129) ** 2
+        path = tmp_path / "prof.csv"
+        np.savetxt(path, np.column_stack([t, np.cos(t)]), delimiter=",")
+        with pytest.raises(ValueError, match="equispaced"):
+            load_profile(str(path), 3)

@@ -9,8 +9,8 @@ from pwkit import weyl
 from pwkit import (DegreeTooLarge, GroupTooLarge, MultivariatePolynomial,
                    NotInvariant, ObstructionHit, RootSystemSpec,
                    SignedPermutation, chevalley_generators, group_order,
-                   invariant_basis, ow1_lift, restricted_group, reynolds,
-                   stabilizer, surjectivity_certificate, weyl_group)
+                   invariant_basis, ow1_lift, restricted_group, stabilizer,
+                   surjectivity_certificate, weyl_group)
 from pwkit.weyl import _simple_reflections
 
 P = MultivariatePolynomial
@@ -110,38 +110,6 @@ class TestRestrictedGroup:
         assert img == set(weyl_group(RootSystemSpec("A", 2)))
 
 
-class TestReynolds:
-    B2 = weyl_group(RootSystemSpec("B", 2))
-
-    def test_invariant_fixed(self):
-        e1 = chevalley_generators(RootSystemSpec("B", 2))[0]
-        assert reynolds(e1, self.B2) == e1
-
-    def test_odd_monomial_killed(self):
-        assert reynolds(var(0, 2), self.B2).is_zero()
-        x1sq_x2 = var(0, 2) * var(0, 2) * var(1, 2)
-        assert reynolds(x1sq_x2, self.B2).is_zero()
-
-    def test_idempotent_on_low_degree(self):
-        # projection property on every monomial of degree <= 6
-        for e in exponents(2, 6):
-            p = P(2, {e: Fraction(1)})
-            once = reynolds(p, self.B2)
-            twice = reynolds(once, self.B2)
-            assert once == twice
-
-    def test_output_invariant(self):
-        rng = np.random.default_rng(2)
-        terms = {}
-        for _ in range(6):
-            e = tuple(int(a) for a in rng.integers(0, 4, size=2))
-            terms[e] = Fraction(int(rng.integers(-5, 6)))
-        p = P(2, terms)
-        avg = reynolds(p, self.B2)
-        for w in self.B2[:5]:
-            assert avg.apply(w) == avg
-
-
 class TestInvariantBasis:
     def test_b2_degree_two(self):
         basis = invariant_basis(RootSystemSpec("B", 2), 2)
@@ -196,7 +164,7 @@ class TestRestrictPoly:
             p = p + b.scale(Fraction(int(rng.integers(-3, 4))))
         r = p.restrict(2)
         b2 = weyl_group(RootSystemSpec("B", 2))
-        assert reynolds(r, b2) == r
+        assert all(r.apply(w) == r for w in b2)
 
 
 class TestSurjectivity:
@@ -315,11 +283,6 @@ class TestOw1Lift:
 
 
 class TestPolynomialAlgebra:
-    def test_text_round_trip(self):
-        p = P(3, {(2, 0, 1): Fraction(3, 4), (0, 0, 0): Fraction(-2)})
-        q = P.from_text(p.to_text(), 3)
-        assert q == p
-
     def test_text_format(self):
         p = P(2, {(1, 2): Fraction(1, 2)})
         assert p.to_text().strip() == "1/2 * x1^1 x2^2"
