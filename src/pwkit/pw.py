@@ -7,7 +7,9 @@ of the spectral parameter; the support radius shows up as the exponential
 type (in the e^{-2 pi i p z} convention a support radius rho gives type
 2 pi rho), and the k-th offset moments must synthesize homogeneous
 polynomials of degree k on the sphere, which restricted to the sphere span
-exactly the harmonic degrees {k, k-2, ...}.
+exactly the harmonic degrees {k, k-2, ...}.  `homogeneity_defect` projects
+all orders k <= k_max onto the rule's real harmonics in one product, and
+refuses a rule on which that projection breaks Parseval.
 """
 
 import numpy as np
@@ -17,12 +19,10 @@ from .radon import moment, radon_transform, _slice_transform
 
 __all__ = [
     "ComplexGrid",
-    "HarmonicExpansion",
     "ZeroInput",
     "complex_slice_eval",
     "pw_seminorm",
     "support_radius_estimate",
-    "taylor_coefficient",
     "homogeneity_defect",
     "extension_consistency_defect",
     "schwartz_seminorm",
@@ -140,85 +140,45 @@ def support_radius_estimate(s):
     return float(max(min(candidates), max(floors)))
 
 
-class HarmonicExpansion:
-    """Spherical-harmonic coefficients of a function on the direction set.
-
-    Coefficients are grouped per degree l <= band; the basis is orthonormal
-    for the normalized measure, so Parseval reads
-    sum |c|^2 = sum_j w_j |f(omega_j)|^2, which `from_values` verifies.
-    """
-
-    def __init__(self, directions, coefficients):
-        self.directions = directions
-        self.coefficients = coefficients    # list of complex arrays per degree
-        self.band = len(coefficients) - 1
-
-    @classmethod
-    def from_values(cls, values, directions):
-        """Expansion of `values` at the direction nodes through the rule's
-        band limit.  Raises ValueError if Parseval fails on the synthesis,
-        as it does when the rule is not exact to twice its band."""
-        blocks = _real_harmonic_basis(directions, directions.band_limit)
-        w = directions.weights
-        out = cls(directions, [blk @ (w * values) for blk in blocks])
-        synth = sum(c @ blk for c, blk in zip(out.coefficients, blocks))
-        cn = out.total_power()
-        qn = float(w @ (np.abs(synth) ** 2))
-        if cn > 0 and abs(cn - qn) > 1e-8 * max(cn, 1.0):
-            raise ValueError("Parseval consistency violated: %g vs %g"
-                             % (cn, qn))
-        return out
-
-    def synthesize(self):
-        blocks = _real_harmonic_basis(self.directions, self.band)
-        out = np.zeros(len(self.directions), dtype=complex)
-        for c, blk in zip(self.coefficients, blocks):
-            out += c @ blk
-        return out
-
-    def degree_power(self, l):
-        return float(np.sum(np.abs(self.coefficients[l]) ** 2))
-
-    def total_power(self):
-        return float(sum(self.degree_power(l) for l in range(self.band + 1)))
-
-
-def taylor_coefficient(s, k):
-    """Expansion of omega -> (-2 pi i)^k int s(p, omega) p^k dp.
-
-    These are the Taylor coefficients (in the spectral parameter at 0) of
-    the slice extensions; for transforms of compactly supported functions
-    they must be homogeneous polynomials of degree k on the sphere.
-    """
-    if k > 8:
-        raise ValueError("moment order above 8 is numerically ill-conditioned "
-                         "on the offset range")
-    vals = (-2j * np.pi) ** k * moment(s, k)
-    return HarmonicExpansion.from_values(vals, s.directions)
-
-
 def homogeneity_defect(s, k_max):
-    """Coefficient mass of the k-th Taylor expansion outside the harmonic
-    degrees {k, k-2, ..., k mod 2}, relative to its total mass; maximum
-    over k <= k_max.  Mass ratios of negligible moments count as zero (the
-    zero sinogram has defect 0 by convention).
+    """Harmonic mass of the k-th Taylor coefficient
+    omega -> (-2 pi i)^k int s(p, omega) p^k dp (in the spectral parameter
+    at 0) outside the degrees {k, k-2, ..., k mod 2}, relative to its total
+    mass; maximum over k <= k_max.  For the transform of a compactly
+    supported function the coefficient is a homogeneous polynomial of
+    degree k, which on the sphere spans exactly those degrees.
+
+    The k_max + 1 coefficients are one (Q, k_max + 1) matrix, projected in
+    one product onto the real harmonics of the rule through its band limit
+    (orthonormal for the normalized measure).  Raises ValueError if
+    Parseval fails on the synthesis of the projection, as it does when the
+    rule is not exact to twice its band.  Mass ratios of negligible
+    coefficients count as zero (the zero sinogram has defect 0 by
+    convention).
     """
     if k_max > 8:
-        raise ValueError("k_max capped at 8")
-    expansions = [taylor_coefficient(s, k) for k in range(k_max + 1)]
-    totals = np.array([e.total_power() for e in expansions])
+        raise ValueError("k_max capped at 8: higher moments are numerically "
+                         "ill-conditioned on the offset range")
+    blocks = _real_harmonic_basis(s.directions, s.directions.band_limit)
+    basis = np.concatenate(blocks)                          # (H, Q)
+    degree = np.repeat(np.arange(len(blocks)), [len(b) for b in blocks])
+    k = np.arange(k_max + 1)
+    w = s.directions.weights
+    taylor = np.stack([(-2j * np.pi) ** j * moment(s, j) for j in k], axis=1)
+    coeffs = basis @ (w[:, None] * taylor)                  # (H, k_max + 1)
+    power = np.abs(coeffs) ** 2
+    totals = power.sum(axis=0)
+    gap = np.abs(totals - w @ np.abs(basis.T @ coeffs) ** 2)
+    if np.any(gap > 1e-8 * np.maximum(totals, 1.0)):
+        raise ValueError("Parseval consistency violated: gap %g"
+                         % gap.max())
     scale = totals.max()
     if scale == 0:
         return 0.0
-    worst = 0.0
-    for k, e in enumerate(expansions):
-        if totals[k] <= 1e-12 * scale:
-            continue
-        allowed = set(range(k % 2, k + 1, 2))
-        bad = sum(e.degree_power(l) for l in range(e.band + 1)
-                  if l not in allowed)
-        worst = max(worst, bad / totals[k])
-    return float(worst)
+    allowed = (degree[:, None] <= k) & ((k - degree[:, None]) % 2 == 0)
+    live = totals > 1e-12 * scale
+    bad = np.where(allowed, 0.0, power).sum(axis=0)
+    return float((bad[live] / totals[live]).max())
 
 
 def extension_consistency_defect(f):

@@ -44,15 +44,15 @@ compares the 3-D transform on horizontal normals with the 2-D transform of
 the z-marginal, would then compare two z-quadratures of one xy
 interpolant, which certifies nothing about the xy sampling.  The slab
 lattice gives those planes nodes the 2-D side does not share.  The samples
-are resampled by R F along the slab axis e = z of every horizontal normal
-(so omega_e = 0 to roundoff, and one stack serves them all), and F is
+are resampled by R F along the slab axis z of every horizontal normal
+(so omega_3 = 0 to roundoff, and one stack serves them all), and F is
 applied along the two in-slab axes, into an (M^2, T) stack of 2-D splines,
 slab k in column k.  The plane meets slab k in a line along its
-in-plane vector u (with u_e = 0), whose nodes are t_j along u, so the
-nodes are the unsheared (t_j, t_k) lattice of the plane, each with the
-cell dt^2.  Node (i, j) of offset p_i has the same in-slab coordinates
-p_i omega + t_j u in every slab; the slab-dependent in-slab term, of order
-|omega_e|, is dropped (it is 0 when omega_e = 0).  So a sampled direction
+in-plane vector u = (-omega_2, omega_1, 0) / |.|, whose nodes are t_j
+along u, so the nodes are the unsheared (t_j, t_k) lattice of the plane,
+each with the cell dt^2.  Node (i, j) of offset p_i has the same in-slab
+coordinates p_i omega + t_j u in every slab; the slab-dependent in-slab
+term, of order |omega_3|, is dropped (it is 0 when omega_3 = 0).  So a sampled direction
 is one sparse (N, M^2) interpolation matrix of its N nodes (i, j), 36
 entries a row, applied to the whole stack: every node's value in every
 slab, each (i, j) then summed over the slabs its disk keeps.  Every node
@@ -91,7 +91,6 @@ from .grid import (SampledFunction, DirectionSet, SPHERE_AREA,
 
 __all__ = [
     "Sinogram",
-    "UnsupportedDimension",
     "NotEven",
     "radon_transform",
     "default_offsets",
@@ -101,10 +100,6 @@ __all__ = [
     "save_sinogram",
     "load_sinogram",
 ]
-
-
-class UnsupportedDimension(ValueError):
-    pass
 
 
 class NotEven(ValueError):
@@ -162,28 +157,6 @@ def default_offsets(grid):
     pmax = grid.half_width * np.sqrt(grid.n)
     half = int(np.ceil(pmax / grid.spacing))
     return np.linspace(-pmax, pmax, 2 * half + 1)
-
-
-def _slab_axis(w):
-    """The coordinate axis across which `_hyperplane_basis` takes the first
-    vector of the plane with the 3-D normal w: the slab axis z for a
-    horizontal normal (|w_3| <= HORIZONTAL_TOL), so that one slab stack
-    serves every horizontal normal of a call, and otherwise the axis least
-    aligned with w."""
-    return 2 if abs(w[2]) <= HORIZONTAL_TOL else int(np.argmin(np.abs(w)))
-
-
-def _hyperplane_basis(w):
-    """Orthonormal basis of the hyperplane with normal w, as the rows of an
-    (n-1, n) array: (-w_2, w_1) in 2-D; in 3-D u = e x w / |e x w| for the
-    coordinate axis e = `_slab_axis(w)`, and v = w x u."""
-    if len(w) == 2:
-        return np.array([[-w[1], w[0]]])
-    e = np.zeros(3)
-    e[_slab_axis(w)] = 1.0
-    u = np.cross(e, w)
-    u /= np.linalg.norm(u)
-    return np.stack([u, np.cross(w, u)])
 
 
 def _effective_support(f):
@@ -371,28 +344,29 @@ def _pencil_sampler(stacks, n, p, reach, t, h, L):
 
 def _slab_sampler(stacks, m, p, reach, t, h, L):
     """Sampler of the planes xi(p_i, w) of a 3-D transform with a
-    horizontal normal w, slab by slab (see the module docstring).  For the
-    slab axis e = `_slab_axis(w)`, which is z, so w_e = 0 to roundoff,
-    `_hyperplane_basis` gives u with u_e = 0 and v = e - w_e w.  The plane
-    meets the slab x_e = t_k in the line p_i w + s u + (t_k - p_i w_e) v,
-    whose nodes s = t_j inside the disk of radius reach_i are kept, each
-    with the cell dt^2.  Node (i, j) has the in-slab coordinates p_i w + t_j u
-    in every slab: the term -w_e (t_k - p_i w_e) w of v, of order |w_e|,
-    is dropped (it is 0 when w_e = 0).  So one `_slab_matrix` of the (i, j)
-    that any slab keeps, applied to the (M^2, T) slab stack, gives every
-    node's value in every slab, and each (i, j) sums the slabs that keep
-    it.  The slabs come from `stacks`, the `_slab_stacks` of the samples on
-    m points an axis.  sample(w) returns the row index i of each (i, j), its
-    slab sum and the cell."""
+    horizontal normal w, slab by slab (see the module docstring).  The slab
+    axis is z, so w_z = 0 to roundoff; the plane's in-plane vector
+    u = e_z x w / |e_z x w| = (-w_y, w_x, 0) / |.| has u_z = 0, and its
+    other one is v = e_z - w_z w.  The plane meets the slab z = t_k in the
+    line p_i w + s u + (t_k - p_i w_z) v, whose nodes s = t_j inside the
+    disk of radius reach_i are kept, each with the cell dt^2.  Node (i, j)
+    has the in-slab coordinates p_i w + t_j u in every slab: the term
+    -w_z (t_k - p_i w_z) w of v, of order |w_z|, is dropped (it is 0 when
+    w_z = 0).  So one `_slab_matrix` of the (i, j) that any slab keeps,
+    applied to the (M^2, T) slab stack, gives every node's value in every
+    slab, and each (i, j) sums the slabs that keep it.  The slabs come from
+    `stacks`, the `_slab_stacks` of the samples on m points an axis.
+    sample(w) returns the row index i of each (i, j), its slab sum and the
+    cell."""
 
     def sample(w):
-        e = _slab_axis(w)
-        s = t - p[:, None] * w[e]              # (row i, slab k): v-coordinate
+        s = t - p[:, None] * w[2]              # (row i, slab k): v-coordinate
         keep = t[:, None]**2 + s[:, None, :]**2 <= reach[:, None, None]**2
         owner, node = np.nonzero(keep.any(axis=2))  # keep: (i, node j, k)
-        x = w[:, None] * p[owner] + _hyperplane_basis(w)[0][:, None] * t[node]
-        x = (np.delete(x, e, axis=0) + L) / h
-        vals = _slab_matrix(x, m) @ stacks(e)
+        u = np.array([-w[1], w[0]])
+        u /= np.linalg.norm(u)
+        x = (w[:2, None] * p[owner] + u[:, None] * t[node] + L) / h
+        vals = _slab_matrix(x, m) @ stacks(2)
         return (owner, (vals * keep[owner, node]).sum(axis=1),
                 (t[1] - t[0]) ** 2)
     return sample
@@ -424,8 +398,6 @@ def radon_transform(f, offsets=None, directions=None):
     `_slab_stacks`), so no n-D prefilter runs over the samples.
     """
     n = f.grid.n
-    if n not in (2, 3):
-        raise UnsupportedDimension("radon transform implemented for n in {2, 3}")
     if offsets is None:
         offsets = default_offsets(f.grid)
     offsets = _offset_grid(offsets)

@@ -89,6 +89,23 @@ def cap_bump(t_supp, n, samples=DEFAULT_SAMPLES):
     return ZonalProfile(n, vals, support_angle=t_supp)
 
 
+def _spherical_functions(m_max, t, n):
+    """The normalized zonal spherical functions psi_m(t) on S^n,
+    m = 0..m_max, as the rows of an (m_max + 1,) + shape(t) array: one pass
+    of the Gegenbauer three-term recurrence for C_m^{(n-1)/2}(cos t), each
+    degree divided by C_m^{(n-1)/2}(1)."""
+    lam = (n - 1) / 2.0
+    x = np.cos(np.asarray(t, dtype=float))
+    prev, cur = np.zeros_like(x), np.ones_like(x)     # C_-1 and C_0
+    out = [cur]
+    for j in range(1, m_max + 1):
+        prev, cur = cur, (2 * x * (j + lam - 1) * cur
+                          - (j + 2 * lam - 2) * prev) / j
+        out.append(cur / (gamma(j + 2 * lam)
+                          / (gamma(2 * lam) * gamma(j + 1))))
+    return np.stack(out)
+
+
 def spherical_function(m, t, n):
     """Normalized zonal spherical function psi_m(t) on S^n:
     C_m^{(n-1)/2}(cos t) / C_m^{(n-1)/2}(1), so psi_m(0) = 1.
@@ -98,35 +115,22 @@ def spherical_function(m, t, n):
     """
     if m < 0:
         raise ValueError("degree must be >= 0")
-    lam = (n - 1) / 2.0
-    x = np.cos(np.asarray(t, dtype=float))
-    prev = np.ones_like(x)
-    if m == 0:
-        return prev
-    cur = 2 * lam * x
-    for j in range(2, m + 1):
-        prev, cur = cur, (2 * x * (j + lam - 1) * cur - (j + 2 * lam - 2) * prev) / j
-    norm = gamma(m + 2 * lam) / (gamma(2 * lam) * gamma(m + 1))
-    return cur / norm
+    return _spherical_functions(m, t, n)[m]
 
 
 def spherical_transform(profile, m_max):
     """Zonal Fourier coefficients f_hat(m), m = 0..m_max, as an
     (m_max + 1,) array: the plain integral of F(t) psi_m(t) sin^(n-1)(t)
     over [0, pi] (surface-measure weight, no sphere-area prefactor), by
-    Simpson quadrature on the theta grid.
+    Simpson quadrature on the theta grid, all degrees in one call.
 
     Simpson rather than trapezoid because the integrand has a nonzero
     derivative at t = 0 when n = 2 (the sin weight is only first order
     there), which would leave an O(dt^2) endpoint bias.
     """
-    sinw = np.sin(profile.thetas) ** (profile.n - 1)
-    base = profile.values * sinw
-    out = np.empty(m_max + 1)
-    for m in range(m_max + 1):
-        psi = spherical_function(m, profile.thetas, profile.n)
-        out[m] = simpson(base * psi, dx=profile.step)
-    return out
+    base = profile.values * np.sin(profile.thetas) ** (profile.n - 1)
+    psi = _spherical_functions(m_max, profile.thetas, profile.n)
+    return simpson(base * psi, dx=profile.step, axis=1)
 
 
 def _support_cut(profile):
@@ -170,13 +174,11 @@ def sphere_radon(profile):
 
 
 def _slice_integrals(profile, m_max):
-    transform = sphere_radon(profile)
-    rho = profile.rho
-    t = profile.thetas
-    out = np.empty(m_max + 1)
-    for m in range(m_max + 1):
-        out[m] = simpson(np.cos((m + rho) * t) * transform, dx=profile.step)
-    return out
+    """int cos((m + rho) t) R(f)(t) dt over [0, pi], m = 0..m_max, by
+    Simpson quadrature on the theta grid, all degrees in one call."""
+    m = np.arange(m_max + 1)[:, None]
+    kernel = np.cos((m + profile.rho) * profile.thetas)
+    return simpson(kernel * sphere_radon(profile), dx=profile.step, axis=1)
 
 
 def _slice_pair(profile, m_max):

@@ -1,0 +1,26 @@
+import importlib
+import types
+
+import pytest
+
+import pwkit
+
+LIBRARY = ("grid", "radon", "fourier", "pw", "sphere", "weyl")
+
+
+@pytest.mark.parametrize("name", LIBRARY)
+def test_module_all_resolves_and_is_exported(name):
+    # a name deleted from a module must leave its __all__ and the package
+    module = importlib.import_module("pwkit." + name)
+    for attr in module.__all__:
+        assert hasattr(module, attr), "%s.%s" % (name, attr)
+        assert getattr(pwkit, attr, None) is getattr(module, attr), attr
+
+
+def test_package_exports_only_module_all_names():
+    listed = {attr for name in LIBRARY
+              for attr in importlib.import_module("pwkit." + name).__all__}
+    public = {attr for attr, value in vars(pwkit).items()
+              if not attr.startswith("_")
+              and not isinstance(value, types.ModuleType)}
+    assert public == listed

@@ -3,13 +3,13 @@ import sys
 import numpy as np
 import pytest
 
-from pwkit import (ComplexGrid, DirectionSet, GridSpec, HarmonicExpansion,
-                   Sinogram, ZeroInput, complex_slice_eval, default_offsets,
+from pwkit import (ComplexGrid, DirectionSet, GridSpec, Sinogram, ZeroInput,
+                   complex_slice_eval, default_offsets,
                    extension_consistency_defect, fourier_on_rays,
                    homogeneity_defect, integrate, inverse_radon, make_bump,
                    moment, pointwise_inversion, pw_seminorm, radial_fourier,
                    radon_transform, schwartz_seminorm,
-                   support_radius_estimate, taylor_coefficient)
+                   support_radius_estimate)
 from pwkit.grid import _direct_transform
 from pwkit.radon import _slice_transform
 
@@ -139,31 +139,31 @@ class TestSupportRadius:
 
 
 class TestTaylorCoefficients:
+    """The k-th Taylor coefficient (-2 pi i)^k moment(s, k) carries only
+    the harmonic degrees k, k-2, ..., which `homogeneity_defect` measures."""
+
     def test_k0_constant_is_mass(self, bump, sino):
-        e = taylor_coefficient(sino, 0)
-        assert e.coefficients[0][0] == pytest.approx(integrate(bump), abs=1e-6)
-        assert sum(e.degree_power(l) for l in range(1, e.band + 1)) < 1e-12
+        assert np.abs(moment(sino, 0) - integrate(bump)).max() < 1e-8
+        assert homogeneity_defect(sino, 0) < 1e-12
 
     def test_k1_degree_one_only(self, bump, sino):
-        e = taylor_coefficient(sino, 1)
-        other = sum(e.degree_power(l) for l in range(e.band + 1) if l != 1)
-        assert other / e.total_power() < 1e-12
-        # synthesizes -2 pi i M0 (v . omega)
-        synth = e.synthesize()
+        # the first moment is M0 (v . omega) for the centre v
         th = np.arctan2(DIRS.vectors[:, 1], DIRS.vectors[:, 0])
-        target = -2j * np.pi * integrate(bump) * (0.3 * np.cos(th) - 0.2 * np.sin(th))
-        assert np.abs(synth - target).max() < 1e-5
+        target = integrate(bump) * (0.3 * np.cos(th) - 0.2 * np.sin(th))
+        assert np.abs(moment(sino, 1) - target).max() < 1e-8
+        assert homogeneity_defect(sino, 1) < 1e-12
 
     def test_k2_radial_degree_zero_only(self):
+        # a centred bump's second moment is constant in omega
         f = make_bump([0, 0], 0.5, 1.0, G)
         s = radon_transform(f, directions=DIRS)
-        e = taylor_coefficient(s, 2)
-        off = sum(e.degree_power(l) for l in range(1, e.band + 1))
-        assert off / e.total_power() < 1e-8
+        m2 = moment(s, 2)
+        assert np.ptp(m2) < 1e-6 * np.abs(m2).max()
+        assert homogeneity_defect(s, 2) < 1e-8
 
     def test_order_cap(self, sino):
-        with pytest.raises(ValueError):
-            taylor_coefficient(sino, 9)
+        with pytest.raises(ValueError, match="capped at 8"):
+            homogeneity_defect(sino, 9)
 
 
 class TestHomogeneity:
@@ -226,30 +226,41 @@ class TestSchwartzSeminorms:
 
 
 class TestHarmonicExpansion:
+    """The one projection of the Taylor coefficients onto the real
+    harmonics inside `homogeneity_defect`, and its Parseval guard."""
+
     def test_parseval(self):
-        rng = np.random.default_rng(5)
-        vals = rng.normal(size=len(DIRS))
-        e = HarmonicExpansion.from_values(vals, DIRS)
-        qn = float(DIRS.weights @ np.abs(e.synthesize()) ** 2)
-        assert e.total_power() == pytest.approx(qn, rel=1e-10)
+        # a rule exact to twice its band keeps Parseval for any samples
+        p = default_offsets(G)
+        vals = np.random.default_rng(5).normal(size=(len(p), len(DIRS)))
+        assert 0 < homogeneity_defect(Sinogram(p, DIRS, vals), 8) <= 1
 
     def test_rule_not_exact_to_twice_the_band_rejected(self):
         # circle(8) is exact through degree 7, so Parseval at band 5 aliases
         d = DirectionSet.circle(8, band_limit=5)
-        vals = np.random.default_rng(5).normal(size=len(d))
+        p = np.linspace(-1.0, 1.0, 11)
+        vals = np.random.default_rng(5).normal(size=(len(p), len(d)))
         with pytest.raises(ValueError, match="Parseval"):
-            HarmonicExpansion.from_values(vals, d)
+            homogeneity_defect(Sinogram(p, d, vals), 2)
 
     def test_parseval_sphere(self):
         d3 = DirectionSet.sphere(8)
-        rng = np.random.default_rng(6)
-        # band-limited random function so the quadrature is alias-free
-        coeffs = [rng.normal(size=2 * l + 1) for l in range(9)]
-        e0 = HarmonicExpansion(d3, coeffs)
-        vals = e0.synthesize().real
-        e = HarmonicExpansion.from_values(vals, d3)
-        qn = float(d3.weights @ np.abs(vals) ** 2)
-        assert e.total_power() == pytest.approx(qn, rel=1e-10)
+        p = np.linspace(-1.0, 1.0, 21)
+        vals = np.random.default_rng(6).normal(size=(len(p), len(d3)))
+        assert 0 < homogeneity_defect(Sinogram(p, d3, vals), 8) <= 1
+
+    def test_one_basis_per_call(self, monkeypatch, sino):
+        # every order k <= k_max is projected on one harmonic basis
+        from pwkit import pw
+        calls = []
+        real = pw._real_harmonic_basis
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+        monkeypatch.setattr(pw, "_real_harmonic_basis", counting)
+        homogeneity_defect(sino, 6)
+        assert len(calls) == 1
 
 
 class TestKernels:

@@ -8,8 +8,8 @@ from pwkit import (DirectionSet, GridSpec, NotEven, Sinogram, default_offsets,
                    evenness_defect, integrate, inverse_radon, load_sinogram,
                    make_bump, moment, radon_transform, save_sinogram)
 from pwkit.grid import SPHERE_AREA
-from pwkit.radon import (EVENNESS_TOL, RADIAL_NODES, RADIAL_PANEL,
-                         _slice_transform)
+from pwkit.radon import (EVENNESS_TOL, HORIZONTAL_TOL, RADIAL_NODES,
+                         RADIAL_PANEL, _slice_transform)
 
 G = GridSpec(2, 1.5, 257)
 DIRS = DirectionSet.circle(64)
@@ -267,15 +267,29 @@ class TestAntipodalReuse:
             Sinogram(np.linspace(-1.0, 1.2, 11), DIRS, np.zeros((11, 64)))
 
 
+def hyperplane_basis(w):
+    """Orthonormal basis of the hyperplane with normal w, as the rows of an
+    (n-1, n) array: (-w_2, w_1) in 2-D; in 3-D u = e x w / |e x w| and
+    v = w x u for the coordinate axis e, which is z for a horizontal normal
+    (as in the slab sampler) and otherwise the axis least aligned with w."""
+    if len(w) == 2:
+        return np.array([[-w[1], w[0]]])
+    e = np.zeros(3)
+    e[2 if abs(w[2]) <= HORIZONTAL_TOL else np.argmin(np.abs(w))] = 1.0
+    u = np.cross(e, w)
+    u /= np.linalg.norm(u)
+    return np.stack([u, np.cross(w, u)])
+
+
 def rotated_lattice_transform(f, directions):
     """Reference for the pencil and slab samplers: the transform on the
     default offsets with each hyperplane's nodes on the unsheared lattice of
-    its `_hyperplane_basis`, t_j along a line in 2-D and (t_j, t_k) in a plane
+    its `hyperplane_basis`, t_j along a line in 2-D and (t_j, t_k) in a plane
     in 3-D, with the cell dt^(n-1), evaluated by one n-D spline call per
     sampled direction.  In 2-D this is the line sampler that the row-by-row
     one replaced."""
     from scipy import ndimage
-    from pwkit.radon import _effective_support, _hyperplane_basis
+    from pwkit.radon import _effective_support
     n = f.grid.n
     offsets = default_offsets(f.grid)
     h, L = f.grid.spacing, f.grid.half_width
@@ -295,7 +309,7 @@ def rotated_lattice_transform(f, directions):
             out[:, j] = out[::-1, partner[j]]
             continue
         x = (w[:, None] * offsets[rows[owner]]
-             + _hyperplane_basis(w).T @ lattice[:, node])
+             + hyperplane_basis(w).T @ lattice[:, node])
         vals = ndimage.map_coordinates(coeffs, (x + L) / h, order=5,
                                        prefilter=False, mode="constant")
         out[rows, j] = (np.bincount(owner, vals, len(rows))
@@ -599,14 +613,24 @@ class TestPrefilterFold:
         radon_transform(f, directions=DirectionSet.sphere(3))
         assert sorted(axes) == [0, 1]
 
-    def test_horizontal_normals_slab_on_z(self):
-        # so one slab stack serves every horizontal normal of a call,
-        # w = (1, 0, 0) included
-        from pwkit.radon import _slab_axis
-        dirs = np.concatenate([compat_directions().vectors,
-                               [[0.6, 0.8, 0.0], [-0.6, -0.8, -1e-17],
-                                [1.0, 0.0, 1e-13]]])
-        assert [_slab_axis(w) for w in dirs] == [2] * len(dirs)
+    def test_horizontal_normals_slab_on_z(self, monkeypatch):
+        # one slab stack, resampled along z, serves every horizontal normal
+        # of a call, w = (1, 0, 0) included: the samples are contracted once
+        from pwkit import radon
+        f = make_bump(*OFFCENTRE, 1.0, GridSpec(3, 1.5, 33))
+        vecs = np.concatenate([compat_directions().vectors, [[1.0, 0, 0]]])
+        dirs = DirectionSet(vecs, np.full(len(vecs), 1.0 / len(vecs)),
+                            band_limit=0)
+        axes = []
+        real = radon.np.tensordot
+
+        def counting(a, b, **kwargs):
+            if b is f.values:
+                axes.append(kwargs["axes"][1])
+            return real(a, b, **kwargs)
+        monkeypatch.setattr(radon.np, "tensordot", counting)
+        radon_transform(f, directions=dirs)
+        assert axes == [2]
 
     def test_pencil_pruning_keeps_every_node(self):
         # the sampler searches only the pencils within the largest
