@@ -318,8 +318,9 @@ def run_slice(cfg, report, inputs):
             f2, directions=_grid.DirectionSet.circle(fine_mesh["Q_fine"]))
         fine = _fourier.plancherel_defect(f2, s2)
         return coarse / fine if fine > 0 else np.inf
-    # the ratio's fine rung and the inversion's points are 2-D
-    if g.n == 2:
+    # the ratio's fine rung and the inversion's points are 2-D, and the fine
+    # rung is a suite bump: an `--in` file has no finer samples of its own
+    if g.n == 2 and not cfg.input_path:
         report.check("plancherel refinement",
                      "plancherel identity, d tau = sigma_n r^{n-1} dr",
                      plancherel_ratio, DEFAULT_TOLERANCES["plancherel_ratio"],

@@ -49,7 +49,7 @@ from scipy.integrate import simpson
 from .grid import (GridSpec, SampledFunction, DirectionSet, SPHERE_AREA,
                    l2_norm_sq, _direct_transform)
 from .radon import (radon_transform, default_offsets, _require_even,
-                    _inversion_quadrature, _recombine, _slice_transform)
+                    _inversion_quadrature, _slice_transform)
 
 __all__ = [
     "VectorFT",
@@ -207,25 +207,23 @@ def plancherel_defect(f, s, return_details=False):
     return defect
 
 
-def pointwise_inversion(s, x, r_max=None):
-    """Motion-group inversion integral of the sinogram s at points x.
+def pointwise_inversion(s, x):
+    """Motion-group inversion integral of the real sinogram s at points x.
 
     int_0^{r_max} sum_j w_j f_hat_{r}(omega_j) e^{2 pi i r x.omega_j}
     sigma_n r^{n-1} dr, by the quadrature `inverse_radon` sums on the grid:
-    one direction of each antipodal pair, real part exact.  x may be one
-    point (n,) or a batch (m, n); the values are real for a real sinogram
-    and complex for a complex one, as in `inverse_radon`.
+    one direction of each antipodal pair, real part exact, r_max from
+    `choose_r_max`.  x may be one point (n,) or a batch (m, n).  Raises
+    ValueError for a complex sinogram, like `inverse_radon`.
     """
-    radii, vectors, parts = _inversion_quadrature(s, r_max)
+    radii, vectors, coef = _inversion_quadrature(s)
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
     xdotw = np.atleast_2d(x) @ vectors.T                     # (m, Q/2)
-    out = np.empty((len(parts), len(xdotw)))
+    out = np.empty(len(xdotw))
     for i, xw in enumerate(xdotw):
         theta = 2 * np.pi * np.outer(radii, xw)
-        cos, sin = np.cos(theta), np.sin(theta)
-        out[:, i] = [(c.real * cos - c.imag * sin).sum() for c in parts]
-    out = _recombine(out)
+        out[i] = (coef.real * np.cos(theta) - coef.imag * np.sin(theta)).sum()
     return out[0] if single else out
 
 
@@ -261,8 +259,8 @@ def projection_compatibility_defect(f):
     while the 3-D side samples horizontal normals on slabs, on the
     unsheared (t_j, t_k) lattice of each plane, not on pencils (see the
     module docstring of radon).  A node's in-slab coordinates are the same
-    in every slab (a term of order |omega_e| <= 1e-12 is dropped), so each
-    direction is one sparse interpolation matrix applied to every slab:
+    in every slab, so each direction is one sparse interpolation matrix
+    applied to every slab:
     every node of the lattice is still evaluated, and z is not integrated
     before the xy interpolation, as it is on the 2-D side.
     """

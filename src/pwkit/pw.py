@@ -30,6 +30,7 @@ __all__ = [
 
 SUPPORT_Y_FACTORS = (3, 4, 5, 6, 7, 8)  # heights y = c / r of the support ladder
 EXTENSION_DIRECTIONS = 16               # directions of the extension check
+SCHWARTZ_RADII = np.linspace(-12.0, 12.0, 49)  # real radii of the decay check
 
 
 class ZeroInput(ValueError):
@@ -197,12 +198,11 @@ def extension_consistency_defect(f):
     return float(np.abs(side_slice - side_direct).max())
 
 
-def schwartz_seminorm(s, k, l, r_extent=12.0, n_r=49):
+def schwartz_seminorm(s, k, l):
     """Decay seminorm on the real spectral axis:
-    max over a real test grid and directions of (1+r^2)^k |d^l/dr^l F(r, omega)|.
-    The derivative is computed exactly as the quadrature of
-    s(p, omega) (-2 pi i p)^l e^{-2 pi i p r}."""
-    rr = np.linspace(-r_extent, r_extent, n_r)
-    F = _slice_transform(s, rr, deriv=l)
-    weight = (1 + rr**2) ** k
+    max over the radii SCHWARTZ_RADII and the directions of
+    (1+r^2)^k |d^l/dr^l F(r, omega)|.  The derivative is computed exactly as
+    the quadrature of s(p, omega) (-2 pi i p)^l e^{-2 pi i p r}."""
+    F = _slice_transform(s, SCHWARTZ_RADII, deriv=l)
+    weight = (1 + SCHWARTZ_RADII**2) ** k
     return float((weight[:, None] * np.abs(F)).max())

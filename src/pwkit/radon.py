@@ -35,30 +35,27 @@ for all the nodes.  In 2-D the pencils are the rows x_e = t_k of the other
 axis e, and a line's nodes are its crossings with them, which step by
 dt / |omega_g| along the line.
 
-In 3-D a horizontal normal (|omega_3| <= HORIZONTAL_TOL, a roundoff
-tolerance that treats omega and -omega alike) keeps the slab lattice
-instead.  For such a normal the pencils' nodes in each slab z = t_k would
-be the 2-D sampler's crossings of that slab's line, and spline evaluation
-is linear and separable.  `fourier.projection_compatibility_defect`, which
-compares the 3-D transform on horizontal normals with the 2-D transform of
-the z-marginal, would then compare two z-quadratures of one xy
-interpolant, which certifies nothing about the xy sampling.  The slab
-lattice gives those planes nodes the 2-D side does not share.  The samples
-are resampled by R F along the slab axis z of every horizontal normal
-(so omega_3 = 0 to roundoff, and one stack serves them all), and F is
-applied along the two in-slab axes, into an (M^2, T) stack of 2-D splines,
-slab k in column k.  The plane meets slab k in a line along its
-in-plane vector u = (-omega_2, omega_1, 0) / |.|, whose nodes are t_j
-along u, so the nodes are the unsheared (t_j, t_k) lattice of the plane,
-each with the cell dt^2.  Node (i, j) of offset p_i has the same in-slab
-coordinates p_i omega + t_j u in every slab; the slab-dependent in-slab
-term, of order |omega_3|, is dropped (it is 0 when omega_3 = 0).  So a sampled direction
-is one sparse (N, M^2) interpolation matrix of its N nodes (i, j), 36
-entries a row, applied to the whole stack: every node's value in every
-slab, each (i, j) then summed over the slabs its disk keeps.  Every node
-(i, j, k) is still evaluated on the plane's own lattice; this is not the
-marginal route, which would integrate over z first and then interpolate at
-the 2-D side's nodes.
+In 3-D a horizontal normal (omega_3 = 0) keeps the slab lattice instead.
+For such a normal the pencils' nodes in each slab z = t_k would be the 2-D
+sampler's crossings of that slab's line, and spline evaluation is linear
+and separable.  `fourier.projection_compatibility_defect`, which compares
+the 3-D transform on horizontal normals with the 2-D transform of the
+z-marginal, would then compare two z-quadratures of one xy interpolant,
+which certifies nothing about the xy sampling.  The slab lattice gives
+those planes nodes the 2-D side does not share.  The samples are resampled
+by R F along the slab axis z of every horizontal normal (one stack serves
+them all), and F is applied along the two in-slab axes, into an (M^2, T)
+stack of 2-D splines, slab k in column k.  The plane meets slab k in a
+line along its in-plane vector u = (-omega_2, omega_1, 0) / |.|, whose
+nodes are t_j along u, so the nodes are the unsheared (t_j, t_k) lattice
+of the plane, each with the cell dt^2.  Node (i, j) of offset p_i has the
+same in-slab coordinates p_i omega + t_j u in every slab.  So a sampled
+direction is one sparse (N, M^2) interpolation matrix of its N nodes
+(i, j), 36 entries a row, applied to the whole stack: every node's value in
+every slab, each (i, j) then summed over the slabs its disk keeps.  Every
+node (i, j, k) is still evaluated on the plane's own lattice; this is not
+the marginal route, which would integrate over z first and then
+interpolate at the 2-D side's nodes.
 
 Offsets cover [-L sqrt(n), L sqrt(n)] so every hyperplane meeting the box
 is represented; rows with |p| beyond the declared support radius are
@@ -75,8 +72,8 @@ arithmetic.  The term of -omega in the inversion integral has the real part
 of the conjugate of its coefficient times the phase of omega, so the half
 sum with folded coefficients c(omega) + conj(c(-omega)) has exactly the
 real part of the full sum, whether or not the sinogram is even; for a real
-sinogram that real part is the reconstruction.  A complex sinogram is
-inverted as its real and imaginary parts.  On the grid the phase of each
+sinogram that real part is the reconstruction.  Only real sinograms are
+inverted: a complex one raises ValueError.  On the grid the phase of each
 axis is tabulated by angle addition (`grid._phase_table`), a few ulp of
 each entry plus the rounding of its argument, as with np.exp.  The offset
 kernel `_slice_transform` keeps np.exp, so no certificate uses the table
@@ -86,8 +83,8 @@ on both sides (see the module docstring of fourier).
 import numpy as np
 from scipy import ndimage, sparse
 
-from .grid import (SampledFunction, DirectionSet, SPHERE_AREA,
-                   _phase_table, _trapezoid_weights)
+from .grid import (SampledFunction, SPHERE_AREA, _phase_table,
+                   _trapezoid_weights)
 
 __all__ = [
     "Sinogram",
@@ -214,11 +211,6 @@ def _slab_matrix(x, m):
 # in [0, m-1] reach at most this far beyond an end
 ROW_PAD = SPLINE_ORDER // 2 + 1
 
-# |omega_3| at or below which a 3-D normal is horizontal and keeps the slab
-# lattice (see the module docstring); a roundoff tolerance, the same for
-# omega and -omega
-HORIZONTAL_TOL = 1e-12
-
 
 def _prefilter_matrix(m):
     """The (m, m) matrix F of the one-axis quintic B-spline prefilter with
@@ -344,75 +336,69 @@ def _pencil_sampler(stacks, n, p, reach, t, h, L):
 
 def _slab_sampler(stacks, m, p, reach, t, h, L):
     """Sampler of the planes xi(p_i, w) of a 3-D transform with a
-    horizontal normal w, slab by slab (see the module docstring).  The slab
-    axis is z, so w_z = 0 to roundoff; the plane's in-plane vector
-    u = e_z x w / |e_z x w| = (-w_y, w_x, 0) / |.| has u_z = 0, and its
-    other one is v = e_z - w_z w.  The plane meets the slab z = t_k in the
-    line p_i w + s u + (t_k - p_i w_z) v, whose nodes s = t_j inside the
-    disk of radius reach_i are kept, each with the cell dt^2.  Node (i, j)
-    has the in-slab coordinates p_i w + t_j u in every slab: the term
-    -w_z (t_k - p_i w_z) w of v, of order |w_z|, is dropped (it is 0 when
-    w_z = 0).  So one `_slab_matrix` of the (i, j) that any slab keeps,
-    applied to the (M^2, T) slab stack, gives every node's value in every
-    slab, and each (i, j) sums the slabs that keep it.  The slabs come from
-    `stacks`, the `_slab_stacks` of the samples on m points an axis.
-    sample(w) returns the row index i of each (i, j), its slab sum and the
-    cell."""
+    horizontal normal w (w_z = 0), slab by slab (see the module docstring).
+    The plane's in-plane vectors are u = (-w_y, w_x, 0) / |.| and e_z, so
+    it meets the slab z = t_k in the line p_i w + s u + t_k e_z, whose nodes
+    s = t_j inside the disk of radius reach_i are kept, each with the cell
+    dt^2.  Node (i, j) has the in-slab coordinates p_i w + t_j u in every
+    slab, so one `_slab_matrix` of the (i, j) that any slab keeps, applied
+    to the (M^2, T) slab stack, gives every node's value in every slab, and
+    each (i, j) sums the slabs that keep it.  The slabs come from `stacks`,
+    the `_slab_stacks` of the samples on m points an axis.  sample(w)
+    returns the row index i of each (i, j), its slab sum and the cell."""
+    # keep: (row i, node j, slab k), the same for every horizontal w
+    keep = t[:, None]**2 + t**2 <= reach[:, None, None]**2
+    owner, node = np.nonzero(keep.any(axis=2))
+    keep = keep[owner, node]
 
     def sample(w):
-        s = t - p[:, None] * w[2]              # (row i, slab k): v-coordinate
-        keep = t[:, None]**2 + s[:, None, :]**2 <= reach[:, None, None]**2
-        owner, node = np.nonzero(keep.any(axis=2))  # keep: (i, node j, k)
         u = np.array([-w[1], w[0]])
         u /= np.linalg.norm(u)
         x = (w[:2, None] * p[owner] + u[:, None] * t[node] + L) / h
         vals = _slab_matrix(x, m) @ stacks(2)
-        return (owner, (vals * keep[owner, node]).sum(axis=1),
-                (t[1] - t[0]) ** 2)
+        return owner, (vals * keep).sum(axis=1), (t[1] - t[0]) ** 2
     return sample
 
 
-def radon_transform(f, offsets=None, directions=None):
-    """Radon transform of a SampledFunction; returns a Sinogram.
+def radon_transform(f, offsets=None, *, directions):
+    """Radon transform of a SampledFunction on the DirectionSet
+    `directions`; returns a Sinogram.
 
     Entry (i, j) approximates the integral of f over the hyperplane
     xi(p_i, omega_j) with respect to its Lebesgue measure.  The declared
     support radius of f (which must not exceed the box half-width for the
     integrals to be complete) carries over to the sinogram.  A direction
-    whose antipode comes earlier in the set is not sampled: its column is
-    the antipode's with the offsets reversed.
+    whose antipode comes earlier and is sampled the same way is not
+    sampled: its column is the antipode's with the offsets reversed.
 
     The hyperplanes are sampled on pencils, lines along the axis g most
     aligned with omega through the nodes t of the other axes, with the
     cell dt^(n-1) / |omega_g| (see the module docstring).  In 2-D the
     pencils are the rows crossed by each line.  Each sampled direction is
     one 1-D spline evaluation on its pencils (`_row_values`).  A horizontal
-    3-D normal (|omega_3| <= HORIZONTAL_TOL) is sampled instead on the slabs
-    z = t_k, on the plane's unsheared (t_j, t_k) lattice with the cell
-    dt^2, so that the 2-D transform of a marginal does not share its
-    nodes.  Its in-slab coordinates are the same in every slab (a term of
-    order |omega_3| is dropped), so the direction is one sparse
-    interpolation matrix applied to every slab at once, on that unchanged
-    lattice.  The spline's prefilter is folded into the resampling of each
-    stack and applied only along the axes the stack keeps (see
-    `_slab_stacks`), so no n-D prefilter runs over the samples.
+    3-D normal (omega_3 = 0) is sampled instead on the slabs z = t_k, on
+    the plane's unsheared (t_j, t_k) lattice with the cell dt^2, so that
+    the 2-D transform of a marginal does not share its nodes.  Its in-slab
+    coordinates are the same in every slab, so the direction is one sparse
+    interpolation matrix applied to every slab at once.  The spline's
+    prefilter is folded into the resampling of each stack and applied only
+    along the axes the stack keeps (see `_slab_stacks`), so no n-D
+    prefilter runs over the samples.
     """
     n = f.grid.n
     if offsets is None:
         offsets = default_offsets(f.grid)
     offsets = _offset_grid(offsets)
-    if directions is None:
-        directions = DirectionSet.circle(64) if n == 2 else DirectionSet.sphere(8)
     if directions.n != n:
         raise ValueError("direction dimension does not match the grid")
 
     if np.iscomplexobj(f.values):
         re = radon_transform(
             SampledFunction(f.grid, f.values.real, f.support_radius),
-            offsets, directions)
+            offsets, directions=directions)
         im = radon_transform(
             SampledFunction(f.grid, f.values.imag, f.support_radius),
-            offsets, directions)
+            offsets, directions=directions)
         return Sinogram(re.offsets, re.directions, re.values + 1j * im.values,
                         re.support_radius)
 
@@ -420,27 +406,30 @@ def radon_transform(f, offsets=None, directions=None):
     L = f.grid.half_width
     rs = _effective_support(f)
     tmax = rs + 3 * h
-    t = np.linspace(-tmax, tmax, int(2 * np.ceil(tmax / h)) + 1)
+    # integer multiples of dt: symmetric, so w and -w keep mirrored nodes
+    k = int(np.ceil(tmax / h))
+    t = (tmax / k) * np.arange(-k, k + 1)
 
     # offset p_i, |p_i| <= rs, keeps the in-plane nodes inside the disk of
     # radius sqrt(rs^2 - p_i^2) + 3h about p_i w, beyond which the
     # integrand vanishes
     rows = np.flatnonzero(np.abs(offsets) <= rs)
     reach = np.sqrt(rs**2 - offsets[rows]**2) + 3 * h
+    horizontal = (n == 3) & (directions.vectors[:, -1] == 0)
     stacks = _slab_stacks(f.values, t, h, L)
     pencils = _pencil_sampler(stacks, n, offsets[rows], reach, t, h, L)
-    slabs = _slab_sampler(stacks, f.grid.points, offsets[rows], reach, t, h, L)
+    slabs = horizontal.any() and _slab_sampler(
+        stacks, f.grid.points, offsets[rows], reach, t, h, L)
 
     out = np.zeros((len(offsets), len(directions)))
     partner = directions._antipodes()
     for j, w in enumerate(directions.vectors):
         k = partner[j]
-        if 0 <= k < j:
+        if 0 <= k < j and horizontal[k] == horizontal[j]:
             # xi(p, w) = xi(-p, -w), and the offsets are symmetric
             out[:, j] = out[::-1, k]
         else:
-            horizontal = n == 3 and abs(w[2]) <= HORIZONTAL_TOL
-            owner, vals, cell = (slabs if horizontal else pencils)(w)
+            owner, vals, cell = (slabs if horizontal[j] else pencils)(w)
             out[rows, j] = np.bincount(owner, vals, len(rows)) * cell
 
     return Sinogram(offsets, directions, out,
@@ -488,28 +477,29 @@ RADIAL_PANEL = 0.5  # panel width of the composite Gauss-Legendre radial rule
 RADIAL_NODES = 6    # Gauss-Legendre nodes per panel
 
 
-def _inversion_quadrature(s, r_max):
+def _inversion_quadrature(s):
     """The one quadrature of the motion-group inversion integral
     int_0^{r_max} sum_j w_j f_hat_r(omega_j) e^{2 pi i r x.omega_j}
     sigma_n r^{n-1} dr = sum_ij c_ij e^{2 pi i r_i x.omega_j}: composite
-    Gauss-Legendre in r, f_hat_r from the offset kernel; r_max None means
-    `choose_r_max`.
+    Gauss-Legendre in r up to the r_max of `choose_r_max`, f_hat_r from the
+    offset kernel.
 
     For a real sinogram the terms of omega_j and of its antipode omega_j'
     have the same real part as c_ij' e^{-2 pi i r_i x.omega_j}, so the real
     part of the sum is Re sum_i sum_{j in H} (c_ij + conj(c_ij'))
     e^{2 pi i r_i x.omega_j} over a set H of one direction of each pair,
-    exactly and without using evenness.  A complex sinogram is linear in its
-    real and imaginary parts and is summed as the two.  Returns the radii
-    r_i, the (Q/2, n) vectors of H and, per real part of s (one, or Re and
-    Im; see `_recombine`), the (R, Q/2) folded coefficients.  Raises NotEven
-    for sinograms whose evenness defect exceeds the admissibility
-    tolerance."""
+    exactly and without using evenness.  Returns the radii r_i, the
+    (Q/2, n) vectors of H and the (R, Q/2) folded coefficients.  Raises
+    ValueError for a complex sinogram, whose real and imaginary parts are
+    to be inverted apart, and NotEven for sinograms whose evenness defect
+    exceeds the admissibility tolerance."""
     from .fourier import choose_r_max
 
+    if np.iscomplexobj(s.values):
+        raise ValueError("only real sinograms are inverted: invert the real "
+                         "and imaginary parts apart")
     _require_even(s)
-    if r_max is None:
-        r_max, _ = choose_r_max(s)
+    r_max, _ = choose_r_max(s)
     xg, wg = np.polynomial.legendre.leggauss(RADIAL_NODES)
     nseg = max(int(np.ceil(r_max / RADIAL_PANEL)), 1)
     edges = np.linspace(0.0, r_max, nseg + 1)
@@ -520,29 +510,17 @@ def _inversion_quadrature(s, r_max):
     radial = wr * SPHERE_AREA[s.n] * radii**(s.n - 1)
     anti = s.directions.antipodal_index()
     kept = np.flatnonzero(anti > np.arange(len(anti)))
-    parts = []
-    for v in ((s.values.real, s.values.imag) if np.iscomplexobj(s.values)
-              else (s.values,)):
-        part = Sinogram(s.offsets, s.directions, v)
-        c = radial[:, None] * s.directions.weights * _slice_transform(part, radii)
-        parts.append(c[:, kept] + c[:, anti[kept]].conj())
-    return radii, s.directions.vectors[kept], parts
+    c = radial[:, None] * s.directions.weights * _slice_transform(s, radii)
+    return radii, s.directions.vectors[kept], c[:, kept] + c[:, anti[kept]].conj()
 
 
-def _recombine(parts):
-    """One synthesis per real part of the sinogram back into one value:
-    parts[0] for a real sinogram, parts[0] + i parts[1] for a complex one."""
-    return sum(unit * part for unit, part in zip((1, 1j), parts))
-
-
-def inverse_radon(s, grid, r_max=None):
-    """Reconstruction through the Fourier-slice route.
+def inverse_radon(s, grid):
+    """Reconstruction of a real sinogram through the Fourier-slice route.
 
     The real part of the inversion integral (`_inversion_quadrature`) on
     `grid`, which is the whole integral for a real sinogram: one
     direction of each antipodal pair is summed, with the folded
-    coefficients, and that real part is exact.  A complex sinogram gives
-    the synthesis of its real part plus i times that of its imaginary part.
+    coefficients, and that real part is exact.
 
     The phase separates over the axes.  Each axis is odd about its middle
     node, so per radius the factor e^{2 pi i r omega_a x} of each axis a is
@@ -555,15 +533,15 @@ def inverse_radon(s, grid, r_max=None):
     both are contiguous and no complex block is stored.  With the cos and
     sin of the axis-1 factor, cos.T @ Re(block) and sin.T @ Im(block) give
     that radius's term at x_1 >= 0 as their difference and at -x_1 as
-    their sum: one radius per step, two GEMMs.  Raises NotEven like
-    `_inversion_quadrature`.
+    their sum: one radius per step, two GEMMs.  Raises ValueError and
+    NotEven like `_inversion_quadrature`.
     """
-    radii, vectors, parts = _inversion_quadrature(s, r_max)
+    radii, vectors, coef = _inversion_quadrature(s)
     n = s.n
     m = grid.points
     h = m // 2
     q = len(vectors)
-    outs = [np.zeros((m, m ** (n - 1))) for _ in parts]
+    out = np.zeros((m, m ** (n - 1)))
     for i, r in enumerate(radii):
         table = _phase_table(2 * np.pi * r * grid.spacing * vectors.T, h + 1)
         cos, sin = (np.ascontiguousarray(t) for t in (table[0].real,
@@ -573,19 +551,17 @@ def inverse_radon(s, grid, r_max=None):
         *rest, last = [np.concatenate([e[:, :0:-1].conj(), e], axis=1)
                        for e in table[1:]]
         last = last.view(float).reshape(q, m, 2).transpose(0, 2, 1)
-        for out, coef in zip(outs, parts):
-            head = coef[i][:, None]
-            for phase in rest:
-                head = (head[:, :, None] * phase[:, None, :]).reshape(q, -1)
-            # (Re, -Im) and (Im, Re) of head against (Re, Im) of last
-            even = cos.T @ (np.stack([head.real, -head.imag], axis=2)
-                            @ last).reshape(q, -1)
-            odd = sin.T @ (np.stack([head.imag, head.real], axis=2)
-                           @ last).reshape(q, -1)
-            out[h:] += even - odd                # x_1 >= 0
-            out[h - 1::-1] += even[1:] + odd[1:]  # x_1 < 0, mirrored
-    vals = _recombine(outs).reshape((m,) * n)
-    return SampledFunction(grid, vals, support_radius=None)
+        head = coef[i][:, None]
+        for phase in rest:
+            head = (head[:, :, None] * phase[:, None, :]).reshape(q, -1)
+        # (Re, -Im) and (Im, Re) of head against (Re, Im) of last
+        even = cos.T @ (np.stack([head.real, -head.imag], axis=2)
+                        @ last).reshape(q, -1)
+        odd = sin.T @ (np.stack([head.imag, head.real], axis=2)
+                       @ last).reshape(q, -1)
+        out[h:] += even - odd                # x_1 >= 0
+        out[h - 1::-1] += even[1:] + odd[1:]  # x_1 < 0, mirrored
+    return SampledFunction(grid, out.reshape((m,) * n), support_radius=None)
 
 
 def save_sinogram(s, path, direction_path=None):

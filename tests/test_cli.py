@@ -441,6 +441,23 @@ class TestFileDriven:
         assert {"sphere slice identity (rho = 1)",
                 "sphere slice identity (rho = 1/2)"} <= set(names)
 
+    def test_2d_file_leaves_out_the_plancherel_refinement(self, tmp_path):
+        # the refinement's fine rung is the suite's first bump on the finer
+        # grid, and a file has no finer samples of its own function, so a
+        # file-driven run leaves the record out and a synthetic one keeps it
+        fpath = tmp_path / "f.csv"
+        save_function(make_bump([0.1, 0.0], 0.5, 1.0, GridSpec(2, 1.5, 65)),
+                      str(fpath))
+        rpath = tmp_path / "rep.json"
+        main(["slice", "--in", str(fpath), "--directions", "32",
+              "--report", str(rpath)])
+        names = [r["name"] for r in json.loads(rpath.read_text())["records"]]
+        synthetic = run(RunConfig("slice", grid_points=65, directions=32))
+        assert [r["name"] for r in synthetic.records
+                if r["name"] != "plancherel refinement"] == names
+        assert "plancherel refinement" in {r["name"]
+                                           for r in synthetic.records}
+
     @pytest.mark.parametrize("subcommand", ["pw", "radon"])
     def test_unreadable_input_keeps_the_report(self, tmp_path, subcommand):
         # the input is read before the first check; its error becomes a

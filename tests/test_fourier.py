@@ -238,13 +238,12 @@ class TestPointwiseInversion:
         # sums and the separable grid synthesis agree to roundoff
         g = GridSpec(n, 1.5, points)
         f = make_bump([0.2, -0.1, 0.1][:n], 0.6, 1.0, g)
-        r_max = 6.0
         s = radon_transform(f, directions=directions)
-        grid_vals = inverse_radon(s, grid=g, r_max=r_max).values
+        grid_vals = inverse_radon(s, grid=g).values
         c = points // 2
         idx = np.array([[c] * n, [c + 3, c - 2, c + 1][:n],
                         [c - 5, c + 4, c][:n], [2, points - 3, c][:n]])
-        vals = pointwise_inversion(s, g.axis()[idx], r_max=r_max)
+        vals = pointwise_inversion(s, g.axis()[idx])
         assert np.isrealobj(vals)
         want = grid_vals[tuple(idx.T)]
         assert np.abs(vals - want).max() <= 1e-12 * np.abs(grid_vals).max()

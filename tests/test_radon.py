@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from pwkit import (DirectionSet, GridSpec, NotEven, Sinogram, default_offsets,
-                   evenness_defect, integrate, inverse_radon, load_sinogram,
-                   make_bump, moment, radon_transform, save_sinogram)
+from pwkit import (DirectionSet, GridSpec, NotEven, Sinogram, choose_r_max,
+                   default_offsets, evenness_defect, integrate, inverse_radon,
+                   load_sinogram, make_bump, moment, pointwise_inversion,
+                   radon_transform, save_sinogram)
 from pwkit.grid import SPHERE_AREA
-from pwkit.radon import (EVENNESS_TOL, HORIZONTAL_TOL, RADIAL_NODES,
-                         RADIAL_PANEL, _slice_transform)
+from pwkit.radon import (EVENNESS_TOL, RADIAL_NODES, RADIAL_PANEL,
+                         _slice_transform)
 
 G = GridSpec(2, 1.5, 257)
 DIRS = DirectionSet.circle(64)
@@ -204,7 +205,8 @@ class TestAntipodalReuse:
         (GridSpec(2, 1.5, 129), [0.3, -0.2], 0.5, DirectionSet.circle(64)),
         (GridSpec(3, 1.5, 33), [0.2, -0.1, 0.15], 0.6, DirectionSet.sphere(3)),
         (GridSpec(2, 1.5, 129), [0.3, -0.2], 0.5, DirectionSet.circle(9)),
-        # horizontal, so both on the slab lattice, though only one w_3 is 0
+        # antipodes, but only the first is horizontal (w_3 == 0), so the
+        # second is sampled on pencils, not reused from the first's slabs
         (GridSpec(3, 1.5, 33), [0.2, -0.1, 0.15], 0.6,
          DirectionSet([[0.6, 0.8, 0.0], [-0.6, -0.8, -1e-17]], [0.5, 0.5], 0)),
         # 16 horizontal normals in 8 antipodal pairs, all on the slab axis z
@@ -246,14 +248,18 @@ class TestAntipodalReuse:
     # a sampled direction is one 1-D spline evaluation on the rows or
     # pencils, by pwkit's own polynomial pieces; the 8 sampled horizontal
     # 3-D normals of compat-8 are sparse matrix products on the slabs and
-    # evaluate no pencil
+    # evaluate no pencil; of the pair, the horizontal normal is on slabs
+    # and its near-horizontal antipode on pencils
     @pytest.mark.parametrize("grid, center, dirs, calls", [
         (GridSpec(2, 1.5, 129), [0.3, -0.2], DirectionSet.circle(64), 32),
         (GridSpec(2, 1.5, 129), [0.3, -0.2], DirectionSet.circle(9), 9),
         (GridSpec(3, 1.5, 33), [0.2, -0.1, 0.15], DirectionSet.sphere(3),
          16),
         (GridSpec(3, 1.5, 33), [0.2, -0.1, 0.15], compat_directions(), 0),
-    ], ids=["64-32", "9-9", "sphere3-16", "compat-8"])
+        (GridSpec(3, 1.5, 33), [0.2, -0.1, 0.15],
+         DirectionSet([[0.6, 0.8, 0.0], [-0.6, -0.8, -1e-17]], [0.5, 0.5], 0),
+         1),
+    ], ids=["64-32", "9-9", "sphere3-16", "compat-8", "horizontal-pair-1"])
     def test_one_spline_call_per_sampled_direction(self, monkeypatch, grid,
                                                     center, dirs, calls):
         f = make_bump(center, 0.5, 1.0, grid)
@@ -270,12 +276,13 @@ class TestAntipodalReuse:
 def hyperplane_basis(w):
     """Orthonormal basis of the hyperplane with normal w, as the rows of an
     (n-1, n) array: (-w_2, w_1) in 2-D; in 3-D u = e x w / |e x w| and
-    v = w x u for the coordinate axis e, which is z for a horizontal normal
-    (as in the slab sampler) and otherwise the axis least aligned with w."""
+    v = w x u for the coordinate axis e, which is z for a horizontal normal,
+    w_3 = 0 (as in the slab sampler), and otherwise the axis least aligned
+    with w."""
     if len(w) == 2:
         return np.array([[-w[1], w[0]]])
     e = np.zeros(3)
-    e[2 if abs(w[2]) <= HORIZONTAL_TOL else np.argmin(np.abs(w))] = 1.0
+    e[2 if w[2] == 0 else np.argmin(np.abs(w))] = 1.0
     u = np.cross(e, w)
     u /= np.linalg.norm(u)
     return np.stack([u, np.cross(w, u)])
@@ -296,7 +303,8 @@ def rotated_lattice_transform(f, directions):
     rs = _effective_support(f)
     coeffs = ndimage.spline_filter(f.values, order=5)
     tmax = rs + 3 * h
-    t = np.linspace(-tmax, tmax, int(2 * np.ceil(tmax / h)) + 1)
+    k = int(np.ceil(tmax / h))
+    t = (tmax / k) * np.arange(-k, k + 1)
     lattice = np.stack(np.meshgrid(*[t] * (n - 1), indexing="ij")).reshape(
         n - 1, -1)
     rows = np.flatnonzero(np.abs(offsets) <= rs)
@@ -394,6 +402,37 @@ class TestSlabSampler:
     def test_general_normal_gap_falls_with_m(self):
         gaps = [general_normal_gap(points) for points in (33, 65, 97)]
         assert all(np.diff(gaps) < 0)
+
+    @pytest.mark.parametrize("w", [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0],
+                                   [np.cos(0.4), np.sin(0.4), 0.0]],
+                             ids=["x", "y", "azimuth-0.4"])
+    def test_antipodal_normals_keep_mirrored_nodes(self, w):
+        # w and -w name the same planes, and their slab lattices are mirror
+        # images; on a lattice symmetric about 0 both keep the same rim
+        # nodes, so each is the other's transform reversed to roundoff (a
+        # linspace lattice, asymmetric in its last bit, read 4.4e-10 on x)
+        # desk's second compatibility bump: seed 7 + 2, and each bump draws
+        # its centre, then its radius
+        rng = np.random.default_rng(9)
+        bumps = [(rng.uniform(-0.25, 0.25, size=3), rng.uniform(0.5, 0.7))
+                 for _ in range(2)]
+        f = make_bump(*bumps[1], 1.0, GridSpec(3, 1.5, 97))
+        w = np.array(w)
+        plus, minus = (radon_transform(f, directions=DirectionSet([v], [1.0], 0))
+                       .values[:, 0] for v in (w, -w))
+        assert np.abs(plus - minus[::-1]).max() <= 1e-14 * np.abs(plus).max()
+
+    def test_near_horizontal_normal_is_sampled_on_pencils(self, monkeypatch):
+        # only w_3 = 0 slabs: a normal 1e-13 off the horizon is a general
+        # normal, one pencil evaluation, and stays within the 33^3 bound of
+        # the general normals (measured 3.0e-5 relative)
+        f = make_bump(*OFFCENTRE, 1.0, GridSpec(3, 1.5, 33))
+        dirs = DirectionSet([[0.6, 0.8, 1e-13]], [1.0], 0)
+        calls = TestAntipodalReuse.spline_calls(monkeypatch, f, dirs)
+        assert calls == (1, 0)
+        want = rotated_lattice_transform(f, dirs)
+        got = radon_transform(f, directions=dirs).values
+        assert np.abs(got - want).max() <= 2.2e-4 * np.abs(want).max()
 
 
 @functools.lru_cache(maxsize=None)
@@ -643,7 +682,8 @@ class TestPrefilterFold:
         h, L = g.spacing, g.half_width
         rs = _effective_support(f)
         tmax = rs + 3 * h
-        t = np.linspace(-tmax, tmax, int(2 * np.ceil(tmax / h)) + 1)
+        k = int(np.ceil(tmax / h))
+        t = (tmax / k) * np.arange(-k, k + 1)
         offsets = default_offsets(g)
         p = offsets[np.abs(offsets) <= rs]
         reach = np.sqrt(rs**2 - p**2) + 3 * h
@@ -742,11 +782,11 @@ class TestInverseRadon:
     def test_paired_synthesis_is_the_full_sum(self, g, directions, sel):
         f = make_bump([0.2, -0.1, 0.1][:g.n], 0.6, 1.0, g)
         s = radon_transform(f, directions=directions)
-        full = full_inversion_sum(s, g, 6.0, sel)
+        full = full_inversion_sum(s, g, choose_r_max(s)[0], sel)
         # the sum over all directions of an even sinogram is real up to
         # roundoff (2-D 8.7e-15, 3-D 5.2e-16 of |full|)
         assert np.abs(full.imag).max() <= 1e-12 * np.abs(full).max()
-        rec = inverse_radon(s, grid=g, r_max=6.0).values
+        rec = inverse_radon(s, grid=g).values
         assert np.isrealobj(rec)
         assert np.abs(rec[sel] - full.real).max() <= 1e-13 * np.abs(full).max()
 
@@ -765,22 +805,41 @@ class TestInverseRadon:
                      s.values + 1e-8 * odd / np.abs(odd).max(),
                      s.support_radius)
         assert 1e-9 < evenness_defect(s) < EVENNESS_TOL
-        full = full_inversion_sum(s, g, 6.0, sel)
-        rec = inverse_radon(s, grid=g, r_max=6.0).values
+        full = full_inversion_sum(s, g, choose_r_max(s)[0], sel)
+        rec = inverse_radon(s, grid=g).values
         assert np.abs(rec[sel] - full.real).max() <= 1e-13 * np.abs(full).max()
 
-    def test_complex_sinogram_is_linear_in_its_parts(self):
+    def test_complex_sinogram_is_rejected(self):
+        # only real sinograms are inverted; a complex one is inverted as
+        # its real and imaginary parts, by the caller
         g, directions, _ = PAIRED_CASES[0]
-        s1, s2 = (radon_transform(make_bump(c, 0.5, 1.0, g),
-                                  directions=directions)
-                  for c in ([0.2, -0.1], [-0.3, 0.25]))
-        both = Sinogram(s1.offsets, directions, s1.values + 1j * s2.values,
-                        s1.support_radius)
-        rec = inverse_radon(both, grid=g, r_max=6.0).values
-        want = (inverse_radon(s1, grid=g, r_max=6.0).values
-                + 1j * inverse_radon(s2, grid=g, r_max=6.0).values)
-        assert np.abs(want.imag).max() > 0.1
-        assert np.abs(rec - want).max() <= 1e-14 * np.abs(want).max()
+        s = radon_transform(make_bump([0.2, -0.1], 0.5, 1.0, g),
+                            directions=directions)
+        both = Sinogram(s.offsets, directions, s.values + 1j * s.values,
+                        s.support_radius)
+        with pytest.raises(ValueError, match="real and imaginary parts"):
+            inverse_radon(both, grid=g)
+        with pytest.raises(ValueError, match="real and imaginary parts"):
+            pointwise_inversion(both, np.zeros(2))
+
+    @pytest.mark.parametrize("invert", [
+        lambda s, g: inverse_radon(s, grid=g),
+        lambda s, g: pointwise_inversion(s, g.axis()[[[3, 5], [7, 2]]])],
+        ids=["grid", "points"])
+    def test_one_cutoff_rule_per_inversion(self, monkeypatch, invert):
+        # the radial cutoff is choose_r_max's, chosen once per inversion
+        from pwkit import fourier
+        g, directions, _ = PAIRED_CASES[0]
+        s = radon_transform(make_bump([0.2, -0.1], 0.5, 1.0, g),
+                            directions=directions)
+        seen = []
+
+        def spy(sino, *args, **kwargs):
+            seen.append(sino)
+            return choose_r_max(sino, *args, **kwargs)
+        monkeypatch.setattr(fourier, "choose_r_max", spy)
+        invert(s, g)
+        assert seen == [s]
 
     def test_round_trip(self):
         f = make_bump([0.25, -0.15], 0.55, 1.0, G)
@@ -791,7 +850,7 @@ class TestInverseRadon:
 
     def test_zero_sinogram(self):
         s = Sinogram(default_offsets(G), DIRS, np.zeros((len(default_offsets(G)), 64)))
-        rec = inverse_radon(s, grid=G, r_max=4.0)
+        rec = inverse_radon(s, grid=G)
         assert np.abs(rec.values).max() < 1e-14
 
     def test_two_bumps_peaks_preserved(self):
@@ -811,7 +870,7 @@ class TestInverseRadon:
     def test_3d_round_trip_converges_in_the_direction_rule(self):
         # radius-0.6 bump at M=33: the error falls as the sphere rule grows
         # (about 40%, 28%, 13%, 7% of max|f| for b = 4, 8, 12, 16);
-        # sphere(8), the default, under-resolves the inversion integral
+        # sphere(8) under-resolves the inversion integral
         g = GridSpec(3, 1.5, 33)
         f = make_bump([0.0, 0.0, 0.0], 0.6, 1.0, g)
         errs = []
