@@ -7,9 +7,9 @@ functions psi_m relate to the Abel transform through
 
     f_hat(m) = c * int_0^pi cos((m + rho) t) R(f)(t) dt,
 
-with rho = (n-1)/2 and a single constant c for all m (pi/2 on S^3, 2 on
-S^2 in this normalization).  The transform also preserves the support
-angle exactly.
+with rho = (n-1)/2 and a single closed-form constant c for all m (pi/2 on
+S^3, 2 on S^2 in this normalization).  The transform also preserves the
+support angle exactly.
 """
 
 import numpy as np
@@ -17,6 +17,7 @@ import numpy as np
 from pwkit import (cap_bump, sphere_radon, sphere_slice_constants,
                    sphere_slice_defect, sphere_support_check,
                    spherical_function, spherical_transform)
+from pwkit.sphere import SLICE_CONSTANT
 
 t = np.linspace(0.05, np.pi - 0.05, 5)
 print("psi_2 on S^3 vs closed form sin(3t)/(3 sin t):")
@@ -31,8 +32,9 @@ for n in (3, 2):
     print("  f_hat(0..4):", np.array2string(coeffs[:5], precision=6))
     print("  slice identity defect (m <= 12): %.2e"
           % sphere_slice_defect(prof, 12))
-    print("  calibration constant c = %.10f, drift across m: %.1e"
-          % (cm[0], np.abs(cm - cm[0]).max()))
+    c = SLICE_CONSTANT[n]
+    print("  closed-form constant c = %.10f, max_m |c_m - c| / c: %.1e"
+          % (c, np.abs(cm - c).max() / c))
 
 print("\nsupport equivalence on S^3 (profile vs transform):")
 for cap in (0.3, 0.8, 1.2):

@@ -16,11 +16,10 @@ from .fourier import (VectorFT, ZeroFunction, UnsupportedPair, radial_fourier,
 from .pw import (ComplexGrid, ZeroInput, complex_slice_eval, pw_seminorm,
                  support_radius_estimate, homogeneity_defect,
                  extension_consistency_defect, schwartz_seminorm)
-from .sphere import (ZonalProfile, DegenerateCalibration,
-                     UnsupportedSphereDimension, cap_bump, spherical_function,
-                     spherical_transform, sphere_radon, sphere_slice_defect,
-                     sphere_slice_constants, sphere_support_check,
-                     save_profile, load_profile)
+from .sphere import (ZonalProfile, UnsupportedSphereDimension, cap_bump,
+                     spherical_function, spherical_transform, sphere_radon,
+                     sphere_slice_defect, sphere_slice_constants,
+                     sphere_support_check, save_profile, load_profile)
 from .weyl import (SignedPermutation, RootSystemSpec, MultivariatePolynomial,
                    GroupTooLarge, DegreeTooLarge, NotInvariant,
                    ObstructionHit, weyl_group, group_order, stabilizer,

@@ -472,8 +472,9 @@ def run_sphere(cfg, report):
             DEFAULT_TOLERANCES[tolerance], mesh)
 
     def constant_spread(p):
+        c = _sphere.SLICE_CONSTANT[p.n]
         cm = _sphere.sphere_slice_constants(p, SPHERE_M_MAX)
-        return float(np.abs(cm - cm[0]).max() / abs(cm[0]))
+        return float(np.abs(cm - c).max() / c)
     report.check("slice constant stability", "cosine-kernel slice identity",
                  lambda: max(map(constant_spread, profiles)),
                  DEFAULT_TOLERANCES["sphere_constant"], mesh)

@@ -105,19 +105,6 @@ class SampledFunction:
     def n(self):
         return self.grid.n
 
-    def __mul__(self, c):
-        return SampledFunction(self.grid, self.values * c, self.support_radius)
-
-    __rmul__ = __mul__
-
-    def __add__(self, other):
-        if other.grid != self.grid:
-            raise ValueError("grids differ")
-        rs = None
-        if self.support_radius is not None and other.support_radius is not None:
-            rs = max(self.support_radius, other.support_radius)
-        return SampledFunction(self.grid, self.values + other.values, rs)
-
 
 def _radius_sq_mesh(grid):
     ax2 = grid.axis() ** 2

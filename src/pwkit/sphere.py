@@ -11,6 +11,15 @@ F(t) = f(cos t e_1 + sin t e_2) on [0, pi].  The substitution
 u = cos s - cos t turns the Abel kernel into the weight u^(rho-1), which is
 weakly singular for n = 2 (rho = 1/2) and 1 for n = 3 (rho = 1); one
 Gauss-Jacobi rule with beta = rho - 1 integrates it on both spheres.
+
+The slice identity is f_hat(m) = c_n I(m), I(m) = int_0^pi cos((m + rho) s)
+R(f)(s) ds, for every degree m with the one constant c_n = SLICE_CONSTANT[n].
+Exchanging the integrals in I(m) leaves the inner integral
+int_0^t cos((m + rho) s) (cos s - cos t)^(rho-1) ds, and
+  - rho = 1/2: the Mehler-Dirichlet formula P_m(cos t) = (sqrt(2)/pi)
+    int_0^t cos((m + 1/2) s) (cos s - cos t)^(-1/2) ds gives I(m) = f_hat(m)/2;
+  - rho = 1: int_0^t cos((m + 1) s) ds = sin(t) psi_m(t) gives
+    I(m) = (2/pi) f_hat(m).
 """
 
 import numpy as np
@@ -21,7 +30,6 @@ from scipy.special import gamma, roots_jacobi
 
 __all__ = [
     "ZonalProfile",
-    "DegenerateCalibration",
     "UnsupportedSphereDimension",
     "cap_bump",
     "spherical_function",
@@ -37,10 +45,7 @@ __all__ = [
 DEFAULT_SAMPLES = 4097
 JACOBI_NODES = 96        # Gauss-Jacobi nodes of the Abel integral
 EDGE_THRESHOLD = 1e-9    # support edges are detected at this fraction of the max
-
-
-class DegenerateCalibration(ValueError):
-    pass
+SLICE_CONSTANT = {2: 2.0, 3: np.pi / 2}   # c_n of the slice identity on S^n
 
 
 class UnsupportedSphereDimension(ValueError):
@@ -183,35 +188,31 @@ def _slice_integrals(profile, m_max):
 
 def _slice_pair(profile, m_max):
     """Both sides (f_hat(m), I(m)), m <= m_max, of the slice identity."""
-    fh = spherical_transform(profile, m_max)
-    I = _slice_integrals(profile, m_max)
-    if fh[0] == 0 or I[0] == 0:
-        raise DegenerateCalibration("mean coefficient vanishes; cannot calibrate")
-    return fh, I
+    if not np.any(profile.values):
+        raise ValueError("zero profile: the slice identity compares nothing")
+    return spherical_transform(profile, m_max), _slice_integrals(profile, m_max)
 
 
 def sphere_slice_constants(profile, m_max):
     """Per-degree ratios c_m = f_hat(m) / int cos((m+rho) t) R(f)(t) dt.
 
-    The slice identity says these are all equal; the common value is the
-    calibration constant (pi/2 for S^3, 2 for S^2 in this normalization).
+    The slice identity says these all equal SLICE_CONSTANT[n].
     """
     fh, I = _slice_pair(profile, m_max)
     return fh / I
 
 
 def sphere_slice_defect(profile, m_max):
-    """Relative defect of the cosine-kernel slice identity.
-
-    Calibrates the constant at m=0 and returns
-    max_{1<=m<=m_max} |f_hat(m) - c I(m)| / max_m |f_hat(m)|.
+    """Relative defect of the cosine-kernel slice identity with its
+    closed-form constant c_n = SLICE_CONSTANT[n]:
+    max_{0<=m<=m_max} |f_hat(m) - c_n I(m)| / max_m |f_hat(m)|.
     Requires a profile supported strictly inside [0, pi).
     """
     if _support_cut(profile) >= np.pi:
         raise ValueError("slice identity check needs support strictly inside [0, pi)")
     fh, I = _slice_pair(profile, m_max)
-    c = fh[0] / I[0]
-    return float(np.abs(fh - c * I)[1:].max() / np.abs(fh).max())
+    return float(np.abs(fh - SLICE_CONSTANT[profile.n] * I).max()
+                 / np.abs(fh).max())
 
 
 def _edge_angle(thetas, values, prefactor_power):
@@ -278,7 +279,9 @@ def save_profile(profile, path):
 
 
 def load_profile(path, n, support_angle=None):
-    data = np.loadtxt(path, delimiter=",")
+    data = np.loadtxt(path, delimiter=",", ndmin=2)
+    if data.shape[1] != 2:
+        raise ValueError("profile file needs two columns, rows `t,value`")
     t = data[:, 0]
     if abs(t[0]) > 1e-12 or abs(t[-1] - np.pi) > 1e-9:
         raise ValueError("profile grid must cover [0, pi]")

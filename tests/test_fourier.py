@@ -188,13 +188,16 @@ class TestPlancherel:
 
     def test_scale_invariance(self, bump, bump_sino):
         d1 = plancherel_defect(bump, bump_sino)
-        scaled = bump * 3.7
+        scaled = SampledFunction(G, bump.values * 3.7, bump.support_radius)
         d2 = plancherel_defect(scaled,
                                radon_transform(scaled, directions=DIRS))
         assert d2 == pytest.approx(d1, rel=1e-6)
 
     def test_two_disjoint_bumps(self):
-        f = make_bump([-0.6, 0.0], 0.35, 1.0, G) + make_bump([0.55, 0.2], 0.3, 1.0, G)
+        f1 = make_bump([-0.6, 0.0], 0.35, 1.0, G)
+        f2 = make_bump([0.55, 0.2], 0.3, 1.0, G)
+        f = SampledFunction(G, f1.values + f2.values,
+                            max(f1.support_radius, f2.support_radius))
         assert plancherel_defect(f, radon_transform(f, directions=DIRS)) < 1e-4
 
     def test_zero_function_rejected(self):

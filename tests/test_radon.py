@@ -180,7 +180,9 @@ class TestRadonTransform:
         # equal declared support radii so both transforms share the grid
         f = make_bump([0.4, 0.0], 0.5, 1.0, G)
         g = make_bump([0.0, -0.4], 0.5, 1.0, G)
-        lhs = radon_transform(f + (-2.0) * g, directions=DIRS).values
+        from pwkit import SampledFunction
+        fg = SampledFunction(G, f.values - 2.0 * g.values, f.support_radius)
+        lhs = radon_transform(fg, directions=DIRS).values
         rhs = (radon_transform(f, directions=DIRS).values
                - 2.0 * radon_transform(g, directions=DIRS).values)
         scale = np.abs(rhs).max()
@@ -854,9 +856,11 @@ class TestInverseRadon:
         assert np.abs(rec.values).max() < 1e-14
 
     def test_two_bumps_peaks_preserved(self):
+        from pwkit import SampledFunction
         f1 = make_bump([-0.6, 0.0], 0.35, 1.0, G)
         f2 = make_bump([0.55, 0.3], 0.3, 0.8, G)
-        f = f1 + f2
+        f = SampledFunction(G, f1.values + f2.values,
+                            max(f1.support_radius, f2.support_radius))
         s = radon_transform(f, directions=DirectionSet.circle(256))
         rec = inverse_radon(s, grid=G)
         for part in (f1, f2):

@@ -3,11 +3,25 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.integrate import quad, simpson
 
-from pwkit import (DegenerateCalibration, UnsupportedSphereDimension,
-                   ZonalProfile, cap_bump, load_profile, save_profile,
-                   sphere_radon, sphere_slice_constants, sphere_slice_defect,
+import pwkit.sphere as sphere_module
+from pwkit import (UnsupportedSphereDimension, ZonalProfile, cap_bump,
+                   load_profile, save_profile, sphere_radon,
+                   sphere_slice_constants, sphere_slice_defect,
                    sphere_support_check, spherical_function,
                    spherical_transform)
+from pwkit.cli import RunConfig, run
+from pwkit.sphere import SLICE_CONSTANT
+
+
+def mean_zero_profile(n):
+    """cap_bump(0.8) - k cap_bump(0.4) with k chosen so that f_hat(0) = 0."""
+    big, small = cap_bump(0.8, n), cap_bump(0.4, n)
+    k = spherical_transform(big, 0)[0] / spherical_transform(small, 0)[0]
+    return ZonalProfile(n, big.values - k * small.values, support_angle=0.8)
+
+
+SLICE_PROFILES = {"cap": lambda n: cap_bump(0.5, n),
+                  "mean-zero": mean_zero_profile}
 
 
 class TestSphericalFunction:
@@ -110,11 +124,13 @@ class TestSphereRadon:
 
 
 class TestSliceIdentity:
-    def test_s3_cap(self):
-        assert sphere_slice_defect(cap_bump(0.5, 3), 12) < 1e-6
+    @pytest.mark.parametrize("profile", list(SLICE_PROFILES))
+    def test_s3_cap(self, profile):
+        assert sphere_slice_defect(SLICE_PROFILES[profile](3), 12) < 1e-6
 
-    def test_s2_cap(self):
-        assert sphere_slice_defect(cap_bump(0.5, 2), 12) < 1e-4
+    @pytest.mark.parametrize("profile", list(SLICE_PROFILES))
+    def test_s2_cap(self, profile):
+        assert sphere_slice_defect(SLICE_PROFILES[profile](2), 12) < 1e-4
 
     def test_defect_decreases_with_samples(self):
         coarse = sphere_slice_defect(cap_bump(0.5, 3, samples=2049), 12)
@@ -122,27 +138,45 @@ class TestSliceIdentity:
         assert fine < coarse
 
     def test_constant_values(self):
-        # in this normalization the constant is pi/2 on S^3 and 2 on S^2
-        # (Mehler-Dirichlet for rho = 1/2; antiderivative identity for rho = 1)
+        # the measured ratio c_0 = f_hat(0) / I(0) equals the closed-form
+        # constant, pi/2 on S^3 and 2 on S^2 (sphere.py's docstring)
         c3 = sphere_slice_constants(cap_bump(0.5, 3), 12)
-        assert c3[0] == pytest.approx(np.pi / 2, abs=1e-9)
+        assert c3[0] == pytest.approx(SLICE_CONSTANT[3], abs=1e-9)
         c2 = sphere_slice_constants(cap_bump(0.5, 2), 12)
-        assert c2[0] == pytest.approx(2.0, abs=1e-7)
+        assert c2[0] == pytest.approx(SLICE_CONSTANT[2], abs=1e-7)
 
     def test_constant_stable_across_degrees(self):
         for n in (2, 3):
             cm = sphere_slice_constants(cap_bump(0.5, n), 12)
-            assert np.abs(cm - cm[0]).max() < 1e-8 * abs(cm[0]) + 1e-8
+            c = SLICE_CONSTANT[n]
+            assert np.abs(cm - c).max() < 1e-8 * c
 
     def test_full_support_rejected(self):
         prof = ZonalProfile(3, np.ones(4097))
         with pytest.raises(ValueError):
             sphere_slice_defect(prof, 8)
 
-    def test_degenerate_calibration(self):
+    def test_zero_profile_rejected(self):
         prof = ZonalProfile(3, np.zeros(4097), support_angle=0.5)
-        with pytest.raises(DegenerateCalibration):
+        with pytest.raises(ValueError, match="zero profile"):
             sphere_slice_defect(prof, 4)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("side", ["sphere_radon", "spherical_transform"])
+    def test_one_percent_scale_error_fails_the_records(self, monkeypatch,
+                                                       side, n):
+        # with the closed-form constant a scale error in either side of the
+        # identity fails both slice records
+        exact = getattr(sphere_module, side)
+        monkeypatch.setattr(sphere_module, side,
+                            lambda *args: 1.01 * exact(*args))
+        records = {r["name"]: r for r in
+                   run(RunConfig("sphere", sphere_dim=n)).records}
+        name = {3: "sphere slice identity (rho = 1)",
+                2: "sphere slice identity (rho = 1/2)"}[n]
+        for record in (records[name], records["slice constant stability"]):
+            assert not record["passed"]
+            assert record["defect"] > 10 * record["threshold"]
 
 
 class TestSupportCheck:
@@ -177,4 +211,13 @@ class TestProfileIO:
         path = tmp_path / "prof.csv"
         np.savetxt(path, np.column_stack([t, np.cos(t)]), delimiter=",")
         with pytest.raises(ValueError, match="equispaced"):
+            load_profile(str(path), 3)
+
+    @pytest.mark.parametrize("columns", [1, 3])
+    def test_not_two_columns_rejected(self, tmp_path, columns):
+        t = np.linspace(0, np.pi, 129)
+        path = tmp_path / "prof.csv"
+        np.savetxt(path, np.column_stack([t, np.cos(t), t][:columns]),
+                   delimiter=",")
+        with pytest.raises(ValueError, match="t,value"):
             load_profile(str(path), 3)
