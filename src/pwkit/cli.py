@@ -228,10 +228,6 @@ def _load_or_suite(cfg):
     direction rule, one sinogram per function and the mesh they share."""
     if cfg.input_path:
         f = _grid.load_function(cfg.input_path)
-        live = np.abs(f.values) > 0
-        if live.any():
-            r2 = _grid._radius_sq_mesh(f.grid)
-            f.support_radius = float(np.sqrt(r2[live].max()))
         g, funcs = f.grid, [f]
     else:
         g = _grid.GridSpec(2, cfg.half_width, cfg.grid_points)
@@ -244,9 +240,10 @@ def _load_or_suite(cfg):
 
 def _first_sinogram_on_circle(inputs, count):
     """The first function's sinogram on circle(count): the shared one when
-    the run's direction rule is that circle, else a new transform."""
+    the run's direction rule is that circle, else a new transform.  Only
+    2-D runs call it."""
     g, funcs, dirs, sinos, mesh = inputs
-    if g.n == 2 and len(dirs) == count:
+    if len(dirs) == count:
         return sinos[0]
     return _radon.radon_transform(
         funcs[0], directions=_grid.DirectionSet.circle(count))
@@ -263,8 +260,7 @@ def run_radon(cfg, report, inputs):
         DEFAULT_TOLERANCES["evenness"], mesh)
 
     def outside_mass(f, s):
-        outside = np.abs(s.offsets) > (f.support_radius or g.half_width) \
-            + g.spacing
+        outside = np.abs(s.offsets) > f.support_radius + g.spacing
         return float(np.abs(s.values[outside]).max()) if outside.any() else 0.0
     report.check("radon support localization",
                  "support of the transform inside the support radius",

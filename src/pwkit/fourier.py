@@ -231,19 +231,14 @@ def marginal_projection(f):
     """Integrate out the last coordinate: C^3_2(f)(x) = int f(x, y) dy.
 
     Only the pair k=3 -> n=2 is supported.  The support radius does not
-    increase under the projection.
+    increase under the projection: samples with x_1^2 + x_2^2 beyond its
+    square integrate fibres that are all zero.
     """
     if f.grid.n != 3:
         raise UnsupportedPair("marginal projection implemented for k=3 -> n=2")
     vals = np.trapezoid(f.values, dx=f.grid.spacing, axis=2)
     grid2 = GridSpec(2, f.grid.half_width, f.grid.points)
-    rs = f.support_radius
-    if rs is not None:
-        # samples with x_1^2+x_2^2 > rs^2 integrate fibers that are all zero
-        ax2 = grid2.axis() ** 2
-        vals = vals.copy()
-        vals[np.add.outer(ax2, ax2) > rs**2] = 0.0
-    return SampledFunction(grid2, vals, support_radius=rs)
+    return SampledFunction(grid2, vals, f.support_radius)
 
 
 def projection_compatibility_defect(f):

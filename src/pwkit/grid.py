@@ -80,9 +80,11 @@ class SampledFunction:
     grid : GridSpec
     values : ndarray, shape (M,)*n
         Real or complex samples, row-major over the grid axes.
-    support_radius : float or None
-        Declared radius of a ball about the origin containing the support.
-        When set, samples at nodes with |x| > support_radius must be zero.
+    support_radius : float, optional
+        Radius of a ball about the origin containing the support.  A
+        declared radius is checked: samples at nodes with
+        |x| > support_radius must be zero.  Left out, it is the radius of
+        the farthest nonzero sample, or 0.0 for the zero function.
     """
 
     def __init__(self, grid, values, support_radius=None):
@@ -92,11 +94,12 @@ class SampledFunction:
                              % (values.shape, grid))
         if not np.isfinite(values).all():
             raise ValueError("values must be finite")
-        if support_radius is not None:
-            r2 = _radius_sq_mesh(grid)
-            outside = r2 > support_radius**2
-            if np.any(values[outside] != 0):
-                raise ValueError("nonzero samples outside declared support radius")
+        r2 = _radius_sq_mesh(grid)
+        if support_radius is None:
+            live = r2[values != 0]
+            support_radius = float(np.sqrt(live.max())) if live.size else 0.0
+        elif np.any(values[r2 > support_radius**2] != 0):
+            raise ValueError("nonzero samples outside declared support radius")
         self.grid = grid
         self.values = values
         self.support_radius = support_radius

@@ -58,7 +58,7 @@ the marginal route, which would integrate over z first and then
 interpolate at the 2-D side's nodes.
 
 Offsets cover [-L sqrt(n), L sqrt(n)] so every hyperplane meeting the box
-is represented; rows with |p| beyond the declared support radius are
+is represented; rows with |p| beyond the support radius are
 exactly zero (those hyperplanes miss the support ball).  Complex samples
 are transformed as their real and imaginary parts.
 
@@ -154,13 +154,6 @@ def default_offsets(grid):
     pmax = grid.half_width * np.sqrt(grid.n)
     half = int(np.ceil(pmax / grid.spacing))
     return np.linspace(-pmax, pmax, 2 * half + 1)
-
-
-def _effective_support(f):
-    rs = f.support_radius
-    if rs is None:
-        rs = f.grid.half_width
-    return min(float(rs), f.grid.half_width * np.sqrt(f.grid.n))
 
 
 # the quintic B-spline's pieces: entry (p, r) is the coefficient of f^p in
@@ -365,9 +358,9 @@ def radon_transform(f, offsets=None, *, directions):
     `directions`; returns a Sinogram.
 
     Entry (i, j) approximates the integral of f over the hyperplane
-    xi(p_i, omega_j) with respect to its Lebesgue measure.  The declared
-    support radius of f (which must not exceed the box half-width for the
-    integrals to be complete) carries over to the sinogram.  A direction
+    xi(p_i, omega_j) with respect to its Lebesgue measure.  The support
+    radius of f carries over to the sinogram; no hyperplane beyond it, or
+    beyond the box's corner L sqrt(n), is sampled.  A direction
     whose antipode comes earlier and is sampled the same way is not
     sampled: its column is the antipode's with the offsets reversed.
 
@@ -404,7 +397,7 @@ def radon_transform(f, offsets=None, *, directions):
 
     h = f.grid.spacing
     L = f.grid.half_width
-    rs = _effective_support(f)
+    rs = min(f.support_radius, L * np.sqrt(n))
     tmax = rs + 3 * h
     # integer multiples of dt: symmetric, so w and -w keep mirrored nodes
     k = int(np.ceil(tmax / h))
@@ -432,9 +425,7 @@ def radon_transform(f, offsets=None, *, directions):
             owner, vals, cell = (slabs if horizontal[j] else pencils)(w)
             out[rows, j] = np.bincount(owner, vals, len(rows)) * cell
 
-    return Sinogram(offsets, directions, out,
-                    support_radius=f.support_radius
-                    if f.support_radius is not None else rs)
+    return Sinogram(offsets, directions, out, f.support_radius)
 
 
 def evenness_defect(s):
@@ -561,7 +552,7 @@ def inverse_radon(s, grid):
                        @ last).reshape(q, -1)
         out[h:] += even - odd                # x_1 >= 0
         out[h - 1::-1] += even[1:] + odd[1:]  # x_1 < 0, mirrored
-    return SampledFunction(grid, out.reshape((m,) * n), support_radius=None)
+    return SampledFunction(grid, out.reshape((m,) * n))
 
 
 def save_sinogram(s, path, direction_path=None):

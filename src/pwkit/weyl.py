@@ -275,9 +275,6 @@ class MultivariatePolynomial:
     def degree(self):
         return max((sum(e) for e in self.terms), default=0)
 
-    def constant_term(self):
-        return self.terms.get((0,) * self.nvars, Fraction(0))
-
     def __eq__(self, other):
         return (isinstance(other, MultivariatePolynomial)
                 and self.nvars == other.nvars and self.terms == other.terms)
@@ -291,13 +288,6 @@ class MultivariatePolynomial:
         out = dict(self.terms)
         for e, c in other.terms.items():
             out[e] = out.get(e, 0) + c
-        return MultivariatePolynomial._from_terms(self.nvars, out)
-
-    def __sub__(self, other):
-        self._same_ring(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            out[e] = out.get(e, 0) - c
         return MultivariatePolynomial._from_terms(self.nvars, out)
 
     def __mul__(self, other):
@@ -569,9 +559,9 @@ def ow1_lift(target, spec_k, spec_n):
     """Extend a W(n)-invariant polynomial to a W(k)-invariant one with
     exact restriction.
 
-    The constant term lifts to itself.  The rest is written, by one exact
-    solve, as a combination of the restricted W(k)-invariant basis of
-    degree <= its degree, and the same combination of the unrestricted
+    The target is written, by one exact solve, as a combination of the
+    restricted W(k)-invariant basis of degree <= its degree (which starts
+    with the constant 1), and the same combination of the unrestricted
     basis is the lift.  For families A, B, C restriction maps the
     invariants onto the span of the smaller invariant basis, so the solve
     succeeds on it.  For a D-family pair with n < k every restricted
@@ -590,18 +580,15 @@ def ow1_lift(target, spec_k, spec_n):
     if any(target.apply(w) != target for w in _simple_reflections(spec_n)):
         raise NotInvariant("target is not invariant downstairs")
 
-    const = target.constant_term()
-    core = target - MultivariatePolynomial.constant(target.nvars, const)
-    d = max(core.degree(), 1)
+    d = target.degree()
     if d > 10:
         raise DegreeTooLarge("lift degree cap is 10")
     up = invariant_basis(spec_k, d)
-    sol = _solve_combination([b.restrict(nkeep) for b in up], core)
+    sol = _solve_combination([b.restrict(nkeep) for b in up], target)
     if sol is None:
         raise ObstructionHit("target has no W(%s%d)-invariant preimage"
                              % (spec_k.family, spec_k.rank))
-    H = (_combination(sol, up, spec_k.ambient_vars)
-         + MultivariatePolynomial.constant(spec_k.ambient_vars, const))
+    H = _combination(sol, up, spec_k.ambient_vars)
     if H.restrict(nkeep) != target:
         raise AssertionError("lift failed to restrict to the target")
     return H

@@ -43,6 +43,17 @@ def analytic_line_integral(center, radius, p, theta, oversample=2):
 
 
 OFFCENTRE = ([0.2, -0.1, 0.15], 0.6)   # centre and radius of a 3-D bump
+# centre and radius of a bump in the box's corner, per dimension: its
+# support reaches beyond the inscribed ball |x| <= L = 1.5
+CORNER = {2: ([1.05, 1.05], 0.4), 3: ([0.8] * 3, 0.5)}
+
+
+def corner_bump(n, points):
+    """The CORNER bump of dimension n on the grid of `points`, with its
+    support radius left undeclared."""
+    from pwkit import SampledFunction
+    g = GridSpec(n, 1.5, points)
+    return SampledFunction(g, make_bump(*CORNER[n], 1.0, g).values)
 
 
 @functools.lru_cache(maxsize=None)
@@ -298,11 +309,10 @@ def rotated_lattice_transform(f, directions):
     sampled direction.  In 2-D this is the line sampler that the row-by-row
     one replaced."""
     from scipy import ndimage
-    from pwkit.radon import _effective_support
     n = f.grid.n
     offsets = default_offsets(f.grid)
     h, L = f.grid.spacing, f.grid.half_width
-    rs = _effective_support(f)
+    rs = min(f.support_radius, L * np.sqrt(n))
     coeffs = ndimage.spline_filter(f.values, order=5)
     tmax = rs + 3 * h
     k = int(np.ceil(tmax / h))
@@ -370,20 +380,17 @@ class TestSlabSampler:
         assert np.abs(got - want).max() <= 1e-14 * np.abs(slabs).max()
         assert not got[((x < 0) | (x > m - 1)).any(axis=0)].any()
 
-    @pytest.mark.parametrize("points, declared", [
-        (33, True), (97, True), (33, False)],
+    @pytest.mark.parametrize("points, corner", [
+        (33, False), (97, False), (33, True)],
         ids=["33", "97", "33-whole-box"])
     def test_horizontal_normals_keep_the_rotated_lattice(self, points,
-                                                         declared):
+                                                         corner):
         # omega_3 = 0: the nodes are the rotated lattice's and the slabs are
-        # the spline resampled there, so only roundoff differs; without a
-        # declared support the planes leave the box, where both sides follow
-        # map_coordinates' mode="constant"
-        from pwkit import SampledFunction
-        g = GridSpec(3, 1.5, points)
-        f = make_bump([0.2, -0.1, 0.15], 0.6, 1.0, g)
-        if not declared:
-            f = SampledFunction(g, f.values, None)
+        # the spline resampled there, so only roundoff differs; the corner
+        # bump's support reaches beyond L, so its planes leave the box,
+        # where both sides follow map_coordinates' mode="constant"
+        f = (corner_bump(3, points) if corner else
+             make_bump(*OFFCENTRE, 1.0, GridSpec(3, 1.5, points)))
         dirs = compat_directions()
         want = rotated_lattice_transform(f, dirs)
         got = radon_transform(f, directions=dirs).values
@@ -448,13 +455,10 @@ def general_normal_gap(points):
     return np.abs(s.values - want).max() / np.abs(want).max()
 
 
-def desk_bump(points, declared=True):
-    """The first bump of the seed-7 suite on the 2-D grid of `points`,
-    without its declared support radius when `declared` is False."""
-    from pwkit import SampledFunction
+def desk_bump(points):
+    """The first bump of the seed-7 suite on the 2-D grid of `points`."""
     from pwkit.grid import random_bump_suite
-    f = random_bump_suite(GridSpec(2, 1.5, points), 1, 7)[0]
-    return f if declared else SampledFunction(f.grid, f.values, None)
+    return random_bump_suite(GridSpec(2, 1.5, points), 1, 7)[0]
 
 
 class TestRowSampler:
@@ -463,15 +467,15 @@ class TestRowSampler:
     `rotated_lattice_transform` is the line sampler they replaced, with
     nodes t_j along each line."""
 
-    @pytest.mark.parametrize("points, declared", [
-        (65, True), (257, True), (65, False)],
+    @pytest.mark.parametrize("points, corner", [
+        (65, False), (257, False), (65, True)],
         ids=["65", "257", "65-whole-box"])
-    def test_axis_normals_keep_the_line_lattice(self, points, declared):
+    def test_axis_normals_keep_the_line_lattice(self, points, corner):
         # w_e = 0: the row crossings are the nodes t_j and the rows are the
-        # spline resampled there, so only roundoff differs; without a
-        # declared support the lines leave the box, where both sides follow
-        # map_coordinates' mode="constant"
-        f = desk_bump(points, declared)
+        # spline resampled there, so only roundoff differs; the corner
+        # bump's support reaches beyond L, so its lines leave the box, where
+        # both sides follow map_coordinates' mode="constant"
+        f = corner_bump(2, points) if corner else desk_bump(points)
         axes = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
         dirs = DirectionSet(axes, np.full(4, 0.25), band_limit=0)
         want = rotated_lattice_transform(f, dirs)
@@ -494,13 +498,14 @@ class TestRowSampler:
             assert defects[-1] <= bound
         assert all(np.diff(defects) < 0)
 
-    @pytest.mark.parametrize("points, bound", [(65, 7.3e-5), (257, 4.3e-8)])
+    @pytest.mark.parametrize("points, bound", [(65, 4.0e-4), (257, 1.4e-6)],
+                             ids=["65", "257"])
     def test_lines_leaving_the_box_agree_to_the_quadrature_error(self, points,
                                                                   bound):
-        # no declared support: the lines run to the box edge, where a row
-        # evaluation beyond an end is 0; measured 3.65e-5 at 65^2 and
-        # 2.13e-8 at 257^2, each bound twice that
-        f = desk_bump(points, declared=False)
+        # the corner bump's support reaches beyond L: the lines run to the
+        # box edge, where a row evaluation beyond an end is 0; measured
+        # 2.0e-4 at 65^2 and 6.9e-7 at 257^2, each bound twice that
+        f = corner_bump(2, points)
         want = rotated_lattice_transform(f, DIRS)
         got = radon_transform(f, directions=DIRS).values
         assert np.abs(got - want).max() <= bound * np.abs(want).max()
@@ -677,12 +682,12 @@ class TestPrefilterFold:
         # the sampler searches only the pencils within the largest
         # p^2 + reach^2; the search over the whole T x T lattice must keep
         # the same nodes in the same order, with the same values
-        from pwkit.radon import (_effective_support, _pencil_axis,
-                                 _pencil_sampler, _row_values, _slab_stacks)
+        from pwkit.radon import (_pencil_axis, _pencil_sampler, _row_values,
+                                 _slab_stacks)
         g = GridSpec(3, 1.5, 33)
         f = make_bump(*OFFCENTRE, 1.0, g)
         h, L = g.spacing, g.half_width
-        rs = _effective_support(f)
+        rs = min(f.support_radius, L * np.sqrt(3))
         tmax = rs + 3 * h
         k = int(np.ceil(tmax / h))
         t = (tmax / k) * np.arange(-k, k + 1)
@@ -725,6 +730,45 @@ class TestEvenness:
         s = Sinogram(default_offsets(G), d, np.zeros((len(default_offsets(G)), 9)))
         with pytest.raises(DirectionsNotAntipodal):
             evenness_defect(s)
+
+
+class TestUndeclaredSupport:
+    """A function with no declared support radius gets the radius of its
+    farthest nonzero sample, and the transform samples out to it: the
+    corner bumps, whose support reaches beyond the inscribed ball |x| <= L,
+    keep all their mass."""
+
+    @staticmethod
+    def farthest_sample_radius(f):
+        mesh = np.stack(f.grid.mesh())
+        return float(np.sqrt((mesh[:, f.values != 0] ** 2).sum(axis=0).max()))
+
+    @pytest.mark.parametrize("n, points, dirs, bound", [
+        (2, 129, DirectionSet.circle(32), 1e-5),
+        (3, 33, DirectionSet.sphere(3), 1.4e-4)], ids=["2d", "3d"])
+    def test_corner_bump_keeps_its_mass(self, n, points, dirs, bound):
+        # the relative error of the zeroth moment is the quadrature's:
+        # measured 1.4e-6 at 129^2 and 6.9e-5 at 33^3 (7.9e-5 with the
+        # bump's own radius declared); the 3-D bound is twice that.  Cut at
+        # the inscribed ball the moments missed 46.7% and 18.1% of the mass
+        f = corner_bump(n, points)
+        s = radon_transform(f, directions=dirs)
+        mass = integrate(f)
+        assert np.abs(moment(s, 0) - mass).max() <= bound * mass
+        assert f.support_radius == self.farthest_sample_radius(f) > 1.5
+        assert s.support_radius == f.support_radius
+
+    @pytest.mark.parametrize("n, points", [(2, 129), (3, 33)],
+                             ids=["2d", "3d"])
+    def test_loaded_file_gets_the_same_radius(self, n, points, tmp_path):
+        from pwkit import SampledFunction, load_function, save_function
+        f = corner_bump(n, points)
+        save_function(f, tmp_path / "f.csv")
+        assert load_function(tmp_path / "f.csv").support_radius == \
+            self.farthest_sample_radius(f)
+        save_function(SampledFunction(f.grid, np.zeros_like(f.values)),
+                      tmp_path / "zero.csv")
+        assert load_function(tmp_path / "zero.csv").support_radius == 0.0
 
 
 class TestMoments:
