@@ -4,16 +4,17 @@ numerical certificates for the support, homogeneity, growth, and
 restriction identities that tie them together."""
 
 from .grid import (GridSpec, SampledFunction, DirectionSet, BallOutsideGrid,
-                   DirectionsNotAntipodal, make_bump, random_bump_suite,
-                   integrate, l2_norm_sq, save_function, load_function)
+                   DirectionsNotAntipodal, ZeroInput, make_bump,
+                   random_bump_suite, integrate, l2_norm_sq, save_function,
+                   load_function)
 from .radon import (Sinogram, NotEven, radon_transform, default_offsets,
                     evenness_defect, moment, inverse_radon, save_sinogram,
                     load_sinogram)
-from .fourier import (VectorFT, ZeroFunction, UnsupportedPair, radial_fourier,
+from .fourier import (VectorFT, UnsupportedPair, radial_fourier,
                       fourier_on_rays, choose_r_max, fourier_slice_defect,
                       plancherel_defect, pointwise_inversion,
                       marginal_projection, projection_compatibility_defect)
-from .pw import (ComplexGrid, ZeroInput, complex_slice_eval, pw_seminorm,
+from .pw import (ComplexGrid, complex_slice_eval, pw_seminorm,
                  support_radius_estimate, homogeneity_defect,
                  extension_consistency_defect, schwartz_seminorm)
 from .sphere import (ZonalProfile, UnsupportedSphereDimension, cap_bump,

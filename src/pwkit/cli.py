@@ -13,6 +13,7 @@ failed "<pipeline> pipeline" record, and the report is still written.
 """
 
 import argparse
+import functools
 import json
 import math
 import operator
@@ -63,8 +64,7 @@ DEFAULT_TOLERANCES = {
 }
 
 # fixed meshes of single records, each used by its computation and its mesh
-ROUND_TRIP_DIRECTIONS = 256   # Q of the 2-D round trip
-INVERSION_CIRCLE = 192        # Q of the 2-D pointwise inversion
+INVERSION_DIRECTIONS = 256    # Q of both 2-D inversion records
 SPHERE_M_MAX = 12             # highest zonal degree of the sphere records
 SUPPORT_SAMPLES = 2049        # profile samples of the sphere support check
 COMPAT_BUMPS = 2              # 3-D bumps of the projection compatibility check
@@ -225,7 +225,8 @@ def _json_record(record):
 
 def _load_or_suite(cfg):
     """The grid, the `--in` file's function or the seeded suite, the
-    direction rule, one sinogram per function and the mesh they share."""
+    direction rule, one sinogram per function, the mesh they share, and the
+    first function's inversion sinogram, built on first use (2-D only)."""
     if cfg.input_path:
         f = _grid.load_function(cfg.input_path)
         g, funcs = f.grid, [f]
@@ -235,22 +236,27 @@ def _load_or_suite(cfg):
     dirs = _grid._directions_for(g.n, cfg.directions)
     sinos = [_radon.radon_transform(f, directions=dirs) for f in funcs]
     mesh = {"M": g.points, "L": g.half_width, "Q": len(dirs)}
-    return g, funcs, dirs, sinos, mesh
+
+    @functools.cache
+    def inversion_sinogram():   # the shared one when the rule is its circle
+        if len(dirs) == INVERSION_DIRECTIONS:
+            return sinos[0]
+        circle = _grid.DirectionSet.circle(INVERSION_DIRECTIONS)
+        return _radon.radon_transform(funcs[0], directions=circle)
+    return g, funcs, dirs, sinos, mesh, inversion_sinogram
 
 
-def _first_sinogram_on_circle(inputs, count):
-    """The first function's sinogram on circle(count): the shared one when
-    the run's direction rule is that circle, else a new transform.  Only
-    2-D runs call it."""
-    g, funcs, dirs, sinos, mesh = inputs
-    if len(dirs) == count:
-        return sinos[0]
-    return _radon.radon_transform(
-        funcs[0], directions=_grid.DirectionSet.circle(count))
+def _inversion_error(approx, exact, f):
+    """max |approx - exact| / max |f|, the error of both inversion records;
+    raises ZeroInput for the zero function."""
+    peak = np.abs(f.values).max()
+    if peak == 0:
+        raise _grid.ZeroInput("inversion error undefined for the zero input")
+    return float(np.abs(approx - exact).max() / peak)
 
 
 def run_radon(cfg, report, inputs):
-    g, funcs, dirs, sinos, mesh = inputs
+    g, funcs, dirs, sinos, mesh, inversion_sinogram = inputs
 
     # 0 by construction: radon_transform samples one direction of each
     # antipodal pair, so this checks the bookkeeping of the reuse
@@ -275,14 +281,12 @@ def run_radon(cfg, report, inputs):
 
     def round_trip():
         f = funcs[0]
-        s = _first_sinogram_on_circle(inputs, ROUND_TRIP_DIRECTIONS)
-        rec = _radon.inverse_radon(s, grid=f.grid)
-        return float(np.abs(rec.values - f.values).max()
-                     / np.abs(f.values).max())
+        rec = _radon.inverse_radon(inversion_sinogram(), grid=f.grid)
+        return _inversion_error(rec.values, f.values, f)
     if g.n == 2:
         report.check("radon round trip", "inversion formula", round_trip,
                      DEFAULT_TOLERANCES["round_trip"],
-                     dict(mesh, Q=ROUND_TRIP_DIRECTIONS))
+                     dict(mesh, Q=INVERSION_DIRECTIONS))
 
     if cfg.output_path and sinos:
         _radon.save_sinogram(sinos[0], cfg.output_path,
@@ -290,7 +294,7 @@ def run_radon(cfg, report, inputs):
 
 
 def run_slice(cfg, report, inputs):
-    g, funcs, dirs, sinos, mesh = inputs
+    g, funcs, dirs, sinos, mesh, inversion_sinogram = inputs
 
     report.check(
         "fourier slice identity", "fourier-slice identity",
@@ -327,15 +331,12 @@ def run_slice(cfg, report, inputs):
         rng = np.random.default_rng(cfg.seed + 1)
         ax = f.grid.axis()
         idx = rng.integers(0, f.grid.points, size=(20, 2))
-        pts = ax[idx]
-        s = _first_sinogram_on_circle(inputs, INVERSION_CIRCLE)
-        vals = _fourier.pointwise_inversion(s, pts)
-        ref = f.values[idx[:, 0], idx[:, 1]]
-        return float(np.abs(vals - ref).max() / np.abs(f.values).max())
+        vals = _fourier.pointwise_inversion(inversion_sinogram(), ax[idx])
+        return _inversion_error(vals, f.values[idx[:, 0], idx[:, 1]], f)
     if g.n == 2:
         report.check("pointwise inversion", "inversion formula", inversion,
                      DEFAULT_TOLERANCES["inversion"],
-                     dict(mesh, Q=INVERSION_CIRCLE))
+                     dict(mesh, Q=INVERSION_DIRECTIONS))
 
     def compat():
         g3 = _grid.GridSpec(3, cfg.half_width, cfg.grid3_points)
@@ -353,7 +354,7 @@ def run_slice(cfg, report, inputs):
 
 
 def run_pw(cfg, report, inputs):
-    g, funcs, dirs, sinos, mesh = inputs
+    g, funcs, dirs, sinos, mesh, _ = inputs
     mesh = dict(mesh, kmax=cfg.kmax, N=cfg.seminorm_order)
 
     report.check(
@@ -394,6 +395,8 @@ def run_pw(cfg, report, inputs):
     def _growth_ratios(s, exp_type, doublings):
         """Ratios of successive growth seminorms of s at `exp_type` as the
         imaginary extent of the mesh [-2, 2] x i[-3/rs, 3/rs] doubles."""
+        if s.support_radius == 0:
+            raise _grid.ZeroInput("growth mesh and type undefined for rs = 0")
         cg = _pw.ComplexGrid(2.0, 3.0 / s.support_radius, 9, 9)
         vals = [_pw.pw_seminorm(s, cfg.seminorm_order, exp_type, cg)]
         for _ in range(doublings):

@@ -47,13 +47,12 @@ import numpy as np
 from scipy.integrate import simpson
 
 from .grid import (GridSpec, SampledFunction, DirectionSet, SPHERE_AREA,
-                   l2_norm_sq, _direct_transform)
+                   ZeroInput, l2_norm_sq, _direct_transform)
 from .radon import (radon_transform, default_offsets, _require_even,
                     _inversion_quadrature, _slice_transform)
 
 __all__ = [
     "VectorFT",
-    "ZeroFunction",
     "UnsupportedPair",
     "radial_fourier",
     "fourier_on_rays",
@@ -68,10 +67,6 @@ __all__ = [
 R_SCAN_STEP = 0.5                        # radial step of the choose_r_max scan
 SLICE_RADII = np.linspace(0.0, 12.0, 25)  # radii of the Fourier-slice check
 COMPAT_AZIMUTHS = 16                     # directions of the compatibility square
-
-
-class ZeroFunction(ValueError):
-    pass
 
 
 class UnsupportedPair(ValueError):
@@ -187,7 +182,7 @@ def plancherel_defect(f, s, return_details=False):
     """
     norm = l2_norm_sq(f)
     if norm == 0:
-        raise ZeroFunction("Plancherel defect undefined for the zero function")
+        raise ZeroInput("Plancherel defect undefined for the zero function")
     # cutoff well beyond the reporting rule so the truncation floor stays
     # under the radial quadrature error as the grid refines
     r_max, tail = choose_r_max(s, tail_fraction=1e-9)

@@ -18,6 +18,7 @@ __all__ = [
     "DirectionSet",
     "BallOutsideGrid",
     "DirectionsNotAntipodal",
+    "ZeroInput",
     "make_bump",
     "random_bump_suite",
     "integrate",
@@ -35,6 +36,10 @@ class BallOutsideGrid(ValueError):
 
 class DirectionsNotAntipodal(ValueError):
     """The direction set is not closed under omega -> -omega."""
+
+
+class ZeroInput(ValueError):
+    """A defect or estimate is undefined for the zero function."""
 
 
 class GridSpec:

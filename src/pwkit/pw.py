@@ -14,12 +14,12 @@ refuses a rule on which that projection breaks Parseval.
 
 import numpy as np
 
-from .grid import _direct_transform, _directions_for, _real_harmonic_basis
+from .grid import (ZeroInput, _direct_transform, _directions_for,
+                   _real_harmonic_basis)
 from .radon import moment, radon_transform, _slice_transform
 
 __all__ = [
     "ComplexGrid",
-    "ZeroInput",
     "complex_slice_eval",
     "pw_seminorm",
     "support_radius_estimate",
@@ -31,10 +31,6 @@ __all__ = [
 SUPPORT_Y_FACTORS = (3, 4, 5, 6, 7, 8)  # heights y = c / r of the support ladder
 EXTENSION_DIRECTIONS = 16               # directions of the extension check
 SCHWARTZ_RADII = np.linspace(-12.0, 12.0, 49)  # real radii of the decay check
-
-
-class ZeroInput(ValueError):
-    pass
 
 
 class ComplexGrid:

@@ -3,11 +3,13 @@ import json
 import math
 import re
 
+import numpy as np
 import pytest
 
 import pwkit
-from pwkit import (GridSpec, MultivariatePolynomial, cap_bump, make_bump,
-                   save_function, save_profile)
+from pwkit import (DirectionSet, GridSpec, MultivariatePolynomial,
+                   SampledFunction, cap_bump, make_bump, save_function,
+                   save_profile)
 from pwkit import cli, fourier, pw, radon, sphere, weyl
 from pwkit.cli import ConfigError, Report, RunConfig, build_parser, main, run
 
@@ -233,10 +235,11 @@ class TestSharedInputs:
             monkeypatch.setattr(module, "radon_transform", spied)
         return calls
 
-    # at --directions 192 (256) the run's rule is the pointwise inversion's
-    # (the round trip's) own circle
+    # at --directions 256 the run's rule is the circle of the pointwise
+    # inversion (slice) and of the round trip (radon), so neither transforms
+    # the first function again
     @pytest.mark.parametrize("subcommand, count", [
-        ("all", 32), ("slice", 192), ("radon", 256)],
+        ("all", 32), ("slice", 256), ("radon", 256)],
         ids=["all", "inversion", "round-trip"])
     def test_no_function_is_transformed_twice_on_one_direction_set(
             self, monkeypatch, subcommand, count):
@@ -244,6 +247,22 @@ class TestSharedInputs:
         run(RunConfig(subcommand, grid_points=65, directions=count))
         assert calls
         assert len(set(calls)) == len(calls)
+
+    def test_inversion_records_read_one_sinogram(self, monkeypatch):
+        # the round trip and the pointwise inversion invert one sinogram of
+        # the first function on circle(256), built once per run
+        received = []
+        for module, name in ((radon, "inverse_radon"),
+                             (fourier, "pointwise_inversion")):
+            def spied(s, *args, real=getattr(module, name), **kwargs):
+                received.append(s)
+                return real(s, *args, **kwargs)
+            monkeypatch.setattr(module, name, spied)
+        run(RunConfig("all", grid_points=65, directions=32))
+        [round_trip, inversion] = received
+        assert round_trip is inversion
+        np.testing.assert_array_equal(round_trip.directions.vectors,
+                                      DirectionSet.circle(256).vectors)
 
     @pytest.mark.parametrize("subcommand", ["weyl", "sphere"])
     def test_pipelines_without_sinograms_build_none(self, monkeypatch,
@@ -440,6 +459,27 @@ class TestFileDriven:
         assert "sphere pipeline" not in names
         assert {"sphere slice identity (rho = 1)",
                 "sphere slice identity (rho = 1/2)"} <= set(names)
+
+    def test_zero_file_fails_each_record_it_leaves_undefined(self, tmp_path):
+        # the inversion error relative to max |f|, the Plancherel defect
+        # relative to ||f||^2 and the growth mesh of height 3/rs are
+        # undefined for the zero function: those five records fail with a
+        # ZeroInput error, and no record reads NaN without an error
+        fpath = tmp_path / "z.csv"
+        g = GridSpec(2, 1.5, 65)
+        save_function(SampledFunction(g, np.zeros((65, 65))), str(fpath))
+        rpath = tmp_path / "rep.json"
+        main(["all", "--in", str(fpath), "--directions", "32",
+              "--report", str(rpath)])
+        records = json.loads(rpath.read_text())["records"]
+        errors = {r["name"]: r["error"] for r in records if "error" in r}
+        assert set(errors) == {
+            "radon round trip", "pointwise inversion",
+            "motion-group plancherel",
+            "growth stability at the critical type",
+            "growth divergence below the critical type"}
+        assert all(e.startswith("ZeroInput: ") for e in errors.values())
+        assert all("error" in r for r in records if r["defect"] is None)
 
     def test_2d_file_leaves_out_the_plancherel_refinement(self, tmp_path):
         # the refinement's fine rung is the suite's first bump on the finer

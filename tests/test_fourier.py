@@ -3,7 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from pwkit import (DirectionSet, GridSpec,
-                   SampledFunction, ZeroFunction,
+                   SampledFunction, ZeroInput,
                    choose_r_max, fourier_on_rays, fourier_slice_defect,
                    integrate, inverse_radon, make_bump, marginal_projection,
                    moment, plancherel_defect, pointwise_inversion,
@@ -202,7 +202,7 @@ class TestPlancherel:
 
     def test_zero_function_rejected(self):
         z = SampledFunction(G, np.zeros((257, 257)), support_radius=1.0)
-        with pytest.raises(ZeroFunction):
+        with pytest.raises(ZeroInput):
             plancherel_defect(z, radon_transform(z, directions=DIRS))
 
     def test_defect_decreases_with_resolution(self, bump, bump_sino):
