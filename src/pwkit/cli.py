@@ -545,11 +545,9 @@ def run_weyl(cfg, report):
         # invariance under the generators is invariance under W(k)
         simple = _weyl._simple_reflections(lift_k)
         for _ in range(10):
-            target = _weyl.MultivariatePolynomial.zero(lift_n.ambient_vars)
-            for b in basis:
-                c = int(rng.integers(-4, 5))
-                if c:
-                    target = target + b.scale(Fraction(c))
+            target = _weyl._combination(
+                [Fraction(int(rng.integers(-4, 5))) for _ in basis], basis,
+                lift_n.ambient_vars)
             H = _weyl.ow1_lift(target, lift_k, lift_n)
             if (H.restrict(lift_n.ambient_vars) != target
                     or any(H.apply(w) != H for w in simple)):

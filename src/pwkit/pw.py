@@ -100,18 +100,13 @@ def support_radius_estimate(s):
     estimate is the smallest such corrected value over a ladder of heights
     y = c / r, c in SUPPORT_Y_FACTORS (the positive bias decreases in y
     until the grid resolution is hit), floored by the rigorous lower bound
-    max <p>_y.  r is the sinogram's declared support radius, or else the
-    largest offset of a nonzero row.
+    max <p>_y.  r is the sinogram's support radius, declared or derived
+    from its live rows by `Sinogram` (see its docstring).
     """
-    amax = np.abs(s.values).max()
-    if amax == 0:
+    if not np.any(s.values):
         raise ZeroInput("support radius undefined for the zero sinogram")
-    r_hint = s.support_radius
-    if r_hint is None:
-        live = np.abs(s.values).max(axis=1) > 1e-12 * amax
-        r_hint = float(np.abs(s.offsets[live]).max())
     pmax = float(np.abs(s.offsets).max())
-    ys = np.asarray(SUPPORT_Y_FACTORS, dtype=float) / r_hint
+    ys = np.asarray(SUPPORT_Y_FACTORS, dtype=float) / s.support_radius
     # int s(p, omega) p^l e^{2 pi p y} dp, l = 0, 1, 2: the l-th z-derivative
     # of the extension at z = iy divided by (-2 pi i)^l; (Y, Q) each
     F = [(_slice_transform(s, 1j * ys, deriv=l) / (-2j * np.pi) ** l).real

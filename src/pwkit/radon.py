@@ -113,7 +113,9 @@ class Sinogram:
     offsets : (P,) equispaced, symmetric about 0, P odd
     directions : DirectionSet
     values : (P, Q) array
-    support_radius : declared radial support (values vanish for |p| beyond it)
+    support_radius : radial support (values vanish for |p| beyond it); left
+        out, the largest |p| of a row whose max |value| exceeds 1e-12 times
+        the largest |value|, or 0.0 for the zero sinogram
     """
 
     def __init__(self, offsets, directions, values, support_radius=None):
@@ -124,6 +126,11 @@ class Sinogram:
                              % (values.shape, len(offsets), len(directions)))
         if not np.isfinite(values).all():
             raise ValueError("sinogram values must be finite")
+        if support_radius is None:
+            rows = np.abs(values).max(axis=1)
+            live = rows > 1e-12 * rows.max()
+            support_radius = float(np.abs(offsets[live]).max()
+                                   if live.any() else 0.0)
         self.offsets = offsets
         self.directions = directions
         self.values = values
@@ -139,12 +146,17 @@ class Sinogram:
 
 def _offset_grid(offsets):
     """The offsets as a float array; raises ValueError unless their count is
-    odd (so that p=0 is a node) and they are symmetric about 0."""
+    odd (so that p=0 is a node), they are symmetric about 0 and equispaced
+    (the trapezoid weights and the slice radii use one step)."""
     offsets = np.asarray(offsets, dtype=float)
     if len(offsets) % 2 == 0:
         raise ValueError("offset count must be odd so that p=0 is a node")
-    if np.abs(offsets + offsets[::-1]).max() > 1e-9 * np.abs(offsets).max():
+    tol = 1e-9 * np.abs(offsets).max()
+    if np.abs(offsets + offsets[::-1]).max() > tol:
         raise ValueError("offsets must be symmetric about 0")
+    step = np.diff(offsets)
+    if len(step) and step.max() - step.min() > tol:
+        raise ValueError("offsets must be equispaced")
     return offsets
 
 

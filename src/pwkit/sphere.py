@@ -57,7 +57,8 @@ class ZonalProfile:
 
     thetas : (T,) equispaced polar angles covering [0, pi]
     values : (T,) profile samples F(t)
-    support_angle : optional cap angle; F vanishes beyond it
+    support_angle : cap angle, F vanishing beyond it; left out, the largest
+        angle of a sample above 1e-15 max |F|, or 0.0 for the zero profile
     """
 
     def __init__(self, n, values, support_angle=None):
@@ -69,10 +70,13 @@ class ZonalProfile:
         self.n = int(n)
         self.values = values
         self.thetas = np.linspace(0.0, np.pi, len(values))
-        if support_angle is not None:
-            if np.any(values[self.thetas > support_angle] != 0):
-                raise ValueError("nonzero samples beyond the declared cap angle")
-        self.support_angle = support_angle
+        if support_angle is None:
+            amax = np.abs(values).max()
+            live = np.abs(values) > 1e-15 * amax
+            support_angle = self.thetas[live].max() if amax else 0.0
+        elif np.any(values[self.thetas > support_angle] != 0):
+            raise ValueError("nonzero samples beyond the declared cap angle")
+        self.support_angle = float(support_angle)
 
     @property
     def rho(self):
@@ -138,21 +142,11 @@ def spherical_transform(profile, m_max):
     return simpson(base * psi, dx=profile.step, axis=1)
 
 
-def _support_cut(profile):
-    if profile.support_angle is not None:
-        return float(profile.support_angle)
-    amax = np.abs(profile.values).max()
-    if amax == 0:
-        return 0.0
-    live = np.abs(profile.values) > 1e-15 * amax
-    return float(profile.thetas[live].max())
-
-
 def sphere_radon(profile):
     """Abel-type Radon transform of a zonal profile on its theta grid.
 
-    The substitution u = cos s - cos t, for the cut t_cut beyond which the
-    profile vanishes and U = cos s - cos t_cut, gives
+    The substitution u = cos s - cos t, for the profile's support angle
+    t_cut and U = cos s - cos t_cut, gives
 
         int_0^U F(arccos(cos s - u)) u^(rho-1) du
             = (U/2)^rho sum_j w_j F(t_j)
@@ -165,7 +159,7 @@ def sphere_radon(profile):
     """
     rho = profile.rho
     t = profile.thetas
-    tcut = _support_cut(profile)
+    tcut = profile.support_angle
     live = t < tcut
     xj, wj = roots_jacobi(JACOBI_NODES, 0.0, rho - 1.0)
     cos_s = np.cos(t[live])
@@ -208,7 +202,7 @@ def sphere_slice_defect(profile, m_max):
     max_{0<=m<=m_max} |f_hat(m) - c_n I(m)| / max_m |f_hat(m)|.
     Requires a profile supported strictly inside [0, pi).
     """
-    if _support_cut(profile) >= np.pi:
+    if profile.support_angle >= np.pi:
         raise ValueError("slice identity check needs support strictly inside [0, pi)")
     fh, I = _slice_pair(profile, m_max)
     return float(np.abs(fh - SLICE_CONSTANT[profile.n] * I).max()

@@ -771,6 +771,48 @@ class TestUndeclaredSupport:
         assert load_function(tmp_path / "zero.csv").support_radius == 0.0
 
 
+class TestUndeclaredSinogramSupport:
+    """A sinogram with no declared support radius gets, at construction,
+    the largest |p| of a row above 1e-12 times its largest |value|."""
+
+    @staticmethod
+    def live_radius(s):
+        rows = np.abs(s.values).max(axis=1)
+        return float(np.abs(s.offsets[rows > 1e-12 * rows.max()]).max())
+
+    def test_sinogram_gets_its_live_row_radius(self, shifted_sino, tmp_path):
+        s = Sinogram(shifted_sino.offsets, DIRS, shifted_sino.values)
+        assert type(s.support_radius) is float
+        assert s.support_radius == self.live_radius(shifted_sino)
+        save_sinogram(shifted_sino, str(tmp_path / "s.csv"))
+        back = load_sinogram(str(tmp_path / "s.csv"), DIRS)
+        assert back.support_radius == s.support_radius
+        zero = Sinogram(s.offsets, DIRS, np.zeros_like(s.values))
+        assert zero.support_radius == 0.0
+
+    def test_unequal_offset_steps_rejected(self, tmp_path):
+        # symmetric and odd in count, but warped: p -> sign(p) P (|p|/P)^1.5.
+        # The trapezoid weights use the first step, so the zeroth moment of
+        # this sinogram of a 129^2 bump missed the mass 0.317 by 0.157
+        g = GridSpec(2, 1.5, 129)
+        dirs = DirectionSet.circle(32)
+        s = radon_transform(make_bump([0.0, 0.0], 0.5, 1.0, g),
+                            directions=dirs)
+        pmax = np.abs(s.offsets).max()
+        warped = np.sign(s.offsets) * pmax * (np.abs(s.offsets) / pmax) ** 1.5
+        with pytest.raises(ValueError, match="equispaced"):
+            Sinogram(warped, dirs, s.values)
+        path = tmp_path / "s.csv"
+        save_sinogram(s, str(path))
+        rows = np.loadtxt(path, delimiter=",", skiprows=1)
+        rows[:, 0] = np.repeat(warped, len(dirs))
+        with open(path, "w") as fh:
+            fh.write("%d,%d,2\n" % (len(warped), len(dirs)))
+            np.savetxt(fh, rows, delimiter=",", fmt="%.17g")
+        with pytest.raises(ValueError, match="equispaced"):
+            load_sinogram(str(path), dirs)
+
+
 class TestMoments:
     def test_zeroth_moment_is_total_mass(self, shifted_bump, shifted_sino):
         m0 = moment(shifted_sino, 0)

@@ -179,6 +179,44 @@ class TestSliceIdentity:
             assert record["defect"] > 10 * record["threshold"]
 
 
+class TestUndeclaredAngle:
+    """A profile with no declared cap angle gets, at construction, the
+    largest angle of a sample above 1e-15 times max |F|, and the
+    consumers read that angle."""
+
+    @staticmethod
+    def live_cut(values):
+        thetas = np.linspace(0.0, np.pi, len(values))
+        return float(thetas[np.abs(values) > 1e-15 * np.abs(values).max()]
+                     .max())
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_profile_gets_the_live_cut(self, n, tmp_path):
+        # cap_bump(0.8) falls below 1e-15 of its peak short of 0.8
+        values = cap_bump(0.8, n).values
+        prof = ZonalProfile(n, values)
+        assert type(prof.support_angle) is float
+        assert prof.support_angle == self.live_cut(values) < 0.8
+        save_profile(prof, str(tmp_path / "prof.csv"))
+        assert load_profile(str(tmp_path / "prof.csv"), n).support_angle \
+            == prof.support_angle
+        assert ZonalProfile(n, np.zeros(257)).support_angle == 0.0
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_transform_reads_the_derived_angle(self, n):
+        # the samples below the cut are zeroed, so that the cut can be
+        # declared too; declared at 0.8, the transform is not the same
+        values = cap_bump(0.8, n).values
+        values[values <= 1e-15 * values.max()] = 0.0
+        undeclared = ZonalProfile(n, values)
+        cut = self.live_cut(values)
+        assert undeclared.support_angle == cut < 0.8
+        assert np.array_equal(sphere_radon(undeclared),
+                              sphere_radon(ZonalProfile(n, values, cut)))
+        assert not np.array_equal(sphere_radon(undeclared),
+                                  sphere_radon(ZonalProfile(n, values, 0.8)))
+
+
 class TestSupportCheck:
     @pytest.mark.parametrize("cap", [0.3, 0.5, 0.8, 1.2])
     def test_angles_agree_within_one_step(self, cap):
