@@ -44,10 +44,10 @@ certificates.
 """
 
 import numpy as np
-from scipy.integrate import simpson
 
 from .grid import (GridSpec, SampledFunction, DirectionSet, SPHERE_AREA,
-                   ZeroInput, l2_norm_sq, _direct_transform)
+                   ZeroInput, l2_norm_sq, _direct_transform,
+                   _simpson_weights)
 from .radon import (radon_transform, default_offsets, _require_even,
                     _inversion_quadrature, _slice_transform)
 
@@ -193,7 +193,7 @@ def plancherel_defect(f, s, return_details=False):
     vft = radial_fourier(s, radii)
     g = (SPHERE_AREA[s.n] * radii**(s.n - 1)
          * ((np.abs(vft.values) ** 2) @ s.directions.weights))
-    spectral = float(simpson(g, dx=radii[1] - radii[0]))
+    spectral = float(_simpson_weights(len(radii), radii[1] - radii[0]) @ g)
     defect = abs(norm - spectral) / norm
     if return_details:
         return defect, {"r_max": r_max, "tail_estimate": tail,

@@ -11,6 +11,7 @@ sum to 1).
 import math
 
 import numpy as np
+from scipy.special import sph_harm_y
 
 __all__ = [
     "GridSpec",
@@ -176,6 +177,22 @@ def _trapezoid_weights(npts, dx):
     return w
 
 
+def _simpson_weights(npts, dx):
+    """Weights of scipy.integrate.simpson's rule on npts >= 3 equispaced
+    points at the step dx: composite Simpson (1, 4, 2, ..., 4, 1) dx/3 for
+    odd npts; for even npts, Simpson on the first npts - 1 points plus
+    Cartwright's correction (-1, 8, 5) dx/12 for the last interval."""
+    odd = npts - 1 + npts % 2
+    w = np.zeros(npts)
+    w[1:odd - 1:2] = 4.0
+    w[2:odd - 1:2] = 2.0
+    w[[0, odd - 1]] = 1.0
+    w *= dx / 3
+    if npts % 2 == 0:
+        w[-3:] += np.array([-1.0, 8.0, 5.0]) * dx / 12
+    return w
+
+
 def integrate(f):
     """Tensor-product trapezoid quadrature of the samples times h^n."""
     out = f.values
@@ -267,7 +284,6 @@ def _real_harmonic_basis(directions, band):
             blocks.append(np.stack([np.sqrt(2) * np.cos(l * th),
                                     np.sqrt(2) * np.sin(l * th)]))
         return blocks
-    from scipy.special import sph_harm_y
     theta = np.arccos(np.clip(directions.vectors[:, 2], -1, 1))
     phi = np.arctan2(directions.vectors[:, 1], directions.vectors[:, 0])
     blocks = []

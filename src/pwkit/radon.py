@@ -115,7 +115,9 @@ class Sinogram:
     values : (P, Q) array
     support_radius : radial support (values vanish for |p| beyond it); left
         out, the largest |p| of a row whose max |value| exceeds 1e-12 times
-        the largest |value|, or 0.0 for the zero sinogram
+        the largest |value|, or 0.0 for the zero sinogram.  A declared
+        radius is checked by the same rule: such a row beyond it raises
+        ValueError
     """
 
     def __init__(self, offsets, directions, values, support_radius=None):
@@ -126,11 +128,13 @@ class Sinogram:
                              % (values.shape, len(offsets), len(directions)))
         if not np.isfinite(values).all():
             raise ValueError("sinogram values must be finite")
+        rows = np.abs(values).max(axis=1)
+        live = np.abs(offsets[rows > 1e-12 * rows.max()]).max(initial=0.0)
         if support_radius is None:
-            rows = np.abs(values).max(axis=1)
-            live = rows > 1e-12 * rows.max()
-            support_radius = float(np.abs(offsets[live]).max()
-                                   if live.any() else 0.0)
+            support_radius = float(live)
+        elif live > support_radius:
+            raise ValueError("rows above 1e-12 of the largest value beyond "
+                             "the declared support radius")
         self.offsets = offsets
         self.directions = directions
         self.values = values

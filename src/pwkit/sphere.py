@@ -10,7 +10,8 @@ A rotation-invariant function on S^n is identified with the even profile
 F(t) = f(cos t e_1 + sin t e_2) on [0, pi].  The substitution
 u = cos s - cos t turns the Abel kernel into the weight u^(rho-1), which is
 weakly singular for n = 2 (rho = 1/2) and 1 for n = 3 (rho = 1); one
-Gauss-Jacobi rule with beta = rho - 1 integrates it on both spheres.
+Gauss-Jacobi rule with beta = rho - 1, built from numpy's Gauss-Legendre
+rule (`_jacobi_rule`), integrates it on both spheres.
 
 The slice identity is f_hat(m) = c_n I(m), I(m) = int_0^pi cos((m + rho) s)
 R(f)(s) ds, for every degree m with the one constant c_n = SLICE_CONSTANT[n].
@@ -23,10 +24,10 @@ int_0^t cos((m + rho) s) (cos s - cos t)^(rho-1) ds, and
 """
 
 import numpy as np
-from scipy.integrate import simpson
-from scipy.interpolate import make_interp_spline
-from scipy.optimize import minimize_scalar
-from scipy.special import gamma, roots_jacobi
+from scipy import ndimage
+
+from .grid import _simpson_weights
+from .radon import ROW_PAD, SPLINE_ORDER, _row_values
 
 __all__ = [
     "ZonalProfile",
@@ -58,7 +59,10 @@ class ZonalProfile:
     thetas : (T,) equispaced polar angles covering [0, pi]
     values : (T,) profile samples F(t)
     support_angle : cap angle, F vanishing beyond it; left out, the largest
-        angle of a sample above 1e-15 max |F|, or 0.0 for the zero profile
+        angle of a sample above 1e-15 max |F|, or 0.0 for the zero profile.
+        A declared angle is checked by the same rule: a sample above
+        1e-15 max |F| beyond it raises ValueError, so a profile can be
+        rebuilt from its own angle
     """
 
     def __init__(self, n, values, support_angle=None):
@@ -67,15 +71,18 @@ class ZonalProfile:
         values = np.asarray(values, dtype=float)
         if values.ndim != 1 or len(values) < 65:
             raise ValueError("profile needs at least 65 samples on [0, pi]")
+        if not np.isfinite(values).all():
+            raise ValueError("profile values must be finite")
         self.n = int(n)
         self.values = values
         self.thetas = np.linspace(0.0, np.pi, len(values))
+        amax = np.abs(values).max()
+        cut = self.thetas[np.abs(values) > 1e-15 * amax].max(initial=0.0)
         if support_angle is None:
-            amax = np.abs(values).max()
-            live = np.abs(values) > 1e-15 * amax
-            support_angle = self.thetas[live].max() if amax else 0.0
-        elif np.any(values[self.thetas > support_angle] != 0):
-            raise ValueError("nonzero samples beyond the declared cap angle")
+            support_angle = cut
+        elif cut > support_angle:
+            raise ValueError("samples above 1e-15 max |F| beyond the declared "
+                             "cap angle")
         self.support_angle = float(support_angle)
 
     @property
@@ -102,16 +109,19 @@ def _spherical_functions(m_max, t, n):
     """The normalized zonal spherical functions psi_m(t) on S^n,
     m = 0..m_max, as the rows of an (m_max + 1,) + shape(t) array: one pass
     of the Gegenbauer three-term recurrence for C_m^{(n-1)/2}(cos t), each
-    degree divided by C_m^{(n-1)/2}(1)."""
+    degree divided by C_m^{(n-1)/2}(1) = binom(m + n - 2, m), which is
+    carried along as C_j(1) = C_(j-1)(1) (j + n - 2) / j: 1 on S^2 and
+    m + 1 on S^3, exactly, at every degree."""
     lam = (n - 1) / 2.0
     x = np.cos(np.asarray(t, dtype=float))
     prev, cur = np.zeros_like(x), np.ones_like(x)     # C_-1 and C_0
+    at_one = 1.0                                       # C_0(1)
     out = [cur]
     for j in range(1, m_max + 1):
         prev, cur = cur, (2 * x * (j + lam - 1) * cur
                           - (j + 2 * lam - 2) * prev) / j
-        out.append(cur / (gamma(j + 2 * lam)
-                          / (gamma(2 * lam) * gamma(j + 1))))
+        at_one = at_one * (j + 2 * lam - 1) / j
+        out.append(cur / at_one)
     return np.stack(out)
 
 
@@ -139,7 +149,23 @@ def spherical_transform(profile, m_max):
     """
     base = profile.values * np.sin(profile.thetas) ** (profile.n - 1)
     psi = _spherical_functions(m_max, profile.thetas, profile.n)
-    return simpson(base * psi, dx=profile.step, axis=1)
+    return (base * psi) @ _simpson_weights(len(base), profile.step)
+
+
+def _jacobi_rule(rho):
+    """The JACOBI_NODES-point Gauss rule (x_j, w_j) of the weight
+    (1 + x)^(rho-1) on [-1, 1], rho = 1 or 1/2, from numpy's Gauss-Legendre
+    rule.  For rho = 1 the weight is 1: Gauss-Legendre itself.  For
+    rho = 1/2, 1 + x = 2 y^2 turns (1 + x)^(-1/2) dx into 2 sqrt(2) dy on
+    [0, 1]; an even polynomial of degree < 4 JACOBI_NODES in y is a
+    polynomial of degree < 2 JACOBI_NODES in x, and the Gauss-Legendre rule
+    of 2 JACOBI_NODES points integrates it on [-1, 1] exactly, twice its
+    integral on [0, 1].  So its positive nodes y_j and weights w_j give the
+    Gauss-Jacobi rule x_j = 2 y_j^2 - 1 with the weights 2 sqrt(2) w_j."""
+    if rho == 1:
+        return np.polynomial.legendre.leggauss(JACOBI_NODES)
+    y, w = np.polynomial.legendre.leggauss(2 * JACOBI_NODES)
+    return 2 * y[JACOBI_NODES:] ** 2 - 1, 2 * np.sqrt(2) * w[JACOBI_NODES:]
 
 
 def sphere_radon(profile):
@@ -151,24 +177,35 @@ def sphere_radon(profile):
         int_0^U F(arccos(cos s - u)) u^(rho-1) du
             = (U/2)^rho sum_j w_j F(t_j)
 
-    with the JACOBI_NODES Gauss-Jacobi nodes x_j and weights w_j of the
-    weight (1 + x)^(rho-1) on [-1, 1] (Gauss-Legendre for rho = 1), at
-    t_j = arccos(cos s - u_j), u_j = U (x_j + 1) / 2.  F is the quintic spline interpolant of the
-    profile, evaluated at all nodes of all angles s < t_cut at once; the
-    transform is 0 from t_cut on.
+    with the `_jacobi_rule` nodes x_j and weights w_j of the weight
+    (1 + x)^(rho-1) on [-1, 1], at t_j = arccos(cos s - u_j),
+    u_j = U (x_j + 1) / 2.  F is the quintic B-spline interpolant of the
+    profile with mirrored ends, the Radon pencils' spline: the coefficients
+    are the samples prefiltered by ndimage.spline_filter1d with mode
+    "mirror", padded by ROW_PAD mirrored entries, and evaluated as one
+    pencil by `radon._row_values` at all nodes of all angles s < t_cut at
+    once.  A zonal profile is the restriction of an even 2 pi-periodic
+    function of t, even about t = 0 and about t = pi, so the mirror is its
+    natural extension beyond both ends.  The transform is 0 from t_cut on.
     """
     rho = profile.rho
     t = profile.thetas
     tcut = profile.support_angle
     live = t < tcut
-    xj, wj = roots_jacobi(JACOBI_NODES, 0.0, rho - 1.0)
+    xj, wj = _jacobi_rule(rho)
     cos_s = np.cos(t[live])
     U = cos_s - np.cos(tcut)
     tj = np.arccos(np.clip(cos_s[:, None] - np.outer(U, (xj + 1) / 2),
                            -1.0, 1.0))
-    spline = make_interp_spline(t, profile.values, k=5)
+    coef = np.pad(ndimage.spline_filter1d(profile.values, order=SPLINE_ORDER,
+                                          mode="mirror"),
+                  ROW_PAD, mode="reflect")
+    # t_j <= pi, but t_j / step may round past the last node, where
+    # _row_values gives 0
+    x = np.clip(tj.ravel() / profile.step, 0, len(t) - 1)
     out = np.zeros(len(t))
-    out[live] = 2**rho * rho / np.pi * (U / 2) ** rho * (spline(tj) @ wj)
+    out[live] = (2**rho * rho / np.pi * (U / 2) ** rho
+                 * (_row_values(coef[None], 0, x).reshape(tj.shape) @ wj))
     return out
 
 
@@ -177,7 +214,8 @@ def _slice_integrals(profile, m_max):
     Simpson quadrature on the theta grid, all degrees in one call."""
     m = np.arange(m_max + 1)[:, None]
     kernel = np.cos((m + profile.rho) * profile.thetas)
-    return simpson(kernel * sphere_radon(profile), dx=profile.step, axis=1)
+    return ((kernel * sphere_radon(profile))
+            @ _simpson_weights(len(profile.thetas), profile.step))
 
 
 def _slice_pair(profile, m_max):
@@ -242,9 +280,28 @@ def _edge_angle(thetas, values, prefactor_power):
     # the edge sits a threshold-dependent physical distance beyond the
     # crossing, so the search bracket must not shrink with the grid step
     hi = t_cross + max(40 * dt, 0.06)
-    res = minimize_scalar(misfit, bounds=(t_cross + 0.05 * dt, hi),
-                          method="bounded", options={"xatol": 1e-7})
-    return float(res.x) if np.isfinite(res.fun) and res.fun < 1e29 else t_cross
+    t_edge, fun = _golden_section(misfit, t_cross + 0.05 * dt, hi, 1e-7)
+    return float(t_edge) if np.isfinite(fun) and fun < 1e29 else t_cross
+
+
+def _golden_section(fun, lo, hi, xatol):
+    """Golden-section search for a minimiser of fun on [lo, hi]: the better
+    of the last two probes (x, fun(x)) once the bracket is narrower than
+    xatol.  A tie drops the lower end, so a plateau at the lower end, as
+    the 1e30 of `_edge_angle`'s misfit, is left behind."""
+    g = (5**0.5 - 1) / 2
+    a, b = hi - g * (hi - lo), lo + g * (hi - lo)
+    fa, fb = fun(a), fun(b)
+    while hi - lo > xatol:
+        if fa < fb:
+            hi, b, fb = b, a, fa
+            a = hi - g * (hi - lo)
+            fa = fun(a)
+        else:
+            lo, a, fa = a, b, fb
+            b = lo + g * (hi - lo)
+            fb = fun(b)
+    return (a, fa) if fa < fb else (b, fb)
 
 
 def sphere_support_check(profile):

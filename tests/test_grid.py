@@ -9,7 +9,7 @@ from pwkit import (BallOutsideGrid, ComplexGrid, DirectionSet,
                    fourier_on_rays, integrate, inverse_radon, l2_norm_sq,
                    load_function, make_bump, pw_seminorm, radial_fourier,
                    radon_transform, save_function, support_radius_estimate)
-from pwkit.grid import _phase_table
+from pwkit.grid import _phase_table, _simpson_weights
 from pwkit.radon import _slice_transform
 
 # Oracle values for the unit bump exp(-r^2/(1-r^2)) on the unit disk,
@@ -102,6 +102,17 @@ class TestQuadrature:
         lhs = integrate(SampledFunction(g, 2.0 * f.values - 3.0 * h.values))
         rhs = 2.0 * integrate(f) - 3.0 * integrate(h)
         assert lhs == pytest.approx(rhs, rel=1e-14)
+
+    @pytest.mark.parametrize("npts", [3, 4, 65, 1000, 4097])
+    def test_simpson_weights_follow_scipy(self, npts):
+        # odd counts are composite Simpson; even counts add Cartwright's
+        # last-interval correction, as scipy.integrate.simpson does
+        from scipy.integrate import simpson
+        x = np.linspace(0.0, 2.0, npts)
+        dx = x[1] - x[0]
+        for y in (np.exp(-x) * (2 + np.sin(7 * x)), x**3 + 1):
+            assert _simpson_weights(npts, dx) @ y == pytest.approx(
+                simpson(y, dx=dx), rel=1e-14)
 
 
 class TestDirectionSet:

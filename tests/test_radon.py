@@ -812,6 +812,25 @@ class TestUndeclaredSinogramSupport:
         with pytest.raises(ValueError, match="equispaced"):
             load_sinogram(str(path), dirs)
 
+    def test_declared_radius_is_checked_by_the_live_rows(self, tmp_path):
+        # the rows of a radius-0.5 bump are live out to 0.49: declared
+        # 0.1, the sinogram is refused, where support_radius_estimate once
+        # overflowed np.exp at the heights c / 0.1; declared at its own
+        # live radius, it is kept
+        g = GridSpec(2, 1.5, 129)
+        dirs = DirectionSet.circle(32)
+        s = radon_transform(make_bump([0.0, 0.0], 0.5, 1.0, g),
+                            directions=dirs)
+        live = self.live_radius(s)
+        assert 0.45 < live <= 0.5
+        with pytest.raises(ValueError, match="declared support radius"):
+            Sinogram(s.offsets, dirs, s.values, support_radius=0.1)
+        save_sinogram(s, str(tmp_path / "s.csv"))
+        with pytest.raises(ValueError, match="declared support radius"):
+            load_sinogram(str(tmp_path / "s.csv"), dirs, support_radius=0.1)
+        assert Sinogram(s.offsets, dirs, s.values,
+                        support_radius=live).support_radius == live
+
 
 class TestMoments:
     def test_zeroth_moment_is_total_mass(self, shifted_bump, shifted_sino):
@@ -889,6 +908,10 @@ class TestInverseRadon:
         s = radon_transform(f, directions=directions)
         noise = np.random.default_rng(3).standard_normal(s.values.shape)
         odd = noise - noise[::-1, directions.antipodal_index()]
+        # only on the rows inside the declared support radius, beyond
+        # which a sinogram must vanish; the offsets are symmetric, so the
+        # part stays odd
+        odd[np.abs(s.offsets) > s.support_radius] = 0.0
         s = Sinogram(s.offsets, directions,
                      s.values + 1e-8 * odd / np.abs(odd).max(),
                      s.support_radius)

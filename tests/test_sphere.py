@@ -2,6 +2,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy.integrate import quad, simpson
+from scipy.interpolate import make_interp_spline
+from scipy.optimize import minimize_scalar
+from scipy.special import roots_jacobi
 
 import pwkit.sphere as sphere_module
 from pwkit import (UnsupportedSphereDimension, ZonalProfile, cap_bump,
@@ -10,7 +13,8 @@ from pwkit import (UnsupportedSphereDimension, ZonalProfile, cap_bump,
                    sphere_support_check, spherical_function,
                    spherical_transform)
 from pwkit.cli import RunConfig, run
-from pwkit.sphere import SLICE_CONSTANT
+from pwkit.sphere import (JACOBI_NODES, SLICE_CONSTANT, _edge_angle,
+                          _jacobi_rule)
 
 
 def mean_zero_profile(n):
@@ -43,7 +47,8 @@ class TestSphericalFunction:
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_normalized_at_zero(self, n):
-        for m in range(0, 65, 8):
+        # past degree 170 too, where Gamma(m + n - 1) overflows a double
+        for m in [*range(0, 65, 8), 170, 200]:
             assert spherical_function(m, 0.0, n) == pytest.approx(1.0, abs=1e-10)
 
     @pytest.mark.parametrize("n", [2, 3])
@@ -121,6 +126,50 @@ class TestSphereRadon:
                           limit=200)
             worst = max(worst, abs(2**rho * rho / np.pi * val - got[i]))
         assert worst <= 1e-10 * np.abs(got).max()
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("cap", [0.3, 0.5, 0.8, 1.2])
+    @pytest.mark.parametrize("samples", [2049, 4097])
+    def test_mirrored_spline_matches_not_a_knot(self, n, cap, samples):
+        # the same nodes and weights with scipy's not-a-knot quintic
+        # interpolant of the profile instead of the mirrored one; the two
+        # differ only near the ends, about which a zonal profile is even
+        prof = cap_bump(cap, n, samples=samples)
+        rho, t = prof.rho, prof.thetas
+        live = t < cap
+        xj, wj = _jacobi_rule(rho)
+        cos_s = np.cos(t[live])
+        U = cos_s - np.cos(cap)
+        tj = np.arccos(np.clip(cos_s[:, None] - np.outer(U, (xj + 1) / 2),
+                               -1.0, 1.0))
+        spline = make_interp_spline(t, prof.values, k=5)
+        want = np.zeros(len(t))
+        want[live] = 2**rho * rho / np.pi * (U / 2) ** rho * (spline(tj) @ wj)
+        got = sphere_radon(prof)
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
+class TestJacobiRule:
+    @pytest.mark.parametrize("rho", [1.0, 0.5])
+    def test_matches_scipy(self, rho):
+        x, w = _jacobi_rule(rho)
+        xr, wr = roots_jacobi(JACOBI_NODES, 0.0, rho - 1.0)
+        assert np.abs(x - xr).max() <= 1e-14
+        # the rho = 1/2 weights differ by 1.0e-13, scipy's error: on the
+        # Legendre moments of test_exact_on_legendre scipy's rule is off by
+        # 1.8e-13 and the numpy rule by 4.1e-14
+        assert np.abs(w - wr).max() <= (1e-14 if rho == 1 else 2e-13)
+
+    @pytest.mark.parametrize("rho", [1.0, 0.5])
+    def test_exact_on_legendre(self, rho):
+        # int P_k(x) (1 + x)^(rho-1) dx over [-1, 1], k < 2 JACOBI_NODES:
+        # 2 delta_k0 for rho = 1, (-1)^k 2 sqrt(2) / (2k + 1) for rho = 1/2
+        k = np.arange(2 * JACOBI_NODES)
+        exact = (np.where(k == 0, 2.0, 0.0) if rho == 1
+                 else (-1.0) ** k * 2 * np.sqrt(2) / (2 * k + 1))
+        x, w = _jacobi_rule(rho)
+        got = np.polynomial.legendre.legvander(x, k[-1]).T @ w
+        assert np.abs(got - exact).max() <= 1e-13
 
 
 class TestSliceIdentity:
@@ -203,6 +252,31 @@ class TestUndeclaredAngle:
         assert ZonalProfile(n, np.zeros(257)).support_angle == 0.0
 
     @pytest.mark.parametrize("n", [2, 3])
+    def test_profile_rebuilds_from_its_own_angle(self, n, tmp_path):
+        # samples below 1e-15 max |F| beyond the declared angle are
+        # admitted, as the derived angle admits them; one above is not
+        values = cap_bump(0.8, n).values
+        cut = ZonalProfile(n, values).support_angle
+        again = ZonalProfile(n, values, support_angle=cut)
+        assert again.support_angle == cut
+        assert np.array_equal(sphere_radon(again),
+                              sphere_radon(ZonalProfile(n, values)))
+        save_profile(again, str(tmp_path / "prof.csv"))
+        assert load_profile(str(tmp_path / "prof.csv"), n,
+                            support_angle=cut).support_angle == cut
+        with pytest.raises(ValueError, match="declared cap angle"):
+            ZonalProfile(n, values, support_angle=cut - 0.01)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_values_rejected(self, bad):
+        values = cap_bump(0.8, 3).values
+        values[100] = bad
+        with pytest.raises(ValueError, match="finite"):
+            ZonalProfile(3, values)
+        with pytest.raises(ValueError, match="finite"):
+            ZonalProfile(3, values, support_angle=0.8)
+
+    @pytest.mark.parametrize("n", [2, 3])
     def test_transform_reads_the_derived_angle(self, n):
         # the samples below the cut are zeroed, so that the cut can be
         # declared too; declared at 0.8, the transform is not the same
@@ -232,6 +306,22 @@ class TestSupportCheck:
     def test_s2_rejected(self):
         with pytest.raises(UnsupportedSphereDimension):
             sphere_support_check(cap_bump(0.5, 2))
+
+    @pytest.mark.parametrize("cap", [0.3, 0.5, 0.8, 1.2])
+    def test_edge_search_matches_scipy(self, monkeypatch, cap):
+        # the golden-section search against scipy's bounded Brent search,
+        # on the profile's edge and its transform's
+        prof = cap_bump(cap, 3, samples=2049)
+        cases = [(prof.values, 0.0), (sphere_radon(prof), 2.0)]
+        got = [_edge_angle(prof.thetas, v, p) for v, p in cases]
+
+        def bounded(fun, lo, hi, xatol):
+            res = minimize_scalar(fun, bounds=(lo, hi), method="bounded",
+                                  options={"xatol": xatol})
+            return res.x, res.fun
+        monkeypatch.setattr(sphere_module, "_golden_section", bounded)
+        want = [_edge_angle(prof.thetas, v, p) for v, p in cases]
+        assert_allclose(got, want, rtol=0, atol=1e-6)
 
 
 class TestProfileIO:
