@@ -249,10 +249,10 @@ def projection_compatibility_defect(f):
     while the 3-D side samples horizontal normals on slabs, on the
     unsheared (t_j, t_k) lattice of each plane, not on pencils (see the
     module docstring of radon).  A node's in-slab coordinates are the same
-    in every slab, so each direction is one sparse interpolation matrix
-    applied to every slab:
-    every node of the lattice is still evaluated, and z is not integrated
-    before the xy interpolation, as it is on the 2-D side.
+    in every slab, so each node's slab sum is one spline evaluation in the
+    prefix sums over the slab stack: every node of the lattice is still
+    evaluated, only the sum over the slabs is re-associated, and z is not
+    integrated before the xy interpolation, as it is on the 2-D side.
     """
     if f.grid.n != 3:
         raise UnsupportedPair("compatibility check needs a 3-D input")

@@ -44,18 +44,21 @@ z-marginal, would then compare two z-quadratures of one xy interpolant,
 which certifies nothing about the xy sampling.  The slab lattice gives
 those planes nodes the 2-D side does not share.  The samples are resampled
 by R F along the slab axis z of every horizontal normal (one stack serves
-them all), and F is applied along the two in-slab axes, into an (M^2, T)
-stack of 2-D splines, slab k in column k.  The plane meets slab k in a
+them all), and F is applied along the two in-slab axes, into a (T, M, M)
+stack of 2-D splines, slab k at k.  The plane meets slab k in a
 line along its in-plane vector u = (-omega_2, omega_1, 0) / |.|, whose
 nodes are t_j along u, so the nodes are the unsheared (t_j, t_k) lattice
 of the plane, each with the cell dt^2.  Node (i, j) of offset p_i has the
-same in-slab coordinates p_i omega + t_j u in every slab.  So a sampled
-direction is one sparse (N, M^2) interpolation matrix of its N nodes
-(i, j), 36 entries a row, applied to the whole stack: every node's value in
-every slab, each (i, j) then summed over the slabs its disk keeps.  Every
-node (i, j, k) is still evaluated on the plane's own lattice; this is not
-the marginal route, which would integrate over z first and then
-interpolate at the 2-D side's nodes.
+same in-slab coordinates p_i omega + t_j u in every slab, and its disk
+keeps a centred run |k - c| <= K_ij of the symmetric lattice t, c its
+middle.  So the slab sum of node (i, j) is its spline value in the sum of
+those slabs' coefficient arrays: the prefix sums over the slab stack,
+summed outward from the middle slab once per transform, hold every run,
+and a sampled direction gathers each node's 36 taps from the prefix sum
+of its own K_ij.  Every node (i, j, k) is still evaluated on the plane's
+own lattice, and only the sum over k is re-associated; this is not the
+marginal route, which would integrate over z first and then interpolate
+at the 2-D side's nodes.
 
 Offsets cover [-L sqrt(n), L sqrt(n)] so every hyperplane meeting the box
 is represented; rows with |p| beyond the support radius are
@@ -81,7 +84,6 @@ on both sides (see the module docstring of fourier).
 """
 
 import numpy as np
-from scipy import ndimage, sparse
 
 from .grid import (SampledFunction, SPHERE_AREA, _phase_table,
                    _trapezoid_weights)
@@ -202,20 +204,6 @@ def _resampling_matrix(x, m):
     return out
 
 
-def _slab_matrix(x, m):
-    """The sparse (N, m^2) matrix that takes the coefficients of a 2-D
-    spline on the nodes (0..m-1)^2, flattened in C order, to the spline's
-    values at the N coordinate pairs x[:, i]: per row the products of the
-    `_spline_taps` of both axes, (SPLINE_ORDER + 1)^2 entries, where a
-    mirrored tap may repeat a column (the entries are summed)."""
-    (ta, wa), (tb, wb) = (_spline_taps(xa, m) for xa in x)
-    width = ta.shape[1] ** 2
-    return sparse.csr_array(
-        ((wa[:, :, None] * wb[:, None, :]).ravel(),
-         (ta[:, :, None] * m + tb[:, None, :]).ravel(),
-         np.arange(0, width * len(ta) + 1, width)), shape=(len(ta), m * m))
-
-
 # mirrored entries padded to each end of a pencil: the taps of a coordinate
 # in [0, m-1] reach at most this far beyond an end
 ROW_PAD = SPLINE_ORDER // 2 + 1
@@ -223,11 +211,12 @@ ROW_PAD = SPLINE_ORDER // 2 + 1
 
 def _prefilter_matrix(m):
     """The (m, m) matrix F of the one-axis quintic B-spline prefilter with
-    mirrored ends, F @ x = ndimage.spline_filter1d(x, order=SPLINE_ORDER):
-    the inverse of the collocation matrix `_resampling_matrix(arange(m), m)`,
-    which takes a spline's coefficients on the nodes 0..m-1 to its values
-    there."""
-    return ndimage.spline_filter1d(np.eye(m), order=SPLINE_ORDER, axis=0)
+    mirrored ends: the inverse of the collocation matrix
+    `_resampling_matrix(arange(m), m)`, which takes a spline's coefficients
+    on the nodes 0..m-1 to its values there, so F @ x is the coefficient
+    vector of the spline through the samples x (scipy's
+    ndimage.spline_filter1d(x, order=SPLINE_ORDER))."""
+    return np.linalg.inv(_resampling_matrix(np.arange(m, dtype=float), m))
 
 
 def _slab_stacks(values, t, h, L):
@@ -245,11 +234,11 @@ def _slab_stacks(values, t, h, L):
     and stacks(e, f) in 3-D, are (T^(n-1), M + 2 ROW_PAD): pencil (k, l) at
     k T + l, padded by ROW_PAD mirrored entries at both ends (np.pad's
     "reflect", the mirror rule of `_spline_taps`), which hold every tap.
-    stacks(e) in 3-D is (M^2, T): column k is slab k's coefficient array,
-    flattened in C order and not padded.  The slabs of e are resampled
-    along f by one batched matmul.  A stack is made on the first use of its
-    axes, from values and t alone, so a column of the transform does not
-    depend on the rest of the direction set."""
+    stacks(e) in 3-D is (T, M, M): slab k's coefficient array at k, not
+    padded.  The slabs of e are resampled along f by one batched matmul.  A
+    stack is made on the first use of its axes, from values and t alone, so
+    a column of the transform does not depend on the rest of the direction
+    set."""
     prefilter = _prefilter_matrix(values.shape[0])
     resample = _resampling_matrix((t + L) / h, values.shape[0]) @ prefilter
     cache = {}
@@ -267,9 +256,7 @@ def _slab_stacks(values, t, h, L):
         if axes not in cache:
             stack = contract(axes)
             if len(axes) < values.ndim - 1:  # the slabs of a 3-D array
-                stack = prefilter @ stack @ prefilter.T
-                cache[axes] = np.ascontiguousarray(
-                    stack.reshape(len(t), -1).T)
+                cache[axes] = prefilter @ stack @ prefilter.T
             else:
                 if len(axes) == 2:  # f > e: the slabs' first axis if f = 1
                     stack = (np.matmul(resample, stack) if axes[1] == 1 else
@@ -349,23 +336,34 @@ def _slab_sampler(stacks, m, p, reach, t, h, L):
     The plane's in-plane vectors are u = (-w_y, w_x, 0) / |.| and e_z, so
     it meets the slab z = t_k in the line p_i w + s u + t_k e_z, whose nodes
     s = t_j inside the disk of radius reach_i are kept, each with the cell
-    dt^2.  Node (i, j) has the in-slab coordinates p_i w + t_j u in every
-    slab, so one `_slab_matrix` of the (i, j) that any slab keeps, applied
-    to the (M^2, T) slab stack, gives every node's value in every slab, and
-    each (i, j) sums the slabs that keep it.  The slabs come from `stacks`,
-    the `_slab_stacks` of the samples on m points an axis.  sample(w)
-    returns the row index i of each (i, j), its slab sum and the cell."""
-    # keep: (row i, node j, slab k), the same for every horizontal w
-    keep = t[:, None]**2 + t**2 <= reach[:, None, None]**2
-    owner, node = np.nonzero(keep.any(axis=2))
-    keep = keep[owner, node]
+    dt^2.  The slabs node (i, j) keeps, t_j^2 + t_k^2 <= reach_i^2, are the
+    centred run |k - c| <= K_ij of the symmetric lattice t about its middle
+    c, the same for every horizontal w.  The slabs come from `stacks`, the
+    `_slab_stacks` of the samples on m points an axis, and are summed
+    outward from slab c once: row K of the prefix sums is the sum of the
+    slabs |k - c| <= K.  Node (i, j) has the in-slab coordinates
+    p_i w + t_j u in every slab, so its slab sum is the 2-D spline of row
+    K_ij at them: the products of the `_spline_taps` of both axes with the
+    36 taps gathered from that row.  sample(w) returns the row index i of
+    each (i, j), its slab sum and the cell."""
+    c = len(t) // 2
+    # K_ij + 1, the kept slabs k >= c, or 0 where node (i, j) keeps none
+    runs = (t[:, None]**2 + t[c:]**2 <= reach[:, None, None]**2).sum(axis=2)
+    owner, node = np.nonzero(runs)
+    base = (runs[owner, node, None, None] - 1) * m * m  # row K_ij's start
+    slabs = stacks(2)
+    # the middle slab, then the pairs c -+ K, summed into rows K = 0..c
+    pairs = np.concatenate([slabs[c:c + 1], slabs[c + 1:] + slabs[c - 1::-1]])
+    sums = np.cumsum(pairs, axis=0).ravel()
 
     def sample(w):
         u = np.array([-w[1], w[0]])
         u /= np.linalg.norm(u)
         x = (w[:2, None] * p[owner] + u[:, None] * t[node] + L) / h
-        vals = _slab_matrix(x, m) @ stacks(2)
-        return owner, (vals * keep).sum(axis=1), (t[1] - t[0]) ** 2
+        (ta, wa), (tb, wb) = (_spline_taps(xa, m) for xa in x)
+        taps = sums.take(base + ta[:, :, None] * m + tb[:, None, :])
+        return (owner, np.einsum("na,nab,nb->n", wa, taps, wb),
+                (t[1] - t[0]) ** 2)
     return sample
 
 
@@ -388,11 +386,12 @@ def radon_transform(f, offsets=None, *, directions):
     3-D normal (omega_3 = 0) is sampled instead on the slabs z = t_k, on
     the plane's unsheared (t_j, t_k) lattice with the cell dt^2, so that
     the 2-D transform of a marginal does not share its nodes.  Its in-slab
-    coordinates are the same in every slab, so the direction is one sparse
-    interpolation matrix applied to every slab at once.  The spline's
-    prefilter is folded into the resampling of each stack and applied only
-    along the axes the stack keeps (see `_slab_stacks`), so no n-D
-    prefilter runs over the samples.
+    coordinates are the same in every slab, so each node's slab sum is one
+    spline evaluation in the prefix sums over the slab stack, summed once
+    per call and outward from the middle slab (`_slab_sampler`).  The
+    spline's prefilter is folded into the resampling of each stack and
+    applied only along the axes the stack keeps (see `_slab_stacks`), so no
+    n-D prefilter runs over the samples.
     """
     n = f.grid.n
     if offsets is None:

@@ -24,10 +24,9 @@ int_0^t cos((m + rho) s) (cos s - cos t)^(rho-1) ds, and
 """
 
 import numpy as np
-from scipy import ndimage
 
 from .grid import _simpson_weights
-from .radon import ROW_PAD, SPLINE_ORDER, _row_values
+from .radon import ROW_PAD, _prefilter_matrix, _row_values
 
 __all__ = [
     "ZonalProfile",
@@ -47,6 +46,11 @@ DEFAULT_SAMPLES = 4097
 JACOBI_NODES = 96        # Gauss-Jacobi nodes of the Abel integral
 EDGE_THRESHOLD = 1e-9    # support edges are detected at this fraction of the max
 SLICE_CONSTANT = {2: 2.0, 3: np.pi / 2}   # c_n of the slice identity on S^n
+# taps of the profile prefilter: its entries fall off as |z_1|^d from the
+# centre, z_1 = -0.4306 the quintic's pole, and 0.43^60 ~ 1e-22 is below
+# roundoff, as is the mirror's image term in the centre row of a
+# `_prefilter_matrix` this size
+PREFILTER_TAPS = 121
 
 
 class UnsupportedSphereDimension(ValueError):
@@ -168,6 +172,17 @@ def _jacobi_rule(rho):
     return 2 * y[JACOBI_NODES:] ** 2 - 1, 2 * np.sqrt(2) * w[JACOBI_NODES:]
 
 
+def _profile_prefilter(values):
+    """The quintic B-spline coefficients of the samples with mirrored ends
+    (scipy's ndimage.spline_filter1d with mode "mirror"): the centre row of
+    the PREFILTER_TAPS-point `_prefilter_matrix`, convolved with the
+    samples mirrored about both ends (np.pad's "reflect").  ZonalProfile's
+    65 samples or more make the pad a single reflection."""
+    half = PREFILTER_TAPS // 2
+    return np.convolve(np.pad(values, half, mode="reflect"),
+                       _prefilter_matrix(PREFILTER_TAPS)[half], mode="valid")
+
+
 def sphere_radon(profile):
     """Abel-type Radon transform of a zonal profile on its theta grid.
 
@@ -181,12 +196,12 @@ def sphere_radon(profile):
     (1 + x)^(rho-1) on [-1, 1], at t_j = arccos(cos s - u_j),
     u_j = U (x_j + 1) / 2.  F is the quintic B-spline interpolant of the
     profile with mirrored ends, the Radon pencils' spline: the coefficients
-    are the samples prefiltered by ndimage.spline_filter1d with mode
-    "mirror", padded by ROW_PAD mirrored entries, and evaluated as one
-    pencil by `radon._row_values` at all nodes of all angles s < t_cut at
-    once.  A zonal profile is the restriction of an even 2 pi-periodic
-    function of t, even about t = 0 and about t = pi, so the mirror is its
-    natural extension beyond both ends.  The transform is 0 from t_cut on.
+    are the samples prefiltered by `_profile_prefilter`, padded by ROW_PAD
+    mirrored entries, and evaluated as one pencil by `radon._row_values` at
+    all nodes of all angles s < t_cut at once.  A zonal profile is the
+    restriction of an even 2 pi-periodic function of t, even about t = 0
+    and about t = pi, so the mirror is its natural extension beyond both
+    ends.  The transform is 0 from t_cut on.
     """
     rho = profile.rho
     t = profile.thetas
@@ -197,9 +212,7 @@ def sphere_radon(profile):
     U = cos_s - np.cos(tcut)
     tj = np.arccos(np.clip(cos_s[:, None] - np.outer(U, (xj + 1) / 2),
                            -1.0, 1.0))
-    coef = np.pad(ndimage.spline_filter1d(profile.values, order=SPLINE_ORDER,
-                                          mode="mirror"),
-                  ROW_PAD, mode="reflect")
+    coef = np.pad(_profile_prefilter(profile.values), ROW_PAD, mode="reflect")
     # t_j <= pi, but t_j / step may round past the last node, where
     # _row_values gives 0
     x = np.clip(tj.ravel() / profile.step, 0, len(t) - 1)

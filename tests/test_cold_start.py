@@ -1,6 +1,8 @@
-"""`import pwkit` loads only the scipy modules the library uses (sparse,
-ndimage, special), and a desk run imports nothing more: every import is
-paid at start-up, none inside a timed run."""
+"""`import pwkit` loads only the scipy module the library uses (special),
+and a desk run imports nothing more: every import is paid at start-up,
+none inside a timed run.  The quintic spline of the Radon transform and of
+the sphere profiles is numpy code, so neither scipy.sparse nor
+scipy.ndimage is loaded."""
 
 import json
 import os
@@ -10,7 +12,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 HEAVY = ("scipy.integrate", "scipy.interpolate", "scipy.optimize",
-         "scipy.linalg", "scipy.spatial", "scipy.fft")
+         "scipy.linalg", "scipy.spatial", "scipy.fft", "scipy.sparse",
+         "scipy.ndimage")
 
 SCRIPT = """
 import json, sys

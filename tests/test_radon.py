@@ -240,29 +240,27 @@ class TestAntipodalReuse:
 
     @staticmethod
     def spline_calls(monkeypatch, f, dirs):
-        """The number of `_row_values` calls and of map_coordinates calls
-        that radon_transform(f, directions=dirs) makes."""
+        """The number of `_row_values` calls that
+        radon_transform(f, directions=dirs) makes.  The module has no
+        scipy.ndimage to call instead: every spline value is pwkit's own."""
         from pwkit import radon
-        counts = {}
+        assert not hasattr(radon, "ndimage")
+        calls = []
+        real = radon._row_values
 
-        def counting(module, name):
-            real = getattr(module, name)
-
-            def spied(*args, **kwargs):
-                counts[name] = counts.get(name, 0) + 1
-                return real(*args, **kwargs)
-            patch.setattr(module, name, spied)
+        def spied(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
         with monkeypatch.context() as patch:
-            counting(radon, "_row_values")
-            counting(radon.ndimage, "map_coordinates")
+            patch.setattr(radon, "_row_values", spied)
             radon_transform(f, directions=dirs)
-        return counts.get("_row_values", 0), counts.get("map_coordinates", 0)
+        return len(calls)
 
     # a sampled direction is one 1-D spline evaluation on the rows or
     # pencils, by pwkit's own polynomial pieces; the 8 sampled horizontal
-    # 3-D normals of compat-8 are sparse matrix products on the slabs and
-    # evaluate no pencil; of the pair, the horizontal normal is on slabs
-    # and its near-horizontal antipode on pencils
+    # 3-D normals of compat-8 are gathered from the prefix sums over the
+    # slab stack and evaluate no pencil; of the pair, the horizontal normal
+    # is on slabs and its near-horizontal antipode on pencils
     @pytest.mark.parametrize("grid, center, dirs, calls", [
         (GridSpec(2, 1.5, 129), [0.3, -0.2], DirectionSet.circle(64), 32),
         (GridSpec(2, 1.5, 129), [0.3, -0.2], DirectionSet.circle(9), 9),
@@ -276,7 +274,7 @@ class TestAntipodalReuse:
     def test_one_spline_call_per_sampled_direction(self, monkeypatch, grid,
                                                     center, dirs, calls):
         f = make_bump(center, 0.5, 1.0, grid)
-        assert self.spline_calls(monkeypatch, f, dirs) == (calls, 0)
+        assert self.spline_calls(monkeypatch, f, dirs) == calls
 
     def test_asymmetric_offsets_rejected(self, shifted_bump):
         with pytest.raises(ValueError, match="symmetric"):
@@ -355,30 +353,45 @@ class TestSlabSampler:
         assert not got[(x < 0) | (x > m - 1)].any()
 
     @pytest.mark.parametrize("m", [5, 33])
-    @pytest.mark.parametrize("e", [0, 1, 2])
-    def test_slab_matrix_is_map_coordinates(self, m, e):
-        # coordinates in grid steps along each in-slab axis: beyond each
-        # end, within 3 steps of it, on it, and inside, shuffled between the
-        # two axes; the slabs are those of the spline of a random 3-D sample
-        # array at 7 coordinates along e, laid out as the columns of
-        # stacks(e), which takes the samples and folds in the prefilter
+    @pytest.mark.parametrize("j", [0, 1, 2])
+    def test_slab_matrix_is_map_coordinates(self, m, j):
+        # the slab sampler's gather from the prefix sums over the slab stack
+        # against map_coordinates summed over each node's kept slabs.  The
+        # slabs are those of the spline of a random 3-D sample array at 11
+        # coordinates t_k + L along z, symmetric about the middle and beyond
+        # both ends; with h = 1 the normal j (e_x, e_y or -e_x) puts the
+        # shuffled offsets at coordinates beyond each end, within 3 steps of
+        # it, on it, and inside, along x or y, and the lattice t + L along
+        # the other axis; each row's random reach keeps its own runs
         from scipy import ndimage
-        from pwkit.radon import _resampling_matrix, _slab_matrix, _slab_stacks
+        from pwkit.radon import _resampling_matrix, _slab_sampler, _slab_stacks
         rng = np.random.default_rng(m)
         values = rng.standard_normal((m,) * 3)
         coeffs = ndimage.spline_filter(values, order=5)
-        t = rng.uniform(0, m - 1, 7)
+        L = (m - 1) / 2
+        t = (m + 1) / 8 * np.arange(-5, 6)
         ends = np.linspace(-4.0, 3.5, 31)
         axis = np.concatenate([ends, m - 1 - ends, [0.0, m - 1.0, -1e-12],
                                rng.uniform(0, m - 1, 20)])
-        x = np.stack([axis, rng.permutation(axis)])
-        got = _slab_matrix(x, m) @ _slab_stacks(values, t, 1.0, 0.0)(e)
-        slabs = np.tensordot(_resampling_matrix(t, m), coeffs, axes=(1, e))
-        want = np.stack([ndimage.map_coordinates(
+        p = rng.permutation(axis) - L
+        reach = rng.uniform(0, 1.5 * t[-1], len(p))
+        w = np.array([[1.0, 0, 0], [0, 1.0, 0], [-1.0, 0, 0]][j])
+        owner, got, cell = _slab_sampler(_slab_stacks(values, t, 1.0, L), m,
+                                         p, reach, t, 1.0, L)(w)
+        keep = t[:, None]**2 + t**2 <= reach[:, None, None]**2
+        rows, node = np.nonzero(keep.any(axis=2))
+        np.testing.assert_array_equal(owner, rows)
+        x = (w[:2, None] * p[owner]
+             + np.array([-w[1], w[0]])[:, None] * t[node] + L)
+        slabs = np.tensordot(_resampling_matrix(t + L, m), coeffs,
+                             axes=(1, 2))
+        want = (np.stack([ndimage.map_coordinates(
             slab, x, order=5, prefilter=False, mode="constant")
-            for slab in slabs], axis=1)
+            for slab in slabs], axis=1) * keep[owner, node]).sum(axis=1)
+        assert cell == (t[1] - t[0]) ** 2
         assert np.abs(got - want).max() <= 1e-14 * np.abs(slabs).max()
         assert not got[((x < 0) | (x > m - 1)).any(axis=0)].any()
+        assert np.abs(got).max() > 0
 
     @pytest.mark.parametrize("points, corner", [
         (33, False), (97, False), (33, True)],
@@ -438,7 +451,7 @@ class TestSlabSampler:
         f = make_bump(*OFFCENTRE, 1.0, GridSpec(3, 1.5, 33))
         dirs = DirectionSet([[0.6, 0.8, 1e-13]], [1.0], 0)
         calls = TestAntipodalReuse.spline_calls(monkeypatch, f, dirs)
-        assert calls == (1, 0)
+        assert calls == 1
         want = rotated_lattice_transform(f, dirs)
         got = radon_transform(f, directions=dirs).values
         assert np.abs(got - want).max() <= 2.2e-4 * np.abs(want).max()
@@ -629,17 +642,19 @@ class TestPrefilterFold:
         (GridSpec(3, 1.5, 33), compat_directions()),
     ], ids=["2d", "3d-pencils", "3d-slabs"])
     def test_no_n_dimensional_prefilter(self, monkeypatch, grid, dirs):
+        # the one prefilter of a transform is the (M, M) matrix, made once
+        # and applied along single axes
         from pwkit import radon
         calls = []
-        real = radon.ndimage.spline_filter
+        real = radon._prefilter_matrix
 
-        def counting(*args, **kwargs):
-            calls.append(args[0].shape)
-            return real(*args, **kwargs)
-        monkeypatch.setattr(radon.ndimage, "spline_filter", counting)
+        def counting(m):
+            calls.append(m)
+            return real(m)
+        monkeypatch.setattr(radon, "_prefilter_matrix", counting)
         f = make_bump([0.2, -0.1, 0.15][:grid.n], 0.5, 1.0, grid)
         s = radon_transform(f, directions=dirs)
-        assert calls == []
+        assert calls == [grid.points]
         assert np.abs(s.values).max() > 0
 
     def test_pencil_stacks_share_the_contraction_along_x(self, monkeypatch):
