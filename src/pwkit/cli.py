@@ -25,7 +25,7 @@ import time
 from fractions import Fraction
 
 import numpy as np
-import scipy
+from numpy.random import default_rng
 
 from . import grid as _grid
 from . import radon as _radon
@@ -172,16 +172,22 @@ def _environment():
     numpy and scipy versions, the platform, numpy's BLAS, the CPU count, the
     thread variables that are set, and the git sha of the checkout that
     holds this package.  A field that cannot be read is None; this never
-    raises."""
+    raises.  pwkit does not use scipy: its version is None when scipy
+    cannot be imported, and it is imported here, when a report is built,
+    not at start-up."""
     def read(field):
         try:
             return field()
         except Exception:
             return None
+
+    def scipy_version():
+        import scipy
+        return scipy.__version__
     return {
         "python": read(platform.python_version),
         "numpy": np.__version__,
-        "scipy": scipy.__version__,
+        "scipy": read(scipy_version),
         "platform": read(platform.platform),
         "blas": read(lambda: np.show_config(mode="dicts")
                      ["Build Dependencies"]["blas"]["name"]),
@@ -328,7 +334,7 @@ def run_slice(cfg, report, inputs):
 
     def inversion():
         f = funcs[0]
-        rng = np.random.default_rng(cfg.seed + 1)
+        rng = default_rng(cfg.seed + 1)
         ax = f.grid.axis()
         idx = rng.integers(0, f.grid.points, size=(20, 2))
         vals = _fourier.pointwise_inversion(inversion_sinogram(), ax[idx])
@@ -340,7 +346,7 @@ def run_slice(cfg, report, inputs):
 
     def compat():
         g3 = _grid.GridSpec(3, cfg.half_width, cfg.grid3_points)
-        rng = np.random.default_rng(cfg.seed + 2)
+        rng = default_rng(cfg.seed + 2)
         scale = cfg.half_width / 1.5
         # each bump draws its centre, then its radius
         return max(_fourier.projection_compatibility_defect(
@@ -373,7 +379,7 @@ def run_pw(cfg, report, inputs):
                  compare="ge")
 
     def support_recovery():
-        rng = np.random.default_rng(cfg.seed + 3)
+        rng = default_rng(cfg.seed + 3)
         scale = cfg.half_width / 1.5
 
         def error(radius, shift):
@@ -538,7 +544,7 @@ def run_weyl(cfg, report):
                                 "n": cfg.n_rank, "d": cfg.degree})
 
     def lift_random():
-        rng = np.random.default_rng(cfg.seed + 4)
+        rng = default_rng(cfg.seed + 4)
         lift_k = spec(LIFT_FAMILY, LIFT_K)
         lift_n = spec(LIFT_FAMILY, LIFT_N)
         basis = _weyl.invariant_basis(lift_n, LIFT_DEGREE)

@@ -11,7 +11,8 @@ sum to 1).
 import math
 
 import numpy as np
-from scipy.special import sph_harm_y
+from numpy.polynomial.legendre import leggauss
+from numpy.random import default_rng
 
 __all__ = [
     "GridSpec",
@@ -157,7 +158,7 @@ def random_bump_suite(grid, count, seed):
     [0, 0.35], both scaled by L / 1.5, so that every support ball stays well
     inside the box and the support radius about the origin stays below 0.8 L.
     """
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     out = []
     L = grid.half_width
     for _ in range(count):
@@ -256,7 +257,8 @@ def _direct_transform(f, z, omegas):
 
     out = np.empty((len(zk), len(omegas)), dtype=complex)
     last = omegas[:, -1]
-    for c in np.unique(last):
+    # a set, not np.unique, which imports numpy.ma on its first call
+    for c in set(last.tolist()):
         ring = np.flatnonzero(last == c)
         p = phase(c)
         # real and imaginary parts apart, so real samples are never cast
@@ -276,7 +278,21 @@ def _direct_transform(f, z, omegas):
 
 def _real_harmonic_basis(directions, band):
     """Rows of real harmonics (orthonormal for the normalized measure)
-    evaluated at the direction nodes, grouped by degree."""
+    evaluated at the direction nodes, grouped by degree.
+
+    On S^2 the associated Legendre functions come from the normalized
+    recurrence in z = cos theta and s = sin theta, scaled by sqrt(4 pi)
+    so that P_0^0 = 1:
+
+        P_m^m     = -sqrt((2m+1)/(2m)) s P_{m-1}^{m-1}
+        P_{m+1}^m = sqrt(2m+3) z P_m^m
+        P_l^m     = a (z P_{l-1}^m - b P_{l-2}^m),
+                    a = sqrt((4l^2-1)/(l^2-m^2)),
+                    b = sqrt(((l-1)^2-m^2)/(4(l-1)^2-1)),
+
+    with the Condon-Shortley phase (-1)^m, as in scipy's sph_harm_y.  The
+    block of degree l is sqrt 2 P_l^m sin(m phi) for m = l..1, then P_l^0,
+    then sqrt 2 P_l^m cos(m phi) for m = 1..l."""
     if directions.n == 2:
         th = np.arctan2(directions.vectors[:, 1], directions.vectors[:, 0])
         blocks = [np.ones((1, len(th)))]
@@ -284,16 +300,25 @@ def _real_harmonic_basis(directions, band):
             blocks.append(np.stack([np.sqrt(2) * np.cos(l * th),
                                     np.sqrt(2) * np.sin(l * th)]))
         return blocks
-    theta = np.arccos(np.clip(directions.vectors[:, 2], -1, 1))
+    z = np.clip(directions.vectors[:, 2], -1, 1)
+    s = np.sqrt(1 - z**2)
     phi = np.arctan2(directions.vectors[:, 1], directions.vectors[:, 0])
-    blocks = []
-    for l in range(band + 1):
-        ys = [sph_harm_y(l, m, theta, phi) for m in range(l + 1)]
-        # order m = -l..l: sqrt 2 Im y_l^|m|, then Re y_l^0, then sqrt 2 Re y_l^m
-        rows = ([np.sqrt(2) * y.imag for y in ys[:0:-1]] + [ys[0].real]
-                + [np.sqrt(2) * y.real for y in ys[1:]])
-        # orthonormal for the surface measure; rescale to the normalized one
-        blocks.append(np.sqrt(4 * np.pi) * np.stack(rows))
+    mphi = np.multiply.outer(np.arange(1, band + 1), phi)
+    cos, sin = np.sqrt(2) * np.cos(mphi), np.sqrt(2) * np.sin(mphi)
+    blocks = [np.ones((1, len(z)))]
+    prev, legendre = np.zeros((0, len(z))), blocks[0]    # P_{l-2}, P_{l-1}
+    for l in range(1, band + 1):
+        m = np.arange(l - 1)[:, None]
+        a = np.sqrt((4 * l**2 - 1) / (l**2 - m**2))
+        b = np.sqrt(((l - 1)**2 - m**2) / (4 * (l - 1)**2 - 1))
+        top = legendre[-1]
+        prev, legendre = legendre, np.concatenate([
+            a * (z * legendre[:-1] - b * prev),
+            [np.sqrt(2 * l + 1) * z * top,
+             -np.sqrt((2 * l + 1) / (2 * l)) * s * top]])
+        blocks.append(np.concatenate([(legendre[1:] * sin[:l])[::-1],
+                                      legendre[:1],
+                                      legendre[1:] * cos[:l]]))
     return blocks
 
 
@@ -342,7 +367,7 @@ class DirectionSet:
         2*band_limit (enough for Parseval checks at the band limit)."""
         g = band_limit + 1
         naz = 2 * band_limit + 2
-        nodes, glw = np.polynomial.legendre.leggauss(g)
+        nodes, glw = leggauss(g)
         phi = 2 * np.pi * np.arange(naz) / naz
         st = np.sqrt(1.0 - nodes**2)
         # row a * naz + b is polar node a at azimuth b

@@ -83,7 +83,10 @@ kernel `_slice_transform` keeps np.exp, so no certificate uses the table
 on both sides (see the module docstring of fourier).
 """
 
+import functools
+
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 
 from .grid import (SampledFunction, SPHERE_AREA, _phase_table,
                    _trapezoid_weights)
@@ -209,14 +212,18 @@ def _resampling_matrix(x, m):
 ROW_PAD = SPLINE_ORDER // 2 + 1
 
 
+@functools.cache
 def _prefilter_matrix(m):
     """The (m, m) matrix F of the one-axis quintic B-spline prefilter with
     mirrored ends: the inverse of the collocation matrix
     `_resampling_matrix(arange(m), m)`, which takes a spline's coefficients
     on the nodes 0..m-1 to its values there, so F @ x is the coefficient
     vector of the spline through the samples x (scipy's
-    ndimage.spline_filter1d(x, order=SPLINE_ORDER))."""
-    return np.linalg.inv(_resampling_matrix(np.arange(m, dtype=float), m))
+    ndimage.spline_filter1d(x, order=SPLINE_ORDER)).  Made once per m and
+    process, and read-only, since every caller shares it."""
+    out = np.linalg.inv(_resampling_matrix(np.arange(m, dtype=float), m))
+    out.setflags(write=False)
+    return out
 
 
 def _slab_stacks(values, t, h, L):
@@ -506,7 +513,7 @@ def _inversion_quadrature(s):
                          "and imaginary parts apart")
     _require_even(s)
     r_max, _ = choose_r_max(s)
-    xg, wg = np.polynomial.legendre.leggauss(RADIAL_NODES)
+    xg, wg = leggauss(RADIAL_NODES)
     nseg = max(int(np.ceil(r_max / RADIAL_PANEL)), 1)
     edges = np.linspace(0.0, r_max, nseg + 1)
     mid = 0.5 * (edges[:-1] + edges[1:])

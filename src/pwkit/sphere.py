@@ -24,6 +24,7 @@ int_0^t cos((m + rho) s) (cos s - cos t)^(rho-1) ds, and
 """
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 
 from .grid import _simpson_weights
 from .radon import ROW_PAD, _prefilter_matrix, _row_values
@@ -167,8 +168,8 @@ def _jacobi_rule(rho):
     integral on [0, 1].  So its positive nodes y_j and weights w_j give the
     Gauss-Jacobi rule x_j = 2 y_j^2 - 1 with the weights 2 sqrt(2) w_j."""
     if rho == 1:
-        return np.polynomial.legendre.leggauss(JACOBI_NODES)
-    y, w = np.polynomial.legendre.leggauss(2 * JACOBI_NODES)
+        return leggauss(JACOBI_NODES)
+    y, w = leggauss(2 * JACOBI_NODES)
     return 2 * y[JACOBI_NODES:] ** 2 - 1, 2 * np.sqrt(2) * w[JACOBI_NODES:]
 
 

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -9,7 +11,7 @@ from pwkit import (BallOutsideGrid, ComplexGrid, DirectionSet,
                    fourier_on_rays, integrate, inverse_radon, l2_norm_sq,
                    load_function, make_bump, pw_seminorm, radial_fourier,
                    radon_transform, save_function, support_radius_estimate)
-from pwkit.grid import _phase_table, _simpson_weights
+from pwkit.grid import _phase_table, _real_harmonic_basis, _simpson_weights
 from pwkit.radon import _slice_transform
 
 # Oracle values for the unit bump exp(-r^2/(1-r^2)) on the unit disk,
@@ -142,6 +144,35 @@ class TestDirectionSet:
                 y = sph_harm_y(l, abs(m), theta, phi)
                 comp = y.real if m >= 0 else y.imag
                 assert abs(d.weights @ comp) < 1e-10
+
+    @pytest.mark.parametrize("band", [3, 8, 12, 24, 48])
+    def test_sphere_harmonics_match_sph_harm_y(self, band):
+        # the Legendre recurrence against the construction it replaced:
+        # scipy's complex harmonics, split into real rows in the same order,
+        # on the rule's nodes and on random directions with both poles
+        from scipy.special import sph_harm_y
+        v = np.random.default_rng(band).standard_normal((2000, 3))
+        v[:2] = [[0, 0, 1], [0, 0, -1]]
+        v /= np.linalg.norm(v, axis=1)[:, None]
+        for d in (DirectionSet.sphere(band), SimpleNamespace(n=3, vectors=v)):
+            theta = np.arccos(np.clip(d.vectors[:, 2], -1, 1))
+            phi = np.arctan2(d.vectors[:, 1], d.vectors[:, 0])
+            for l, block in enumerate(_real_harmonic_basis(d, band)):
+                y = [sph_harm_y(l, m, theta, phi) for m in range(l + 1)]
+                want = np.sqrt(4 * np.pi) * np.stack(
+                    [np.sqrt(2) * c.imag for c in y[:0:-1]] + [y[0].real]
+                    + [np.sqrt(2) * c.real for c in y[1:]])
+                assert np.abs(block - want).max() <= 1e-12
+
+    @pytest.mark.parametrize("band", [1, 2, 3, 8, 12, 24])
+    def test_sphere_harmonics_are_orthonormal(self, band):
+        # the rule is exact through degree 2 band, so the Gram matrix of all
+        # the blocks under its weights is the identity
+        d = DirectionSet.sphere(band)
+        basis = np.concatenate(_real_harmonic_basis(d, band))
+        assert len(basis) == (band + 1) ** 2
+        gram = (basis * d.weights) @ basis.T
+        assert np.abs(gram - np.eye(len(basis))).max() <= 1e-12
 
     def test_antipodal_index(self):
         d = DirectionSet.circle(8)

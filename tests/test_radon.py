@@ -657,6 +657,28 @@ class TestPrefilterFold:
         assert calls == [grid.points]
         assert np.abs(s.values).max() > 0
 
+    def test_one_prefilter_matrix_per_size(self, monkeypatch):
+        # two transforms at one M invert the collocation matrix once, and
+        # the shared matrix cannot be written into
+        from pwkit import radon
+        radon._prefilter_matrix.cache_clear()
+        shapes = []
+        real = np.linalg.inv
+
+        def counting(a):
+            shapes.append(a.shape)
+            return real(a)
+        monkeypatch.setattr(radon.np.linalg, "inv", counting)
+        g = GridSpec(2, 1.5, 65)
+        for centre in ([0.2, -0.1], [-0.3, 0.1]):
+            radon_transform(make_bump(centre, 0.5, 1.0, g),
+                            directions=DirectionSet.circle(16))
+        assert shapes == [(65, 65)]
+        prefilter = radon._prefilter_matrix(65)
+        assert not prefilter.flags.writeable
+        with pytest.raises(ValueError):
+            prefilter[0, 0] = 0.0
+
     def test_pencil_stacks_share_the_contraction_along_x(self, monkeypatch):
         # the pencil stacks (0, 1) and (0, 2) start from one contraction of
         # the samples along x, so the sphere(3) normals, which use all three
