@@ -22,7 +22,6 @@ import platform
 import subprocess
 import sys
 import time
-from fractions import Fraction
 
 import numpy as np
 from numpy.random import default_rng
@@ -552,7 +551,7 @@ def run_weyl(cfg, report):
         simple = _weyl._simple_reflections(lift_k)
         for _ in range(10):
             target = _weyl._combination(
-                [Fraction(int(rng.integers(-4, 5))) for _ in basis], basis,
+                [int(rng.integers(-4, 5)) for _ in basis], basis,
                 lift_n.ambient_vars)
             H = _weyl.ow1_lift(target, lift_k, lift_n)
             if (H.restrict(lift_n.ambient_vars) != target

@@ -5,8 +5,12 @@ a subspace through one exact solve.
 
 All polynomial algebra is exact over the rationals: surjectivity and
 obstruction are rank statements and must not depend on floating-point
-thresholds.  Type A is realized in k+1 ambient coordinates acting on the
-sum-zero hyperplane; the subspace embeddings append trailing zeros.
+thresholds.  A coefficient is a Python int when it is integral and a
+Fraction only when it is not.  The invariant bases, their restrictions and
+the group action are integer arithmetic; a Fraction first appears where the
+exact solve divides by a pivot other than 1.  Type A is realized in k+1
+ambient coordinates acting on the sum-zero hyperplane; the subspace
+embeddings append trailing zeros.
 
 Linear systems (one row per monomial, one unknown per candidate
 polynomial) are solved by Gauss-Jordan elimination on sparse row dicts:
@@ -18,6 +22,7 @@ a target's invariance through it.
 
 from fractions import Fraction
 from itertools import combinations, permutations, product
+from operator import add, itemgetter
 
 __all__ = [
     "SignedPermutation",
@@ -76,6 +81,15 @@ class SignedPermutation:
             raise ValueError("signs must be a +-1 vector matching perm")
 
     @classmethod
+    def _from_tuples(cls, perm, signs):
+        """Trusted constructor: `perm` is a tuple permuting 0..k-1 and
+        `signs` a matching tuple over {+1, -1}; nothing is checked."""
+        out = cls.__new__(cls)
+        out.perm = perm
+        out.signs = signs
+        return out
+
+    @classmethod
     def identity(cls, k):
         return cls(tuple(range(k)))
 
@@ -96,7 +110,7 @@ class SignedPermutation:
         perm = tuple(self.perm[other.perm[j]] for j in range(len(other)))
         signs = tuple(other.signs[j] * self.signs[other.perm[j]]
                       for j in range(len(other)))
-        return SignedPermutation(perm, signs)
+        return SignedPermutation._from_tuples(perm, signs)
 
     def inverse(self):
         k = len(self.perm)
@@ -105,7 +119,7 @@ class SignedPermutation:
         for j in range(k):
             inv[self.perm[j]] = j
             sg[self.perm[j]] = self.signs[j]
-        return SignedPermutation(tuple(inv), tuple(sg))
+        return SignedPermutation._from_tuples(tuple(inv), tuple(sg))
 
     def sign_product(self):
         out = 1
@@ -157,14 +171,14 @@ def weyl_group(spec):
         raise GroupTooLarge("order %d exceeds %d" % (group_order(spec),
                                                      MAX_GROUP_ORDER))
     k = spec.ambient_vars
+    new = SignedPermutation._from_tuples
     if spec.family == "A":
-        return [SignedPermutation(p) for p in permutations(range(k))]
+        plus = (1,) * k
+        return [new(p, plus) for p in permutations(range(k))]
     signings = list(product((1, -1), repeat=k))
     if spec.family == "D":
-        signings = [s for s in signings
-                    if SignedPermutation(range(k), s).sign_product() == 1]
-    return [SignedPermutation(p, s) for p in permutations(range(k))
-            for s in signings]
+        signings = [s for s in signings if s.count(-1) % 2 == 0]
+    return [new(p, s) for p in permutations(range(k)) for s in signings]
 
 
 def _simple_reflections(spec):
@@ -219,19 +233,42 @@ def restricted_group(spec, n):
     2^n n!, strictly larger than W(D_n): the spare coordinates absorb the
     sign-product constraint.
     """
+    if spec.family == "A" and n == 0:
+        # the whole group stabilizes the origin, but not coordinate 1
+        raise ValueError("the type-A subspace of rank 0 has no block")
     block = _block_size(spec, n)
     seen = set()
     out = []
     for w in stabilizer(spec, n):
-        r = SignedPermutation(w.perm[:block], w.signs[:block])
+        # the stabilizer permutes the block within itself
+        r = SignedPermutation._from_tuples(w.perm[:block], w.signs[:block])
         if r not in seen:
             seen.add(r)
             out.append(r)
     return out
 
 
+def _exact(c):
+    """The rational c as an int when it is integral, else as a Fraction.
+
+    Both are built from Python-int parts, so a numpy integer (or a Fraction
+    of one) becomes an int and cannot overflow inside the exact layer."""
+    if type(c) is int:
+        return c
+    c = Fraction(c)
+    num, den = int(c.numerator), int(c.denominator)
+    return num if den == 1 else Fraction(num, den)
+
+
 class MultivariatePolynomial:
-    """Sparse exact-rational polynomial: exponent tuple -> Fraction."""
+    """Sparse exact-rational polynomial: exponent tuple -> coefficient.
+
+    The constructor and `scale` store a coefficient as an int where it is
+    integral and as a Fraction otherwise (see `_exact`), so integer
+    polynomials stay integer through +, * and the group action.  A sum or
+    product of Fraction coefficients can leave an integral Fraction, which
+    equals the int; the exact solve and `ow1_lift` return ints for it.
+    """
 
     __slots__ = ("nvars", "terms")
 
@@ -240,8 +277,8 @@ class MultivariatePolynomial:
         self.terms = {}
         if terms:
             for e, c in terms.items():
-                c = Fraction(c)
-                if c != 0:
+                c = _exact(c)
+                if c:
                     if len(e) != nvars:
                         raise ValueError("exponent arity mismatch")
                     self.terms[tuple(int(a) for a in e)] = c
@@ -249,7 +286,7 @@ class MultivariatePolynomial:
     @classmethod
     def _from_terms(cls, nvars, terms):
         """Trusted constructor: `terms` maps exponent tuples of arity
-        nvars to Fractions; zero coefficients are dropped."""
+        nvars to ints and Fractions; zero coefficients are dropped."""
         out = cls.__new__(cls)
         out.nvars = nvars
         out.terms = {e: c for e, c in terms.items() if c}
@@ -261,13 +298,13 @@ class MultivariatePolynomial:
 
     @classmethod
     def constant(cls, nvars, c):
-        return cls(nvars, {(0,) * nvars: Fraction(c)})
+        return cls(nvars, {(0,) * nvars: c})
 
     @classmethod
     def variable(cls, i, nvars):
         e = [0] * nvars
         e[i] = 1
-        return cls(nvars, {tuple(e): Fraction(1)})
+        return cls(nvars, {tuple(e): 1})
 
     def is_zero(self):
         return not self.terms
@@ -294,9 +331,10 @@ class MultivariatePolynomial:
         if isinstance(other, MultivariatePolynomial):
             self._same_ring(other)
             out = {}
+            right = list(other.terms.items())
             for e1, c1 in self.terms.items():
-                for e2, c2 in other.terms.items():
-                    e = tuple(a + b for a, b in zip(e1, e2))
+                for e2, c2 in right:
+                    e = tuple(map(add, e1, e2))
                     out[e] = out.get(e, 0) + c1 * c2
             return MultivariatePolynomial._from_terms(self.nvars, out)
         return self.scale(other)
@@ -304,27 +342,30 @@ class MultivariatePolynomial:
     __rmul__ = __mul__
 
     def scale(self, c):
-        c = Fraction(c)
+        c = _exact(c)
         return MultivariatePolynomial._from_terms(
-            self.nvars, {e: cc * c for e, cc in self.terms.items()})
+            self.nvars, {e: _exact(cc * c) for e, cc in self.terms.items()})
 
     def apply(self, w):
         """Group action (w . p)(x) = p(w^{-1} x).
 
         Under w e_j = signs[j] e_{perm[j]} the monomial prod x_j^{a_j}
-        pulls back to prod (signs[j] x_{perm[j]})^{a_j}.
+        pulls back to prod (signs[j] x_{perm[j]})^{a_j}: the exponent at
+        perm[j] is a_j, and the sign is negative when the exponents at the
+        flipped coordinates have an odd sum.
         """
-        perm, signs = w.perm, w.signs
+        source = [0] * len(w.perm)
+        for j, i in enumerate(w.perm):
+            source[i] = j
+        # itemgetter of one index returns the entry, not a 1-tuple
+        pull = itemgetter(*source) if len(source) > 1 else tuple
+        flips = [j for j, s in enumerate(w.signs) if s < 0]
         out = {}
         for e, c in self.terms.items():
-            newe = [0] * len(e)
-            neg = False
-            for j, a in enumerate(e):
-                if a:
-                    newe[perm[j]] = a
-                    if a & 1 and signs[j] < 0:
-                        neg = not neg
-            out[tuple(newe)] = -c if neg else c
+            odd = 0
+            for j in flips:
+                odd ^= e[j]
+            out[pull(e)] = -c if odd & 1 else c
         return MultivariatePolynomial._from_terms(self.nvars, out)
 
     def restrict(self, nkeep):
@@ -366,7 +407,7 @@ def _elementary_symmetric(j, nvars, power):
         e = [0] * nvars
         for i in comb:
             e[i] = power
-        terms[tuple(e)] = Fraction(1)
+        terms[tuple(e)] = 1
     return MultivariatePolynomial(nvars, terms)
 
 
@@ -384,29 +425,27 @@ def chevalley_generators(spec):
         return [_elementary_symmetric(j, nv, 2) for j in range(1, k + 1)]
     if spec.family == "D":
         gens = [_elementary_symmetric(j, nv, 2) for j in range(1, k)]
-        gens.append(MultivariatePolynomial(nv, {(1,) * nv: Fraction(1)}))
+        gens.append(MultivariatePolynomial(nv, {(1,) * nv: 1}))
         return gens
     return [_elementary_symmetric(j, nv, 1) for j in range(2, k + 2)]
 
 
 def _generator_products(gens, d):
-    """All monomials in the generators with total degree <= d."""
-    degs = [g.degree() for g in gens]
-    out = []
-
-    def rec(i, remaining, poly):
-        if i == len(gens):
-            out.append(poly)
-            return
-        rec(i + 1, remaining, poly)
-        p = poly
-        n_max = remaining // degs[i]
-        for a in range(1, n_max + 1):
-            p = p * gens[i]
-            rec(i + 1, remaining - a * degs[i], p)
-
-    rec(0, d, MultivariatePolynomial.constant(gens[0].nvars, 1))
-    return out
+    """All monomials in the generators with total degree <= d, ordered by
+    their exponent vectors, the first generator's exponent first."""
+    # (degree left, product) of every exponent prefix, extended by one
+    # generator at a time
+    level = [(d, MultivariatePolynomial.constant(gens[0].nvars, 1))]
+    for g in gens:
+        deg = g.degree()
+        extended = []
+        for remaining, p in level:
+            extended.append((remaining, p))
+            for left in range(remaining - deg, -1, -deg):
+                p = p * g
+                extended.append((left, p))
+        level = extended
+    return [p for _, p in level]
 
 
 def invariant_basis(spec, d):
@@ -421,21 +460,23 @@ def invariant_basis(spec, d):
 def _solve_exact(rows, rhs, nunknowns):
     """Solve sum_col rows[i][col] x_col = rhs[i] exactly over Q.
 
-    rows: list of sparse {col: Fraction} dicts over columns 0..nunknowns-1.
-    Sparse Gauss-Jordan elimination: the right-hand side rides in each row
-    under the key `nunknowns`, past every unknown.  Each incoming row is
-    reduced against the pivot rows found so far, pivoted on its smallest
-    remaining column and normalized, and that column is then eliminated
-    from the earlier pivot rows, so they stay fully reduced.  A row left
-    with only its right-hand side makes the system inconsistent.
+    rows: list of sparse {col: int or Fraction} dicts over columns
+    0..nunknowns-1.  Sparse Gauss-Jordan elimination: the right-hand side
+    rides in each row under the key `nunknowns`, past every unknown.  Each
+    incoming row is reduced against the pivot rows found so far, pivoted on
+    its smallest remaining column and normalized, and that column is then
+    eliminated from the earlier pivot rows, so they stay fully reduced.  A
+    row left with only its right-hand side makes the system inconsistent.
+    Integer rows stay integer until a pivot other than 1 divides them.
 
-    Returns a particular solution (free unknowns at 0) or None.
+    Returns a particular solution (free unknowns at 0), each value an int
+    where integral and a Fraction otherwise, or None.
     """
     pivots = {}     # pivot column -> its normalized, fully reduced row
     for row, b in zip(rows, rhs):
         r = {c: v for c, v in row.items() if v}
         if b:
-            r[nunknowns] = Fraction(b)
+            r[nunknowns] = _exact(b)
         for col in [c for c in r if c in pivots]:
             _subtract_row(r, r.pop(col), pivots[col], col)
         if not r:
@@ -443,17 +484,24 @@ def _solve_exact(rows, rhs, nunknowns):
         col = min(r)
         if col == nunknowns:
             return None
-        pv = Fraction(r[col])
-        r = {c: v / pv for c, v in r.items()}
+        pv = r[col]
+        if pv != 1:
+            r = {c: _divide(v, pv) for c, v in r.items()}
         for prow in pivots.values():
             f = prow.pop(col, 0)
             if f:
                 _subtract_row(prow, f, r, col)
         pivots[col] = r
-    sol = [Fraction(0)] * nunknowns
+    sol = [0] * nunknowns
     for col, r in pivots.items():
-        sol[col] = r.get(nunknowns, Fraction(0))
+        sol[col] = _exact(r.get(nunknowns, 0))
     return sol
+
+
+def _divide(a, b):
+    """a / b exactly: an int when the quotient is integral."""
+    q = Fraction(a, b)
+    return q.numerator if q.denominator == 1 else q
 
 
 def _subtract_row(r, f, pivot_row, col):
@@ -474,12 +522,12 @@ def _solve_combination(candidates, target):
     for i, poly in enumerate(candidates):
         for e, c in poly.terms.items():
             row = rows_by_mono.setdefault(e, {})
-            row[i] = row.get(i, Fraction(0)) + c
+            row[i] = row.get(i, 0) + c
     for e in target.terms:
         rows_by_mono.setdefault(e, {})
     monos = sorted(rows_by_mono)
     rows = [rows_by_mono[e] for e in monos]
-    rhs = [target.terms.get(e, Fraction(0)) for e in monos]
+    rhs = [target.terms.get(e, 0) for e in monos]
     return _solve_exact(rows, rhs, len(candidates))
 
 
@@ -515,13 +563,14 @@ class SurjectivityCertificate:
 
 def _combination(coeffs, basis, nvars):
     """sum_i coeffs[i] basis[i] in nvars variables, accumulated into one
-    dict."""
+    dict; an integral sum of Fractions is stored as an int."""
     acc = {}
     for c, b in zip(coeffs, basis):
         if c:
             for e, v in b.terms.items():
                 acc[e] = acc.get(e, 0) + c * v
-    return MultivariatePolynomial._from_terms(nvars, acc)
+    return MultivariatePolynomial._from_terms(
+        nvars, {e: _exact(v) for e, v in acc.items()})
 
 
 def surjectivity_certificate(spec_k, spec_n, d):

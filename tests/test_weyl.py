@@ -1,3 +1,4 @@
+import gc
 import math
 from fractions import Fraction
 from itertools import product
@@ -108,6 +109,22 @@ class TestRestrictedGroup:
     def test_a3_to_a2(self):
         img = set(restricted_group(RootSystemSpec("A", 3), 2))
         assert img == set(weyl_group(RootSystemSpec("A", 2)))
+
+    def test_a_rank_zero_has_no_block(self):
+        # every element fixes the origin, but most move coordinate 1
+        with pytest.raises(ValueError):
+            restricted_group(RootSystemSpec("A", 2), 0)
+
+    @pytest.mark.parametrize("family,k,n", [
+        ("A", 3, 1), ("B", 4, 2), ("C", 3, 3), ("D", 5, 3), ("B", 3, 0),
+    ])
+    def test_enumerated_elements_pass_validation(self, family, k, n):
+        # the enumeration skips the constructor's checks, so every element
+        # it makes must pass them
+        spec = RootSystemSpec(family, k)
+        for w in weyl_group(spec) + restricted_group(spec, n):
+            assert type(w.perm) is tuple and type(w.signs) is tuple
+            assert SignedPermutation(w.perm, w.signs) == w
 
 
 class TestInvariantBasis:
@@ -338,7 +355,8 @@ class TestSolveExact:
         rows, rhs = self.planted(rng, m, n, rank)
         sol = _solve_exact(rows, rhs, n)
         assert sol is not None and len(sol) == n
-        assert all(isinstance(v, Fraction) for v in sol)
+        # exact values: an int or a Fraction, never a numpy scalar or bool
+        assert all(type(v) in (int, Fraction) for v in sol)
         assert self.residual_free(rows, rhs, sol)
         # a particular solution: free unknowns are 0, so at most rank(A)
         # entries are nonzero
@@ -374,6 +392,98 @@ class TestSolveExact:
         assert _solve_exact(rows, [Fraction(3), 0, Fraction(6)], 2) == [
             Fraction(3, 2), 0]
         assert _solve_exact(rows, [Fraction(3), 0, Fraction(7)], 2) is None
+
+
+def exact_types(values):
+    """Every value is an int, or a Fraction that is not integral."""
+    return all(type(v) is int
+               or (type(v) is Fraction and v.denominator != 1
+                   and type(v.numerator) is int)
+               for v in values)
+
+
+class TestExactCoefficients:
+    """Coefficients are ints where integral; a Fraction only where it is
+    not, and never a numpy scalar or a bool."""
+
+    def test_numpy_integer_does_not_overflow(self):
+        # 3**39 fits in an int64 and its square does not: the coefficient
+        # must be a Python int, so the product is 3**78 exactly
+        big = np.int64(3) ** 39
+        for p in (P(1, {(1,): big}), P(1, {(1,): Fraction(big)}),
+                  P.constant(1, big) * P.variable(0, 1),
+                  P.variable(0, 1).scale(big)):
+            sq = p * p
+            assert sq.terms == {(2,): 3**78}
+            assert type(sq.terms[(2,)]) is int
+
+    def test_normalised_coefficients(self):
+        p = P(2, {(1, 0): Fraction(4, 2), (0, 1): np.int32(-3),
+                  (1, 1): True, (2, 0): Fraction(np.int64(3), 4),
+                  (0, 2): 0.5})
+        assert p.terms == {(1, 0): 2, (0, 1): -3, (1, 1): 1,
+                           (2, 0): Fraction(3, 4), (0, 2): Fraction(1, 2)}
+        assert exact_types(p.terms.values())
+        assert exact_types(p.scale(Fraction(6, 3)).terms.values())
+        assert p.to_text() == P(2, {e: Fraction(c) for e, c in
+                                    p.terms.items()}).to_text()
+
+    def test_invariant_bases_are_integer(self):
+        for family in "ABCD":
+            for rank in (1, 2, 3, 4):
+                for b in invariant_basis(RootSystemSpec(family, rank), 8):
+                    assert all(type(c) is int for c in b.terms.values())
+
+    @pytest.mark.parametrize("family,k,n,d", [
+        ("A", 4, 2, 6), ("B", 5, 3, 8), ("C", 4, 3, 6), ("D", 5, 4, 6),
+    ])
+    def test_certificate_witnesses(self, family, k, n, d):
+        cert = surjectivity_certificate(RootSystemSpec(family, k),
+                                        RootSystemSpec(family, n), d)
+        assert cert.witnesses
+        for t, coeffs in cert.witnesses.items():
+            assert exact_types(coeffs)
+            assert exact_types(cert.preimage(t).terms.values())
+
+    def test_lifts(self):
+        # halves and thirds on the basis: a lift's coefficients are sums of
+        # Fractions, and the integral ones must come back as ints
+        rng = np.random.default_rng(5)
+        for family, k, n, d in (("B", 4, 2, 6), ("A", 3, 2, 4),
+                                ("C", 4, 2, 4), ("D", 5, 4, 4)):
+            spec_k, spec_n = RootSystemSpec(family, k), RootSystemSpec(
+                family, n)
+            target = P.zero(spec_n.ambient_vars)
+            for b in invariant_basis(spec_n, d):
+                odd_pfaffian = family == "D" and b.degree() > 0 and all(
+                    all(a % 2 for a in e) for e in b.terms)
+                if not odd_pfaffian:
+                    target = target + b.scale(Fraction(
+                        int(rng.integers(-4, 5)), int(rng.integers(1, 4))))
+            H = ow1_lift(target, spec_k, spec_n)
+            assert H.restrict(spec_n.ambient_vars) == target
+            assert exact_types(H.terms.values())
+            assert any(type(c) is int for c in H.terms.values())
+
+    def test_no_cyclic_garbage(self):
+        # reference counting frees everything the exact layer builds; a
+        # cycle would keep a basis alive until the collector's next pass
+        spec_k, spec_n = RootSystemSpec("B", 5), RootSystemSpec("B", 3)
+        gc.collect()
+        gc.disable()
+        try:
+            surjectivity_certificate(spec_k, spec_n, 8)
+            ow1_lift(chevalley_generators(spec_n)[1], spec_k, spec_n)
+            restricted_group(RootSystemSpec("D", 5), 3)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_pivot_division(self):
+        from pwkit.weyl import _solve_exact
+        assert _solve_exact([{0: 2, 1: 4}], [6], 2) == [3, 0]
+        sol = _solve_exact([{0: 2}, {1: -3}], [1, 6], 2)
+        assert sol == [Fraction(1, 2), -2] and exact_types(sol)
 
 
 class TestLiftScaling:

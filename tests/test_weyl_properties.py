@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from pwkit import (MultivariatePolynomial, ObstructionHit,  # noqa: E402
                    RootSystemSpec, SignedPermutation, ow1_lift,
                    surjectivity_certificate, weyl_group)
+from pwkit.weyl import _combination, _solve_combination  # noqa: E402
 
 P = MultivariatePolynomial
 
@@ -86,6 +87,58 @@ def test_constructor_drops_zeros_and_checks_arity(args):
         P(k + 1, {(1,) * k: Fraction(1)})
     with pytest.raises(ValueError):
         p + P.zero(k + 1)
+
+
+integer_coefficients = st.integers(-6, 6)
+
+
+@st.composite
+def integer_polynomials(draw, nvars):
+    exponent = st.tuples(*[st.integers(0, 3)] * nvars)
+    return P(nvars, draw(st.dictionaries(exponent, integer_coefficients,
+                                         max_size=6)))
+
+
+def as_fractions(p):
+    """p with every coefficient a Fraction, built past the constructor,
+    which would store the integral ones as ints."""
+    return P._from_terms(p.nvars, {e: Fraction(c) for e, c in p.terms.items()})
+
+
+@deterministic
+@given(st.integers(1, 4).flatmap(lambda k: st.tuples(
+    integer_polynomials(k), integer_polynomials(k), signed_permutations(k),
+    st.integers(0, k))))
+def test_integer_arithmetic_matches_fractions(args):
+    p, q, w, nkeep = args
+    pf, qf = as_fractions(p), as_fractions(q)
+    for got, want in ((p * q, pf * qf), (p + q, pf + qf),
+                      (p.apply(w), pf.apply(w)),
+                      (p.restrict(nkeep), pf.restrict(nkeep))):
+        assert got == want
+        assert all(type(c) is int for c in got.terms.values())
+
+
+@deterministic
+@given(st.integers(1, 3).flatmap(lambda k: st.tuples(
+    st.lists(integer_polynomials(k), min_size=1, max_size=4),
+    st.lists(integer_coefficients, min_size=4, max_size=4),
+    integer_polynomials(k), st.booleans())))
+def test_integer_solve_matches_fractions(args):
+    candidates, coeffs, extra, in_span = args
+    nvars = candidates[0].nvars
+    target = _combination(coeffs, candidates, nvars)
+    if not in_span:
+        target = target + extra
+    sol = _solve_combination(candidates, target)
+    assert sol == _solve_combination([as_fractions(c) for c in candidates],
+                                     as_fractions(target))
+    if in_span:
+        assert sol is not None
+    if sol is not None:
+        assert all(type(v) is int or (type(v) is Fraction
+                                      and v.denominator != 1) for v in sol)
+        assert _combination(sol, candidates, nvars) == target
 
 
 LIFTS = [(surjectivity_certificate(RootSystemSpec(fam, k),
