@@ -138,9 +138,6 @@ class Report:
     def all_passed(self):
         return all(r["passed"] for r in self.records)
 
-    def pass_vector(self):
-        return [(r["name"], r["passed"]) for r in self.records]
-
     def to_dict(self):
         return {
             "subcommand": self.config.subcommand,
@@ -261,7 +258,7 @@ def _inversion_error(approx, exact, f):
 
 
 def run_radon(cfg, report, inputs):
-    g, funcs, dirs, sinos, mesh, inversion_sinogram = inputs
+    g, funcs, dirs, sinos, mesh, inversion_sinogram = inputs()
 
     # 0 by construction: radon_transform samples one direction of each
     # antipodal pair, so this checks the bookkeeping of the reuse
@@ -299,7 +296,7 @@ def run_radon(cfg, report, inputs):
 
 
 def run_slice(cfg, report, inputs):
-    g, funcs, dirs, sinos, mesh, inversion_sinogram = inputs
+    g, funcs, dirs, sinos, mesh, inversion_sinogram = inputs()
 
     report.check(
         "fourier slice identity", "fourier-slice identity",
@@ -359,7 +356,7 @@ def run_slice(cfg, report, inputs):
 
 
 def run_pw(cfg, report, inputs):
-    g, funcs, dirs, sinos, mesh, _ = inputs
+    g, funcs, dirs, sinos, mesh, _ = inputs()
     mesh = dict(mesh, kmax=cfg.kmax, N=cfg.seminorm_order)
 
     report.check(
@@ -449,7 +446,7 @@ def run_pw(cfg, report, inputs):
                  mesh)
 
 
-def run_sphere(cfg, report):
+def run_sphere(cfg, report, inputs):
     # profiles by sphere dimension: under `pwkit sphere` a file is one
     # profile on S^n, n = --n (3 if not given); otherwise the synthetic caps
     # are on S^n, or on both spheres if --n is not given.  `pwkit all` has
@@ -499,7 +496,7 @@ def _check_holds(report, name, anchor, holds, mesh):
     report.check(name, anchor, lambda: 0.0 if holds() else 1.0, 0.5, mesh)
 
 
-def run_weyl(cfg, report):
+def run_weyl(cfg, report, inputs):
     spec = _weyl.RootSystemSpec
     _check_holds(
         report, "group enumeration orders", "plumbing",
@@ -571,33 +568,23 @@ PIPELINES = {
     "sphere": run_sphere,
     "weyl": run_weyl,
 }
-SHARED_INPUTS = ("radon", "slice", "pw")   # the users of _load_or_suite
 
 
 def run(config):
-    """Execute the configured pipeline(s) and return the Report; the
-    shared inputs are built once, and only if a pipeline uses them.  An
+    """Execute the configured pipeline(s) and return the Report.  Every
+    pipeline gets the same loader of the shared inputs, which builds them
+    on its first successful call (sphere and weyl never call it).  An
     exception outside a pipeline's checks (an unreadable input file, a
     sinogram that cannot be built) is recorded as a failed "<name>
     pipeline" record carrying the error, so the records made so far and
-    the report are kept."""
+    the report are kept; a later pipeline tries the inputs again."""
     report = Report(config)
     names = (list(PIPELINES) if config.subcommand == "all"
              else [config.subcommand])
-    inputs = None
-    if any(nm in SHARED_INPUTS for nm in names):
-        try:
-            inputs = _load_or_suite(config)
-        except Exception as exc:  # each pipeline that uses it records it
-            inputs = exc
+    inputs = functools.cache(lambda: _load_or_suite(config))
     for nm in names:
         try:
-            if nm not in SHARED_INPUTS:
-                PIPELINES[nm](config, report)
-            elif isinstance(inputs, Exception):
-                raise inputs
-            else:
-                PIPELINES[nm](config, report, inputs)
+            PIPELINES[nm](config, report, inputs)
         except Exception as exc:  # the report must survive a broken input
             def reraise():
                 raise exc

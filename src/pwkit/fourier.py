@@ -171,7 +171,7 @@ def fourier_slice_defect(f, s):
     return float(np.abs(direct - sliced).max())
 
 
-def plancherel_defect(f, s, return_details=False):
+def plancherel_defect(f, s):
     """Relative Plancherel defect of f, with f_hat_r from its sinogram s.
 
     |  ||f||_2^2 - int_0^{r_max} sum_j w_j |f_hat_r(omega_j)|^2
@@ -185,7 +185,7 @@ def plancherel_defect(f, s, return_details=False):
         raise ZeroInput("Plancherel defect undefined for the zero function")
     # cutoff well beyond the reporting rule so the truncation floor stays
     # under the radial quadrature error as the grid refines
-    r_max, tail = choose_r_max(s, tail_fraction=1e-9)
+    r_max, _ = choose_r_max(s, tail_fraction=1e-9)
     nr = int(np.ceil(r_max / (12.8 / (f.grid.points - 1))))
     if nr % 2 == 1:
         nr += 1
@@ -194,12 +194,7 @@ def plancherel_defect(f, s, return_details=False):
     g = (SPHERE_AREA[s.n] * radii**(s.n - 1)
          * ((np.abs(vft.values) ** 2) @ s.directions.weights))
     spectral = float(_simpson_weights(len(radii), radii[1] - radii[0]) @ g)
-    defect = abs(norm - spectral) / norm
-    if return_details:
-        return defect, {"r_max": r_max, "tail_estimate": tail,
-                        "radial_points": len(radii), "norm_sq": norm,
-                        "spectral_sum": spectral}
-    return defect
+    return abs(norm - spectral) / norm
 
 
 def pointwise_inversion(s, x):

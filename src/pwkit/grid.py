@@ -327,7 +327,8 @@ class DirectionSet:
 
     For n=2 this is Q equispaced angles with uniform weights 1/Q.  For n=3
     it is a Gauss-Legendre (in cos polar angle) x equispaced azimuth product
-    rule.  Construction verifies exactness on spherical harmonics up to the
+    rule.  Construction checks for unit vectors in R^2 or R^3 with one
+    weight each, and verifies exactness on spherical harmonics up to the
     band limit: the weighted sum of any harmonic of degree 1 <= l <= band
     must vanish (the constant integrates to 1).
     """
@@ -335,6 +336,12 @@ class DirectionSet:
     def __init__(self, vectors, weights, band_limit):
         vectors = np.atleast_2d(np.asarray(vectors, dtype=float))
         weights = np.asarray(weights, dtype=float)
+        if vectors.ndim != 2 or vectors.shape[1] not in (2, 3):
+            raise ValueError("vectors must have shape (Q, 2) or (Q, 3)")
+        if weights.shape != (len(vectors),):
+            raise ValueError("need one weight per direction")
+        if np.any(np.abs(np.linalg.norm(vectors, axis=1) - 1.0) > 1e-12):
+            raise ValueError("directions must be unit vectors")
         if np.any(weights <= 0):
             raise ValueError("weights must be positive")
         if abs(weights.sum() - 1.0) > 1e-12:
@@ -353,13 +360,12 @@ class DirectionSet:
         return len(self.vectors)
 
     @classmethod
-    def circle(cls, count, band_limit=None):
-        """Equispaced angles theta_j = 2 pi j / Q on S^1."""
-        if band_limit is None:
-            band_limit = count // 2 - 1
+    def circle(cls, count):
+        """Equispaced angles theta_j = 2 pi j / Q on S^1, exact through the
+        band limit Q // 2 - 1."""
         thetas = 2 * np.pi * np.arange(count) / count
         vecs = np.stack([np.cos(thetas), np.sin(thetas)], axis=1)
-        return cls(vecs, np.full(count, 1.0 / count), band_limit)
+        return cls(vecs, np.full(count, 1.0 / count), count // 2 - 1)
 
     @classmethod
     def sphere(cls, band_limit):

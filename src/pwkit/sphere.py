@@ -26,7 +26,7 @@ int_0^t cos((m + rho) s) (cos s - cos t)^(rho-1) ds, and
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .grid import _simpson_weights
+from .grid import ZeroInput, _simpson_weights
 from .radon import ROW_PAD, _prefilter_matrix, _row_values
 
 __all__ = [
@@ -235,7 +235,7 @@ def _slice_integrals(profile, m_max):
 def _slice_pair(profile, m_max):
     """Both sides (f_hat(m), I(m)), m <= m_max, of the slice identity."""
     if not np.any(profile.values):
-        raise ValueError("zero profile: the slice identity compares nothing")
+        raise ZeroInput("zero profile: the slice identity compares nothing")
     return spherical_transform(profile, m_max), _slice_integrals(profile, m_max)
 
 

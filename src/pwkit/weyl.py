@@ -45,6 +45,7 @@ __all__ = [
 
 MAX_GROUP_ORDER = 10**6
 MAX_BASIS_DEGREE = 12
+MAX_SOLVE_DEGREE = 10     # of a surjectivity certificate and of a lift target
 
 
 class GroupTooLarge(ValueError):
@@ -89,10 +90,6 @@ class SignedPermutation:
         out.signs = signs
         return out
 
-    @classmethod
-    def identity(cls, k):
-        return cls(tuple(range(k)))
-
     def __len__(self):
         return len(self.perm)
 
@@ -105,27 +102,6 @@ class SignedPermutation:
     def __repr__(self):
         return "SignedPermutation(%r, %r)" % (self.perm, self.signs)
 
-    def compose(self, other):
-        """self o other as linear maps."""
-        perm = tuple(self.perm[other.perm[j]] for j in range(len(other)))
-        signs = tuple(other.signs[j] * self.signs[other.perm[j]]
-                      for j in range(len(other)))
-        return SignedPermutation._from_tuples(perm, signs)
-
-    def inverse(self):
-        k = len(self.perm)
-        inv = [0] * k
-        sg = [1] * k
-        for j in range(k):
-            inv[self.perm[j]] = j
-            sg[self.perm[j]] = self.signs[j]
-        return SignedPermutation._from_tuples(tuple(inv), tuple(sg))
-
-    def sign_product(self):
-        out = 1
-        for s in self.signs:
-            out *= s
-        return out
 
 
 class RootSystemSpec:
@@ -300,15 +276,6 @@ class MultivariatePolynomial:
     def constant(cls, nvars, c):
         return cls(nvars, {(0,) * nvars: c})
 
-    @classmethod
-    def variable(cls, i, nvars):
-        e = [0] * nvars
-        e[i] = 1
-        return cls(nvars, {tuple(e): 1})
-
-    def is_zero(self):
-        return not self.terms
-
     def degree(self):
         return max((sum(e) for e in self.terms), default=0)
 
@@ -375,14 +342,6 @@ class MultivariatePolynomial:
         return MultivariatePolynomial._from_terms(
             nkeep, {e[:nkeep]: c for e, c in self.terms.items()
                     if not any(e[nkeep:])})
-
-    def embed(self, nvars):
-        """View in a larger variable ring (trailing exponents zero)."""
-        if nvars < self.nvars:
-            raise ValueError("embedding must not drop variables")
-        pad = (0,) * (nvars - self.nvars)
-        return MultivariatePolynomial._from_terms(
-            nvars, {e + pad: c for e, c in self.terms.items()})
 
     def to_text(self):
         """One term per line: `coeff * x1^a1 x2^a2 ...` (zero powers omitted)."""
@@ -586,8 +545,8 @@ def surjectivity_certificate(spec_k, spec_n, d):
         raise ValueError("restriction is defined within one family")
     if spec_n.rank > spec_k.rank:
         raise ValueError("need n <= k")
-    if d > 10:
-        raise DegreeTooLarge("certificate degree cap is 10")
+    if d > MAX_SOLVE_DEGREE:
+        raise DegreeTooLarge("certificate degree cap is %d" % MAX_SOLVE_DEGREE)
     nkeep = spec_n.ambient_vars
     up = invariant_basis(spec_k, d)
     down = invariant_basis(spec_n, d)
@@ -630,8 +589,8 @@ def ow1_lift(target, spec_k, spec_n):
         raise NotInvariant("target is not invariant downstairs")
 
     d = target.degree()
-    if d > 10:
-        raise DegreeTooLarge("lift degree cap is 10")
+    if d > MAX_SOLVE_DEGREE:
+        raise DegreeTooLarge("lift degree cap is %d" % MAX_SOLVE_DEGREE)
     up = invariant_basis(spec_k, d)
     sol = _solve_combination([b.restrict(nkeep) for b in up], target)
     if sol is None:

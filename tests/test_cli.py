@@ -86,7 +86,8 @@ class TestWeylPipeline:
         cfg = RunConfig("weyl", family="B", k_rank=3, n_rank=2, degree=4,
                         seed=7)
         r1, r2 = run(cfg), run(cfg)
-        assert r1.pass_vector() == r2.pass_vector()
+        assert ([(r["name"], r["passed"]) for r in r1.records]
+                == [(r["name"], r["passed"]) for r in r2.records])
 
 
 def _record(report, name):
@@ -273,17 +274,23 @@ class TestSharedInputs:
 
     def test_all_calls_every_pipeline_through_the_table(self, monkeypatch):
         # perfbench's tracer wraps the entries of cli.PIPELINES, so `run`
-        # must look each pipeline up there at call time
+        # must look each pipeline up there at call time; every pipeline
+        # gets the same loader, which builds the inputs once
         shared = object()
-        monkeypatch.setattr(cli, "_load_or_suite", lambda config: shared)
+        loads = []
+        monkeypatch.setattr(cli, "_load_or_suite",
+                            lambda config: loads.append(config) or shared)
         calls = []
         for name in list(cli.PIPELINES):
-            def spied(config, report, *inputs, name=name):
+            def spied(config, report, inputs, name=name):
                 calls.append((name, inputs))
+                assert inputs() is shared
             monkeypatch.setitem(cli.PIPELINES, name, spied)
-        report = run(RunConfig("all"))
-        assert calls == [("radon", (shared,)), ("slice", (shared,)),
-                         ("pw", (shared,)), ("sphere", ()), ("weyl", ())]
+        config = RunConfig("all")
+        report = run(config)
+        assert [name for name, _ in calls] == list(cli.PIPELINES)
+        assert len({id(inputs) for _, inputs in calls}) == 1
+        assert loads == [config]
         assert report.records == []
 
 

@@ -124,7 +124,8 @@ class TestDirectionSet:
         assert d.weights.sum() == pytest.approx(1.0)
 
     def test_circle_harmonic_exactness(self):
-        d = DirectionSet.circle(64, band_limit=31)
+        d = DirectionSet.circle(64)
+        assert d.band_limit == 31
         th = np.arctan2(d.vectors[:, 1], d.vectors[:, 0])
         for l in range(1, 32):
             assert abs(d.weights @ np.cos(l * th)) < 1e-10
@@ -183,7 +184,7 @@ class TestDirectionSet:
         assert_allclose(d3.vectors[idx3], -d3.vectors, atol=1e-12)
 
     def test_not_antipodal_raises(self):
-        d = DirectionSet.circle(9, band_limit=3)
+        d = DirectionSet.circle(9)
         with pytest.raises(DirectionsNotAntipodal):
             d.antipodal_index()
 
@@ -191,6 +192,21 @@ class TestDirectionSet:
         vecs = np.array([[1.0, 0.0], [0.0, 1.0]])
         with pytest.raises(ValueError):
             DirectionSet(vecs, np.array([0.5, 0.5]), band_limit=2)
+
+    @pytest.mark.parametrize("vectors, weights, message", [
+        (np.eye(2), np.full(3, 1 / 3), "one weight per direction"),
+        (np.eye(2), np.full((2, 1), 0.5), "one weight per direction"),
+        ([[2.0, 0.0], [-2.0, 0.0]], [0.5, 0.5], "unit vectors"),
+        ([[1.0, 2e-6], [-1.0, 0.0]], [0.5, 0.5], "unit vectors"),
+        (np.eye(4), np.full(4, 0.25), r"\(Q, 2\) or \(Q, 3\)"),
+        (np.ones((2, 2, 2)), [0.5, 0.5], r"\(Q, 2\) or \(Q, 3\)"),
+    ], ids=["extra-weight", "weight-column", "long", "off-by-2e-12",
+            "4-d", "3-axis"])
+    def test_malformed_rule_rejected(self, vectors, weights, message):
+        # caught here, not as a matmul error in choose_r_max or as
+        # integrals over the wrong hyperplanes
+        with pytest.raises(ValueError, match=message):
+            DirectionSet(vectors, weights, 0)
 
 
 class TestSerialization:

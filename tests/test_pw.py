@@ -237,7 +237,8 @@ class TestHarmonicExpansion:
 
     def test_rule_not_exact_to_twice_the_band_rejected(self):
         # circle(8) is exact through degree 7, so Parseval at band 5 aliases
-        d = DirectionSet.circle(8, band_limit=5)
+        c = DirectionSet.circle(8)
+        d = DirectionSet(c.vectors, c.weights, 5)
         p = np.linspace(-1.0, 1.0, 11)
         vals = np.random.default_rng(5).normal(size=(len(p), len(d)))
         with pytest.raises(ValueError, match="Parseval"):

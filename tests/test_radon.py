@@ -763,7 +763,7 @@ class TestEvenness:
 
     def test_needs_antipodal_directions(self):
         from pwkit import DirectionsNotAntipodal
-        d = DirectionSet.circle(9, band_limit=3)
+        d = DirectionSet.circle(9)
         s = Sinogram(default_offsets(G), d, np.zeros((len(default_offsets(G)), 9)))
         with pytest.raises(DirectionsNotAntipodal):
             evenness_defect(s)

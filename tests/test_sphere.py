@@ -8,8 +8,8 @@ from scipy.optimize import minimize_scalar
 from scipy.special import roots_jacobi
 
 import pwkit.sphere as sphere_module
-from pwkit import (UnsupportedSphereDimension, ZonalProfile, cap_bump,
-                   load_profile, save_profile, sphere_radon,
+from pwkit import (UnsupportedSphereDimension, ZeroInput, ZonalProfile,
+                   cap_bump, load_profile, save_profile, sphere_radon,
                    sphere_slice_constants, sphere_slice_defect,
                    sphere_support_check, spherical_function,
                    spherical_transform)
@@ -222,7 +222,7 @@ class TestSliceIdentity:
 
     def test_zero_profile_rejected(self):
         prof = ZonalProfile(3, np.zeros(4097), support_angle=0.5)
-        with pytest.raises(ValueError, match="zero profile"):
+        with pytest.raises(ZeroInput, match="zero profile"):
             sphere_slice_defect(prof, 4)
 
     @pytest.mark.parametrize("n", [2, 3])
