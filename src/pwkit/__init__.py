@@ -8,8 +8,7 @@ from .grid import (GridSpec, SampledFunction, DirectionSet, BallOutsideGrid,
                    random_bump_suite, integrate, l2_norm_sq, save_function,
                    load_function)
 from .radon import (Sinogram, NotEven, radon_transform, default_offsets,
-                    evenness_defect, moment, inverse_radon, save_sinogram,
-                    load_sinogram)
+                    evenness_defect, moment, inverse_radon, save_sinogram)
 from .fourier import (VectorFT, UnsupportedPair, radial_fourier,
                       fourier_on_rays, choose_r_max, fourier_slice_defect,
                       plancherel_defect, pointwise_inversion,

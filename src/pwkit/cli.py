@@ -92,6 +92,12 @@ class RunConfig:
         self.grid_points = int(grid_points)
         self.half_width = float(half_width)
         self.directions = int(directions)
+        try:
+            _grid.GridSpec(2, self.half_width, self.grid_points)
+        except ValueError as exc:
+            raise ConfigError("grid: %s" % exc) from None
+        if self.directions < 1:
+            raise ConfigError("directions must be at least 1")
         self.kmax = int(kmax)
         self.seminorm_order = int(seminorm_order)
         self.preset = preset
@@ -143,9 +149,6 @@ class Report:
             "subcommand": self.config.subcommand,
             "preset": self.config.preset,
             "seed": self.config.seed,
-            "grid": {"points": self.config.grid_points,
-                     "half_width": self.config.half_width,
-                     "directions": self.config.directions},
             "total_runtime_s": round(time.perf_counter() - self.started, 3),
             "all_passed": self.all_passed,
             "environment": _environment(),
@@ -610,37 +613,46 @@ def build_parser():
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     # no defaults here: a flag that is not given keeps RunConfig's default
-    def common(p):
-        p.add_argument("--grid", metavar="M,L",
-                       help="grid points per axis and half-width")
-        p.add_argument("--directions", type=int, metavar="Q")
-        p.add_argument("--kmax", type=int)
-        p.add_argument("--N", type=int, dest="seminorm_order")
-        p.add_argument("--preset", choices=PRESETS)
-        p.add_argument("--seed", type=int)
-        p.add_argument("--report", dest="report_path", metavar="PATH")
-        p.add_argument("--in", dest="input_path", metavar="PATH")
-        p.add_argument("--out", dest="output_path", metavar="PATH")
+    flags = {
+        "--grid": {"metavar": "M,L",
+                   "help": "grid points per axis and half-width"},
+        "--directions": {"type": int, "metavar": "Q"},
+        "--kmax": {"type": int},
+        "--N": {"type": int, "dest": "seminorm_order"},
+        "--preset": {"choices": PRESETS},
+        "--seed": {"type": int},
+        "--report": {"dest": "report_path", "metavar": "PATH"},
+        "--in": {"dest": "input_path", "metavar": "PATH"},
+        "--out": {"dest": "output_path", "metavar": "PATH"},
+    }
 
-    for name in ("radon", "slice", "pw", "all"):
-        common(sub.add_parser(name))
+    def add(parent, name, *names):
+        """A subcommand that takes the named flags, each only in full: an
+        abbreviation such as --d for --directions is refused too."""
+        p = parent.add_parser(name, allow_abbrev=False)
+        for flag in names:
+            p.add_argument(flag, **flags[flag])
+        return p
 
-    ps = sub.add_parser("sphere")
-    common(ps)
-    ps.add_argument("--n", type=int, dest="sphere_dim", choices=(2, 3))
+    # each subcommand takes the flags its pipelines read
+    suite = ("--grid", "--directions", "--preset", "--seed", "--report",
+             "--in")
+    add(sub, "radon", *suite, "--out")
+    add(sub, "slice", *suite)
+    add(sub, "pw", *suite, "--kmax", "--N")
+    add(sub, "all", *flags)
+    sphere = add(sub, "sphere", "--in", "--report")
+    sphere.add_argument("--n", type=int, dest="sphere_dim", choices=(2, 3))
 
-    pw_ = sub.add_parser("weyl")
-    wsub = pw_.add_subparsers(dest="weyl_action", required=True)
-    cert = wsub.add_parser("certify")
+    wsub = sub.add_parser("weyl").add_subparsers(dest="weyl_action",
+                                                 required=True)
+    cert = add(wsub, "certify", "--seed", "--report")
     cert.add_argument("--family", choices=tuple("ABCD"), required=True)
     cert.add_argument("--k", type=int, dest="k_rank", metavar="K",
                       required=True)
     cert.add_argument("--n", type=int, dest="n_rank", metavar="N",
                       required=True)
     cert.add_argument("--d", type=int, dest="degree", metavar="D")
-    cert.add_argument("--seed", type=int)
-    cert.add_argument("--preset", choices=PRESETS)
-    cert.add_argument("--report", dest="report_path", metavar="PATH")
     return parser
 
 

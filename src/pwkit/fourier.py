@@ -97,10 +97,6 @@ class VectorFT:
         self.directions = directions
         self.values = values
 
-    @property
-    def n(self):
-        return self.directions.n
-
 
 def radial_fourier(s, radii):
     """Fourier transform of the sinogram in the offset variable.

@@ -65,10 +65,6 @@ class GridSpec:
     def axis(self):
         return np.linspace(-self.half_width, self.half_width, self.points)
 
-    def mesh(self):
-        axes = [self.axis()] * self.n
-        return np.meshgrid(*axes, indexing="ij")
-
     def __eq__(self, other):
         return (isinstance(other, GridSpec) and self.n == other.n
                 and self.points == other.points
@@ -101,7 +97,7 @@ class SampledFunction:
                              % (values.shape, grid))
         if not np.isfinite(values).all():
             raise ValueError("values must be finite")
-        r2 = _radius_sq_mesh(grid)
+        r2 = _radius_sq_mesh(grid, np.zeros(grid.n))
         if support_radius is None:
             live = r2[values != 0]
             support_radius = float(np.sqrt(live.max())) if live.size else 0.0
@@ -111,16 +107,13 @@ class SampledFunction:
         self.values = values
         self.support_radius = support_radius
 
-    @property
-    def n(self):
-        return self.grid.n
 
-
-def _radius_sq_mesh(grid):
-    ax2 = grid.axis() ** 2
-    r2 = ax2
-    for _ in range(grid.n - 1):
-        r2 = np.add.outer(r2, ax2)
+def _radius_sq_mesh(grid, center):
+    """|x - center|^2 on the grid, by outer sums of the per-axis squares."""
+    ax = grid.axis()
+    r2 = (ax - center[0]) ** 2
+    for c in center[1:]:
+        r2 = np.add.outer(r2, (ax - c) ** 2)
     return r2
 
 
@@ -140,10 +133,7 @@ def make_bump(center, radius, amplitude, grid):
         raise BallOutsideGrid(
             "ball(center=%s, radius=%g) leaves the box [-%g, %g]^%d"
             % (center, radius, grid.half_width, grid.half_width, grid.n))
-    mesh = grid.mesh()
-    r2 = np.zeros_like(mesh[0])
-    for a, c in zip(mesh, center):
-        r2 += (a - c) ** 2
+    r2 = _radius_sq_mesh(grid, center)
     out = np.zeros_like(r2)
     inside = r2 < radius**2
     # exp(1 - rho^2/(rho^2-r^2)) == exp(-r^2/(rho^2-r^2))
@@ -362,7 +352,9 @@ class DirectionSet:
     @classmethod
     def circle(cls, count):
         """Equispaced angles theta_j = 2 pi j / Q on S^1, exact through the
-        band limit Q // 2 - 1."""
+        band limit Q // 2 - 1; Q must be at least 1."""
+        if count < 1:
+            raise ValueError("a circle rule needs at least one direction")
         thetas = 2 * np.pi * np.arange(count) / count
         vecs = np.stack([np.cos(thetas), np.sin(thetas)], axis=1)
         return cls(vecs, np.full(count, 1.0 / count), count // 2 - 1)
@@ -430,10 +422,10 @@ def save_function(f, path):
             fh.write("%.17g\n" % v)
 
 
-def load_function(path, support_radius=None):
+def load_function(path):
     with open(path) as fh:
         head = fh.readline().strip().split(",")
         n, m, half_width = int(head[0]), int(head[1]), float(head[2])
         vals = np.loadtxt(fh)
     grid = GridSpec(n, half_width, m)
-    return SampledFunction(grid, vals.reshape((m,) * n), support_radius)
+    return SampledFunction(grid, vals.reshape((m,) * n))

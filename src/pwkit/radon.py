@@ -100,7 +100,6 @@ __all__ = [
     "moment",
     "inverse_radon",
     "save_sinogram",
-    "load_sinogram",
 ]
 
 
@@ -592,14 +591,3 @@ def save_sinogram(s, path, direction_path=None):
                 comps = ",".join("%.17g" % c for c in v)
                 fh.write("%d,%s,%.17g\n" % (j, comps, w))
 
-
-def load_sinogram(path, directions, support_radius=None):
-    with open(path) as fh:
-        head = fh.readline().strip().split(",")
-        P, Q, n = int(head[0]), int(head[1]), int(head[2])
-        data = np.loadtxt(fh, delimiter=",")
-    if Q != len(directions) or n != directions.n:
-        raise ValueError("direction set does not match the sinogram header")
-    offsets = data[::Q, 0]
-    values = data[:, 2].reshape(P, Q)
-    return Sinogram(offsets, directions, values, support_radius)

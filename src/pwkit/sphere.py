@@ -343,7 +343,7 @@ def save_profile(profile, path):
             fh.write("%.17g,%.17g\n" % (t, v))
 
 
-def load_profile(path, n, support_angle=None):
+def load_profile(path, n):
     data = np.loadtxt(path, delimiter=",", ndmin=2)
     if data.shape[1] != 2:
         raise ValueError("profile file needs two columns, rows `t,value`")
@@ -354,4 +354,4 @@ def load_profile(path, n, support_angle=None):
     dt = np.diff(t)
     if np.any(np.abs(dt - dt.mean()) > 1e-9 * dt.mean()):
         raise ValueError("profile angles must be equispaced")
-    return ZonalProfile(n, data[:, 1], support_angle=support_angle)
+    return ZonalProfile(n, data[:, 1])

@@ -14,6 +14,46 @@ from pwkit import cli, fourier, pw, radon, sphere, weyl
 from pwkit.cli import ConfigError, Report, RunConfig, build_parser, main, run
 
 
+# each flag with a value and the RunConfig fields it sets
+FLAG_VALUES = {
+    "--grid": ("129,1.0", {"grid_points": 129, "half_width": 1.0}),
+    "--directions": ("32", {"directions": 32}),
+    "--kmax": ("4", {"kmax": 4}),
+    "--N": ("3", {"seminorm_order": 3}),
+    "--preset": ("thorough", {"preset": "thorough"}),
+    "--seed": ("3", {"seed": 3}),
+    "--report": ("r.json", {"report_path": "r.json"}),
+    "--in": ("f.csv", {"input_path": "f.csv"}),
+    "--out": ("s.csv", {"output_path": "s.csv"}),
+    "--n": ("2", {"sphere_dim": 2}),
+    "--d": ("4", {"degree": 4}),
+}
+# the flags that each subcommand's pipelines read; weyl certify's
+# required flags are in its command
+SUBCOMMAND_FLAGS = {
+    "radon": ("--grid", "--directions", "--preset", "--seed", "--report",
+              "--in", "--out"),
+    "slice": ("--grid", "--directions", "--preset", "--seed", "--report",
+              "--in"),
+    "pw": ("--grid", "--directions", "--kmax", "--N", "--preset",
+           "--seed", "--report", "--in"),
+    "sphere": ("--n", "--in", "--report"),
+    "weyl certify --family D --k 5 --n 4": ("--d", "--seed", "--report"),
+    "all": ("--grid", "--directions", "--kmax", "--N", "--preset",
+            "--seed", "--report", "--in", "--out"),
+}
+
+
+def captured_config(monkeypatch, argv):
+    """The RunConfig that `main(argv)` hands to `run`, which does not run."""
+    seen = []
+    monkeypatch.setattr(cli, "run",
+                        lambda config: seen.append(config) or Report(config))
+    main(argv)
+    [config] = seen
+    return config
+
+
 class TestConfig:
     def test_unknown_subcommand(self):
         with pytest.raises(ConfigError):
@@ -51,16 +91,48 @@ class TestConfig:
     def test_each_flag_lands_in_its_config_field(self, monkeypatch, argv,
                                                  fields):
         # every other field keeps RunConfig's default
-        seen = []
-
-        def capture(config):
-            seen.append(config)
-            return Report(config)
-        monkeypatch.setattr(cli, "run", capture)
-        main(argv.split())
-        [config] = seen
+        config = captured_config(monkeypatch, argv.split())
         expected = vars(RunConfig(config.subcommand, **fields))
         assert vars(config) == expected
+
+    WEYL_FIELDS = {"family": "D", "k_rank": 5, "n_rank": 4}
+
+    @pytest.mark.parametrize("command, flag", [
+        (command, flag) for command, flags in SUBCOMMAND_FLAGS.items()
+        for flag in flags])
+    def test_a_flag_the_subcommand_reads_sets_its_field(self, monkeypatch,
+                                                        command, flag):
+        value, fields = FLAG_VALUES[flag]
+        config = captured_config(monkeypatch, command.split() + [flag, value])
+        if command.startswith("weyl"):
+            fields = dict(self.WEYL_FIELDS, **fields)
+        assert vars(config) == vars(RunConfig(config.subcommand, **fields))
+
+    @pytest.mark.parametrize("command, flag", [
+        (command, flag) for command, flags in SUBCOMMAND_FLAGS.items()
+        for flag in FLAG_VALUES
+        if flag not in flags and flag not in command.split()])
+    def test_a_flag_no_pipeline_reads_is_refused(self, monkeypatch, capsys,
+                                                 command, flag):
+        monkeypatch.setattr(cli, "run", lambda config: pytest.fail("ran"))
+        with pytest.raises(SystemExit) as exit_:
+            main(command.split() + [flag, FLAG_VALUES[flag][0]])
+        assert exit_.value.code == 2
+        assert "unrecognized arguments: %s" % flag in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, message", [
+        ("radon --grid 128,1.5", "grid: points-per-axis must be odd"),
+        ("slice --grid 31,1.5", "grid: points-per-axis must be odd"),
+        ("all --grid 129,0", "grid: half-width must be positive"),
+        ("radon --directions 0", "directions must be at least 1"),
+        ("pw --directions -4", "directions must be at least 1"),
+    ])
+    def test_grid_or_directions_outside_the_rule_is_a_config_error(
+            self, monkeypatch, capsys, argv, message):
+        # refused before any pipeline runs, with exit code 2
+        monkeypatch.setattr(cli, "run", lambda config: pytest.fail("ran"))
+        assert main(argv.split()) == 2
+        assert "config error: %s" % message in capsys.readouterr().err
 
 
 class TestWeylPipeline:
@@ -310,6 +382,8 @@ class TestReportShape:
         data = json.loads((tmp_path / "r.json").read_text())
         assert data["subcommand"] == "weyl"
         assert data["seed"] == 7
+        # each record's mesh states what it ran on; the report has no grid
+        assert "grid" not in data
 
 
     def test_nonfinite_defect_is_written_as_strict_json(self, tmp_path):
@@ -460,10 +534,15 @@ class TestFileDriven:
         save_function(make_bump([0.1, 0.0], 0.5, 1.0, GridSpec(2, 1.5, 65)),
                       str(fpath))
         rpath = tmp_path / "rep.json"
-        main(["all", "--in", str(fpath), "--grid", "65,1.5",
-              "--directions", "32", "--report", str(rpath)])
-        names = [r["name"] for r in json.loads(rpath.read_text())["records"]]
+        main(["all", "--in", str(fpath), "--directions", "32",
+              "--report", str(rpath)])
+        data = json.loads(rpath.read_text())
+        names = [r["name"] for r in data["records"]]
         assert "sphere pipeline" not in names
+        # the records state the file's grid, not the default 257
+        assert "grid" not in data
+        meshes = [r["mesh"] for r in data["records"] if "M" in r["mesh"]]
+        assert meshes and {m["M"] for m in meshes} == {65}
         assert {"sphere slice identity (rho = 1)",
                 "sphere slice identity (rho = 1/2)"} <= set(names)
 

@@ -1,3 +1,4 @@
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -53,7 +54,7 @@ class TestMakeBump:
     def test_vanishes_outside_ball(self):
         g = grid()
         f = make_bump([0.2, 0.1], 0.4, 2.0, g)
-        X, Y = g.mesh()
+        X, Y = np.meshgrid(g.axis(), g.axis(), indexing="ij")
         outside = (X - 0.2) ** 2 + (Y - 0.1) ** 2 >= 0.4**2
         assert np.all(f.values[outside] == 0)
 
@@ -73,6 +74,30 @@ class TestMakeBump:
     def test_unit_bump_l2_matches_oracle(self):
         f = make_bump([0, 0], 1.0, 1.0, grid(513, 1.5))
         assert l2_norm_sq(f) == pytest.approx(UNIT_BUMP_L2SQ_2D, abs=1e-6)
+
+    def test_3d_bump_peak_memory(self):
+        # |x - c|^2 comes from outer sums of the per-axis squares, with no
+        # coordinate meshes: the peak, the returned values included, stays
+        # under 5 arrays of the grid's size
+        g = grid(65, 1.5, 3)
+        tracemalloc.start()
+        try:
+            make_bump([0.1, 0.0, -0.1], 0.6, 1.0, g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 65**3 * 8
+
+    def test_3d_bump_matches_its_formula(self):
+        g = grid(33, 1.5, 3)
+        c = np.array([0.1, 0.0, -0.1])
+        x = np.stack(np.meshgrid(*[g.axis()] * 3, indexing="ij"), axis=-1)
+        r2 = ((x - c) ** 2).sum(axis=-1)
+        want = np.zeros_like(r2)
+        inside = r2 < 0.36
+        want[inside] = 2.0 * np.exp(-r2[inside] / (0.36 - r2[inside]))
+        assert_allclose(make_bump(c, 0.6, 2.0, g).values, want,
+                        rtol=1e-14, atol=0)
 
 
 class TestQuadrature:
@@ -122,6 +147,11 @@ class TestDirectionSet:
         d = DirectionSet.circle(64)
         assert_allclose(d.weights, 1 / 64)
         assert d.weights.sum() == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("count", [0, -3])
+    def test_circle_without_directions_rejected(self, count):
+        with pytest.raises(ValueError, match="at least one direction"):
+            DirectionSet.circle(count)
 
     def test_circle_harmonic_exactness(self):
         d = DirectionSet.circle(64)
@@ -214,9 +244,12 @@ class TestSerialization:
         f = make_bump([0.2, -0.1], 0.5, 1.3, grid(65))
         path = tmp_path / "f.csv"
         save_function(f, path)
-        g = load_function(path, support_radius=f.support_radius)
+        g = load_function(path)
         assert g.grid == f.grid
         assert_allclose(g.values, f.values, rtol=0, atol=0)
+        # the samples fit the bump's declared support
+        assert SampledFunction(g.grid, g.values, f.support_radius) \
+            .support_radius == f.support_radius
 
     def test_header(self, tmp_path):
         f = make_bump([0, 0], 0.5, 1.0, grid(65))

@@ -44,7 +44,7 @@ class TestComplexSliceEval:
         # smoothed unit-disk indicator; oracle integrates the analytic
         # chord-length profile at doubled offset resolution
         from pwkit import SampledFunction
-        X, Y = G.mesh()
+        X, Y = np.meshgrid(G.axis(), G.axis(), indexing="ij")
         r = np.hypot(X, Y)
         t = np.clip((r - 0.90) / 0.08, 0.0, 1.0)
         vals = 1 - t * t * (3 - 2 * t)

@@ -277,7 +277,8 @@ class TestUndeclaredAngle:
         assert np.array_equal(sphere_radon(again),
                               sphere_radon(ZonalProfile(n, values)))
         save_profile(again, str(tmp_path / "prof.csv"))
-        assert load_profile(str(tmp_path / "prof.csv"), n,
+        back = load_profile(str(tmp_path / "prof.csv"), n)
+        assert ZonalProfile(n, back.values,
                             support_angle=cut).support_angle == cut
         with pytest.raises(ValueError, match="declared cap angle"):
             ZonalProfile(n, values, support_angle=cut - 0.01)
@@ -344,9 +345,11 @@ class TestProfileIO:
         prof = cap_bump(0.7, 3, samples=257)
         path = tmp_path / "prof.csv"
         save_profile(prof, str(path))
-        back = load_profile(str(path), 3, support_angle=0.7)
+        back = load_profile(str(path), 3)
         assert_allclose(back.values, prof.values, atol=1e-16)
         assert back.n == 3
+        assert ZonalProfile(3, back.values,
+                            support_angle=0.7).support_angle == 0.7
 
     def test_unequal_spacing_rejected(self, tmp_path):
         # the endpoints are right, the angles between them are not
