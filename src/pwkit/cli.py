@@ -67,6 +67,8 @@ INVERSION_DIRECTIONS = 256    # Q of both 2-D inversion records
 SPHERE_M_MAX = 12             # highest zonal degree of the sphere records
 SUPPORT_SAMPLES = 2049        # profile samples of the sphere support check
 COMPAT_BUMPS = 2              # 3-D bumps of the projection compatibility check
+KMAX = 6                      # highest Taylor degree of the homogeneity check
+SEMINORM_ORDER = 2            # weight (1 + |z|^2)^N of the growth seminorms
 GROUP_ORDERS = {("A", 2): 6, ("B", 2): 8, ("D", 4): 192}
 B_RESTRICTIONS = [(k, n) for k in range(3, 6) for n in range(2, k)]
 D_RESTRICTIONS = [(k, n) for k in (4, 5) for n in range(2, k)]
@@ -81,9 +83,9 @@ class RunConfig:
     test-function suite replayable."""
 
     def __init__(self, subcommand, grid_points=257, half_width=1.5,
-                 directions=64, kmax=6, seminorm_order=2, preset="desk",
-                 seed=7, report_path=None, input_path=None, output_path=None,
-                 sphere_dim=None, family="B", k_rank=4, n_rank=2, degree=6):
+                 directions=64, preset="desk", seed=7, report_path=None,
+                 input_path=None, output_path=None, sphere_dim=None,
+                 family="B", k_rank=4, n_rank=2, degree=6):
         if subcommand not in ("radon", "slice", "pw", "sphere", "weyl", "all"):
             raise ConfigError("unknown subcommand %r" % (subcommand,))
         if preset not in PRESETS:
@@ -98,8 +100,6 @@ class RunConfig:
             raise ConfigError("grid: %s" % exc) from None
         if self.directions < 1:
             raise ConfigError("directions must be at least 1")
-        self.kmax = int(kmax)
-        self.seminorm_order = int(seminorm_order)
         self.preset = preset
         self.seed = int(seed)
         self.report_path = report_path
@@ -344,9 +344,9 @@ def run_slice(cfg, report, inputs):
                      dict(mesh, Q=INVERSION_DIRECTIONS))
 
     def compat():
-        g3 = _grid.GridSpec(3, cfg.half_width, cfg.grid3_points)
+        g3 = _grid.GridSpec(3, g.half_width, cfg.grid3_points)
         rng = default_rng(cfg.seed + 2)
-        scale = cfg.half_width / 1.5
+        scale = g.half_width / 1.5
         # each bump draws its centre, then its radius
         return max(_fourier.projection_compatibility_defect(
             _grid.make_bump(rng.uniform(-0.25, 0.25, size=3) * scale,
@@ -360,11 +360,11 @@ def run_slice(cfg, report, inputs):
 
 def run_pw(cfg, report, inputs):
     g, funcs, dirs, sinos, mesh, _ = inputs()
-    mesh = dict(mesh, kmax=cfg.kmax, N=cfg.seminorm_order)
+    mesh = dict(mesh, kmax=KMAX, N=SEMINORM_ORDER)
 
     report.check(
         "moment homogeneity", "homogeneous-moment condition",
-        lambda: max(_pw.homogeneity_defect(s, cfg.kmax) for s in sinos),
+        lambda: max(_pw.homogeneity_defect(s, KMAX) for s in sinos),
         DEFAULT_TOLERANCES["homogeneity"], mesh)
 
     def violation():
@@ -379,7 +379,7 @@ def run_pw(cfg, report, inputs):
 
     def support_recovery():
         rng = default_rng(cfg.seed + 3)
-        scale = cfg.half_width / 1.5
+        scale = g.half_width / 1.5
 
         def error(radius, shift):
             c = np.zeros(2)
@@ -403,10 +403,10 @@ def run_pw(cfg, report, inputs):
         if s.support_radius == 0:
             raise _grid.ZeroInput("growth mesh and type undefined for rs = 0")
         cg = _pw.ComplexGrid(2.0, 3.0 / s.support_radius, 9, 9)
-        vals = [_pw.pw_seminorm(s, cfg.seminorm_order, exp_type, cg)]
+        vals = [_pw.pw_seminorm(s, SEMINORM_ORDER, exp_type, cg)]
         for _ in range(doublings):
             cg = cg.doubled_imaginary()
-            vals.append(_pw.pw_seminorm(s, cfg.seminorm_order, exp_type, cg))
+            vals.append(_pw.pw_seminorm(s, SEMINORM_ORDER, exp_type, cg))
         return [b / a for a, b in zip(vals, vals[1:])]
 
     report.check(
@@ -617,8 +617,6 @@ def build_parser():
         "--grid": {"metavar": "M,L",
                    "help": "grid points per axis and half-width"},
         "--directions": {"type": int, "metavar": "Q"},
-        "--kmax": {"type": int},
-        "--N": {"type": int, "dest": "seminorm_order"},
         "--preset": {"choices": PRESETS},
         "--seed": {"type": int},
         "--report": {"dest": "report_path", "metavar": "PATH"},
@@ -639,7 +637,7 @@ def build_parser():
              "--in")
     add(sub, "radon", *suite, "--out")
     add(sub, "slice", *suite)
-    add(sub, "pw", *suite, "--kmax", "--N")
+    add(sub, "pw", *suite)
     add(sub, "all", *flags)
     sphere = add(sub, "sphere", "--in", "--report")
     sphere.add_argument("--n", type=int, dest="sphere_dim", choices=(2, 3))
@@ -661,6 +659,9 @@ def main(argv=None):
     kwargs = {k: v for k, v in vars(args).items()
               if v is not None and k != "weyl_action"}
     try:
+        if "grid" in kwargs and "input_path" in kwargs:
+            raise ConfigError("--grid and --in exclude each other: a run "
+                              "with --in takes its grid from the file")
         if "grid" in kwargs:
             kwargs["grid_points"], kwargs["half_width"] = _parse_grid(
                 kwargs.pop("grid"))

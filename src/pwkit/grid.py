@@ -84,10 +84,11 @@ class SampledFunction:
     values : ndarray, shape (M,)*n
         Real or complex samples, row-major over the grid axes.
     support_radius : float, optional
-        Radius of a ball about the origin containing the support.  A
-        declared radius is checked: samples at nodes with
-        |x| > support_radius must be zero.  Left out, it is the radius of
-        the farthest nonzero sample, or 0.0 for the zero function.
+        Radius of a ball about the origin containing the support.  Left
+        out, it is the radius of the farthest nonzero sample, or 0.0 for
+        the zero function.  A declared radius is checked against that same
+        radius: one below it raises ValueError, so a function can be
+        rebuilt from its own radius.
     """
 
     def __init__(self, grid, values, support_radius=None):
@@ -98,10 +99,10 @@ class SampledFunction:
         if not np.isfinite(values).all():
             raise ValueError("values must be finite")
         r2 = _radius_sq_mesh(grid, np.zeros(grid.n))
+        live = np.sqrt(r2[values != 0].max(initial=0.0))
         if support_radius is None:
-            live = r2[values != 0]
-            support_radius = float(np.sqrt(live.max())) if live.size else 0.0
-        elif np.any(values[r2 > support_radius**2] != 0):
+            support_radius = float(live)
+        elif live > support_radius:
             raise ValueError("nonzero samples outside declared support radius")
         self.grid = grid
         self.values = values

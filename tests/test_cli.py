@@ -18,8 +18,10 @@ from pwkit.cli import ConfigError, Report, RunConfig, build_parser, main, run
 FLAG_VALUES = {
     "--grid": ("129,1.0", {"grid_points": 129, "half_width": 1.0}),
     "--directions": ("32", {"directions": 32}),
-    "--kmax": ("4", {"kmax": 4}),
-    "--N": ("3", {"seminorm_order": 3}),
+    # no subcommand takes these: the homogeneity degree and the seminorm
+    # order are the constants cli.KMAX and cli.SEMINORM_ORDER
+    "--kmax": ("4", None),
+    "--N": ("3", None),
     "--preset": ("thorough", {"preset": "thorough"}),
     "--seed": ("3", {"seed": 3}),
     "--report": ("r.json", {"report_path": "r.json"}),
@@ -35,12 +37,12 @@ SUBCOMMAND_FLAGS = {
               "--in", "--out"),
     "slice": ("--grid", "--directions", "--preset", "--seed", "--report",
               "--in"),
-    "pw": ("--grid", "--directions", "--kmax", "--N", "--preset",
-           "--seed", "--report", "--in"),
+    "pw": ("--grid", "--directions", "--preset", "--seed", "--report",
+           "--in"),
     "sphere": ("--n", "--in", "--report"),
     "weyl certify --family D --k 5 --n 4": ("--d", "--seed", "--report"),
-    "all": ("--grid", "--directions", "--kmax", "--N", "--preset",
-            "--seed", "--report", "--in", "--out"),
+    "all": ("--grid", "--directions", "--preset", "--seed", "--report",
+            "--in", "--out"),
 }
 
 
@@ -80,13 +82,13 @@ class TestConfig:
         assert "config error: --grid expects M,L" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv, fields", [
-        ("pw --kmax 4 --N 3", {"kmax": 4, "seminorm_order": 3}),
+        ("pw --grid 129,1.0 --directions 32",
+         {"grid_points": 129, "half_width": 1.0, "directions": 32}),
         ("sphere --n 2", {"sphere_dim": 2}),
         ("weyl certify --family D --k 5 --n 4",
          {"family": "D", "k_rank": 5, "n_rank": 4, "degree": 6}),
-        ("all --grid 129,1.0 --in f.csv --report r.json",
-         {"grid_points": 129, "half_width": 1.0, "input_path": "f.csv",
-          "report_path": "r.json"}),
+        ("all --in f.csv --report r.json",
+         {"input_path": "f.csv", "report_path": "r.json"}),
     ] + [(name, {}) for name in ("radon", "slice", "pw", "sphere", "all")])
     def test_each_flag_lands_in_its_config_field(self, monkeypatch, argv,
                                                  fields):
@@ -126,6 +128,11 @@ class TestConfig:
         ("all --grid 129,0", "grid: half-width must be positive"),
         ("radon --directions 0", "directions must be at least 1"),
         ("pw --directions -4", "directions must be at least 1"),
+        # a file brings its own grid
+        ("radon --grid 65,1.5 --in f.csv",
+         "--grid and --in exclude each other"),
+        ("all --in f.csv --grid 129,1.0",
+         "--grid and --in exclude each other"),
     ])
     def test_grid_or_directions_outside_the_rule_is_a_config_error(
             self, monkeypatch, capsys, argv, message):
@@ -583,6 +590,24 @@ class TestFileDriven:
                 if r["name"] != "plancherel refinement"] == names
         assert "plancherel refinement" in {r["name"]
                                            for r in synthetic.records}
+
+    @pytest.mark.parametrize("subcommand, name", [
+        ("pw", "support radius recovery"),
+        ("slice", "projection compatibility"),
+    ], ids=["support", "compat"])
+    def test_records_take_the_half_width_of_the_file(
+            self, tmp_path, monkeypatch, subcommand, name):
+        # the bumps a record draws for itself are scaled to the file's
+        # L = 1.0 and sampled on grids of that half-width
+        fpath = tmp_path / "f.csv"
+        save_function(make_bump([0.1, 0.0], 0.5, 1.0, GridSpec(2, 1.0, 129)),
+                      str(fpath))
+        seen = TestRecordMeshes.spy(monkeypatch, pwkit.grid, "make_bump",
+                                    lambda args, f: f.grid.half_width)
+        report = run(RunConfig(subcommand, input_path=str(fpath),
+                               directions=32))
+        assert "error" not in _record(report, name)
+        assert seen[name] and set(seen[name]) == {1.0}
 
     @pytest.mark.parametrize("subcommand", ["pw", "radon"])
     def test_unreadable_input_keeps_the_report(self, tmp_path, subcommand):

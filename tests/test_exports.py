@@ -10,7 +10,8 @@ LIBRARY = ("grid", "radon", "fourier", "pw", "sphere", "weyl")
 
 @pytest.mark.parametrize("name", LIBRARY)
 def test_module_all_resolves_and_is_exported(name):
-    # a name deleted from a module must leave its __all__ and the package
+    # pwkit/__init__.py star-imports each module's __all__: every name in
+    # it must exist, and the package must export that same object
     module = importlib.import_module("pwkit." + name)
     for attr in module.__all__:
         assert hasattr(module, attr), "%s.%s" % (name, attr)

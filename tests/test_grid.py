@@ -27,6 +27,17 @@ def grid(M=257, L=1.5, n=2):
     return GridSpec(n, L, M)
 
 
+def undeclared_bumps(count=50):
+    """Seeded 2-D bumps at 129^2 rebuilt with no declared support radius,
+    so each has the radius of its farthest nonzero sample."""
+    g = grid(129)
+    for seed in range(count):
+        rng = np.random.default_rng(seed)
+        bump = make_bump(rng.uniform(-0.3, 0.3, 2), rng.uniform(0.4, 0.8),
+                         1.0, g)
+        yield SampledFunction(g, bump.values)
+
+
 class TestGridSpec:
     def test_spacing(self):
         g = grid(257, 1.5)
@@ -77,8 +88,9 @@ class TestMakeBump:
 
     def test_3d_bump_peak_memory(self):
         # |x - c|^2 comes from outer sums of the per-axis squares, with no
-        # coordinate meshes: the peak, the returned values included, stays
-        # under 5 arrays of the grid's size
+        # coordinate meshes, and the support check gathers only the nonzero
+        # samples: the peak, the returned values included, stays under 4
+        # arrays of the grid's size
         g = grid(65, 1.5, 3)
         tracemalloc.start()
         try:
@@ -86,7 +98,7 @@ class TestMakeBump:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 5 * 65**3 * 8
+        assert peak < 4 * 65**3 * 8
 
     def test_3d_bump_matches_its_formula(self):
         g = grid(33, 1.5, 3)
@@ -266,6 +278,22 @@ class TestSampledFunctionInvariants:
         vals = np.full((65, 65), 1.0)
         with pytest.raises(ValueError):
             SampledFunction(g, vals, support_radius=0.5)
+
+    def test_rebuilt_from_its_own_radius(self):
+        # the derived radius and the check of a declared one are one
+        # comparison, so sqrt(r^2)^2 != r^2 cannot refuse the rebuild
+        for f in undeclared_bumps():
+            rebuilt = SampledFunction(f.grid, f.values, f.support_radius)
+            assert rebuilt.support_radius == f.support_radius
+
+    def test_complex_transform_of_an_undeclared_function(self):
+        # the complex transform declares f's radius on its real and
+        # imaginary parts
+        directions = DirectionSet.circle(8)
+        for f in undeclared_bumps():
+            s = radon_transform(SampledFunction(f.grid, f.values * 1j),
+                                directions=directions)
+            assert s.support_radius == f.support_radius
 
     def test_rejects_nonfinite(self):
         g = grid(65)
