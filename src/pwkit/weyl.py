@@ -15,9 +15,12 @@ embeddings append trailing zeros.
 Linear systems (one row per monomial, one unknown per candidate
 polynomial) are solved by Gauss-Jordan elimination on sparse row dicts:
 each row is reduced against the pivot rows found so far and pivoted on its
-smallest remaining column, so no dense matrix is built.
-`MultivariatePolynomial.apply` is the one group action; `ow1_lift` checks
-a target's invariance through it.
+smallest remaining column, so no dense matrix is built.  All right-hand
+sides of one candidate set ride in the same rows, so a surjectivity
+certificate eliminates its restricted basis once for the whole downstairs
+basis; every column gets the solution a one-column solve would give.
+Nothing is kept between calls.  `MultivariatePolynomial.apply` is the one
+group action; `ow1_lift` checks a target's invariance through it.
 """
 
 from fractions import Fraction
@@ -263,9 +266,16 @@ class MultivariatePolynomial:
     def _from_terms(cls, nvars, terms):
         """Trusted constructor: `terms` maps exponent tuples of arity
         nvars to ints and Fractions; zero coefficients are dropped."""
+        return cls._from_nonzero_terms(
+            nvars, {e: c for e, c in terms.items() if c})
+
+    @classmethod
+    def _from_nonzero_terms(cls, nvars, terms):
+        """Trusted constructor for terms with no zero coefficient: the dict
+        becomes the polynomial's own."""
         out = cls.__new__(cls)
         out.nvars = nvars
-        out.terms = {e: c for e, c in terms.items() if c}
+        out.terms = terms
         return out
 
     @classmethod
@@ -319,27 +329,24 @@ class MultivariatePolynomial:
         Under w e_j = signs[j] e_{perm[j]} the monomial prod x_j^{a_j}
         pulls back to prod (signs[j] x_{perm[j]})^{a_j}: the exponent at
         perm[j] is a_j, and the sign is negative when the exponents at the
-        flipped coordinates have an odd sum.
+        flipped coordinates have an odd sum.  The terms are only permuted,
+        so no coefficient becomes zero.
         """
         source = [0] * len(w.perm)
         for j, i in enumerate(w.perm):
             source[i] = j
-        # itemgetter of one index returns the entry, not a 1-tuple
-        pull = itemgetter(*source) if len(source) > 1 else tuple
-        flips = [j for j, s in enumerate(w.signs) if s < 0]
-        out = {}
-        for e, c in self.terms.items():
-            odd = 0
-            for j in flips:
-                odd ^= e[j]
-            out[pull(e)] = -c if odd & 1 else c
-        return MultivariatePolynomial._from_terms(self.nvars, out)
+        pull = _tuple_getter(source)
+        flipped = _tuple_getter([j for j, s in enumerate(w.signs) if s < 0])
+        return MultivariatePolynomial._from_nonzero_terms(self.nvars, {
+            pull(e): -c if sum(flipped(e)) & 1 else c
+            for e, c in self.terms.items()})
 
     def restrict(self, nkeep):
         """Substitute x_{nkeep+1} = ... = 0; result lives in nkeep variables."""
         if nkeep > self.nvars:
             raise ValueError("cannot restrict to more variables")
-        return MultivariatePolynomial._from_terms(
+        # a subset of the terms, so no coefficient is zero
+        return MultivariatePolynomial._from_nonzero_terms(
             nkeep, {e[:nkeep]: c for e, c in self.terms.items()
                     if not any(e[nkeep:])})
 
@@ -359,15 +366,26 @@ class MultivariatePolynomial:
             self.nvars, len(self.terms))
 
 
+def _tuple_getter(indices):
+    """The function e -> (e[i] for i in indices) as a tuple, by itemgetter.
+
+    itemgetter of one index returns the bare entry, so no index or one
+    index becomes a slice, which returns a tuple."""
+    if len(indices) > 1:
+        return itemgetter(*indices)
+    return itemgetter(slice(indices[0], indices[0] + 1) if indices
+                      else slice(0))
+
+
 def _elementary_symmetric(j, nvars, power):
-    """e_j(x_1^power, ..., x_nvars^power)."""
+    """e_j(x_1^power, ..., x_nvars^power); every coefficient is 1."""
     terms = {}
     for comb in combinations(range(nvars), j):
         e = [0] * nvars
         for i in comb:
             e[i] = power
         terms[tuple(e)] = 1
-    return MultivariatePolynomial(nvars, terms)
+    return MultivariatePolynomial._from_nonzero_terms(nvars, terms)
 
 
 def chevalley_generators(spec):
@@ -416,33 +434,40 @@ def invariant_basis(spec, d):
     return _generator_products(chevalley_generators(spec), d)
 
 
-def _solve_exact(rows, rhs, nunknowns):
-    """Solve sum_col rows[i][col] x_col = rhs[i] exactly over Q.
+def _solve_exact(rows, columns, nunknowns):
+    """Solve sum_col rows[i][col] x_col = column[i] exactly over Q for every
+    right-hand-side column in `columns`, by one elimination.
 
     rows: list of sparse {col: int or Fraction} dicts over columns
-    0..nunknowns-1.  Sparse Gauss-Jordan elimination: the right-hand side
-    rides in each row under the key `nunknowns`, past every unknown.  Each
-    incoming row is reduced against the pivot rows found so far, pivoted on
-    its smallest remaining column and normalized, and that column is then
-    eliminated from the earlier pivot rows, so they stay fully reduced.  A
-    row left with only its right-hand side makes the system inconsistent.
+    0..nunknowns-1; each column is a list with one entry per row.  Sparse
+    Gauss-Jordan elimination: right-hand-side column t rides in each row
+    under the key `nunknowns + t`, past every unknown.  Each incoming row is
+    reduced against the pivot rows found so far, pivoted on its smallest
+    remaining unknown and normalized, and that unknown is then eliminated
+    from the earlier pivot rows, so they stay fully reduced.  A row left
+    with no unknown makes every column still nonzero in it inconsistent,
+    and is dropped.  The pivots do not depend on the right-hand sides, so
+    each column gets exactly the solution that solving it alone gives.
     Integer rows stay integer until a pivot other than 1 divides them.
 
-    Returns a particular solution (free unknowns at 0), each value an int
-    where integral and a Fraction otherwise, or None.
+    Returns one entry per column: a particular solution (free unknowns at
+    0), each value an int where integral and a Fraction otherwise, or None.
     """
     pivots = {}     # pivot column -> its normalized, fully reduced row
-    for row, b in zip(rows, rhs):
+    inconsistent = set()
+    for row, rhs in zip(rows, zip(*columns)):
         r = {c: v for c, v in row.items() if v}
-        if b:
-            r[nunknowns] = _exact(b)
+        for t, b in enumerate(rhs, nunknowns):
+            if b:
+                r[t] = _exact(b)
         for col in [c for c in r if c in pivots]:
             _subtract_row(r, r.pop(col), pivots[col], col)
         if not r:
             continue
         col = min(r)
-        if col == nunknowns:
-            return None
+        if col >= nunknowns:
+            inconsistent.update(r)
+            continue
         pv = r[col]
         if pv != 1:
             r = {c: _divide(v, pv) for c, v in r.items()}
@@ -451,10 +476,16 @@ def _solve_exact(rows, rhs, nunknowns):
             if f:
                 _subtract_row(prow, f, r, col)
         pivots[col] = r
-    sol = [0] * nunknowns
-    for col, r in pivots.items():
-        sol[col] = _exact(r.get(nunknowns, 0))
-    return sol
+    solutions = []
+    for t in range(nunknowns, nunknowns + len(columns)):
+        if t in inconsistent:
+            solutions.append(None)
+            continue
+        sol = [0] * nunknowns
+        for col, r in pivots.items():
+            sol[col] = _exact(r.get(t, 0))
+        solutions.append(sol)
+    return solutions
 
 
 def _divide(a, b):
@@ -475,19 +506,21 @@ def _subtract_row(r, f, pivot_row, col):
                 del r[c]
 
 
-def _solve_combination(candidates, target):
-    """Exact coefficients c with sum c_i candidates[i] == target, or None."""
+def _solve_combination(candidates, targets):
+    """For each target, exact coefficients c with sum c_i candidates[i] ==
+    target, or None; the candidates' rows are built and eliminated once."""
     rows_by_mono = {}
     for i, poly in enumerate(candidates):
         for e, c in poly.terms.items():
             row = rows_by_mono.setdefault(e, {})
             row[i] = row.get(i, 0) + c
-    for e in target.terms:
-        rows_by_mono.setdefault(e, {})
+    for target in targets:
+        for e in target.terms:
+            rows_by_mono.setdefault(e, {})
     monos = sorted(rows_by_mono)
     rows = [rows_by_mono[e] for e in monos]
-    rhs = [target.terms.get(e, 0) for e in monos]
-    return _solve_exact(rows, rhs, len(candidates))
+    columns = [[target.terms.get(e, 0) for e in monos] for target in targets]
+    return _solve_exact(rows, columns, len(candidates))
 
 
 class SurjectivityCertificate:
@@ -553,8 +586,7 @@ def surjectivity_certificate(spec_k, spec_n, d):
     restricted = [b.restrict(nkeep) for b in up]
     witnesses = {}
     obstruction = []
-    for t, q in enumerate(down):
-        sol = _solve_combination(restricted, q)
+    for t, sol in enumerate(_solve_combination(restricted, down)):
         if sol is None:
             obstruction.append(t)
         else:
@@ -592,7 +624,7 @@ def ow1_lift(target, spec_k, spec_n):
     if d > MAX_SOLVE_DEGREE:
         raise DegreeTooLarge("lift degree cap is %d" % MAX_SOLVE_DEGREE)
     up = invariant_basis(spec_k, d)
-    sol = _solve_combination([b.restrict(nkeep) for b in up], target)
+    sol, = _solve_combination([b.restrict(nkeep) for b in up], [target])
     if sol is None:
         raise ObstructionHit("target has no W(%s%d)-invariant preimage"
                              % (spec_k.family, spec_k.rank))

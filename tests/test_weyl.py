@@ -280,6 +280,61 @@ class TestSurjectivity:
             assert cert.preimage(t).restrict(3) == q
 
 
+ALGEBRA_CERTIFICATES = [("B", 4, 2, 6), ("B", 5, 3, 8), ("C", 4, 3, 6),
+                        ("A", 4, 2, 6), ("D", 5, 4, 6)]
+
+
+class TestOneElimination:
+    """A certificate eliminates its restricted basis once for the whole
+    downstairs basis, and a lift once for its target; the result is the
+    one-column solve of each downstairs element."""
+
+    @staticmethod
+    def count_solves(monkeypatch):
+        calls = []
+        solve = weyl._solve_exact
+
+        def counted(rows, columns, nunknowns):
+            calls.append(len(columns))
+            return solve(rows, columns, nunknowns)
+        monkeypatch.setattr(weyl, "_solve_exact", counted)
+        return calls
+
+    def test_certificate_solves_once(self, monkeypatch):
+        calls = self.count_solves(monkeypatch)
+        cert = surjectivity_certificate(RootSystemSpec("B", 4),
+                                        RootSystemSpec("B", 2), 6)
+        assert calls == [len(cert.downstairs_basis)]
+
+    def test_lift_solves_once(self, monkeypatch):
+        calls = self.count_solves(monkeypatch)
+        spec_n = RootSystemSpec("B", 2)
+        ow1_lift(chevalley_generators(spec_n)[1], RootSystemSpec("B", 4),
+                 spec_n)
+        assert calls == [1]
+
+    @pytest.mark.parametrize("family,k,n,d", ALGEBRA_CERTIFICATES)
+    def test_certificate_matches_one_column_solves(self, family, k, n, d):
+        cert = surjectivity_certificate(RootSystemSpec(family, k),
+                                        RootSystemSpec(family, n), d)
+        nkeep = cert.spec_n.ambient_vars
+        restricted = [b.restrict(nkeep) for b in cert.upstairs_basis]
+        obstruction = []
+        for t, q in enumerate(cert.downstairs_basis):
+            sol, = weyl._solve_combination(restricted, [q])
+            if sol is None:
+                obstruction.append(t)
+            else:
+                assert cert.witnesses[t] == sol
+                assert [type(v) for v in cert.witnesses[t]] == [
+                    type(v) for v in sol]
+        assert cert.obstruction == obstruction
+        assert sorted(cert.witnesses) == [
+            t for t in range(len(cert.downstairs_basis))
+            if t not in obstruction]
+        assert bool(obstruction) == (family == "D")
+
+
 class TestOw1Lift:
     SPEC_K = RootSystemSpec("B", 4)
     SPEC_N = RootSystemSpec("B", 2)
@@ -346,18 +401,38 @@ class TestPolynomialAlgebra:
         p = P(2, {(1, 2): Fraction(1, 2)})
         assert p.to_text().strip() == "1/2 * x1^1 x2^2"
 
+    @staticmethod
+    def acts_by_pull_back(p, group):
+        """(w.p)(x) == p(w^{-1} x), with (w^{-1} x)_j = signs[j] x_{perm[j]},
+        for every w in the group.  No exponent of p exceeds 3, and a
+        polynomial of degree <= 4 in each variable that vanishes on
+        {-2..2}^k is zero, so agreement there is equality.  The grid is
+        closed under signed permutations, so p is evaluated on it once."""
+        grid = list(product(range(-2, 3), repeat=p.nvars))
+        values = {x: evaluate(p, x) for x in grid}
+        for w in group:
+            wp = p.apply(w)
+            for x in grid:
+                y = tuple(s * x[i] for s, i in zip(w.signs, w.perm))
+                if evaluate(wp, x) != values[y]:
+                    return False
+        return True
+
     def test_apply_respects_composition(self):
-        # (w.p)(x) = p(w^{-1} x), with (w^{-1} x)_j = signs[j] x_{perm[j]},
-        # is a left action: (a o b).p == a.(b.p).  No exponent exceeds 3,
-        # and a polynomial of degree <= 4 in each variable that vanishes on
-        # {-2..2}^3 is zero, so agreement there is equality
         p = P(3, {(1, 2, 0): Fraction(2), (0, 1, 3): Fraction(-1, 3),
                   (1, 1, 1): 1})
-        for w in weyl_group(RootSystemSpec("B", 3)):
-            wp = p.apply(w)
-            for x in product(range(-2, 3), repeat=3):
-                y = [s * x[i] for s, i in zip(w.signs, w.perm)]
-                assert evaluate(wp, x) == evaluate(p, y)
+        assert self.acts_by_pull_back(p, weyl_group(RootSystemSpec("B", 3)))
+
+    @pytest.mark.parametrize("family,rank", [("A", 3), ("D", 4)])
+    def test_apply_in_every_family(self, family, rank):
+        # W(A3) permutes 4 ambient coordinates and flips none; W(D4) flips
+        # an even number.  Every sign change of W(D4) other than the
+        # identity's flips the sign of some term of p and keeps another's
+        p = P(4, {(1, 2, 0, 3): 2, (0, 1, 3, 1): Fraction(-1, 3),
+                  (1, 1, 0, 0): 1, (2, 0, 2, 2): -5, (0, 0, 0, 1): 7})
+        spec = RootSystemSpec(family, rank)
+        assert spec.ambient_vars == 4
+        assert self.acts_by_pull_back(p, weyl_group(spec))
 
 
 class TestSolveExact:
@@ -383,6 +458,16 @@ class TestSolveExact:
         return rows, rhs
 
     @staticmethod
+    def row_combination(rng, rows):
+        """Random integer weights of the rows and their weighted sum."""
+        lam = [int(v) for v in rng.integers(-2, 3, size=len(rows))]
+        bad = {}
+        for l, row in zip(lam, rows):
+            for c, v in row.items():
+                bad[c] = bad.get(c, 0) + l * v
+        return lam, {c: v for c, v in bad.items() if v}
+
+    @staticmethod
     def residual_free(rows, rhs, sol):
         return all(sum((v * sol[c] for c, v in row.items()), Fraction(0)) == b
                    for row, b in zip(rows, rhs))
@@ -394,7 +479,7 @@ class TestSolveExact:
         m, n = (int(v) for v in rng.integers(1, 16, size=2))
         rank = int(rng.integers(1, min(m, n) + 1))
         rows, rhs = self.planted(rng, m, n, rank)
-        sol = _solve_exact(rows, rhs, n)
+        sol, = _solve_exact(rows, [rhs], n)
         assert sol is not None and len(sol) == n
         # exact values: an int or a Fraction, never a numpy scalar or bool
         assert all(type(v) in (int, Fraction) for v in sol)
@@ -405,34 +490,63 @@ class TestSolveExact:
 
         # a combination of the rows with its right-hand side moved by one
         # contradicts every solution of the others
-        lam = [int(v) for v in rng.integers(-2, 3, size=m)]
-        bad = {}
-        for l, row in zip(lam, rows):
-            for c, v in row.items():
-                bad[c] = bad.get(c, 0) + l * v
-        bad = {c: v for c, v in bad.items() if v}
+        lam, bad = self.row_combination(rng, rows)
         bad_rhs = sum((l * b for l, b in zip(lam, rhs)), Fraction(0)) + 1
         pos = int(rng.integers(0, m + 1))
         assert _solve_exact(rows[:pos] + [bad] + rows[pos:],
-                            rhs[:pos] + [bad_rhs] + rhs[pos:], n) is None
+                            [rhs[:pos] + [bad_rhs] + rhs[pos:]], n) == [None]
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_many_columns(self, seed):
+        # three right-hand sides of one planted system in one call, one of
+        # them contradicted by an extra row that the other two satisfy
+        from pwkit.weyl import _solve_exact
+        rng = np.random.default_rng(100 + seed)
+        m, n = (int(v) for v in rng.integers(2, 16, size=2))
+        rank = int(rng.integers(1, min(m, n) + 1))
+        rows, first = self.planted(rng, m, n, rank)
+        columns = [first]
+        for _ in range(2):
+            x0 = [Fraction(int(rng.integers(-5, 6)), int(rng.integers(1, 4)))
+                  for _ in range(n)]
+            columns.append([sum((v * x0[c] for c, v in row.items()),
+                                Fraction(0)) for row in rows])
+        lam, bad = self.row_combination(rng, rows)
+        contradicted = int(rng.integers(0, 3))
+        pos = int(rng.integers(0, m + 1))
+        rows = rows[:pos] + [bad] + rows[pos:]
+        for t, column in enumerate(columns):
+            b = sum((l * v for l, v in zip(lam, column)), Fraction(0))
+            column.insert(pos, b + (t == contradicted))
+
+        sols = _solve_exact(rows, columns, n)
+        assert len(sols) == 3
+        for t, (column, sol) in enumerate(zip(columns, sols)):
+            alone, = _solve_exact(rows, [column], n)
+            if t == contradicted:
+                assert sol is None and alone is None
+            else:
+                assert sol == alone and self.residual_free(rows, column, sol)
+                assert [type(v) for v in sol] == [type(v) for v in alone]
 
     def test_zero_right_hand_side(self):
         from pwkit.weyl import _solve_exact
         rng = np.random.default_rng(3)
         rows, _ = self.planted(rng, 9, 7, 4)
-        assert _solve_exact(rows, [Fraction(0)] * 9, 7) == [0] * 7
+        assert _solve_exact(rows, [[Fraction(0)] * 9], 7) == [[0] * 7]
 
     def test_empty_rows(self):
         from pwkit.weyl import _solve_exact
-        assert _solve_exact([], [], 3) == [0, 0, 0]
-        assert _solve_exact([{}, {}], [Fraction(0)] * 2, 2) == [0, 0]
-        assert _solve_exact([{}], [Fraction(1)], 2) is None
+        assert _solve_exact([], [[]], 3) == [[0, 0, 0]]
+        assert _solve_exact([{}, {}], [[Fraction(0)] * 2], 2) == [[0, 0]]
+        assert _solve_exact([{}], [[Fraction(1)]], 2) == [None]
         # an empty row after a pivot row, and a row that cancels to empty
         rows = [{0: Fraction(2), 1: Fraction(1)}, {},
                 {0: Fraction(4), 1: Fraction(2)}]
-        assert _solve_exact(rows, [Fraction(3), 0, Fraction(6)], 2) == [
-            Fraction(3, 2), 0]
-        assert _solve_exact(rows, [Fraction(3), 0, Fraction(7)], 2) is None
+        assert _solve_exact(rows, [[Fraction(3), 0, Fraction(6)]], 2) == [
+            [Fraction(3, 2), 0]]
+        assert _solve_exact(rows, [[Fraction(3), 0, Fraction(7)]],
+                            2) == [None]
 
 
 def exact_types(values):
@@ -521,8 +635,8 @@ class TestExactCoefficients:
 
     def test_pivot_division(self):
         from pwkit.weyl import _solve_exact
-        assert _solve_exact([{0: 2, 1: 4}], [6], 2) == [3, 0]
-        sol = _solve_exact([{0: 2}, {1: -3}], [1, 6], 2)
+        assert _solve_exact([{0: 2, 1: 4}], [[6]], 2) == [[3, 0]]
+        sol, = _solve_exact([{0: 2}, {1: -3}], [[1, 6]], 2)
         assert sol == [Fraction(1, 2), -2] and exact_types(sol)
 
 

@@ -124,6 +124,21 @@ def as_fractions(p):
 
 @deterministic
 @given(st.integers(1, 4).flatmap(lambda k: st.tuples(
+    integer_polynomials(k), st.integers(0, k))))
+def test_restrict_substitutes_zero(args):
+    # p restricted to the first nkeep variables is p with the others set
+    # to zero.  Every exponent is at most 3, so agreement on {-2..1}^nkeep
+    # is equality as polynomials
+    p, nkeep = args
+    r = p.restrict(nkeep)
+    assert r.nvars == nkeep and all(c != 0 for c in r.terms.values())
+    pad = (0,) * (p.nvars - nkeep)
+    for x in product(range(-2, 2), repeat=nkeep):
+        assert evaluate(r, x) == evaluate(p, x + pad)
+
+
+@deterministic
+@given(st.integers(1, 4).flatmap(lambda k: st.tuples(
     integer_polynomials(k), integer_polynomials(k), signed_permutations(k),
     st.integers(0, k))))
 def test_integer_arithmetic_matches_fractions(args):
@@ -147,9 +162,9 @@ def test_integer_solve_matches_fractions(args):
     target = _combination(coeffs, candidates, nvars)
     if not in_span:
         target = target + extra
-    sol = _solve_combination(candidates, target)
-    assert sol == _solve_combination([as_fractions(c) for c in candidates],
-                                     as_fractions(target))
+    sol, = _solve_combination(candidates, [target])
+    assert [sol] == _solve_combination([as_fractions(c) for c in candidates],
+                                       [as_fractions(target)])
     if in_span:
         assert sol is not None
     if sol is not None:
