@@ -21,10 +21,14 @@ on both sides, so no comparison is circular:
   over one direction of each antipodal pair.
 
 The direct kernel takes all directions of a call at once.  It contracts
-the grid's last axis once per ring (the directions that share the exact
-value of their last component: a polar ring of `DirectionSet.sphere`), then
-the remaining axes for all directions of the ring at once.  That is a
-reordering of the same sum, so neither side borrows from the other.
+the grid's last axis once per ring (`grid._rings`: the directions whose
+last components are equal to 1e-12, a polar ring of `DirectionSet.sphere`
+or a mirror pair theta, pi - theta of `DirectionSet.circle`), at the
+ring's value, then the remaining axes for all directions of the ring at
+once.  That is a reordering of the same sum, up to the roundoff between a
+member's last component and its ring's value, so neither side borrows
+from the other.  The grid synthesis of `radon.inverse_radon` sums by the
+same rings.
 
 The phases of an equispaced grid axis, e^{i theta k} for k = 0..M-1, are
 tabulated by angle addition (`grid._phase_table`: about 2 sqrt(M)

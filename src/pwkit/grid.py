@@ -214,22 +214,46 @@ def _phase_table(theta, m):
     return table.reshape(theta.shape + (-1,))[..., :m]
 
 
+def _rings(last):
+    """The directions grouped into rings by their last components `last`, a
+    real or complex (Q,) array: in sorted order (complex by real part, then
+    imaginary part) a ring opens at a component and takes every later one
+    within 1e-12 of it, so its members agree with its value, the opening
+    component, to 1e-12.  The tolerance pairs the mirror directions of
+    `DirectionSet.circle`, theta and pi - theta, whose sines can differ in
+    the last bit; the rings of `DirectionSet.sphere` are exact.  Returns
+    the (K,) ring values and the (K, G) member indices, each row padded
+    with -1 to the largest ring's size G.  A sort, not np.unique, which
+    imports numpy.ma on its first call."""
+    comps = last.tolist()
+    rings = []
+    for j in np.argsort(last, kind="stable").tolist():
+        if rings and abs(comps[j] - comps[rings[-1][0]]) <= 1e-12:
+            rings[-1].append(j)
+        else:
+            rings.append([j])
+    width = max(map(len, rings))
+    members = np.array([r + [-1] * (width - len(r)) for r in rings])
+    return last[members[:, 0]], members
+
+
 def _direct_transform(f, z, omegas):
     """int f(x) e^{-2 pi i z (omega_j . x)} dx by direct quadrature on the
     grid, for an array z and a (Q, n) array of real or complex directions
     omega_j (bilinear pairing, no conjugation); shape z.shape + (Q,).
 
     Separable phases keep it O(K M^n) per ring without forming the full
-    phase tensor.  A ring is the directions that share the exact value of
-    their last component: f's last axis is contracted once per ring, into
-    a (K, M^{n-1}) partial sum, the largest intermediate.  The remaining
-    axes are then contracted for all G directions of the ring at once
-    against their stacked (K, G, M) phases: one einsum in 2-D, one batched
-    matmul and one einsum in 3-D.  Each axis's phase e^{-2 pi i z w x_m}
-    at x_m = -L + m h is e^{2 pi i z w L} times `_phase_table` of
-    -2 pi z w h, about 2 sqrt(M) exponentials per (z, w) instead of M; an
-    entry is off by a few ulp of its modulus plus the rounding of its
-    argument, as with np.exp.
+    phase tensor.  A ring is the directions whose last components are equal
+    to 1e-12 (`_rings`): f's last axis is contracted once per ring, at the
+    ring's value, into a (K, M^{n-1}) partial sum, the largest
+    intermediate; a member's own last component differs from that value by
+    roundoff.  The remaining axes are then contracted for all G directions
+    of the ring at once against their stacked (K, G, M) phases: one einsum
+    in 2-D, one batched matmul and one einsum in 3-D.  Each axis's phase
+    e^{-2 pi i z w x_m} at x_m = -L + m h is e^{2 pi i z w L} times
+    `_phase_table` of -2 pi z w h, about 2 sqrt(M) exponentials per (z, w)
+    instead of M; an entry is off by a few ulp of its modulus plus the
+    rounding of its argument, as with np.exp.
     The direct n-D kernel, never used on a slice side (see the module
     docstring of fourier)."""
     z = np.asarray(z)
@@ -247,10 +271,8 @@ def _direct_transform(f, z, omegas):
                 * np.exp(1j * L * zw)[..., None])
 
     out = np.empty((len(zk), len(omegas)), dtype=complex)
-    last = omegas[:, -1]
-    # a set, not np.unique, which imports numpy.ma on its first call
-    for c in set(last.tolist()):
-        ring = np.flatnonzero(last == c)
+    for c, ring in zip(*_rings(omegas[:, -1])):
+        ring = ring[ring >= 0]
         p = phase(c)
         # real and imaginary parts apart, so real samples are never cast
         # to complex: one contraction of the (2, K, M) pair

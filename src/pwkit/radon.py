@@ -76,11 +76,15 @@ of the conjugate of its coefficient times the phase of omega, so the half
 sum with folded coefficients c(omega) + conj(c(-omega)) has exactly the
 real part of the full sum, whether or not the sinogram is even; for a real
 sinogram that real part is the reconstruction.  Only real sinograms are
-inverted: a complex one raises ValueError.  On the grid the phase of each
-axis is tabulated by angle addition (`grid._phase_table`), a few ulp of
-each entry plus the rounding of its argument, as with np.exp.  The offset
-kernel `_slice_transform` keeps np.exp, so no certificate uses the table
-on both sides (see the module docstring of fourier).
+inverted: a complex one raises ValueError.  On the grid the sum runs
+ring by ring, over the kept directions whose last components are equal to
+1e-12 (`grid._rings`, the rings of the direct kernel too): each ring's
+field over the other axes, then the last axis of all rings by one real
+GEMM pair per radius, mirrored about x_n = 0 (see `inverse_radon`).  The
+phase of each axis is tabulated by angle addition (`grid._phase_table`), a
+few ulp of each entry plus the rounding of its argument, as with np.exp.
+The offset kernel `_slice_transform` keeps np.exp, so no certificate uses
+the table on both sides (see the module docstring of fourier).
 """
 
 import functools
@@ -88,7 +92,7 @@ import functools
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .grid import (SampledFunction, SPHERE_AREA, _phase_table,
+from .grid import (SampledFunction, SPHERE_AREA, _phase_table, _rings,
                    _trapezoid_weights)
 
 __all__ = [
@@ -534,45 +538,58 @@ def inverse_radon(s, grid):
     direction of each antipodal pair is summed, with the folded
     coefficients, and that real part is exact.
 
-    The phase separates over the axes.  Each axis is odd about its middle
-    node, so per radius the factor e^{2 pi i r omega_a x} of each axis a is
-    tabulated on x_k = k dx >= 0 only, by angle addition
-    (`grid._phase_table`: a few ulp of each entry plus the rounding of its
-    argument, as with np.exp), and the x < 0 half is its mirrored
-    conjugate.  The factors of axes 2..n make one complex (Q/2, M^{n-1})
-    block, whose real and imaginary parts are formed apart, each by one
-    batched matmul of inner dimension 2 against the last axis's factor, so
-    both are contiguous and no complex block is stored.  With the cos and
-    sin of the axis-1 factor, cos.T @ Re(block) and sin.T @ Im(block) give
-    that radius's term at x_1 >= 0 as their difference and at -x_1 as
-    their sum: one radius per step, two GEMMs.  Raises ValueError and
-    NotEven like `_inversion_quadrature`.
+    The sum runs ring by ring: a ring is the kept directions whose last
+    components are equal to 1e-12 (`grid._rings`), and each ring's last-axis
+    phase is taken at the ring's value, a member's own component differing
+    by roundoff.  Each axis is odd about its middle node, so per radius the
+    factor e^{2 pi i r omega_a x} of an axis is tabulated on x_k = k dx >= 0
+    only, by angle addition (`grid._phase_table`: a few ulp of each entry
+    plus the rounding of its argument, as with np.exp).  Per radius:
+
+    1. Each ring's field over axes 1..n-1, F_k = sum_{j in ring k} c_j
+       prod_a e^{2 pi i r omega_ja x_a}, on the whole axes (the x < 0 half
+       of a factor is the mirrored conjugate of its x >= 0 half): a short
+       sum per ring in 2-D, one (M, G) x (G, M) product per ring in 3-D,
+       batched over the K rings.
+    2. The last axis for all K rings at once, against Z_k(x_n) =
+       e^{2 pi i r c_k x_n} at x_n >= 0: one real GEMM pair, Re(F)^T Re(Z)
+       and Im(F)^T Im(Z), of inner dimension K.
+    3. Their difference is Re(F Z), the term at x_n >= 0, and their sum is
+       Re(F conj(Z)), the term at -x_n: the mirror on the ring axis.
+
+    That is about R K M^n multiply-adds for the last axis instead of
+    R (Q/2) M^n: in 2-D a ring pairs theta with pi - theta, which about
+    halves the GEMMs, and in 3-D the polar rings of `DirectionSet.sphere`
+    cut them by the ring size.  It is the same sum in another order.
+    Raises ValueError and NotEven like `_inversion_quadrature`.
     """
     radii, vectors, coef = _inversion_quadrature(s)
     n = s.n
     m = grid.points
     h = m // 2
-    q = len(vectors)
-    out = np.zeros((m, m ** (n - 1)))
-    for i, r in enumerate(radii):
-        table = _phase_table(2 * np.pi * r * grid.spacing * vectors.T, h + 1)
-        cos, sin = (np.ascontiguousarray(t) for t in (table[0].real,
-                                                        table[0].imag))
-        # the factor of axes a = 2..n on the whole axis: its x < 0 half is
-        # the mirrored conjugate of the x >= 0 half
-        *rest, last = [np.concatenate([e[:, :0:-1].conj(), e], axis=1)
-                       for e in table[1:]]
-        last = last.view(float).reshape(q, m, 2).transpose(0, 2, 1)
-        head = coef[i][:, None]
-        for phase in rest:
-            head = (head[:, :, None] * phase[:, None, :]).reshape(q, -1)
-        # (Re, -Im) and (Im, Re) of head against (Re, Im) of last
-        even = cos.T @ (np.stack([head.real, -head.imag], axis=2)
-                        @ last).reshape(q, -1)
-        odd = sin.T @ (np.stack([head.imag, head.real], axis=2)
-                       @ last).reshape(q, -1)
-        out[h:] += even - odd                # x_1 >= 0
-        out[h - 1::-1] += even[1:] + odd[1:]  # x_1 < 0, mirrored
+    values, members = _rings(vectors[:, -1])
+    # each ring's coefficients, (R, K, G); a padded member's is 0
+    coef = np.concatenate([coef, np.zeros((len(radii), 1))], axis=1)[:, members]
+    theta = 2 * np.pi * grid.spacing * vectors[members, :-1].transpose(2, 0, 1)
+    # Re(F Z) at x_n >= 0 and Re(F conj(Z)) at x_n <= 0, mirrored
+    pos = np.zeros((m ** (n - 1), h + 1))
+    neg = np.zeros_like(pos)
+    for r, c in zip(radii, coef):
+        # the factors of axes 1..n-1 of each member on the whole axis, (K,
+        # G, M): the x < 0 half is the mirrored conjugate of the x >= 0 half
+        *head, tail = [np.concatenate([e[..., :0:-1].conj(), e], axis=-1)
+                       for e in _phase_table(r * theta, h + 1)]
+        # each ring's field over axes 1..n-1: c^T X in 2-D, X^T diag(c) Y
+        # in 3-D
+        field = (c[:, None, :] if n == 2 else
+                 head[0].transpose(0, 2, 1) * c[:, None, :]) @ tail
+        field = field.reshape(len(values), -1)
+        last = _phase_table(2 * np.pi * r * grid.spacing * values, h + 1)
+        even = np.ascontiguousarray(field.real).T @ last.real
+        odd = np.ascontiguousarray(field.imag).T @ last.imag
+        pos += even - odd
+        neg += even + odd
+    out = np.concatenate([neg[:, :0:-1], pos], axis=1)
     return SampledFunction(grid, out.reshape((m,) * n))
 
 

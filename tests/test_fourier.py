@@ -11,7 +11,7 @@ from pwkit import (DirectionSet, GridSpec,
                    radon_transform)
 import pwkit.fourier as fourier_module
 from pwkit.fourier import SLICE_RADII
-from pwkit.grid import _direct_transform, _directions_for
+from pwkit.grid import _direct_transform, _directions_for, _rings
 
 G = GridSpec(2, 1.5, 257)
 DIRS = DirectionSet.circle(64)
@@ -111,6 +111,13 @@ def _per_direction(f, z, omegas):
     return np.stack(cols, axis=-1)
 
 
+def _rotated_circle(count, angle):
+    """`DirectionSet.circle(count)` turned by `angle` radians."""
+    theta = 2 * np.pi * np.arange(count) / count + angle
+    return DirectionSet(np.stack([np.cos(theta), np.sin(theta)], axis=1),
+                        np.full(count, 1.0 / count), count // 2 - 1)
+
+
 def _rotated_sphere(band, seed):
     q, _ = np.linalg.qr(np.random.default_rng(seed).normal(size=(3, 3)))
     return DirectionSet.sphere(band).vectors @ q.T
@@ -118,7 +125,8 @@ def _rotated_sphere(band, seed):
 
 class TestDirectKernel:
     """`grid._direct_transform` contracts the grid once per ring of
-    directions sharing a last component; the sum is the per-direction one."""
+    directions whose last components agree to 1e-12; the sum is the
+    per-direction one."""
 
     @pytest.mark.parametrize("n, points, omegas", [
         (3, 33, DirectionSet.sphere(3).vectors),
@@ -144,17 +152,21 @@ class TestDirectKernel:
         assert got.shape == (3, 4, 1)
         assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
-    # a circle rule's rings are its distinct last components, about Q;
-    # which of them coincide depends on how sin rounds in the last bit
+    # a ring is the directions whose last components agree to 1e-12, so a
+    # circle rule's mirror pairs theta, pi - theta share one whatever the
+    # last bit of their sines: Q/2 + 1 rings, and Q for a rotated rule,
+    # which has no mirror pairs; a sphere rule's rings are its polar nodes
     @pytest.mark.parametrize("directions, rings", [
         (DirectionSet.sphere(3), 4),
-        (DirectionSet.circle(8), None),
-        (DirectionSet.circle(16), None),
-    ], ids=["sphere3", "circle8", "circle16"])
+        (DirectionSet.sphere(8), 9),
+        (DirectionSet.circle(8), 5),
+        (DirectionSet.circle(16), 9),
+        (DirectionSet.circle(256), 129),
+        (_rotated_circle(16, 0.1), 16),
+    ], ids=["sphere3", "sphere8", "circle8", "circle16", "circle256",
+            "rotated-circle16"])
     def test_one_grid_contraction_per_ring(self, monkeypatch, directions,
                                            rings):
-        if rings is None:
-            rings = len(np.unique(directions.vectors[:, -1]))
         f = make_bump([0.1] * directions.n, 0.5, 1.0,
                       GridSpec(directions.n, 1.5, 33))
         calls = []
@@ -167,6 +179,27 @@ class TestDirectKernel:
         monkeypatch.setattr(np, "tensordot", spy)
         fourier_on_rays(f, SLICE_RADII, directions)
         assert len(calls) == rings
+
+    @pytest.mark.parametrize("last", [
+        DirectionSet.circle(2).vectors[:, -1],
+        DirectionSet.circle(3).vectors[:, -1],
+        DirectionSet.circle(2048).vectors[:, -1],
+        _rotated_circle(48, 0.1).vectors[:, -1],
+        DirectionSet.sphere(4).vectors[:, -1],
+        np.array([0.5 + 1j, 2.0, 0.5 + 1j + 1e-15, 0.5 - 1j]),
+    ], ids=["circle2", "circle3", "circle2048", "rotated-circle48", "sphere4",
+            "complex"])
+    def test_rings_partition_the_directions(self, last):
+        values, members = _rings(last)
+        # every direction in one ring, within 1e-12 of the ring's value;
+        # the rows are padded with -1 at their ends
+        assert sorted(members[members >= 0].tolist()) == list(range(len(last)))
+        assert (np.diff((members >= 0).astype(int), axis=1) <= 0).all()
+        for c, ring in zip(values, members):
+            assert np.abs(last[ring[ring >= 0]] - c).max() <= 1e-12
+        # distinct rings are farther apart than the tolerance
+        gaps = np.abs(np.subtract.outer(values, values))
+        assert (gaps[~np.eye(len(values), dtype=bool)] > 1e-12).all()
 
     @pytest.mark.parametrize("call", [
         lambda f2, f3, s2: fourier_on_rays(f3, [1.0], DirectionSet.circle(8)),

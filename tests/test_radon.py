@@ -914,28 +914,82 @@ def full_inversion_sum(s, grid, r_max, sel):
     return out.reshape(axes[0].shape)
 
 
+def rotated_circle(count, angle):
+    """`DirectionSet.circle(count)` turned by `angle` radians: antipodal,
+    with no mirror pair theta, pi - theta, so each of its rings of equal
+    last component has one direction."""
+    theta = 2 * np.pi * np.arange(count) / count + angle
+    return DirectionSet(np.stack([np.cos(theta), np.sin(theta)], axis=1),
+                        np.full(count, 1.0 / count), count // 2 - 1)
+
+
 # (grid, directions, nodes of the full sum): every node in 2-D; in 3-D the
-# planes x_3 = -1.5, -0.75, 0, 0.75, 1.5, which keeps the sum to about 1 s
+# planes x_3 = -1.5, -0.75, 0, 0.75, 1.5, which keeps the sum to about 1 s.
+# The inversion sums one direction of each antipodal pair ring by ring: 13
+# rings of two directions or one for circle(48), 24 of one for the rotated
+# rule, and for sphere(4) two polar rings of 10 and the half-kept equator
+# of 5; sphere(5) has no equator, so its 3 rings have 12 each
 PAIRED_CASES = [(GridSpec(2, 1.5, 65), DirectionSet.circle(48), np.s_[...]),
-                (GridSpec(3, 1.5, 33), DirectionSet.sphere(4), np.s_[..., ::8])]
+                (GridSpec(3, 1.5, 33), DirectionSet.sphere(4), np.s_[..., ::8]),
+                (GridSpec(2, 1.5, 65), rotated_circle(48, 0.1), np.s_[...]),
+                (GridSpec(3, 1.5, 33), DirectionSet.sphere(5), np.s_[..., ::8])]
+PAIRED_IDS = ["2d", "3d", "2d-rotated", "3d-no-equator"]
+PAIRED_RINGS = [(13, 2), (3, 10), (24, 1), (3, 12)]  # (K, largest ring)
+
+
+def assert_full_sum(g, directions, sel):
+    """The grid synthesis of a bump's sinogram is the full sum at the nodes
+    `sel`, to 1e-13 of its largest value."""
+    f = make_bump([0.2, -0.1, 0.1][:g.n], 0.6, 1.0, g)
+    s = radon_transform(f, directions=directions)
+    full = full_inversion_sum(s, g, choose_r_max(s)[0], sel)
+    # the sum over all directions of an even sinogram is real up to
+    # roundoff (2-D 8.7e-15, 3-D 5.2e-16 of |full|)
+    assert np.abs(full.imag).max() <= 1e-12 * np.abs(full).max()
+    rec = inverse_radon(s, grid=g).values
+    assert np.isrealobj(rec)
+    assert np.abs(rec[sel] - full.real).max() <= 1e-13 * np.abs(full).max()
 
 
 class TestInverseRadon:
     @pytest.mark.parametrize("g, directions, sel", PAIRED_CASES,
-                             ids=["2d", "3d"])
+                             ids=PAIRED_IDS)
     def test_paired_synthesis_is_the_full_sum(self, g, directions, sel):
-        f = make_bump([0.2, -0.1, 0.1][:g.n], 0.6, 1.0, g)
-        s = radon_transform(f, directions=directions)
-        full = full_inversion_sum(s, g, choose_r_max(s)[0], sel)
-        # the sum over all directions of an even sinogram is real up to
-        # roundoff (2-D 8.7e-15, 3-D 5.2e-16 of |full|)
-        assert np.abs(full.imag).max() <= 1e-12 * np.abs(full).max()
-        rec = inverse_radon(s, grid=g).values
-        assert np.isrealobj(rec)
-        assert np.abs(rec[sel] - full.real).max() <= 1e-13 * np.abs(full).max()
+        assert_full_sum(g, directions, sel)
+
+    @pytest.mark.parametrize("band", [3, 8, 16])
+    def test_ring_synthesis_is_the_full_sum_in_3d(self, band):
+        # polar rings of 8, 18 and 34 directions, the largest 3-D rules
+        # the tests sum in full
+        assert_full_sum(GridSpec(3, 1.5, 33), DirectionSet.sphere(band),
+                        np.s_[..., ::8])
+
+    @pytest.mark.parametrize("g, directions, sel, rings, width",
+                             [c + k for c, k in zip(PAIRED_CASES,
+                                                    PAIRED_RINGS)],
+                             ids=PAIRED_IDS)
+    def test_one_last_axis_contraction_per_radius(self, monkeypatch, g,
+                                                  directions, sel, rings,
+                                                  width):
+        # the last axis's phases are tabulated once per radius, at the K
+        # ring values, and contracted against the K ring fields; the
+        # other axes' phases once per radius, for every member of a ring
+        from pwkit import radon
+        s = radon_transform(make_bump([0.2, -0.1, 0.1][:g.n], 0.5, 1.0, g),
+                            directions=directions)
+        shapes = []
+        table = radon._phase_table
+
+        def spy(theta, m):
+            shapes.append(np.shape(theta))
+            return table(theta, m)
+        monkeypatch.setattr(radon, "_phase_table", spy)
+        inverse_radon(s, grid=g)
+        radii = len(radon._inversion_quadrature(s)[0])
+        assert shapes == [(g.n - 1, rings, width), (rings,)] * radii
 
     @pytest.mark.parametrize("g, directions, sel", PAIRED_CASES,
-                             ids=["2d", "3d"])
+                             ids=PAIRED_IDS)
     def test_paired_synthesis_keeps_an_admissible_odd_part(self, g,
                                                            directions, sel):
         # an odd part under EVENNESS_TOL is admitted, and the folded
