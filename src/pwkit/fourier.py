@@ -30,6 +30,14 @@ member's last component and its ring's value, so neither side borrows
 from the other.  The grid synthesis of `radon.inverse_radon` sums by the
 same rings.
 
+Each kernel sums over the nonzero box of its own input
+(`grid._nonzero_box`, from the exact mask values != 0): the direct kernel
+over f's samples, the offset kernel over the sinogram's rows, the Radon
+transform over the samples it resamples.  Each side reads its box from its
+own input, and drops exact zeros only.  `grid.integrate` and `l2_norm_sq`,
+which the zeroth-moment and Plancherel records compare against, stay on
+the whole grid.
+
 The phases of an equispaced grid axis, e^{i theta k} for k = 0..M-1, are
 tabulated by angle addition (`grid._phase_table`: about 2 sqrt(M)
 exponentials instead of M, each entry off by a few ulp of its modulus plus

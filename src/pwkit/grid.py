@@ -214,6 +214,19 @@ def _phase_table(theta, m):
     return table.reshape(theta.shape + (-1,))[..., :m]
 
 
+def _nonzero_box(values):
+    """The smallest box holding every nonzero sample of `values`, one slice
+    per axis: from the first to the last index where some sample is nonzero
+    (the exact mask values != 0), or the first index alone for the zero
+    array.  A kernel that sums over the box drops exact zeros only."""
+    live = values != 0
+    axes = range(live.ndim)
+    hits = [np.flatnonzero(live.any(axis=tuple(set(axes) - {a})))
+            for a in axes]
+    return tuple(slice(i[0], i[-1] + 1) if len(i) else slice(0, 1)
+                 for i in hits)
+
+
 def _rings(last):
     """The directions grouped into rings by their last components `last`, a
     real or complex (Q,) array: in sorted order (complex by real part, then
@@ -242,18 +255,20 @@ def _direct_transform(f, z, omegas):
     grid, for an array z and a (Q, n) array of real or complex directions
     omega_j (bilinear pairing, no conjugation); shape z.shape + (Q,).
 
-    Separable phases keep it O(K M^n) per ring without forming the full
-    phase tensor.  A ring is the directions whose last components are equal
-    to 1e-12 (`_rings`): f's last axis is contracted once per ring, at the
-    ring's value, into a (K, M^{n-1}) partial sum, the largest
-    intermediate; a member's own last component differs from that value by
-    roundoff.  The remaining axes are then contracted for all G directions
-    of the ring at once against their stacked (K, G, M) phases: one einsum
-    in 2-D, one batched matmul and one einsum in 3-D.  Each axis's phase
-    e^{-2 pi i z w x_m} at x_m = -L + m h is e^{2 pi i z w L} times
-    `_phase_table` of -2 pi z w h, about 2 sqrt(M) exponentials per (z, w)
-    instead of M; an entry is off by a few ulp of its modulus plus the
-    rounding of its argument, as with np.exp.
+    The sum runs over the nonzero box of f's samples (`_nonzero_box`), so
+    it drops exact zeros only, and separable phases keep it O(K M^n) per
+    ring without forming the full phase tensor.  A ring is the directions
+    whose last components are equal to 1e-12 (`_rings`): f's last axis is
+    contracted once per ring, at the ring's value, into a (K, M^{n-1})
+    partial sum, the largest intermediate; a member's own last component
+    differs from that value by roundoff.  The remaining axes are then
+    contracted for all G directions of the ring at once against their
+    stacked (K, G, M) phases: one einsum in 2-D, one batched matmul and one
+    einsum in 3-D.  Each axis's phase e^{-2 pi i z w x_m}, on that axis's
+    box x_m = x_0 + m h from its first node x_0, is e^{-2 pi i z w x_0}
+    times `_phase_table` of -2 pi z w h, about 2 sqrt(M) exponentials per
+    (z, w) instead of M; an entry is off by a few ulp of its modulus plus
+    the rounding of its argument, as with np.exp.
     The direct n-D kernel, never used on a slice side (see the module
     docstring of fourier)."""
     z = np.asarray(z)
@@ -263,27 +278,30 @@ def _direct_transform(f, z, omegas):
         raise ValueError("direction dimension does not match the grid")
     zk = z.reshape(-1)
     h, L = f.grid.spacing, f.grid.half_width
+    box = _nonzero_box(f.values)
+    values = f.values[box]
 
-    def phase(w):
-        """e^{-2 pi i z_k w x_m}, shape (K,) + w.shape + (M,)."""
+    def phase(w, axis):
+        """e^{-2 pi i z_k w x_m} on the box of axis, (K,) + w.shape + (m,)."""
         zw = 2 * np.pi * np.multiply.outer(zk, w)
-        return (_phase_table(-zw * h, f.grid.points)
-                * np.exp(1j * L * zw)[..., None])
+        first = box[axis].start
+        return (_phase_table(-zw * h, values.shape[axis])
+                * np.exp(1j * (L - first * h) * zw)[..., None])
 
     out = np.empty((len(zk), len(omegas)), dtype=complex)
     for c, ring in zip(*_rings(omegas[:, -1])):
         ring = ring[ring >= 0]
-        p = phase(c)
+        p = phase(c, n - 1)
         # real and imaginary parts apart, so real samples are never cast
         # to complex: one contraction of the (2, K, M) pair
-        part = np.tensordot(np.stack([p.real, p.imag]), f.values,
+        part = np.tensordot(np.stack([p.real, p.imag]), values,
                             axes=(2, n - 1))
         part = part[0] + 1j * part[1]                     # (K, M, ...)
-        x = phase(omegas[ring, 0])                        # (K, G, M)
+        x = phase(omegas[ring, 0], 0)                     # (K, G, M)
         if n == 2:
             out[:, ring] = np.einsum("km,kqm->kq", part, x)
         else:
-            y = phase(omegas[ring, 1])
+            y = phase(omegas[ring, 1], 1)
             out[:, ring] = np.einsum("kqm,kqm->kq", x,
                                      y @ part.transpose(0, 2, 1))
     return (out * f.grid.spacing ** n).reshape(z.shape + (len(omegas),))

@@ -92,8 +92,8 @@ import functools
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .grid import (SampledFunction, SPHERE_AREA, _phase_table, _rings,
-                   _trapezoid_weights)
+from .grid import (SampledFunction, SPHERE_AREA, _nonzero_box, _phase_table,
+                   _rings, _trapezoid_weights)
 
 __all__ = [
     "Sinogram",
@@ -238,9 +238,12 @@ def _slab_stacks(values, t, h, L):
     resampling R = `_resampling_matrix` at t is linear, so a resampled axis
     contracts the samples with R F, and F is applied only along the axes a
     stack keeps: the pencil axis, or the two in-slab axes.  No n-D
-    prefilter runs over the M^n samples.  In 3-D the pencil stacks (0, 1)
-    and (0, 2) share their first contraction, along x, so a call contracts
-    the M^3 samples at most once per axis.  The 1-D stacks, stacks(e) in 2-D
+    prefilter runs over the M^n samples.  Every contraction runs over the
+    nonzero box of the samples (`grid._nonzero_box`), against the box's
+    columns of R F or F, so it drops exact zeros only, and a kept axis
+    still has its full M entries.  In 3-D the pencil stacks (0, 1) and
+    (0, 2) share their first contraction, along x, so a call contracts the
+    samples at most once per axis.  The 1-D stacks, stacks(e) in 2-D
     and stacks(e, f) in 3-D, are (T^(n-1), M + 2 ROW_PAD): pencil (k, l) at
     k T + l, padded by ROW_PAD mirrored entries at both ends (np.pad's
     "reflect", the mirror rule of `_spline_taps`), which hold every tap.
@@ -251,28 +254,34 @@ def _slab_stacks(values, t, h, L):
     set."""
     prefilter = _prefilter_matrix(values.shape[0])
     resample = _resampling_matrix((t + L) / h, values.shape[0]) @ prefilter
+    box = _nonzero_box(values)
+    values = values[box]
+    # the columns of each axis's box, of R F to resample it, of F to keep it
+    resample = [resample[:, b] for b in box]
+    prefilter = [prefilter[:, b] for b in box]
     cache = {}
 
     def contract(axes):
         # the 3-D pencil stacks (0, 1) and (0, 2) start from one
         # contraction along x, kept until both are made
         if axes not in ((0, 1), (0, 2)):
-            return np.tensordot(resample, values, axes=(1, axes[0]))
+            return np.tensordot(resample[axes[0]], values, axes=(1, axes[0]))
         if "x" not in cache:
-            cache["x"] = np.tensordot(resample, values, axes=(1, 0))
+            cache["x"] = np.tensordot(resample[0], values, axes=(1, 0))
         return cache.pop("x") if (0, 3 - axes[1]) in cache else cache["x"]
 
     def stacks(*axes):
         if axes not in cache:
             stack = contract(axes)
-            if len(axes) < values.ndim - 1:  # the slabs of a 3-D array
-                cache[axes] = prefilter @ stack @ prefilter.T
+            kept = [a for a in range(values.ndim) if a not in axes]
+            if len(kept) == 2:  # the slabs of a 3-D array
+                cache[axes] = prefilter[kept[0]] @ stack @ prefilter[kept[1]].T
             else:
                 if len(axes) == 2:  # f > e: the slabs' first axis if f = 1
-                    stack = (np.matmul(resample, stack) if axes[1] == 1 else
-                             np.matmul(stack, resample.T).swapaxes(1, 2))
+                    stack = (np.matmul(resample[1], stack) if axes[1] == 1 else
+                             np.matmul(stack, resample[2].T).swapaxes(1, 2))
                     stack = stack.reshape(-1, stack.shape[2])
-                cache[axes] = np.pad(stack @ prefilter.T,
+                cache[axes] = np.pad(stack @ prefilter[kept[0]].T,
                                      [(0, 0), (ROW_PAD, ROW_PAD)],
                                      mode="reflect")
         return cache[axes]
@@ -467,12 +476,16 @@ def evenness_defect(s):
 def _slice_transform(s, z, deriv=0):
     """d^l/dz^l int s(p, omega_j) e^{-2 pi i p z} dp (l = deriv) for every
     direction j by trapezoid quadrature in the offset, at real or complex z;
-    shape z.shape + (Q,).  The offset kernel of the slice route, never used
-    on a direct side (see the module docstring of fourier)."""
+    shape z.shape + (Q,).  The sum runs over the sinogram's nonzero rows
+    (`grid._nonzero_box`), which drops exact zeros only.  The offset kernel
+    of the slice route, never used on a direct side (see the module
+    docstring of fourier)."""
     z = np.asarray(z)
-    wp = s.offset_weights() * (-2j * np.pi * s.offsets) ** deriv
-    E = np.exp(-2j * np.pi * np.outer(z, s.offsets)) * wp[None, :]
-    return (E @ s.values).reshape(z.shape + (len(s.directions),))
+    rows = _nonzero_box(s.values)[0]
+    p = s.offsets[rows]
+    wp = s.offset_weights()[rows] * (-2j * np.pi * p) ** deriv
+    E = np.exp(-2j * np.pi * np.outer(z, p)) * wp[None, :]
+    return (E @ s.values[rows]).reshape(z.shape + (len(s.directions),))
 
 
 def moment(s, k):

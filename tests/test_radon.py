@@ -694,14 +694,15 @@ class TestPrefilterFold:
     def test_pencil_stacks_share_the_contraction_along_x(self, monkeypatch):
         # the pencil stacks (0, 1) and (0, 2) start from one contraction of
         # the samples along x, so the sphere(3) normals, which use all three
-        # pencil axes, contract the full grid once along x and once along y
+        # pencil axes, contract the samples once along x and once along y;
+        # a contraction takes the view of the samples' nonzero box
         from pwkit import radon
         f = make_bump(*OFFCENTRE, 1.0, GridSpec(3, 1.5, 33))
         axes = []
         real = radon.np.tensordot
 
         def counting(a, b, **kwargs):
-            if b is f.values:
+            if np.shares_memory(b, f.values):
                 axes.append(kwargs["axes"][1])
             return real(a, b, **kwargs)
         monkeypatch.setattr(radon.np, "tensordot", counting)
@@ -710,7 +711,8 @@ class TestPrefilterFold:
 
     def test_horizontal_normals_slab_on_z(self, monkeypatch):
         # one slab stack, resampled along z, serves every horizontal normal
-        # of a call, w = (1, 0, 0) included: the samples are contracted once
+        # of a call, w = (1, 0, 0) included: the samples are contracted once,
+        # through the view of their nonzero box
         from pwkit import radon
         f = make_bump(*OFFCENTRE, 1.0, GridSpec(3, 1.5, 33))
         vecs = np.concatenate([compat_directions().vectors, [[1.0, 0, 0]]])
@@ -720,7 +722,7 @@ class TestPrefilterFold:
         real = radon.np.tensordot
 
         def counting(a, b, **kwargs):
-            if b is f.values:
+            if np.shares_memory(b, f.values):
                 axes.append(kwargs["axes"][1])
             return real(a, b, **kwargs)
         monkeypatch.setattr(radon.np, "tensordot", counting)
@@ -758,6 +760,95 @@ class TestPrefilterFold:
             got_owner, got_vals, _ = sample(w)
             np.testing.assert_array_equal(got_owner, owner)
             np.testing.assert_array_equal(got_vals, vals)
+
+
+def spiked(values):
+    """A copy of `values` with a sample of 1.0 at the last node of the hull
+    of its nonzero samples, where a box one node short would drop it: the
+    bump's own outermost samples are as small as 1e-158, so only the spike
+    makes that loss show."""
+    values = values.copy()
+    values[tuple(np.argwhere(values != 0).max(axis=0))] = 1.0
+    return values
+
+
+def spiked_bump(n, points):
+    """The OFFCENTRE bump of dimension n, `spiked`, with its support radius
+    left undeclared."""
+    from pwkit import SampledFunction
+    g = GridSpec(n, 1.5, points)
+    f = make_bump(OFFCENTRE[0][:n], OFFCENTRE[1], 1.0, g)
+    return SampledFunction(g, spiked(f.values))
+
+
+class TestNonzeroBox:
+    """The direct kernel, the spline stacks and the offset kernel sum over
+    the nonzero box of their input (`grid._nonzero_box`), and each equals
+    its sum over the whole grid or every offset, written out here."""
+
+    Z = np.array([0.0, 0.7, 2.5, 1.0 + 0.3j])
+
+    @pytest.mark.parametrize("n, points, directions", [
+        (2, 65, DirectionSet.circle(16)),
+        (3, 33, DirectionSet.sphere(3)),
+    ], ids=["2d", "3d"])
+    def test_direct_kernel_is_the_full_grid_sum(self, n, points, directions):
+        from pwkit.grid import _direct_transform, _nonzero_box
+        f = spiked_bump(n, points)
+        assert _nonzero_box(f.values) != (slice(0, points),) * n
+        x = np.stack(np.meshgrid(*[f.grid.axis()] * n, indexing="ij"))
+        proj = directions.vectors @ x.reshape(n, -1)       # (Q, M^n)
+        want = np.stack([np.exp(-2j * np.pi * z * proj) @ f.values.ravel()
+                         for z in self.Z]) * f.grid.spacing ** n
+        got = _direct_transform(f, self.Z, directions.vectors)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    @pytest.mark.parametrize("n, points", [(2, 65), (3, 33)], ids=["2d", "3d"])
+    def test_stacks_are_the_full_contraction(self, n, points):
+        from pwkit.radon import (ROW_PAD, _prefilter_matrix,
+                                 _resampling_matrix, _slab_stacks)
+        f = spiked_bump(n, points)
+        h, L = f.grid.spacing, f.grid.half_width
+        tmax = min(f.support_radius, L * np.sqrt(n)) + 3 * h
+        k = int(np.ceil(tmax / h))
+        t = (tmax / k) * np.arange(-k, k + 1)
+        prefilter = _prefilter_matrix(points)
+        resample = _resampling_matrix((t + L) / h, points) @ prefilter
+        stacks = _slab_stacks(f.values, t, h, L)
+        for axes in ([(0,), (1,)] if n == 2 else [(0, 1), (0, 2), (1, 2), (2,)]):
+            # R F along the resampled axes, F along the kept ones, on the
+            # whole grid
+            want = f.values
+            for a in range(n):
+                want = np.moveaxis(np.tensordot(
+                    resample if a in axes else prefilter, want, axes=(1, a)),
+                    0, a)
+            if len(axes) == n - 1:   # pencils k T + l along the kept axis
+                kept, = set(range(n)) - set(axes)
+                want = np.pad(np.moveaxis(want, kept, -1).reshape(-1, points),
+                              [(0, 0), (ROW_PAD, ROW_PAD)], mode="reflect")
+            else:                    # slab k of a 3-D stack at k
+                want = np.moveaxis(want, axes[0], 0)
+            got = stacks(*axes)
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    @pytest.mark.parametrize("deriv", [0, 1, 3])
+    def test_offset_kernel_is_the_full_offset_sum(self, deriv):
+        g = GridSpec(2, 1.5, 65)
+        s = radon_transform(make_bump(OFFCENTRE[0][:2], OFFCENTRE[1], 1.0, g),
+                            directions=DirectionSet.circle(16))
+        s = Sinogram(s.offsets, s.directions, spiked(s.values))
+        p = s.offsets
+        assert (s.values[[0, -1]] == 0).all()
+        # trapezoid weights over every offset
+        w = np.full(len(p), p[1] - p[0])
+        w[[0, -1]] /= 2
+        want = np.einsum("zp,p,pq->zq",
+                         np.exp(-2j * np.pi * np.outer(self.Z, p)),
+                         w * (-2j * np.pi * p) ** deriv, s.values)
+        got = _slice_transform(s, self.Z, deriv)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
 class TestEvenness:
