@@ -42,8 +42,13 @@ The phases of an equispaced grid axis, e^{i theta k} for k = 0..M-1, are
 tabulated by angle addition (`grid._phase_table`: about 2 sqrt(M)
 exponentials instead of M, each entry off by a few ulp of its modulus plus
 the rounding of its argument, as with np.exp) in two places only: the
-direct kernel and the grid synthesis of `radon.inverse_radon`.  The offset
-kernel and `pointwise_inversion` keep np.exp, cos and sin.  So no
+direct kernel and the grid synthesis of `radon.inverse_radon`.  The
+synthesis makes one table per radius, over the half axis x >= 0, of the
+levels: the distinct |omega_a| to 1e-12 (`grid._rings`) of the kept
+directions' components and ring values.  Every factor of every axis is a
+row of it, mirrored and conjugated for x < 0 and read backwards for a
+negative component.  The offset kernel and `pointwise_inversion` keep
+np.exp, cos and sin.  So no
 certificate uses the table on both sides: the Fourier slice and extension
 consistency compare the direct side (table) with the offset side (np.exp),
 and the round trip compares the synthesis with the grid samples of f,

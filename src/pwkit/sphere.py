@@ -23,6 +23,8 @@ int_0^t cos((m + rho) s) (cos s - cos t)^(rho-1) ds, and
     I(m) = (2/pi) f_hat(m).
 """
 
+import functools
+
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
@@ -157,6 +159,7 @@ def spherical_transform(profile, m_max):
     return (base * psi) @ _simpson_weights(len(base), profile.step)
 
 
+@functools.cache
 def _jacobi_rule(rho):
     """The JACOBI_NODES-point Gauss rule (x_j, w_j) of the weight
     (1 + x)^(rho-1) on [-1, 1], rho = 1 or 1/2, from numpy's Gauss-Legendre
@@ -166,11 +169,17 @@ def _jacobi_rule(rho):
     polynomial of degree < 2 JACOBI_NODES in x, and the Gauss-Legendre rule
     of 2 JACOBI_NODES points integrates it on [-1, 1] exactly, twice its
     integral on [0, 1].  So its positive nodes y_j and weights w_j give the
-    Gauss-Jacobi rule x_j = 2 y_j^2 - 1 with the weights 2 sqrt(2) w_j."""
+    Gauss-Jacobi rule x_j = 2 y_j^2 - 1 with the weights 2 sqrt(2) w_j.
+    Made once per rho and process, and read-only, since every caller
+    shares it."""
     if rho == 1:
-        return leggauss(JACOBI_NODES)
-    y, w = leggauss(2 * JACOBI_NODES)
-    return 2 * y[JACOBI_NODES:] ** 2 - 1, 2 * np.sqrt(2) * w[JACOBI_NODES:]
+        rule = leggauss(JACOBI_NODES)
+    else:
+        y, w = leggauss(2 * JACOBI_NODES)
+        rule = 2 * y[JACOBI_NODES:] ** 2 - 1, 2 * np.sqrt(2) * w[JACOBI_NODES:]
+    for a in rule:
+        a.setflags(write=False)
+    return rule
 
 
 def _profile_prefilter(values):
@@ -254,9 +263,14 @@ def sphere_slice_defect(profile, m_max):
     max_{0<=m<=m_max} |f_hat(m) - c_n I(m)| / max_m |f_hat(m)|.
     Requires a profile supported strictly inside [0, pi).
     """
+    return _slice_defect(profile, *_slice_pair(profile, m_max))
+
+
+def _slice_defect(profile, fh, I):
+    """`sphere_slice_defect` of the profile from its `_slice_pair`
+    (f_hat, I)."""
     if profile.support_angle >= np.pi:
         raise ValueError("slice identity check needs support strictly inside [0, pi)")
-    fh, I = _slice_pair(profile, m_max)
     return float(np.abs(fh - SLICE_CONSTANT[profile.n] * I).max()
                  / np.abs(fh).max())
 

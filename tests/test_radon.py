@@ -1025,7 +1025,33 @@ PAIRED_CASES = [(GridSpec(2, 1.5, 65), DirectionSet.circle(48), np.s_[...]),
                 (GridSpec(2, 1.5, 65), rotated_circle(48, 0.1), np.s_[...]),
                 (GridSpec(3, 1.5, 33), DirectionSet.sphere(5), np.s_[..., ::8])]
 PAIRED_IDS = ["2d", "3d", "2d-rotated", "3d-no-equator"]
-PAIRED_RINGS = [(13, 2), (3, 10), (24, 1), (3, 12)]  # (K, largest ring)
+# the distinct |components| to 1e-12 of the kept directions (`inverse_radon`'s
+# levels): circle(48)'s |cos| and |sin| are the same 13 values
+# sin(k pi / 24), k = 0..12, and the rotated rule's 24 values are each the
+# |sin| of one direction and the |cos| of another
+PAIRED_LEVELS = [13, 18, 24, 13]
+
+
+def phase_tables(monkeypatch, g, directions):
+    """The inversion of a bump's sinogram on `directions` makes one
+    `_phase_table` call per radius, the half axis x_k = k dx, k <= M // 2,
+    of one angle per level; returns the level count V."""
+    from pwkit import radon
+    s = radon_transform(make_bump([0.2, -0.1, 0.1][:g.n], 0.5, 1.0, g),
+                        directions=directions)
+    calls = []
+    table = radon._phase_table
+
+    def spy(theta, m):
+        calls.append((np.shape(theta), m))
+        return table(theta, m)
+    monkeypatch.setattr(radon, "_phase_table", spy)
+    inverse_radon(s, grid=g)
+    radii = len(radon._inversion_quadrature(s)[0])
+    assert len(calls) == radii and len(set(calls)) == 1
+    shape, m = calls[0]
+    assert len(shape) == 1 and m == g.points // 2 + 1
+    return shape[0]
 
 
 def assert_full_sum(g, directions, sel):
@@ -1055,29 +1081,36 @@ class TestInverseRadon:
         assert_full_sum(GridSpec(3, 1.5, 33), DirectionSet.sphere(band),
                         np.s_[..., ::8])
 
-    @pytest.mark.parametrize("g, directions, sel, rings, width",
-                             [c + k for c, k in zip(PAIRED_CASES,
-                                                    PAIRED_RINGS)],
+    @pytest.mark.parametrize("g, directions, sel, levels",
+                             [c + (v,) for c, v in zip(PAIRED_CASES,
+                                                       PAIRED_LEVELS)],
                              ids=PAIRED_IDS)
     def test_one_last_axis_contraction_per_radius(self, monkeypatch, g,
-                                                  directions, sel, rings,
-                                                  width):
-        # the last axis's phases are tabulated once per radius, at the K
-        # ring values, and contracted against the K ring fields; the
-        # other axes' phases once per radius, for every member of a ring
-        from pwkit import radon
-        s = radon_transform(make_bump([0.2, -0.1, 0.1][:g.n], 0.5, 1.0, g),
-                            directions=directions)
-        shapes = []
-        table = radon._phase_table
+                                                  directions, sel, levels):
+        # every factor of every axis, the last axis's of each ring too, is
+        # a row of one table per radius, at the V levels
+        assert phase_tables(monkeypatch, g, directions) == levels
 
-        def spy(theta, m):
-            shapes.append(np.shape(theta))
-            return table(theta, m)
-        monkeypatch.setattr(radon, "_phase_table", spy)
-        inverse_radon(s, grid=g)
-        radii = len(radon._inversion_quadrature(s)[0])
-        assert shapes == [(g.n - 1, rings, width), (rings,)] * radii
+    def test_one_phase_table_per_radius_on_the_round_trip_rule(
+            self, monkeypatch):
+        # circle(256)'s 128 kept directions: 64 distinct |cos|, and the
+        # 65 ring values |sin| among them, at 257^2
+        assert phase_tables(monkeypatch, G, DirectionSet.circle(256)) == 65
+
+    def test_padded_ring_slots_add_no_level(self, monkeypatch):
+        # kept: 0.3 and pi - 0.3, a ring of two, and 0.7, a ring of one
+        # padded to two; no kept component is 0, so a padded slot read as
+        # a zero vector would add a level, and read as any kept direction
+        # it adds none
+        from pwkit.grid import _rings
+        theta = np.array([0.3, np.pi - 0.3, 0.7])
+        theta = np.concatenate([theta, theta + np.pi])
+        directions = DirectionSet(
+            np.stack([np.cos(theta), np.sin(theta)], axis=1),
+            np.full(6, 1.0 / 6), 1)
+        assert (_rings(directions.vectors[:3, -1])[1] == -1).sum() == 1
+        # |cos 0.3|, |cos 0.7|, sin 0.3, sin 0.7
+        assert phase_tables(monkeypatch, PAIRED_CASES[0][0], directions) == 4
 
     @pytest.mark.parametrize("g, directions, sel", PAIRED_CASES,
                              ids=PAIRED_IDS)

@@ -186,6 +186,28 @@ class TestJacobiRule:
         got = np.polynomial.legendre.legvander(x, k[-1]).T @ w
         assert np.abs(got - exact).max() <= 1e-13
 
+    def test_one_rule_per_weight(self, monkeypatch):
+        # the rule of each rho is made once per process, however many
+        # transforms read it
+        calls = []
+        exact = sphere_module.leggauss
+
+        def spy(deg):
+            calls.append(deg)
+            return exact(deg)
+        monkeypatch.setattr(sphere_module, "leggauss", spy)
+        _jacobi_rule.cache_clear()
+        for _ in range(3):
+            for n in (3, 2):
+                sphere_radon(cap_bump(0.5, n))
+        assert calls == [JACOBI_NODES, 2 * JACOBI_NODES]
+
+    @pytest.mark.parametrize("rho", [1.0, 0.5])
+    def test_rule_is_shared_and_read_only(self, rho):
+        first, again = _jacobi_rule(rho), _jacobi_rule(rho)
+        assert all(a is b for a, b in zip(first, again))
+        assert not any(a.flags.writeable for a in first)
+
 
 class TestSliceIdentity:
     @pytest.mark.parametrize("profile", list(SLICE_PROFILES))
@@ -241,6 +263,39 @@ class TestSliceIdentity:
         for record in (records[name], records["slice constant stability"]):
             assert not record["passed"]
             assert record["defect"] > 10 * record["threshold"]
+
+    def test_one_slice_pair_per_profile_per_run(self, monkeypatch):
+        # the slice records and the constant stability of `pwkit sphere`
+        # share each profile's pair: 4 profiles, 4 pairs
+        calls = []
+        exact = sphere_module._slice_pair
+
+        def spy(profile, m_max):
+            calls.append(profile)
+            return exact(profile, m_max)
+        monkeypatch.setattr(sphere_module, "_slice_pair", spy)
+        run(RunConfig("sphere"))
+        assert len(calls) == 4 and len(set(map(id, calls))) == 4
+
+    def test_run_defects_equal_direct_calls(self):
+        from pwkit.cli import SPHERE_M_MAX, SUPPORT_SAMPLES
+        records = {r["name"]: r["defect"]
+                   for r in run(RunConfig("sphere")).records}
+        caps = {n: [cap_bump(t, n) for t in (0.5, 1.2)] for n in (3, 2)}
+        for n, rho in ((3, "1"), (2, "1/2")):
+            assert records["sphere slice identity (rho = %s)" % rho] == max(
+                sphere_slice_defect(p, SPHERE_M_MAX) for p in caps[n])
+        assert records["slice constant stability"] == max(
+            float(np.abs(sphere_slice_constants(p, SPHERE_M_MAX)
+                         - SLICE_CONSTANT[n]).max() / SLICE_CONSTANT[n])
+            for n in (3, 2) for p in caps[n])
+
+        def gap(t):
+            p = cap_bump(t, 3, samples=SUPPORT_SAMPLES)
+            r_prof, r_rad = sphere_support_check(p)
+            return abs(r_prof - r_rad) / p.step
+        assert records["sphere support equivalence"] == max(
+            map(gap, (0.3, 0.5, 0.8, 1.2)))
 
 
 class TestUndeclaredAngle:
