@@ -10,6 +10,8 @@ fixed seed the pass/fail vector is deterministic.  A check that raises is
 recorded as failed, with the exception in its "error" field, and the run
 goes on; an exception outside every check ends only its pipeline, as one
 failed "<pipeline> pipeline" record, and the report is still written.
+Each subcommand reports the same records on every input: one that is not
+defined for the inputs is not run, and its "skipped" field says why.
 """
 
 import argparse
@@ -22,6 +24,7 @@ import platform
 import subprocess
 import sys
 import time
+from types import SimpleNamespace
 
 import numpy as np
 from numpy.random import default_rng
@@ -121,28 +124,33 @@ class Report:
         self.records = []
         self.started = time.perf_counter()
 
-    def check(self, name, anchor, fn, threshold, mesh=None, compare="le"):
+    def check(self, name, anchor, fn, threshold, mesh=None, compare="le",
+              skip=None):
         """Run one check and append its record.  A check that raises is
         recorded as failed with a NaN defect and "error" set to
-        "<ExcType>: <message>", and the run goes on."""
+        "<ExcType>: <message>", and the run goes on.  With a `skip` reason,
+        fn is not run and the record's defect, margin and passed are None."""
         beats = {"le": operator.le, "ge": operator.ge}[compare]
         record = {"name": name, "anchor": anchor, "threshold": threshold,
                   "mesh": mesh or {}}
-        t0 = time.perf_counter()
-        try:
-            value = float(fn())
-        except Exception as exc:  # one broken check must not lose the report
-            value = math.nan
-            record["error"] = "%s: %s" % (type(exc).__name__, exc)
-        record.update(defect=value, passed=bool(beats(value, threshold)),
-                      margin=_margin(value, threshold, compare),
-                      runtime_s=round(time.perf_counter() - t0, 3))
+        if skip:
+            record.update(skipped=skip, defect=None, margin=None, passed=None)
+        else:
+            t0 = time.perf_counter()
+            try:
+                value = float(fn())
+            except Exception as exc:  # a broken check must not lose the report
+                value = math.nan
+                record["error"] = "%s: %s" % (type(exc).__name__, exc)
+            record.update(defect=value, passed=bool(beats(value, threshold)),
+                          margin=_margin(value, threshold, compare),
+                          runtime_s=round(time.perf_counter() - t0, 3))
         self.records.append(record)
-        return value
+        return record["defect"]
 
     @property
     def all_passed(self):
-        return all(r["passed"] for r in self.records)
+        return all(r["passed"] for r in self.records if "skipped" not in r)
 
     def to_dict(self):
         return {
@@ -219,7 +227,9 @@ def _margin(value, threshold, compare):
 def _json_record(record):
     """The record as strict JSON: a non-finite defect is written as null,
     with "nonfinite" set to "inf", "-inf" or "nan", and a non-finite margin
-    as null."""
+    as null; a skipped record is written as it is."""
+    if "skipped" in record:
+        return record
     d, m = record["defect"], record["margin"]
     out = dict(record, margin=m if np.isfinite(m) else None)
     if not np.isfinite(d):
@@ -229,9 +239,9 @@ def _json_record(record):
 
 
 def _load_or_suite(cfg):
-    """The grid, the `--in` file's function or the seeded suite, the
-    direction rule, one sinogram per function, the mesh they share, and the
-    first function's inversion sinogram, built on first use (2-D only)."""
+    """A namespace of the grid, the `--in` file's function or the seeded
+    suite (funcs), the rule (dirs), one sinogram per function (sinos), the
+    mesh they share, and the first one's inversion_sinogram(), built lazily."""
     if cfg.input_path:
         f = _grid.load_function(cfg.input_path)
         g, funcs = f.grid, [f]
@@ -248,7 +258,8 @@ def _load_or_suite(cfg):
             return sinos[0]
         circle = _grid.DirectionSet.circle(INVERSION_DIRECTIONS)
         return _radon.radon_transform(funcs[0], directions=circle)
-    return g, funcs, dirs, sinos, mesh, inversion_sinogram
+    return SimpleNamespace(grid=g, funcs=funcs, dirs=dirs, sinos=sinos,
+                           mesh=mesh, inversion_sinogram=inversion_sinogram)
 
 
 def _inversion_error(approx, exact, f):
@@ -261,92 +272,91 @@ def _inversion_error(approx, exact, f):
 
 
 def run_radon(cfg, report, inputs):
-    g, funcs, dirs, sinos, mesh, inversion_sinogram = inputs()
+    inp = inputs()
 
     # 0 by construction: radon_transform samples one direction of each
     # antipodal pair, so this checks the bookkeeping of the reuse
     report.check(
         "radon evenness", "plumbing",
-        lambda: max(_radon.evenness_defect(s) for s in sinos),
-        DEFAULT_TOLERANCES["evenness"], mesh)
+        lambda: max(_radon.evenness_defect(s) for s in inp.sinos),
+        DEFAULT_TOLERANCES["evenness"], inp.mesh)
 
     def outside_mass(f, s):
-        outside = np.abs(s.offsets) > f.support_radius + g.spacing
+        outside = np.abs(s.offsets) > f.support_radius + inp.grid.spacing
         return float(np.abs(s.values[outside]).max()) if outside.any() else 0.0
     report.check("radon support localization",
                  "support of the transform inside the support radius",
-                 lambda: max(map(outside_mass, funcs, sinos)),
-                 DEFAULT_TOLERANCES["support_localization"], mesh)
+                 lambda: max(map(outside_mass, inp.funcs, inp.sinos)),
+                 DEFAULT_TOLERANCES["support_localization"], inp.mesh)
 
     def moment_error(f, s):
         return float(np.abs(_radon.moment(s, 0) - _grid.integrate(f)).max())
     report.check("zeroth moment equals total mass", "moment compatibility",
-                 lambda: max(map(moment_error, funcs, sinos)),
-                 DEFAULT_TOLERANCES["moment_k0"], mesh)
+                 lambda: max(map(moment_error, inp.funcs, inp.sinos)),
+                 DEFAULT_TOLERANCES["moment_k0"], inp.mesh)
 
     def round_trip():
-        f = funcs[0]
-        rec = _radon.inverse_radon(inversion_sinogram(), grid=f.grid)
+        f = inp.funcs[0]
+        rec = _radon.inverse_radon(inp.inversion_sinogram(), grid=f.grid)
         return _inversion_error(rec.values, f.values, f)
-    if g.n == 2:
-        report.check("radon round trip", "inversion formula", round_trip,
-                     DEFAULT_TOLERANCES["round_trip"],
-                     dict(mesh, Q=INVERSION_DIRECTIONS))
+    report.check("radon round trip", "inversion formula", round_trip,
+                 DEFAULT_TOLERANCES["round_trip"],
+                 dict(inp.mesh, Q=INVERSION_DIRECTIONS),
+                 skip=None if inp.grid.n == 2 else "2-D only: a circle rule")
 
-    if cfg.output_path and sinos:
-        _radon.save_sinogram(sinos[0], cfg.output_path,
+    if cfg.output_path:
+        _radon.save_sinogram(inp.sinos[0], cfg.output_path,
                              direction_path=cfg.output_path + ".directions")
 
 
 def run_slice(cfg, report, inputs):
-    g, funcs, dirs, sinos, mesh, inversion_sinogram = inputs()
+    inp = inputs()
 
     report.check(
         "fourier slice identity", "fourier-slice identity",
-        lambda: max(map(_fourier.fourier_slice_defect, funcs, sinos)),
+        lambda: max(map(_fourier.fourier_slice_defect, inp.funcs, inp.sinos)),
         DEFAULT_TOLERANCES["fourier_slice"],
-        dict(mesh, r_max=float(_fourier._slice_radii(g)[-1])))
+        dict(inp.mesh, r_max=float(_fourier._slice_radii(inp.grid)[-1])))
 
     report.check(
         "motion-group plancherel", "plancherel identity, d tau = sigma_n r^{n-1} dr",
-        lambda: max(map(_fourier.plancherel_defect, funcs, sinos)),
-        DEFAULT_TOLERANCES["plancherel"], mesh)
+        lambda: max(map(_fourier.plancherel_defect, inp.funcs, inp.sinos)),
+        DEFAULT_TOLERANCES["plancherel"], inp.mesh)
 
-    fine_mesh = dict(mesh, M_fine=2 * g.points - 1, Q_fine=2 * len(dirs))
+    fine_mesh = dict(inp.mesh, M_fine=2 * inp.grid.points - 1,
+                     Q_fine=2 * len(inp.dirs))
 
     def plancherel_ratio():
-        coarse = _fourier.plancherel_defect(funcs[0], sinos[0])
-        g2 = _grid.GridSpec(2, g.half_width, fine_mesh["M_fine"])
+        coarse = _fourier.plancherel_defect(inp.funcs[0], inp.sinos[0])
+        g2 = _grid.GridSpec(2, inp.grid.half_width, fine_mesh["M_fine"])
         # the suite draws its bumps in turn: a suite of one has its first
         f2 = _grid.random_bump_suite(g2, 1, cfg.seed)[0]
         s2 = _radon.radon_transform(
             f2, directions=_grid.DirectionSet.circle(fine_mesh["Q_fine"]))
         fine = _fourier.plancherel_defect(f2, s2)
         return coarse / fine if fine > 0 else np.inf
-    # the ratio's fine rung and the inversion's points are 2-D, and the fine
-    # rung is a suite bump: an `--in` file has no finer samples of its own
-    if g.n == 2 and not cfg.input_path:
-        report.check("plancherel refinement",
-                     "plancherel identity, d tau = sigma_n r^{n-1} dr",
-                     plancherel_ratio, DEFAULT_TOLERANCES["plancherel_ratio"],
-                     fine_mesh, compare="ge")
+    report.check("plancherel refinement",
+                 "plancherel identity, d tau = sigma_n r^{n-1} dr",
+                 plancherel_ratio, DEFAULT_TOLERANCES["plancherel_ratio"],
+                 fine_mesh, compare="ge",
+                 skip=cfg.input_path and "a file has no finer samples")
 
     def inversion():
-        f = funcs[0]
+        f = inp.funcs[0]
         rng = default_rng(cfg.seed + 1)
         ax = f.grid.axis()
         idx = rng.integers(0, f.grid.points, size=(20, 2))
-        vals = _fourier.pointwise_inversion(inversion_sinogram(), ax[idx])
+        vals = _fourier.pointwise_inversion(inp.inversion_sinogram(), ax[idx])
         return _inversion_error(vals, f.values[idx[:, 0], idx[:, 1]], f)
-    if g.n == 2:
-        report.check("pointwise inversion", "inversion formula", inversion,
-                     DEFAULT_TOLERANCES["inversion"],
-                     dict(mesh, Q=INVERSION_DIRECTIONS))
+    report.check("pointwise inversion", "inversion formula", inversion,
+                 DEFAULT_TOLERANCES["inversion"],
+                 dict(inp.mesh, Q=INVERSION_DIRECTIONS),
+                 skip=None if inp.grid.n == 2 else "2-D only: a circle rule")
 
     def compat():
-        g3 = _grid.GridSpec(3, g.half_width, cfg.grid3_points)
+        g3 = _grid.GridSpec(3, inp.grid.half_width, cfg.grid3_points)
         rng = default_rng(cfg.seed + 2)
-        scale = g.half_width / 1.5
+        scale = inp.grid.half_width / 1.5
         # each bump draws its centre, then its radius
         return max(_fourier.projection_compatibility_defect(
             _grid.make_bump(rng.uniform(-0.25, 0.25, size=3) * scale,
@@ -359,18 +369,18 @@ def run_slice(cfg, report, inputs):
 
 
 def run_pw(cfg, report, inputs):
-    g, funcs, dirs, sinos, mesh, _ = inputs()
-    mesh = dict(mesh, kmax=KMAX, N=SEMINORM_ORDER)
+    inp = inputs()
+    mesh = dict(inp.mesh, kmax=KMAX, N=SEMINORM_ORDER)
 
     report.check(
         "moment homogeneity", "homogeneous-moment condition",
-        lambda: max(_pw.homogeneity_defect(s, KMAX) for s in sinos),
+        lambda: max(_pw.homogeneity_defect(s, KMAX) for s in inp.sinos),
         DEFAULT_TOLERANCES["homogeneity"], mesh)
 
     def violation():
-        th = np.arctan2(dirs.vectors[:, 1], dirs.vectors[:, 0])
-        prof = np.exp(-sinos[0].offsets**2)
-        bad = _radon.Sinogram(sinos[0].offsets, dirs,
+        th = np.arctan2(inp.dirs.vectors[:, 1], inp.dirs.vectors[:, 0])
+        prof = np.exp(-inp.sinos[0].offsets**2)
+        bad = _radon.Sinogram(inp.sinos[0].offsets, inp.dirs,
                               np.outer(prof, np.cos(3 * th)))
         return _pw.homogeneity_defect(bad, 0)
     report.check("homogeneity violation detected", "homogeneous-moment condition",
@@ -379,23 +389,23 @@ def run_pw(cfg, report, inputs):
 
     def support_recovery():
         rng = default_rng(cfg.seed + 3)
-        scale = g.half_width / 1.5
+        scale = inp.grid.half_width / 1.5
 
         def error(radius, shift):
             c = np.zeros(2)
             if shift:
                 c = rng.uniform(-1, 1, 2)
                 c *= rng.uniform(0.1, 0.3) / np.linalg.norm(c)
-            f = _grid.make_bump(c * scale, radius * scale, 1.0, g)
+            f = _grid.make_bump(c * scale, radius * scale, 1.0, inp.grid)
             est = _pw.support_radius_estimate(
-                _radon.radon_transform(f, directions=dirs))
+                _radon.radon_transform(f, directions=inp.dirs))
             return abs(est - f.support_radius) / f.support_radius
         return max(error(radius, shift) for radius in (0.3, 0.6, 0.9)
                    for shift in (False, True))
-    if g.n == 2:   # its bumps are 2-D
-        report.check("support radius recovery",
-                     "support radius from exponential type", support_recovery,
-                     DEFAULT_TOLERANCES["support_recovery"], mesh)
+    report.check("support radius recovery",
+                 "support radius from exponential type", support_recovery,
+                 DEFAULT_TOLERANCES["support_recovery"], mesh,
+                 skip=None if inp.grid.n == 2 else "2-D only: planar bumps")
 
     def _growth_ratios(s, exp_type, doublings):
         """Ratios of successive growth seminorms of s at `exp_type` as the
@@ -412,19 +422,19 @@ def run_pw(cfg, report, inputs):
     report.check(
         "growth stability at the critical type", "growth dichotomy",
         lambda: max(_growth_ratios(s, 2 * np.pi * s.support_radius, 1)[0]
-                    for s in sinos),
+                    for s in inp.sinos),
         DEFAULT_TOLERANCES["growth_stable"], mesh)
     report.check(
         "growth divergence below the critical type", "growth dichotomy",
         lambda: min(min(_growth_ratios(s, np.pi * s.support_radius, 2))
-                    for s in sinos),
+                    for s in inp.sinos),
         DEFAULT_TOLERANCES["growth_divergent"], mesh, compare="ge")
 
-    ext = _pw._extension_mesh(g)
-    ext_dirs = len(_grid._directions_for(g.n, _pw.EXTENSION_DIRECTIONS))
+    ext = _pw._extension_mesh(inp.grid)
+    ext_dirs = len(_grid._directions_for(inp.grid.n, _pw.EXTENSION_DIRECTIONS))
     report.check(
         "extension consistency", "slice extension agrees with the sphere extension",
-        lambda: max(_pw.extension_consistency_defect(f) for f in funcs),
+        lambda: max(_pw.extension_consistency_defect(f) for f in inp.funcs),
         DEFAULT_TOLERANCES["extension_consistency"],
         dict(mesh, Q=ext_dirs, z_mesh="%dx%d" % (ext.n_re, ext.n_im),
              z_re_extent=ext.re_extent))
@@ -436,11 +446,11 @@ def run_pw(cfg, report, inputs):
         b = _pw.complex_slice_eval(s, -zs, s.directions.antipodal_index()[j])
         return float(np.abs(a - b).max())
     report.check("evenness of the slice extension", "even extension",
-                 lambda: max(map(extension_evenness, sinos)),
+                 lambda: max(map(extension_evenness, inp.sinos)),
                  DEFAULT_TOLERANCES["extension_evenness"], mesh)
 
     def schwartz_finite():
-        finite = all(np.isfinite(_pw.schwartz_seminorm(sinos[0], kk, ll))
+        finite = all(np.isfinite(_pw.schwartz_seminorm(inp.sinos[0], kk, ll))
                      for kk in range(5) for ll in range(5))
         return 0.0 if finite else np.inf
     # 0 or inf against 0.5: this checks that the seminorms are finite, not
@@ -471,12 +481,13 @@ def run_sphere(cfg, report, inputs):
     slice_records = {
         3: ("sphere slice identity (rho = 1)", "sphere_slice_n3"),
         2: ("sphere slice identity (rho = 1/2)", "sphere_slice_n2")}
-    for n, ps in caps.items():
-        name, tolerance = slice_records[n]
+    for n, (name, tolerance) in slice_records.items():
+        ps = caps.get(n)
         report.check(
             name, "cosine-kernel slice identity",
             lambda ps=ps: max(_sphere._slice_defect(p, *pair(p)) for p in ps),
-            DEFAULT_TOLERANCES[tolerance], mesh)
+            DEFAULT_TOLERANCES[tolerance], mesh,
+            skip=None if n in caps else "the run certifies the other sphere")
 
     def constant_spread(p):
         c = _sphere.SLICE_CONSTANT[p.n]
@@ -490,10 +501,11 @@ def run_sphere(cfg, report, inputs):
         p = _sphere.cap_bump(t, 3, samples=SUPPORT_SAMPLES)
         rp, rr = _sphere.sphere_support_check(p)
         return abs(rp - rr) / p.step
-    if 3 in caps and not from_file:
-        report.check("sphere support equivalence", "zonal support theorem",
-                     lambda: max(map(support_gap, (0.3, 0.5, 0.8, 1.2))),
-                     1.0, {"T": SUPPORT_SAMPLES})
+    report.check("sphere support equivalence", "zonal support theorem",
+                 lambda: max(map(support_gap, (0.3, 0.5, 0.8, 1.2))),
+                 1.0, {"T": SUPPORT_SAMPLES},
+                 skip="synthetic S^3 caps only, not a file" if from_file
+                 else None if 3 in caps else "S^3 only: the run certifies S^2")
 
 
 def _check_holds(report, name, anchor, holds, mesh):
@@ -578,12 +590,12 @@ PIPELINES = {
 
 def run(config):
     """Execute the configured pipeline(s) and return the Report.  Every
-    pipeline gets the same loader of the shared inputs, which builds them
-    on its first successful call (sphere and weyl never call it).  An
-    exception outside a pipeline's checks (an unreadable input file, a
-    sinogram that cannot be built) is recorded as a failed "<name>
-    pipeline" record carrying the error, so the records made so far and
-    the report are kept; a later pipeline tries the inputs again."""
+    pipeline gets the same loader of the shared inputs object, built on its
+    first successful call (sphere and weyl never call it), and records each
+    of its checks, run or skipped.  An exception outside a pipeline's checks
+    (an unreadable input file, a sinogram that cannot be built) is a failed
+    "<name> pipeline" record carrying the error, so the records made so far
+    and the report are kept; a later pipeline tries the inputs again."""
     report = Report(config)
     names = (list(PIPELINES) if config.subcommand == "all"
              else [config.subcommand])
@@ -673,6 +685,9 @@ def main(argv=None):
         print("config error: %s" % exc, file=sys.stderr)
         return 2
     for r in report.records:
+        if "skipped" in r:
+            print("%-55s SKIP  %s" % (r["name"], r["skipped"]))
+            continue
         status = "PASS" if r["passed"] else "FAIL"
         print("%-55s %s  defect=%.3g  threshold=%.3g  (%.2fs)%s"
               % (r["name"], status, r["defect"], r["threshold"],

@@ -46,6 +46,52 @@ SUBCOMMAND_FLAGS = {
 }
 
 
+# the records of each subcommand, in order, whatever its inputs
+RECORDS = {
+    "radon": ["radon evenness", "radon support localization",
+              "zeroth moment equals total mass", "radon round trip"],
+    "slice": ["fourier slice identity", "motion-group plancherel",
+              "plancherel refinement", "pointwise inversion",
+              "projection compatibility"],
+    "pw": ["moment homogeneity", "homogeneity violation detected",
+           "support radius recovery", "growth stability at the critical type",
+           "growth divergence below the critical type",
+           "extension consistency", "evenness of the slice extension",
+           "decay seminorms finite"],
+    "sphere": ["sphere slice identity (rho = 1)",
+               "sphere slice identity (rho = 1/2)",
+               "slice constant stability", "sphere support equivalence"],
+    "weyl": ["group enumeration orders",
+             "restricted stabilizer equals the smaller Weyl group",
+             "type-D restriction gives all sign changes",
+             "restriction surjectivity certified",
+             "averaging-decomposition lift"],
+}
+RECORDS["all"] = [name for names in RECORDS.values() for name in names]
+# the records written for 2-D inputs, skipped on a 3-D file
+TWO_D_RECORDS = {"radon round trip", "pointwise inversion",
+                 "support radius recovery"}
+
+
+def ran(records):
+    """The names of the records that ran, in order."""
+    return [r["name"] for r in records if "skipped" not in r]
+
+
+def skipped(records):
+    """The names of the skipped records, each checked for its shape: a
+    reason, its anchor, threshold and mesh, and no defect, margin, pass
+    flag or error."""
+    names = [r["name"] for r in records if "skipped" in r]
+    for r in records:
+        if "skipped" in r:
+            assert isinstance(r["skipped"], str) and r["skipped"]
+            assert r["defect"] is r["margin"] is r["passed"] is None
+            assert r["anchor"] and "threshold" in r and "mesh" in r
+            assert "error" not in r
+    return names
+
+
 def captured_config(monkeypatch, argv):
     """The RunConfig that `main(argv)` hands to `run`, which does not run."""
     seen = []
@@ -489,12 +535,13 @@ class TestFileDriven:
         # its 1e-6 bound (the transform truncates the spline's ringing
         # outside the support), which is a finding, not a crash
         assert code == (0 if data["all_passed"] else 1)
-        assert [r["name"] for r in data["records"]] == [
-            "radon evenness", "radon support localization",
-            "zeroth moment equals total mass"]
+        assert [r["name"] for r in data["records"]] == RECORDS["radon"]
+        # the round trip inverts on a circle rule: it is skipped, not run
+        assert skipped(data["records"]) == ["radon round trip"]
         assert data["records"][0]["defect"] == 0.0
         # 64 requested directions map to sphere(7), as in the pw checks
-        assert {r["mesh"]["Q"] for r in data["records"]} == {8 * 16}
+        assert {r["mesh"]["Q"] for r in data["records"]
+                if "skipped" not in r} == {8 * 16}
 
     @pytest.mark.parametrize("n, record", [
         (2, "sphere slice identity (rho = 1/2)"),
@@ -503,15 +550,18 @@ class TestFileDriven:
     def test_sphere_file_is_certified_on_its_own_sphere(self, tmp_path, n,
                                                          record):
         # the profile is read once, on S^n, and only that sphere's slice
-        # identity is certified
+        # identity is certified; the other sphere's and the support
+        # equivalence on synthetic caps are skipped
         fpath = tmp_path / "cap.csv"
         save_profile(cap_bump(0.8, n), str(fpath))
         rpath = tmp_path / "rep.json"
         code = main(["sphere", "--in", str(fpath), "--n", str(n),
                      "--report", str(rpath)])
         data = json.loads(rpath.read_text())
-        assert [r["name"] for r in data["records"]] == [
-            record, "slice constant stability"]
+        assert [r["name"] for r in data["records"]] == RECORDS["sphere"]
+        assert ran(data["records"]) == [record, "slice constant stability"]
+        assert set(skipped(data["records"])) == (
+            set(RECORDS["sphere"]) - {record, "slice constant stability"})
         assert code == 0 and data["all_passed"]
 
     @pytest.mark.parametrize("argv, records", [
@@ -527,11 +577,15 @@ class TestFileDriven:
     def test_synthetic_sphere_run_keeps_to_its_sphere(self, tmp_path, argv,
                                                       records):
         # without --in, --n selects the sphere of the synthetic caps, and
-        # no --n selects both; the support record runs on S^3 only
+        # no --n selects both; the support record runs on S^3 only, and
+        # every record that does not run is skipped
         rpath = tmp_path / "rep.json"
         code = main(["sphere"] + argv + ["--report", str(rpath)])
         data = json.loads(rpath.read_text())
-        assert [r["name"] for r in data["records"]] == records
+        assert [r["name"] for r in data["records"]] == RECORDS["sphere"]
+        assert ran(data["records"]) == records
+        assert set(skipped(data["records"])) == (set(RECORDS["sphere"])
+                                                 - set(records))
         assert code == 0 and data["all_passed"]
 
     def test_all_reads_its_file_as_a_function_only(self, tmp_path):
@@ -557,7 +611,8 @@ class TestFileDriven:
         # the inversion error relative to max |f|, the Plancherel defect
         # relative to ||f||^2 and the growth mesh of height 3/rs are
         # undefined for the zero function: those five records fail with a
-        # ZeroInput error, and no record reads NaN without an error
+        # ZeroInput error, and no record reads NaN without an error or a
+        # skip (the plancherel refinement, as on every file)
         fpath = tmp_path / "z.csv"
         g = GridSpec(2, 1.5, 65)
         save_function(SampledFunction(g, np.zeros((65, 65))), str(fpath))
@@ -572,24 +627,26 @@ class TestFileDriven:
             "growth stability at the critical type",
             "growth divergence below the critical type"}
         assert all(e.startswith("ZeroInput: ") for e in errors.values())
-        assert all("error" in r for r in records if r["defect"] is None)
+        assert skipped(records) == ["plancherel refinement"]
+        assert all("error" in r or "skipped" in r
+                   for r in records if r["defect"] is None)
 
     def test_2d_file_leaves_out_the_plancherel_refinement(self, tmp_path):
         # the refinement's fine rung is the suite's first bump on the finer
         # grid, and a file has no finer samples of its own function, so a
-        # file-driven run leaves the record out and a synthetic one keeps it
+        # file-driven run skips the record and a synthetic one runs it
         fpath = tmp_path / "f.csv"
         save_function(make_bump([0.1, 0.0], 0.5, 1.0, GridSpec(2, 1.5, 65)),
                       str(fpath))
         rpath = tmp_path / "rep.json"
         main(["slice", "--in", str(fpath), "--directions", "32",
               "--report", str(rpath)])
-        names = [r["name"] for r in json.loads(rpath.read_text())["records"]]
+        records = json.loads(rpath.read_text())["records"]
         synthetic = run(RunConfig("slice", grid_points=65, directions=32))
-        assert [r["name"] for r in synthetic.records
-                if r["name"] != "plancherel refinement"] == names
-        assert "plancherel refinement" in {r["name"]
-                                           for r in synthetic.records}
+        assert [r["name"] for r in records] == RECORDS["slice"]
+        assert [r["name"] for r in synthetic.records] == RECORDS["slice"]
+        assert skipped(records) == ["plancherel refinement"]
+        assert skipped(synthetic.records) == []
 
     @pytest.mark.parametrize("subcommand, name", [
         ("pw", "support radius recovery"),
@@ -653,19 +710,14 @@ class TestFileDriven:
             assert not r["passed"] and re.match(r"\w+: ", r["error"])
         assert all(r["passed"] for r in data["records"][3:])
 
-    @pytest.mark.parametrize("subcommand, names", [
-        ("slice", ["fourier slice identity", "motion-group plancherel",
-                   "projection compatibility"]),
-        ("pw", ["moment homogeneity", "homogeneity violation detected",
-                "growth stability at the critical type",
-                "growth divergence below the critical type",
-                "extension consistency", "evenness of the slice extension",
-                "decay seminorms finite"]),
+    @pytest.mark.parametrize("subcommand, skips", [
+        ("slice", ["plancherel refinement", "pointwise inversion"]),
+        ("pw", ["support radius recovery"]),
     ], ids=["slice", "pw"])
     def test_3d_function_keeps_every_record(self, tmp_path, subcommand,
-                                            names):
+                                            skips):
         # the checks written for 2-D inputs (plancherel refinement,
-        # pointwise inversion, support radius recovery) are left out on a
+        # pointwise inversion, support radius recovery) are skipped on a
         # 3-D file, and every other check runs without raising
         def no_constants(name):
             raise ValueError("non-standard JSON constant %s" % name)
@@ -675,7 +727,8 @@ class TestFileDriven:
         rpath = tmp_path / "rep.json"
         code = main([subcommand, "--in", str(fpath), "--report", str(rpath)])
         data = json.loads(rpath.read_text(), parse_constant=no_constants)
-        assert [r["name"] for r in data["records"]] == names
+        assert [r["name"] for r in data["records"]] == RECORDS[subcommand]
+        assert skipped(data["records"]) == skips
         assert not [r for r in data["records"] if "error" in r]
         assert code == (0 if data["all_passed"] else 1)
 
@@ -696,3 +749,100 @@ class TestFileDriven:
             "extension consistency", "evenness of the slice extension",
             "decay seminorms finite"]
         assert all("error" not in r for r in report.records[at + 1:])
+
+
+# skipped records by input: a file has no finer samples for the plancherel
+# refinement, and a 3-D file skips the records written for 2-D inputs too
+EUCLIDEAN_SKIPS = {
+    "suite": set(),
+    "file 65^2": {"plancherel refinement"},
+    "file 33^3": {"plancherel refinement"} | TWO_D_RECORDS,
+    "zero file": {"plancherel refinement"},
+}
+# skipped records by the sphere flags: --n keeps to one sphere, and the
+# support equivalence runs on synthetic S^3 caps only
+SPHERE_SKIPS = {
+    "": set(),
+    "--n 2": {"sphere slice identity (rho = 1)", "sphere support equivalence"},
+    "--n 3": {"sphere slice identity (rho = 1/2)"},
+    "--in": {"sphere slice identity (rho = 1/2)",
+             "sphere support equivalence"},
+}
+
+
+class TestOneRecordList:
+    """Each subcommand reports the same records in the same order on every
+    input it takes; a record its inputs do not define is skipped."""
+
+    @pytest.fixture(scope="class")
+    def files(self, tmp_path_factory):
+        folder = tmp_path_factory.mktemp("inputs")
+        g2, g3 = GridSpec(2, 1.5, 65), GridSpec(3, 1.5, 33)
+        functions = {
+            "file 65^2": make_bump([0.1, 0.0], 0.5, 1.0, g2),
+            "file 33^3": make_bump([0.1, 0.0, -0.1], 0.6, 1.0, g3),
+            "zero file": SampledFunction(g2, np.zeros((65, 65)))}
+        paths = {}
+        for case, f in functions.items():
+            paths[case] = str(folder / ("%s.csv" % case.replace(" ", "_")))
+            save_function(f, paths[case])
+        paths["profile"] = str(folder / "cap.csv")
+        save_profile(cap_bump(0.8, 3), paths["profile"])
+        return paths
+
+    @pytest.mark.parametrize("case", list(EUCLIDEAN_SKIPS))
+    @pytest.mark.parametrize("subcommand", ["radon", "slice", "pw", "all"])
+    def test_euclidean_subcommands(self, files, subcommand, case):
+        source = ({"grid_points": 65} if case == "suite"
+                  else {"input_path": files[case]})
+        report = run(RunConfig(subcommand, directions=32, **source))
+        assert [r["name"] for r in report.records] == RECORDS[subcommand]
+        assert set(skipped(report.records)) == (EUCLIDEAN_SKIPS[case]
+                                                & set(RECORDS[subcommand]))
+
+    @pytest.mark.parametrize("flags", list(SPHERE_SKIPS))
+    def test_sphere_subcommand(self, files, flags):
+        fields = {"--n 2": {"sphere_dim": 2}, "--n 3": {"sphere_dim": 3},
+                  "--in": {"input_path": files["profile"]}}.get(flags, {})
+        report = run(RunConfig("sphere", **fields))
+        assert [r["name"] for r in report.records] == RECORDS["sphere"]
+        assert set(skipped(report.records)) == SPHERE_SKIPS[flags]
+        assert report.all_passed
+
+    def test_no_skipped_body_runs(self, files, monkeypatch):
+        # on a 3-D file the round trip, the pointwise inversion, the
+        # plancherel refinement (whose fine rung is a suite bump on the
+        # 2M-1 grid) and the support radius recovery do no work at all
+        calls = []
+        for module, name in ((radon, "inverse_radon"),
+                             (fourier, "pointwise_inversion"),
+                             (pwkit.grid, "random_bump_suite"),
+                             (pw, "support_radius_estimate")):
+            def spied(*args, name=name, **kwargs):
+                calls.append(name)
+                raise AssertionError("%s ran" % name)
+            monkeypatch.setattr(module, name, spied)
+        report = run(RunConfig("all", input_path=files["file 33^3"],
+                               directions=32))
+        assert calls == []
+        assert set(skipped(report.records)) == EUCLIDEAN_SKIPS["file 33^3"]
+        assert not [r for r in report.records if "error" in r]
+
+    def test_skipped_records_are_strict_json_and_do_not_fail_the_run(
+            self, tmp_path, capsys):
+        def no_constants(name):
+            raise ValueError("non-standard JSON constant %s" % name)
+        rpath = tmp_path / "rep.json"
+        assert main(["sphere", "--n", "2", "--report", str(rpath)]) == 0
+        data = json.loads(rpath.read_text(), parse_constant=no_constants)
+        assert data["all_passed"]
+        assert set(skipped(data["records"])) == SPHERE_SKIPS["--n 2"]
+        assert {r["name"]: r["mesh"] for r in data["records"]}[
+            "sphere support equivalence"] == {"T": cli.SUPPORT_SAMPLES}
+        out = capsys.readouterr().out
+        for r in data["records"]:
+            if "skipped" in r:
+                assert re.search(r"^%s +SKIP  %s$" % (re.escape(r["name"]),
+                                                      re.escape(r["skipped"])),
+                                 out, re.M)
+        assert out.rstrip().endswith("overall: PASS")
