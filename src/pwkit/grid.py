@@ -464,9 +464,19 @@ def save_function(f, path):
 
 
 def load_function(path):
+    """Read `save_function`'s CSV: a header line `n,M,L`, then M^n values,
+    one per line.  Raises ValueError naming that format when the header
+    does not have three fields or the file does not hold M^n values."""
     with open(path) as fh:
         head = fh.readline().strip().split(",")
+        if len(head) != 3:
+            raise ValueError("function file header needs the 3 fields "
+                             "`n,M,L`, got %d" % len(head))
         n, m, half_width = int(head[0]), int(head[1]), float(head[2])
         vals = np.loadtxt(fh)
     grid = GridSpec(n, half_width, m)
+    if vals.size != m**n:
+        raise ValueError("function file with header `n,M,L` = %d,%d,%g needs "
+                         "M^n = %d values, one per line, got %d"
+                         % (n, m, half_width, m**n, vals.size))
     return SampledFunction(grid, vals.reshape((m,) * n))

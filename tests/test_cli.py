@@ -257,15 +257,17 @@ class TestRecordMeshes:
         assert set(seen[name]) == {_record(report, name)["mesh"]["Q"]}
 
     def test_plancherel_refinement_rungs(self, monkeypatch):
+        # the run's first function on its own grid and rule, and its every
+        # other sample on the (M+1)/2 grid, on the same rule
         name = "plancherel refinement"
         seen = self.spy(monkeypatch, fourier, "plancherel_defect",
                         lambda args, out: (args[0].grid.points,
                                            len(args[1].directions)))
         report = run(RunConfig("slice", grid_points=65, directions=32))
         mesh = _record(report, name)["mesh"]
-        assert seen[name] == [(mesh["M"], mesh["Q"]),
-                              (mesh["M_fine"], mesh["Q_fine"])]
-        assert (mesh["M_fine"], mesh["Q_fine"]) == (129, 64)
+        assert sorted(seen[name]) == [(mesh["M_coarse"], mesh["Q"]),
+                                      (mesh["M"], mesh["Q"])]
+        assert mesh == {"M": 65, "L": 1.5, "Q": 32, "M_coarse": 33}
 
     def test_projection_compatibility_directions_and_bumps(self,
                                                            monkeypatch):
@@ -417,6 +419,96 @@ class TestSharedInputs:
         assert len({id(inputs) for _, inputs in calls}) == 1
         assert loads == [config]
         assert report.records == []
+
+
+class TestPlancherelRefinement:
+    """The refinement's coarse rung is every other sample of the run's own
+    first function, transformed on the run's own rule."""
+
+    @pytest.mark.parametrize("half_width", [1.0, 1.5])
+    @pytest.mark.parametrize("points", [65, 129, 257, 513])
+    def test_every_other_sample_is_the_coarse_grid_to_the_bit(
+            self, points, half_width):
+        fine = pwkit.random_bump_suite(GridSpec(2, half_width, points), 1,
+                                       7)[0]
+        coarse = GridSpec(2, half_width, (points + 1) // 2)
+        direct = pwkit.random_bump_suite(coarse, 1, 7)[0]
+        sub = SampledFunction(coarse, fine.values[::2, ::2],
+                              fine.support_radius)
+        np.testing.assert_array_equal(fine.grid.axis()[::2], coarse.axis())
+        np.testing.assert_array_equal(sub.values, direct.values)
+        assert sub.support_radius == direct.support_radius
+        rule = DirectionSet.circle(64)
+        s_sub = radon.radon_transform(sub, directions=rule)
+        s_direct = radon.radon_transform(direct, directions=rule)
+        np.testing.assert_array_equal(s_sub.offsets, s_direct.offsets)
+        np.testing.assert_array_equal(s_sub.values, s_direct.values)
+
+    def test_the_record_reads_only_the_run_inputs(self, monkeypatch):
+        # one transform in the record, of the first function's every other
+        # sample on the run's rule; the suite is drawn once, by the loader,
+        # and the record builds no rule and reads no configuration field
+        transforms, suites, rules, reads = [], [], [], []
+        real_transform = radon.radon_transform
+        real_suite = pwkit.grid.random_bump_suite
+        real_rule = DirectionSet.__init__
+        real_check = Report.check
+        current = ["loader"]
+
+        def transform(f, *args, directions, **kwargs):
+            transforms.append((current[0], f, directions))
+            return real_transform(f, *args, directions=directions, **kwargs)
+
+        def suite(*args):
+            suites.append(current[0])
+            return real_suite(*args)
+
+        def rule(self, *args):
+            rules.append(current[0])
+            real_rule(self, *args)
+
+        def check(self, name, *args, **kwargs):
+            current[0] = name
+            real_check(self, name, *args, **kwargs)
+            current[0] = None
+
+        class Watched(RunConfig):
+            def __getattribute__(self, field):
+                if current[0] == "plancherel refinement":
+                    reads.append(field)
+                return object.__getattribute__(self, field)
+        monkeypatch.setattr(radon, "radon_transform", transform)
+        monkeypatch.setattr(pwkit.grid, "random_bump_suite", suite)
+        monkeypatch.setattr(DirectionSet, "__init__", rule)
+        monkeypatch.setattr(Report, "check", check)
+        config = Watched("slice", grid_points=65, directions=32)
+        first = real_suite(GridSpec(2, 1.5, 65), config.suite_size,
+                           config.seed)[0]
+        report = run(config)
+        assert _record(report, "plancherel refinement")["passed"]
+        assert suites == ["loader"]
+        assert "plancherel refinement" not in rules
+        assert reads == []
+        loaded = [t for t in transforms if t[0] == "loader"]
+        [(_, f, directions)] = [t for t in transforms
+                                if t[0] == "plancherel refinement"]
+        assert f.grid == GridSpec(2, 1.5, 33)
+        np.testing.assert_array_equal(f.values, first.values[::2, ::2])
+        assert f.support_radius == first.support_radius
+        assert directions is loaded[0][2]
+
+    def test_a_grid_without_every_other_sample_skips_the_record(self):
+        # at 67 points every other sample is a 34-point axis, which is no
+        # grid: the record is skipped with its reason and no coarse mesh,
+        # and every other record of the pipeline runs
+        report = run(RunConfig("slice", grid_points=67))
+        record = _record(report, "plancherel refinement")
+        assert skipped(report.records) == ["plancherel refinement"]
+        assert "1 mod 4" in record["skipped"]
+        assert record["mesh"] == {"M": 67, "L": 1.5, "Q": 64}
+        assert ran(report.records) == [n for n in RECORDS["slice"]
+                                       if n != "plancherel refinement"]
+        assert not [r for r in report.records if "error" in r]
 
 
 class TestReportShape:
@@ -609,10 +701,11 @@ class TestFileDriven:
 
     def test_zero_file_fails_each_record_it_leaves_undefined(self, tmp_path):
         # the inversion error relative to max |f|, the Plancherel defect
-        # relative to ||f||^2 and the growth mesh of height 3/rs are
-        # undefined for the zero function: those five records fail with a
-        # ZeroInput error, and no record reads NaN without an error or a
-        # skip (the plancherel refinement, as on every file)
+        # relative to ||f||^2 (of the function and of its every other
+        # sample, in the refinement) and the growth mesh of height 3/rs are
+        # undefined for the zero function: those six records fail with a
+        # ZeroInput error, no record is skipped on this 65^2 file, and no
+        # record reads NaN without an error
         fpath = tmp_path / "z.csv"
         g = GridSpec(2, 1.5, 65)
         save_function(SampledFunction(g, np.zeros((65, 65))), str(fpath))
@@ -623,18 +716,17 @@ class TestFileDriven:
         errors = {r["name"]: r["error"] for r in records if "error" in r}
         assert set(errors) == {
             "radon round trip", "pointwise inversion",
-            "motion-group plancherel",
+            "motion-group plancherel", "plancherel refinement",
             "growth stability at the critical type",
             "growth divergence below the critical type"}
         assert all(e.startswith("ZeroInput: ") for e in errors.values())
-        assert skipped(records) == ["plancherel refinement"]
-        assert all("error" in r or "skipped" in r
-                   for r in records if r["defect"] is None)
+        assert skipped(records) == []
+        assert all("error" in r for r in records if r["defect"] is None)
 
-    def test_2d_file_leaves_out_the_plancherel_refinement(self, tmp_path):
-        # the refinement's fine rung is the suite's first bump on the finer
-        # grid, and a file has no finer samples of its own function, so a
-        # file-driven run skips the record and a synthetic one runs it
+    def test_2d_file_runs_the_plancherel_refinement(self, tmp_path):
+        # the refinement's coarse rung is every other sample of the run's
+        # own function, so a 65^2 file refines itself on the 33^2 grid, as
+        # a synthetic run does, and passes
         fpath = tmp_path / "f.csv"
         save_function(make_bump([0.1, 0.0], 0.5, 1.0, GridSpec(2, 1.5, 65)),
                       str(fpath))
@@ -645,8 +737,35 @@ class TestFileDriven:
         synthetic = run(RunConfig("slice", grid_points=65, directions=32))
         assert [r["name"] for r in records] == RECORDS["slice"]
         assert [r["name"] for r in synthetic.records] == RECORDS["slice"]
-        assert skipped(records) == ["plancherel refinement"]
+        assert skipped(records) == []
         assert skipped(synthetic.records) == []
+        [from_file] = [r for r in records
+                       if r["name"] == "plancherel refinement"]
+        for record in (from_file, _record(synthetic, "plancherel refinement")):
+            assert record["passed"] and "error" not in record
+            assert record["defect"] >= cli.DEFAULT_TOLERANCES[
+                "plancherel_ratio"]
+            assert record["mesh"]["M_coarse"] == 33
+
+    @pytest.mark.parametrize("text, message", [
+        ("2,65\n1\n2\n", "3 fields `n,M,L`, got 2"),
+        ("2,33,1.5\n1\n2\n", "`n,M,L` = 2,33,1.5 needs M^n = 1089 values, "
+                               "one per line, got 2"),
+    ], ids=["header", "values"])
+    def test_a_malformed_function_file_names_its_format(self, tmp_path,
+                                                        text, message):
+        # a header without three fields, or a count of values that is not
+        # M^n, ends the pipeline in a ValueError that names the `n,M,L`
+        # format and both counts
+        fpath = tmp_path / "f.csv"
+        fpath.write_text(text)
+        rpath = tmp_path / "rep.json"
+        assert main(["radon", "--in", str(fpath), "--report",
+                     str(rpath)]) == 1
+        [record] = json.loads(rpath.read_text())["records"]
+        assert record["name"] == "radon pipeline" and not record["passed"]
+        assert record["error"].startswith("ValueError: function file ")
+        assert message in record["error"]
 
     @pytest.mark.parametrize("subcommand, name", [
         ("pw", "support radius recovery"),
@@ -716,9 +835,11 @@ class TestFileDriven:
     ], ids=["slice", "pw"])
     def test_3d_function_keeps_every_record(self, tmp_path, subcommand,
                                             skips):
-        # the checks written for 2-D inputs (plancherel refinement,
-        # pointwise inversion, support radius recovery) are skipped on a
-        # 3-D file, and every other check runs without raising
+        # the checks written for 2-D inputs (pointwise inversion, support
+        # radius recovery) are skipped on a 3-D file, and so is the
+        # plancherel refinement on this 33^3 one, whose every other sample
+        # (17 points an axis) is no grid; every other check runs without
+        # raising
         def no_constants(name):
             raise ValueError("non-standard JSON constant %s" % name)
         g = GridSpec(3, 1.5, 33)
@@ -751,13 +872,14 @@ class TestFileDriven:
         assert all("error" not in r for r in report.records[at + 1:])
 
 
-# skipped records by input: a file has no finer samples for the plancherel
-# refinement, and a 3-D file skips the records written for 2-D inputs too
+# skipped records by input: a 3-D file skips the records written for 2-D
+# inputs, and a 33-point file the plancherel refinement, whose every other
+# sample (17 points an axis) is no grid; a 65-point one skips nothing
 EUCLIDEAN_SKIPS = {
     "suite": set(),
-    "file 65^2": {"plancherel refinement"},
+    "file 65^2": set(),
     "file 33^3": {"plancherel refinement"} | TWO_D_RECORDS,
-    "zero file": {"plancherel refinement"},
+    "zero file": set(),
 }
 # skipped records by the sphere flags: --n keeps to one sphere, and the
 # support equivalence runs on synthetic S^3 caps only
@@ -810,9 +932,10 @@ class TestOneRecordList:
         assert report.all_passed
 
     def test_no_skipped_body_runs(self, files, monkeypatch):
-        # on a 3-D file the round trip, the pointwise inversion, the
-        # plancherel refinement (whose fine rung is a suite bump on the
-        # 2M-1 grid) and the support radius recovery do no work at all
+        # on a 33^3 file the round trip, the pointwise inversion and the
+        # support radius recovery do no work at all, and no suite is drawn;
+        # the plancherel refinement's body would raise on the 17-point
+        # grid, so its skip shows as the absence of error records
         calls = []
         for module, name in ((radon, "inverse_radon"),
                              (fourier, "pointwise_inversion"),
