@@ -75,7 +75,6 @@ SEMINORM_ORDER = 2            # weight (1 + |z|^2)^N of the growth seminorms
 GROUP_ORDERS = {("A", 2): 6, ("B", 2): 8, ("D", 4): 192}
 B_RESTRICTIONS = [(k, n) for k in range(3, 6) for n in range(2, k)]
 D_RESTRICTIONS = [(k, n) for k in (4, 5) for n in range(2, k)]
-LIFT_FAMILY, LIFT_K, LIFT_N, LIFT_DEGREE = "B", 4, 2, 6
 # all that a preset sets: the suite size and the 3-D grid points per axis
 PRESETS = {"desk": {"suite_size": 3, "grid3_points": 97},
            "thorough": {"suite_size": 5, "grid3_points": 161}}
@@ -109,9 +108,14 @@ class RunConfig:
         self.input_path = input_path
         self.output_path = output_path
         self.sphere_dim = None if sphere_dim is None else int(sphere_dim)
-        self.family = family
         self.k_rank = int(k_rank)
         self.n_rank = int(n_rank)
+        try:   # the spec stores its family uppercased
+            self.family = _weyl.RootSystemSpec(family, self.k_rank).family
+        except ValueError as exc:
+            raise ConfigError("weyl spec: %s" % exc) from None
+        if not 1 <= self.n_rank <= self.k_rank:   # so W(family, n) exists
+            raise ConfigError("weyl spec: need 1 <= n <= k")
         self.degree = int(degree)
         vars(self).update(PRESETS[preset])
 
@@ -537,46 +541,43 @@ def run_weyl(cfg, report, inputs):
                     == 2**n * math.factorial(n) for k, n in D_RESTRICTIONS),
         {"family": "D", "k_n": D_RESTRICTIONS})
 
+    # the run's one spec, checked by RunConfig, read by both records below
+    spec_k, spec_n = spec(cfg.family, cfg.k_rank), spec(cfg.family, cfg.n_rank)
+    mesh = dict(family=cfg.family, k=cfg.k_rank, n=cfg.n_rank, d=cfg.degree)
     obstructed = cfg.family == "D" and cfg.n_rank < cfg.k_rank
 
-    def surjectivity():
-        spec_n = spec(cfg.family, cfg.n_rank)
-        cert = _weyl.surjectivity_certificate(
-            spec(cfg.family, cfg.k_rank), spec_n, cfg.degree)
-        if obstructed:
-            down = cert.downstairs_basis
-            pf_odd = [i for i, b in enumerate(down) if b.degree() > 0
-                      and all(all(a % 2 == 1 for a in e) for e in b.terms)]
-            return set(cert.obstruction) == set(pf_odd) and not cert.surjective
-        return cert.surjective and all(
-            cert.preimage(t).restrict(spec_n.ambient_vars) == q
-            for t, q in enumerate(cert.downstairs_basis))
-    name = ("restriction obstruction certified" if obstructed
-            else "restriction surjectivity certified")
-    _check_holds(report, name, "invariant restriction surjectivity",
-                 surjectivity, {"family": cfg.family, "k": cfg.k_rank,
-                                "n": cfg.n_rank, "d": cfg.degree})
+    def unreachable(b):
+        # a D -> D pair with n < k misses exactly the invariants of odd
+        # Pfaffian power: the basis elements with only odd exponents
+        return obstructed and all(a % 2 for e in b.terms for a in e)
+
+    def certified():
+        cert = _weyl.surjectivity_certificate(spec_k, spec_n, cfg.degree)
+        down = cert.downstairs_basis
+        marked = [t for t, b in enumerate(down) if unreachable(b)]
+        return cert.obstruction == marked and all(
+            cert.preimage(t).restrict(b.nvars) == b for t, b in enumerate(down)
+            if t not in marked)
+    _check_holds(report, "restriction obstruction certified" if obstructed
+                 else "restriction surjectivity certified",
+                 "invariant restriction surjectivity", certified, mesh)
 
     def lift_random():
         rng = default_rng(cfg.seed + 4)
-        lift_k = spec(LIFT_FAMILY, LIFT_K)
-        lift_n = spec(LIFT_FAMILY, LIFT_N)
-        basis = _weyl.invariant_basis(lift_n, LIFT_DEGREE)
+        basis = [b for b in _weyl.invariant_basis(spec_n, cfg.degree)
+                 if not unreachable(b)]
         # invariance under the generators is invariance under W(k)
-        simple = _weyl._simple_reflections(lift_k)
+        simple = _weyl._simple_reflections(spec_k)
         for _ in range(10):
-            target = _weyl._combination(
-                [int(rng.integers(-4, 5)) for _ in basis], basis,
-                lift_n.ambient_vars)
-            H = _weyl.ow1_lift(target, lift_k, lift_n)
-            if (H.restrict(lift_n.ambient_vars) != target
+            coeffs = [int(rng.integers(-4, 5)) for _ in basis]
+            target = _weyl._combination(coeffs, basis, spec_n.ambient_vars)
+            H = _weyl.ow1_lift(target, spec_k, spec_n)
+            if (H.restrict(spec_n.ambient_vars) != target
                     or any(H.apply(w) != H for w in simple)):
                 return False
         return True
     _check_holds(report, "averaging-decomposition lift",
-                 "invariant extension pipeline", lift_random,
-                 {"family": LIFT_FAMILY, "k": LIFT_K, "n": LIFT_N,
-                  "d": LIFT_DEGREE})
+                 "invariant extension pipeline", lift_random, mesh)
 
 
 PIPELINES = {
@@ -661,11 +662,9 @@ def build_parser():
                                                  required=True)
     cert = add(wsub, "certify", "--seed", "--report")
     cert.add_argument("--family", choices=tuple("ABCD"), required=True)
-    cert.add_argument("--k", type=int, dest="k_rank", metavar="K",
-                      required=True)
-    cert.add_argument("--n", type=int, dest="n_rank", metavar="N",
-                      required=True)
-    cert.add_argument("--d", type=int, dest="degree", metavar="D")
+    for flag, dest in ("--k", "k_rank"), ("--n", "n_rank"), ("--d", "degree"):
+        cert.add_argument(flag, type=int, dest=dest, metavar=flag[2].upper(),
+                          required=flag != "--d")
     return parser
 
 

@@ -200,8 +200,7 @@ def stabilizer(spec, n):
     block = _block_size(spec, n)
     if n == 0:
         return group
-    return [w for w in group
-            if all(w.perm[j] < block for j in range(block))]
+    return [w for w in group if max(w.perm[:block]) < block]
 
 
 def restricted_group(spec, n):
@@ -216,15 +215,11 @@ def restricted_group(spec, n):
         # the whole group stabilizes the origin, but not coordinate 1
         raise ValueError("the type-A subspace of rank 0 has no block")
     block = _block_size(spec, n)
-    seen = set()
-    out = []
-    for w in stabilizer(spec, n):
-        # the stabilizer permutes the block within itself
-        r = SignedPermutation._from_tuples(w.perm[:block], w.signs[:block])
-        if r not in seen:
-            seen.add(r)
-            out.append(r)
-    return out
+    # the stabilizer permutes the block within itself; the first of equal
+    # restrictions is kept, in stabilizer order
+    restrictions = dict.fromkeys((w.perm[:block], w.signs[:block])
+                                 for w in stabilizer(spec, n))
+    return [SignedPermutation._from_tuples(*r) for r in restrictions]
 
 
 def _exact(c):

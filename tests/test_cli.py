@@ -187,6 +187,31 @@ class TestConfig:
         assert main(argv.split()) == 2
         assert "config error: %s" % message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, message", [
+        ("weyl certify --family B --k 2 --n 3", "weyl spec: need 1 <= n <= k"),
+        ("weyl certify --family B --k 4 --n 0", "weyl spec: need 1 <= n <= k"),
+        ("weyl certify --family A --k 0 --n 0",
+         "weyl spec: rank must be >= 1"),
+    ])
+    def test_weyl_spec_outside_the_rule_is_a_config_error(
+            self, monkeypatch, capsys, argv, message):
+        # refused before any pipeline runs, with exit code 2
+        monkeypatch.setattr(cli, "run", lambda config: pytest.fail("ran"))
+        assert main(argv.split()) == 2
+        assert "config error: %s" % message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fields", [
+        {"k_rank": 2, "n_rank": 3}, {"n_rank": 0}, {"family": "E"},
+        {"family": "BC"}], ids=["n>k", "n=0", "E", "BC"])
+    def test_weyl_spec_fields_are_checked(self, fields):
+        # every subcommand's config holds a valid spec, weyl's default too
+        for subcommand in ("weyl", "all"):
+            with pytest.raises(ConfigError, match="^weyl spec: "):
+                RunConfig(subcommand, **fields)
+
+    def test_weyl_family_is_stored_uppercased(self):
+        assert RunConfig("weyl", family="d", k_rank=5, n_rank=4).family == "D"
+
 
 class TestWeylPipeline:
     def test_certify_b_pair(self, tmp_path):
@@ -313,20 +338,21 @@ class TestRecordMeshes:
         assert set(seen[name]) == {_record(report, name)["mesh"]["T"]}
 
     def test_lift_spec_and_degree(self, monkeypatch):
-        # the certificate runs the requested D5 -> D4 pair; the lift record
-        # runs its own pair and must say so
+        # the certificate and the lift both run the requested D5 -> D4
+        # pair, and their meshes say so
         name = "averaging-decomposition lift"
         seen = self.spy(monkeypatch, weyl, "ow1_lift",
                         lambda args, out: (args[1].family, args[1].rank,
-                                           args[2].rank, args[0].degree()))
+                                           args[2].family, args[2].rank,
+                                           args[0].degree()))
         report = run(RunConfig("weyl", family="D", k_rank=5, n_rank=4,
                                degree=4))
         mesh = _record(report, name)["mesh"]
-        assert {call[:3] for call in seen[name]} == {
-            (mesh["family"], mesh["k"], mesh["n"])}
-        assert max(call[3] for call in seen[name]) == mesh["d"]
-        assert _record(report, "restriction obstruction certified")[
+        assert mesh == _record(report, "restriction obstruction certified")[
             "mesh"] == {"family": "D", "k": 5, "n": 4, "d": 4}
+        assert len(seen[name]) == 10
+        assert {call[:4] for call in seen[name]} == {("D", 5, "D", 4)}
+        assert max(call[4] for call in seen[name]) == mesh["d"]
 
     def test_lift_record_checks_invariance_under_the_whole_group(
             self, monkeypatch):
@@ -340,6 +366,72 @@ class TestRecordMeshes:
                             lambda *args: real(*args) + bad)
         report = run(RunConfig("weyl"))
         assert not _record(report, "averaging-decomposition lift")["passed"]
+
+
+# (family, k, n, d): each family, both kinds of D pair (D5 -> D4 and
+# D5 -> D2 are obstructed), n = k, a larger degree and a lowercase family
+WEYL_SPECS = [("A", 4, 2, 6), ("B", 4, 2, 6), ("C", 4, 3, 6), ("D", 5, 4, 4),
+              ("D", 4, 4, 4), ("D", 5, 2, 6), ("B", 6, 3, 8), ("A", 2, 1, 4),
+              ("d", 5, 4, 4)]
+
+
+def _odd_pfaffian(p):
+    """Whether some term of p has every exponent odd."""
+    return any(all(a % 2 for a in e) for e in p.terms)
+
+
+class TestOneWeylSpec:
+    """The certificate and the lift certify the run's one Weyl spec."""
+
+    @pytest.mark.parametrize("family, k, n, d", WEYL_SPECS,
+                             ids=["%s%d-%d-d%d" % s for s in WEYL_SPECS])
+    def test_both_spec_records_certify_the_run_spec(self, monkeypatch,
+                                                    family, k, n, d):
+        name = "averaging-decomposition lift"
+        seen = TestRecordMeshes.spy(
+            monkeypatch, weyl, "ow1_lift",
+            lambda args, out: (args[1].family, args[1].rank,
+                               args[2].family, args[2].rank))
+        report = run(RunConfig("weyl", family=family, k_rank=k, n_rank=n,
+                               degree=d))
+        upper = family.upper()
+        kind = "obstruction" if upper == "D" and n < k else "surjectivity"
+        cert = _record(report, "restriction %s certified" % kind)
+        lift = _record(report, name)
+        assert cert["mesh"] == lift["mesh"] == {
+            "family": upper, "k": k, "n": n, "d": d}
+        assert report.all_passed
+        assert set(seen[name]) == {(upper, k, upper, n)}
+
+    def test_an_obstructed_lift_draws_from_the_reachable_span(self,
+                                                              monkeypatch):
+        name = "averaging-decomposition lift"
+        seen = TestRecordMeshes.spy(monkeypatch, weyl, "ow1_lift",
+                                    lambda args, out: _odd_pfaffian(args[0]))
+        report = run(RunConfig("weyl", family="D", k_rank=5, n_rank=4,
+                               degree=4))
+        assert _record(report, name)["passed"]
+        assert seen[name] == [False] * 10
+
+    def test_a_draw_from_the_full_basis_hits_the_obstruction(self,
+                                                             monkeypatch):
+        # a mutant that draws each target from the whole W(D4) basis, the
+        # Pfaffian x1 x2 x3 x4 included: ow1_lift must refuse it
+        full = weyl.invariant_basis(weyl.RootSystemSpec("D", 4), 4)
+        assert any(map(_odd_pfaffian, full))
+        real = weyl._combination
+
+        def full_draw(coeffs, basis, nvars):
+            if nvars == 4:   # a lift target, not a five-variable preimage
+                coeffs, basis = [1] * len(full), full
+            return real(coeffs, basis, nvars)
+        monkeypatch.setattr(weyl, "_combination", full_draw)
+        report = run(RunConfig("weyl", family="D", k_rank=5, n_rank=4,
+                               degree=4))
+        record = _record(report, "averaging-decomposition lift")
+        assert not record["passed"]
+        assert record["error"].startswith("ObstructionHit: ")
+        assert _record(report, "restriction obstruction certified")["passed"]
 
 
 class TestSharedInputs:
