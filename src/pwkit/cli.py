@@ -117,6 +117,8 @@ class RunConfig:
         if not 1 <= self.n_rank <= self.k_rank:   # so W(family, n) exists
             raise ConfigError("weyl spec: need 1 <= n <= k")
         self.degree = int(degree)
+        if self.degree < 0:
+            raise ConfigError("weyl spec: need d >= 0")
         vars(self).update(PRESETS[preset])
 
 

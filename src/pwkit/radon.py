@@ -66,9 +66,16 @@ exactly zero (those hyperplanes miss the support ball).  Complex samples
 are transformed as their real and imaginary parts.
 
 Each hyperplane has two names, xi(p, omega) = xi(-p, -omega), so only one
-direction of each antipodal pair in the direction set is sampled; the
+direction of each antipodal pair in the direction set is sampled, the one
+with omega_g > 0 on its pencil axis (on slabs, the earlier one); the
 other's column is the same integrals with the offsets reversed.  The
-transform is therefore even by construction.
+transform is therefore even by construction.  The lattice t^(n-1) is
+symmetric about 0 and the same on every axis, so if a signed permutation
+sigma of the axes keeps omega_g on the pencil axis, xi(p, sigma omega)
+meets pencil sigma(k) (index T - 1 - k where sigma flips a sign) at the x_g
+where xi(p, omega) meets pencil k.  An orbit's first member sets up the
+nodes for all (`_lattice_orbits`): its column is its one-direction
+transform's bit for bit, and a member's agrees with its own to roundoff.
 
 Inversion sums one direction of each antipodal pair too, in real
 arithmetic.  The term of -omega in the inversion integral has the real part
@@ -253,8 +260,8 @@ def _slab_stacks(values, t, h, L):
     stacks(e) in 3-D is (T, M, M): slab k's coefficient array at k, not
     padded.  The slabs of e are resampled along f by one batched matmul.  A
     stack is made on the first use of its axes, from values and t alone, so
-    a column of the transform does not depend on the rest of the direction
-    set."""
+    an orbit representative's column does not depend on the rest of the
+    direction set; a member's agrees with its own to roundoff."""
     prefilter = _prefilter_matrix(values.shape[0])
     resample = _resampling_matrix((t + L) / h, values.shape[0]) @ prefilter
     box = _nonzero_box(values)
@@ -291,24 +298,29 @@ def _slab_stacks(values, t, h, L):
     return stacks
 
 
-def _row_values(pencils, k, x):
+def _row_fractions(x, m):
+    """What `_row_values` reads of the coordinates x (flattened) on m nodes:
+    j = int(x) clipped to [0, m-1], f = x - j and the mask of x outside."""
+    x = x.ravel()
+    j = np.clip(x.astype(int), 0, m - 1)
+    return j, x - j, (x < 0) | (x > m - 1)
+
+
+def _row_values(pencils, k, at):
     """Values of the 1-D splines whose coefficients are the padded stack
-    `pencils` of `_slab_stacks`: pencil k_i at x_i grid steps (x flattened),
-    0 for x outside [0, m-1].  For j = int(x) clipped to [0, m-1], `_PIECES`
-    times the taps j - 2..j + 3 is the piece in f = x - j (Horner's rule)."""
-    width = pencils.shape[1]
-    last = width - 2 * ROW_PAD - 1  # m - 1
-    j = np.clip(x.astype(int), 0, last)
-    f = x - j
-    coef = _PIECES @ pencils.take(k * width + ROW_PAD + j
+    `pencils` of `_slab_stacks`: pencil k_i at the `_row_fractions`
+    (j, f, outside) of x_i, 0 for x outside [0, m-1].  `_PIECES` times the
+    taps j - 2..j + 3 is the piece in f (Horner's rule)."""
+    j, f, outside = at
+    coef = _PIECES @ pencils.take(k * pencils.shape[1] + ROW_PAD + j
                                   + np.arange(-2, 4)[:, None])
     vals = coef[-1] * f
     for c in coef[-2:0:-1]:
         vals += c
         vals *= f
     vals += coef[0]
-    vals[(x < 0) | (x > last)] = 0.0
-    return vals.ravel()
+    vals[outside] = 0.0
+    return vals
 
 
 def _pencil_axis(w):
@@ -318,7 +330,7 @@ def _pencil_axis(w):
     return len(w) - 1 - int(np.argmax(np.abs(w[::-1])))
 
 
-def _pencil_sampler(stacks, n, p, reach, t, h, L):
+def _pencil_sampler(stacks, m, n, p, reach, t, h, L):
     """Sampler of the hyperplanes xi(p_i, w) on pencils (see the module
     docstring): the rows of a 2-D transform and the non-horizontal planes
     of a 3-D one.  For the pencil axis g = `_pencil_axis(w)` and the other
@@ -328,28 +340,58 @@ def _pencil_sampler(stacks, n, p, reach, t, h, L):
     dt^(n-1) / |w_g|.  A pencil with sum_a t_(k_a)^2 beyond every
     p_i^2 + reach_i^2 keeps no node, so only the others are searched, in
     their order.  The pencils come from `stacks`, the `_slab_stacks` of the
-    n-D samples.  sample(w) returns the row index i of each node, its value
-    and the cell."""
+    n-D samples on m points an axis.  sample(ws), for an orbit ws, yields
+    the row index i of each node, its value and the cell for each member:
+    the nodes are w = ws[0]'s, and a member v reads pencil k_a on its axis
+    of |component| |w_a|, as T - 1 - k_a where the two signs differ."""
     lattice = np.stack(np.meshgrid(*[t] * (n - 1), indexing="ij")).reshape(
         n - 1, -1)                             # pencil k T + l at (t_k, t_l)
     norm2 = (lattice**2).sum(axis=0)
     bound = p**2 + reach**2
     ids = np.flatnonzero(norm2 <= bound.max())
     lattice, norm2 = lattice[:, ids], norm2[ids]
-    pencil = np.broadcast_to(ids[:, None], (len(ids), len(p)))
-    owner = np.broadcast_to(np.arange(len(p)), pencil.shape)
+    shape = (len(t),) * (n - 1)
+    index = np.array(np.unravel_index(ids, shape))  # (k, l) of each pencil
 
-    def sample(w):
+    def sample(ws):
+        w = ws[0]
         g = _pencil_axis(w)
         rest = [a for a in range(n) if a != g]
         # (pencil, row i), compressed in C order: a pencil's nodes are
         # consecutive, as its coefficients are
         x = (p - (w[rest] @ lattice)[:, None]) / w[g]
         keep = norm2[:, None] + x**2 <= bound
-        return (owner[keep],
-                _row_values(stacks(*rest), pencil[keep], (x[keep] + L) / h),
-                (t[1] - t[0]) ** (n - 1) / abs(w[g]))
+        at, owner = np.nonzero(keep)
+        fractions = _row_fractions((x[keep] + L) / h, m)
+        order = np.argsort(np.abs(w[rest]), kind="stable")
+        cell = (t[1] - t[0]) ** (n - 1) / abs(w[g])
+        for v in ws:
+            axes = [a for a in range(n) if a != _pencil_axis(v)]
+            # w's axis for each of axes: equal |components| pair in order
+            src = order[np.argsort(np.argsort(np.abs(v[axes]), kind="stable"))]
+            flip = (w[rest][src] < 0) != (v[axes] < 0)
+            k = np.where(flip[:, None], len(t) - 1 - index[src], index[src])
+            yield owner, _row_values(stacks(*axes),
+                                     np.ravel_multi_index(k, shape)[at],
+                                     fractions), cell
     return sample
+
+
+def _lattice_orbits(vectors, sampled):
+    """The directions `sampled` of `vectors` in orbits of the signed axis
+    permutations, in set order: by the pencil axis's component and the
+    sorted |components|, equal to 1e-12 as in `grid._rings`."""
+    w = vectors[sampled]
+    keys = np.column_stack([w[np.arange(len(w)), [_pencil_axis(v) for v in w]],
+                            np.sort(np.abs(w), axis=1)])
+    free = np.ones(len(w), dtype=bool)
+    orbits = []
+    for i in range(len(w)):
+        if free[i]:  # the first member of a new orbit, its representative
+            near = free & (np.abs(keys - keys[i]).max(axis=1) <= 1e-12)
+            free &= ~near
+            orbits.append(sampled[near].tolist())
+    return orbits
 
 
 def _slab_sampler(stacks, m, p, reach, t, h, L):
@@ -396,9 +438,9 @@ def radon_transform(f, offsets=None, *, directions):
     Entry (i, j) approximates the integral of f over the hyperplane
     xi(p_i, omega_j) with respect to its Lebesgue measure.  The support
     radius of f carries over to the sinogram; no hyperplane beyond it, or
-    beyond the box's corner L sqrt(n), is sampled.  A direction
-    whose antipode comes earlier and is sampled the same way is not
-    sampled: its column is the antipode's with the offsets reversed.
+    beyond the box's corner L sqrt(n), is sampled.  Of an antipodal pair
+    sampled the same way, one is sampled (see the module docstring) and
+    the other's column is its partner's with the offsets reversed.
 
     The hyperplanes are sampled on pencils, lines along the axis g most
     aligned with omega through the nodes t of the other axes, with the
@@ -447,20 +489,28 @@ def radon_transform(f, offsets=None, *, directions):
     reach = np.sqrt(rs**2 - offsets[rows]**2) + 3 * h
     horizontal = (n == 3) & (directions.vectors[:, -1] == 0)
     stacks = _slab_stacks(f.values, t, h, L)
-    pencils = _pencil_sampler(stacks, n, offsets[rows], reach, t, h, L)
+    pencils = _pencil_sampler(stacks, f.grid.points, n, offsets[rows], reach,
+                              t, h, L)
     slabs = horizontal.any() and _slab_sampler(
         stacks, f.grid.points, offsets[rows], reach, t, h, L)
 
     out = np.zeros((len(offsets), len(directions)))
     partner = directions._antipodes()
-    for j, w in enumerate(directions.vectors):
-        k = partner[j]
-        if 0 <= k < j and horizontal[k] == horizontal[j]:
-            # xi(p, w) = xi(-p, -w), and the offsets are symmetric
-            out[:, j] = out[::-1, k]
-        else:
-            owner, vals, cell = (slabs if horizontal[j] else pencils)(w)
+    vectors = directions.vectors
+    # of a pair, a positive pencil component first, then the earlier index
+    rank = [(not horizontal[j] and w[_pencil_axis(w)] <= 0, j)
+            for j, w in enumerate(vectors)]
+    copied = np.array([k >= 0 and horizontal[k] == horizontal[j]
+                       and rank[k] < rank[j] for j, k in enumerate(partner)])
+    for j in np.flatnonzero(horizontal & ~copied):
+        owner, vals, cell = slabs(vectors[j])
+        out[rows, j] = np.bincount(owner, vals, len(rows)) * cell
+    for orbit in _lattice_orbits(vectors,
+                                 np.flatnonzero(~horizontal & ~copied)):
+        for j, (owner, vals, cell) in zip(orbit, pencils(vectors[orbit])):
             out[rows, j] = np.bincount(owner, vals, len(rows)) * cell
+    # xi(p, w) = xi(-p, -w), and the offsets are symmetric
+    out[:, copied] = out[::-1, partner[copied]]
 
     return Sinogram(offsets, directions, out, f.support_radius)
 

@@ -29,7 +29,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .grid import ZeroInput, _simpson_weights
-from .radon import ROW_PAD, _prefilter_matrix, _row_values
+from .radon import ROW_PAD, _prefilter_matrix, _row_fractions, _row_values
 
 __all__ = [
     "ZonalProfile",
@@ -228,7 +228,8 @@ def sphere_radon(profile):
     x = np.clip(tj.ravel() / profile.step, 0, len(t) - 1)
     out = np.zeros(len(t))
     out[live] = (2**rho * rho / np.pi * (U / 2) ** rho
-                 * (_row_values(coef[None], 0, x).reshape(tj.shape) @ wj))
+                 * (_row_values(coef[None], 0, _row_fractions(x, len(t)))
+                    .reshape(tj.shape) @ wj))
     return out
 
 

@@ -423,7 +423,10 @@ def _generator_products(gens, d):
 def invariant_basis(spec, d):
     """Vector-space basis of the invariants of degree <= d: the generator
     monomials (the invariant ring is free on the Chevalley generators, so
-    these are linearly independent)."""
+    these are linearly independent).  Raises ValueError for d < 0, an
+    empty degree range."""
+    if d < 0:
+        raise ValueError("degree must be >= 0")
     if d > MAX_BASIS_DEGREE:
         raise DegreeTooLarge("degree cap is %d" % MAX_BASIS_DEGREE)
     return _generator_products(chevalley_generators(spec), d)

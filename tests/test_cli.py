@@ -192,6 +192,8 @@ class TestConfig:
         ("weyl certify --family B --k 4 --n 0", "weyl spec: need 1 <= n <= k"),
         ("weyl certify --family A --k 0 --n 0",
          "weyl spec: rank must be >= 1"),
+        ("weyl certify --family B --k 4 --n 2 --d -1",
+         "weyl spec: need d >= 0"),
     ])
     def test_weyl_spec_outside_the_rule_is_a_config_error(
             self, monkeypatch, capsys, argv, message):

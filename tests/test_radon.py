@@ -220,11 +220,35 @@ def compat_directions():
                         np.full(q, 1.0 / q), band_limit=0)
 
 
+def pencil_orbits(monkeypatch, f, dirs):
+    """The orbits, as lists of direction indices, on which
+    radon_transform(f, directions=dirs) sets up pencil nodes: one list per
+    call of the pencil sampler, its representative first."""
+    from pwkit import radon
+    orbits = []
+    real = radon._pencil_sampler
+
+    def spied(*args):
+        sample = real(*args)
+
+        def spied_sample(ws):
+            orbits.append([int(np.flatnonzero((dirs.vectors == v).all(1))[0])
+                           for v in ws])
+            return sample(ws)
+        return spied_sample
+    with monkeypatch.context() as patch:
+        patch.setattr(radon, "_pencil_sampler", spied)
+        radon_transform(f, directions=dirs)
+    return orbits
+
+
 class TestAntipodalReuse:
-    """radon_transform samples one direction of each antipodal pair; every
-    column must agree with the transform on that direction alone, which
-    has no antipode and so is always sampled.  circle(9) has no antipodes,
-    so every one of its columns is sampled."""
+    """radon_transform samples one direction of each antipodal pair, and
+    sets up the pencil nodes once per orbit of the signed permutations of
+    the axes; every column must agree with the transform on that direction
+    alone, which has no antipode or orbit partner and so is always
+    sampled.  circle(9) has no antipodes, but its mirror pairs
+    (cos, +-sin) share their orbit."""
 
     @pytest.mark.parametrize("grid, center, radius, dirs", [
         (GridSpec(2, 1.5, 129), [0.3, -0.2], 0.5, DirectionSet.circle(64)),
@@ -237,18 +261,71 @@ class TestAntipodalReuse:
         # 16 horizontal normals in 8 antipodal pairs, all on the slab axis z
         (GridSpec(3, 1.5, 33), [0.2, -0.1, 0.15], 0.6, compat_directions()),
     ], ids=["circle64", "sphere3", "circle9", "horizontal-pair", "compat16"])
-    def test_columns_match_single_directions(self, grid, center, radius, dirs):
+    def test_columns_match_single_directions(self, monkeypatch, grid, center,
+                                             radius, dirs):
+        # an orbit representative, and a horizontal normal sampled on slabs,
+        # is the same arithmetic as the one-direction set; an orbit member
+        # reads the representative's nodes through its signed permutation,
+        # and a reused antipode is its partner's column reversed, so they
+        # agree to roundoff
         f = make_bump(center, radius, 1.0, grid)
         s = radon_transform(f, directions=dirs)
         partner = dirs._antipodes()
+        horizontal = (grid.n == 3) & (dirs.vectors[:, -1] == 0)
+        exact = {orbit[0] for orbit in pencil_orbits(monkeypatch, f, dirs)}
+        exact |= {j for j in np.flatnonzero(horizontal)
+                  if not 0 <= partner[j] < j or not horizontal[partner[j]]}
         scale = np.abs(s.values).max()
         for j, w in enumerate(dirs.vectors):
             alone = radon_transform(f, directions=DirectionSet([w], [1.0], 0))
-            if 0 <= partner[j] < j:  # reused: the antipode's column reversed
+            if j in exact:
+                np.testing.assert_array_equal(s.values[:, j], alone.values[:, 0])
+            else:
                 assert np.abs(s.values[:, j] - alone.values[:, 0]).max() \
                     <= 1e-12 * scale
-            else:  # sampled: the same arithmetic as the one-direction set
-                np.testing.assert_array_equal(s.values[:, j], alone.values[:, 0])
+
+    # sampled pencil directions -> orbits of the signed permutations of the
+    # axes: circle(Q) has the 8-member orbits of its generic angles and the
+    # 4-member orbits of the axes and diagonals, and its sampled half keeps
+    # one of each antipodal pair; sphere(b) has the orbits of one polar
+    # node's azimuths, and the pole's reflection z -> -z pairs the nodes
+    # (the 18 horizontal normals of sphere(8) are sampled on slabs)
+    @pytest.mark.parametrize("grid, dirs, sampled, orbits", [
+        (GridSpec(2, 1.5, 65), DirectionSet.circle(64), 32, 9),
+        (GridSpec(2, 1.5, 65), DirectionSet.circle(256), 128, 33),
+        (GridSpec(3, 1.5, 33), DirectionSet.sphere(3), 16, 4),
+        (GridSpec(3, 1.5, 33), DirectionSet.sphere(8), 72, 20),
+    ], ids=["circle64", "circle256", "sphere3", "sphere8"])
+    def test_one_node_set_per_orbit(self, monkeypatch, grid, dirs, sampled,
+                                    orbits):
+        from pwkit.radon import _pencil_axis
+        f = make_bump([0.2, -0.1, 0.15][:grid.n], 0.5, 1.0, grid)
+        got = pencil_orbits(monkeypatch, f, dirs)
+        members = [j for orbit in got for j in orbit]
+        assert (len(got), len(members)) == (orbits, sampled)
+        # one of each antipodal pair, the one with a positive pencil component
+        on_pencils = np.flatnonzero((grid.n == 2) | (dirs.vectors[:, -1] != 0))
+        assert sorted(members + list(dirs._antipodes()[members])) \
+            == list(on_pencils)
+        assert all(w[_pencil_axis(w)] > 0 for w in dirs.vectors[members])
+
+    @pytest.mark.parametrize("n, grid", [(2, GridSpec(2, 1.5, 129)),
+                                         (3, GridSpec(3, 1.5, 33))])
+    def test_asymmetric_set_is_sampled_direction_by_direction(
+            self, monkeypatch, n, grid):
+        # random unit vectors: no two are antipodes or images of each other
+        # by a signed permutation, so every orbit is one direction, sampled
+        # by the arithmetic of the one-direction set
+        rng = np.random.default_rng(5)
+        w = rng.standard_normal((12, n))
+        dirs = DirectionSet(w / np.linalg.norm(w, axis=1, keepdims=True),
+                            np.full(12, 1 / 12), 0)
+        f = make_bump([0.2, -0.1, 0.15][:n], 0.5, 1.0, grid)
+        assert pencil_orbits(monkeypatch, f, dirs) == [[j] for j in range(12)]
+        s = radon_transform(f, directions=dirs)
+        for j, v in enumerate(dirs.vectors):
+            alone = radon_transform(f, directions=DirectionSet([v], [1.0], 0))
+            np.testing.assert_array_equal(s.values[:, j], alone.values[:, 0])
 
     @staticmethod
     def spline_calls(monkeypatch, f, dirs):
@@ -543,7 +620,8 @@ class TestRowSampler:
         # of a random 2-D sample array at 7 coordinates along e, whose
         # coefficients the reference takes from ndimage.spline_filter
         from scipy import ndimage
-        from pwkit.radon import _resampling_matrix, _row_values, _slab_stacks
+        from pwkit.radon import (_resampling_matrix, _row_fractions,
+                                 _row_values, _slab_stacks)
         rng = np.random.default_rng(m)
         values = rng.standard_normal((m, m))
         coeffs = ndimage.spline_filter(values, order=5)
@@ -552,7 +630,8 @@ class TestRowSampler:
         x = np.concatenate([ends, m - 1 - ends, [0.0, m - 1.0, -1e-12],
                             rng.uniform(0, m - 1, 20)])
         k = rng.integers(0, len(t), len(x))
-        got = _row_values(_slab_stacks(values, t, 1.0, 0.0)(e), k, x[None])
+        got = _row_values(_slab_stacks(values, t, 1.0, 0.0)(e), k,
+                          _row_fractions(x[None], m))
         stack = np.tensordot(_resampling_matrix(t, m), coeffs, axes=(1, e))
         want = np.einsum("ij,ij->i", stack[k], _resampling_matrix(x, m))
         assert np.abs(got - want).max() <= 1e-14 * np.abs(stack).max()
@@ -563,7 +642,7 @@ class TestRowSampler:
         # and at 3000 gives the same bits at coordinates inside, on the
         # ends and beyond them (a coordinate joined across the stack would
         # round x near 1e5)
-        from pwkit.radon import ROW_PAD, _row_values
+        from pwkit.radon import ROW_PAD, _row_fractions, _row_values
         m = 33
         rng = np.random.default_rng(3)
         pencils = np.zeros((3001, m + 2 * ROW_PAD))
@@ -571,8 +650,9 @@ class TestRowSampler:
                                     mode="reflect")
         x = np.concatenate([rng.uniform(0, m - 1, 200),
                             [-0.5, 0.0, m - 1.0, m - 0.5]])[None]
-        first = _row_values(pencils, np.zeros(x.size, int), x)
-        last = _row_values(pencils, np.full(x.size, 3000), x)
+        at = _row_fractions(x, m)
+        first = _row_values(pencils, np.zeros(x.size, int), at)
+        last = _row_values(pencils, np.full(x.size, 3000), at)
         np.testing.assert_array_equal(first, last)
         assert np.abs(first).max() > 0
 
@@ -587,7 +667,8 @@ class TestRowSampler:
         # most 1 in all, so its roundoff scales with the largest coefficient
         # of ndimage.spline_filter, the reference's
         from scipy import ndimage
-        from pwkit.radon import _resampling_matrix, _row_values, _slab_stacks
+        from pwkit.radon import (_resampling_matrix, _row_fractions,
+                                 _row_values, _slab_stacks)
         rng = np.random.default_rng(m)
         values = rng.standard_normal((m,) * 3)
         coeffs = ndimage.spline_filter(values, order=5)
@@ -596,7 +677,8 @@ class TestRowSampler:
         x = np.concatenate([ends, m - 1 - ends, [0.0, m - 1.0, -1e-12],
                             rng.uniform(0, m - 1, 20)])
         k = rng.integers(0, len(t) ** 2, len(x))
-        got = _row_values(_slab_stacks(values, t, 1.0, 0.0)(e, f), k, x[None])
+        got = _row_values(_slab_stacks(values, t, 1.0, 0.0)(e, f), k,
+                          _row_fractions(x[None], m))
         resample = _resampling_matrix(t, m)
         pencils = np.einsum("ka,lb,abc->klc", resample, resample,
                             np.moveaxis(coeffs, (e, f), (0, 1))).reshape(-1, m)
@@ -733,8 +815,8 @@ class TestPrefilterFold:
         # the sampler searches only the pencils within the largest
         # p^2 + reach^2; the search over the whole T x T lattice must keep
         # the same nodes in the same order, with the same values
-        from pwkit.radon import (_pencil_axis, _pencil_sampler, _row_values,
-                                 _slab_stacks)
+        from pwkit.radon import (_pencil_axis, _pencil_sampler,
+                                 _row_fractions, _row_values, _slab_stacks)
         g = GridSpec(3, 1.5, 33)
         f = make_bump(*OFFCENTRE, 1.0, g)
         h, L = g.spacing, g.half_width
@@ -746,7 +828,7 @@ class TestPrefilterFold:
         p = offsets[np.abs(offsets) <= rs]
         reach = np.sqrt(rs**2 - p**2) + 3 * h
         stacks = _slab_stacks(f.values, t, h, L)
-        sample = _pencil_sampler(stacks, 3, p, reach, t, h, L)
+        sample = _pencil_sampler(stacks, g.points, 3, p, reach, t, h, L)
         lattice = np.stack(np.meshgrid(t, t, indexing="ij")).reshape(2, -1)
         norm2 = (lattice**2).sum(axis=0)
         assert (norm2 > (p**2 + reach**2).max()).sum() > 0.2 * len(norm2)
@@ -755,9 +837,9 @@ class TestPrefilterFold:
             rest = [a for a in range(3) if a != axis]
             x = (p - (w[rest] @ lattice)[:, None]) / w[axis]
             pencil, owner = np.nonzero(norm2[:, None] + x**2 <= p**2 + reach**2)
-            vals = _row_values(stacks(*rest), pencil,
-                               ((x[pencil, owner] + L) / h)[None])
-            got_owner, got_vals, _ = sample(w)
+            vals = _row_values(stacks(*rest), pencil, _row_fractions(
+                ((x[pencil, owner] + L) / h)[None], g.points))
+            got_owner, got_vals, _ = next(sample(w[None]))
             np.testing.assert_array_equal(got_owner, owner)
             np.testing.assert_array_equal(got_vals, vals)
 

@@ -190,6 +190,12 @@ class TestInvariantBasis:
             got = sum(1 for b in invariant_basis(spec, 6) if b.degree() == d)
             assert got == dim
 
+    def test_negative_degree_refused(self):
+        # no invariant has a negative degree: not the constant [1]
+        with pytest.raises(ValueError, match="degree must be >= 0"):
+            invariant_basis(RootSystemSpec("B", 2), -1)
+        assert len(invariant_basis(RootSystemSpec("B", 2), 0)) == 1
+
     def test_degree_cap(self):
         with pytest.raises(DegreeTooLarge):
             invariant_basis(RootSystemSpec("B", 2), 13)
