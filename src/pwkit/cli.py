@@ -560,7 +560,10 @@ def run_weyl(cfg, report, inputs):
         return cert.obstruction == marked and all(
             cert.preimage(t).restrict(b.nvars) == b for t, b in enumerate(down)
             if t not in marked)
-    _check_holds(report, "restriction obstruction certified" if obstructed
+    # below degree n, the degree of the W(D_n) Pfaffian, no invariant has
+    # odd Pfaffian power, and the map is onto
+    _check_holds(report, "restriction obstruction certified"
+                 if obstructed and cfg.degree >= cfg.n_rank
                  else "restriction surjectivity certified",
                  "invariant restriction surjectivity", certified, mesh)
 

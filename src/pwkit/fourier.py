@@ -45,10 +45,13 @@ the rounding of its argument, as with np.exp) in two places only: the
 direct kernel and the grid synthesis of `radon.inverse_radon`.  The
 synthesis makes one table per radius, over the half axis x >= 0, of the
 levels: the distinct |omega_a| to 1e-12 (`grid._rings`) of the kept
-directions' components and ring values.  Every factor of every axis is a
-row of it, mirrored and conjugated for x < 0 and read backwards for a
-negative component.  The offset kernel and `pointwise_inversion` keep
-np.exp, cos and sin.  So no
+directions' components and ring values.  Its real and imaginary parts are
+the cos and sin rows of every axis and ring, the even and odd parts of a
+factor e^{i s a x} = cos(a x) + i s sin(a x) for a component s a.  The
+synthesis sums the 2^n parity blocks of the orthant x >= 0 and mirrors
+each axis once after the last radius: even + odd at x >= 0, even - odd
+at -x.  The offset kernel and `pointwise_inversion` keep np.exp, cos and
+sin.  So no
 certificate uses the table on both sides: the Fourier slice and extension
 consistency compare the direct side (table) with the offset side (np.exp),
 and the round trip compares the synthesis with the grid samples of f,

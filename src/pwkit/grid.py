@@ -381,6 +381,7 @@ class DirectionSet:
         self.weights = weights
         self.band_limit = int(band_limit)
         self._antipodal = None
+        self._orbits = None  # radon_transform's copied mask and orbits
         self._verify_exactness()
 
     @property

@@ -85,16 +85,20 @@ real part of the full sum, whether or not the sinogram is even; for a real
 sinogram that real part is the reconstruction.  Only real sinograms are
 inverted: a complex one raises ValueError.  On the grid the sum runs
 ring by ring, over the kept directions whose last components are equal to
-1e-12 (`grid._rings`, the rings of the direct kernel too): each ring's
-field over the other axes, then the last axis of all rings by one real
-GEMM pair per radius, mirrored about x_n = 0 (see `inverse_radon`).  Per
-radius every phase factor, of every axis and every ring, is a row of one
-table over the levels, the distinct |omega_a| to 1e-12 of the kept
-directions' components and ring values.  It is tabulated by angle
-addition (`grid._phase_table`), a few ulp of each entry plus the rounding
-of its argument, as with np.exp.  The offset kernel `_slice_transform`
-keeps np.exp, so no certificate uses the table on both sides (see the
-module docstring of fourier).
+1e-12 (`grid._rings`, the rings of the direct kernel too).  A phase
+factor e^{i s a x}, a >= 0 its level and s = +-1, is cos(a x) +
+i s sin(a x), even and odd in x, so the sum is fixed by its 2^n parity
+blocks on the orthant x >= 0.  Per radius each ring's field over the
+other axes, then the last axis of all rings by two real GEMMs, cos rows
+and sin rows, add into the blocks, and after the last radius each axis
+is mirrored once (see `inverse_radon`).  Per radius the cos and sin rows
+of every axis and every ring are the real and imaginary parts of one
+table over the half axis x >= 0 and the levels, the distinct |omega_a| to
+1e-12 of the kept directions' components and ring values.  It is
+tabulated by angle addition (`grid._phase_table`), a few ulp of each
+entry plus the rounding of its argument, as with np.exp.  The offset
+kernel `_slice_transform` keeps np.exp, so no certificate uses the table
+on both sides (see the module docstring of fourier).
 """
 
 import functools
@@ -497,16 +501,20 @@ def radon_transform(f, offsets=None, *, directions):
     out = np.zeros((len(offsets), len(directions)))
     partner = directions._antipodes()
     vectors = directions.vectors
-    # of a pair, a positive pencil component first, then the earlier index
-    rank = [(not horizontal[j] and w[_pencil_axis(w)] <= 0, j)
-            for j, w in enumerate(vectors)]
-    copied = np.array([k >= 0 and horizontal[k] == horizontal[j]
-                       and rank[k] < rank[j] for j, k in enumerate(partner)])
+    if directions._orbits is None:  # the set alone fixes them: cached
+        # of a pair, a positive pencil component first, then the earlier index
+        rank = [(not horizontal[j] and w[_pencil_axis(w)] <= 0, j)
+                for j, w in enumerate(vectors)]
+        copied = np.array([k >= 0 and horizontal[k] == horizontal[j]
+                           and rank[k] < rank[j]
+                           for j, k in enumerate(partner)])
+        directions._orbits = copied, _lattice_orbits(
+            vectors, np.flatnonzero(~horizontal & ~copied))
+    copied, orbits = directions._orbits
     for j in np.flatnonzero(horizontal & ~copied):
         owner, vals, cell = slabs(vectors[j])
         out[rows, j] = np.bincount(owner, vals, len(rows)) * cell
-    for orbit in _lattice_orbits(vectors,
-                                 np.flatnonzero(~horizontal & ~copied)):
+    for orbit in orbits:
         for j, (owner, vals, cell) in zip(orbit, pencils(vectors[orbit])):
             out[rows, j] = np.bincount(owner, vals, len(rows)) * cell
     # xi(p, w) = xi(-p, -w), and the offsets are symmetric
@@ -608,28 +616,33 @@ def inverse_radon(s, grid):
     components are equal to 1e-12 (`grid._rings`).  The levels are the
     distinct |omega_a| of the phase factors' components, those of the live
     members on axes 1..n-1 and the ring values, grouped to 1e-12 by the
-    same `grid._rings`; a padded ring slot adds none.  Per radius one
-    table holds e^{2 pi i r a x} of every level a on x_k = k dx, k >= 0,
-    by angle addition (`grid._phase_table`: a few ulp of each entry plus
-    the rounding of its argument, as with np.exp), and each axis is odd
-    about its middle node, so the x < 0 half of a row is the mirrored
-    conjugate of its x >= 0 half.  A component w's factor e^{2 pi i r w x}
-    is its level's row, read backwards for w < 0, and w differs from its
-    level by roundoff, as a member's last component does from its ring's
-    value.  Per radius:
+    same `grid._rings`; a padded ring slot adds none.  A component
+    w = s a, a its level and s its sign, has the factor
+    e^{2 pi i r w x} = C(x) + i s S(x), C = cos(2 pi r a x) even in x and
+    S = sin(2 pi r a x) odd, and w differs from a by roundoff, as a
+    member's last component does from its ring's value.  So on the orthant
+    x >= 0 the sum is 2^n parity blocks B_p, p in {0, 1}^n, and
+    out(sigma |x|) = sum_p (prod_a sigma_a^p_a) B_p(|x|) for the signs
+    sigma: B_p takes the S rows on the axes with p_a = 1 and the C rows on
+    the others, with the coefficients Re(c prod_a (i s_a)^p_a).  Per radius
+    one table holds e^{2 pi i r a x} of every level a on x_k = k dx,
+    0 <= k < H = M // 2 + 1, by angle addition (`grid._phase_table`: a few ulp of
+    each entry plus the rounding of its argument, as with np.exp): its
+    real parts are the C rows and its imaginary parts the S rows.  Per
+    radius:
 
-    1. Each ring's field over axes 1..n-1, F_k = sum_{j in ring k} c_j
-       prod_a e^{2 pi i r omega_ja x_a}, on the whole axes, from the
-       members' rows: a short sum per ring in 2-D, one (M, G) x (G, M)
-       product per ring in 3-D, batched over the K rings.
-    2. The last axis for all K rings at once, against Z_k(x_n) =
-       e^{2 pi i r c_k x_n} at x_n >= 0, the rings' rows of the table: one
-       real GEMM pair, Re(F)^T Re(Z) and Im(F)^T Im(Z), of inner
-       dimension K.
-    3. Their difference is Re(F Z), the term at x_n >= 0, and their sum is
-       Re(F conj(Z)), the term at -x_n: the mirror on the ring axis.
+    1. Each ring's field over axes 1..n-1, for every parity class at once,
+       F_k = sum_{j in ring k} c_jp prod_a T_ja(x_a) from the members'
+       rows: a short sum per ring in 2-D, one (H, G) x (G, H) product per
+       ring and class in 3-D, batched.
+    2. The last axis for all K rings at once: two real GEMMs of inner
+       dimension K, the p_n = 0 fields against the rings' C rows and the
+       p_n = 1 fields against their S rows, into one buffer that is added
+       into one accumulator of the 2^n blocks.
 
-    That is about R K M^n multiply-adds for the last axis instead of
+    After the last radius each axis is mirrored once, in place, from the
+    blocks even (E) and odd (O) on it: E + O at x >= 0, E - O at -x.  That
+    is about R K M^n multiply-adds for the last axis instead of
     R (Q/2) M^n: in 2-D a ring pairs theta with pi - theta, which about
     halves the GEMMs, and in 3-D the polar rings of `DirectionSet.sphere`
     cut them by the ring size.  The table has V angles per radius instead
@@ -640,9 +653,9 @@ def inverse_radon(s, grid):
     """
     radii, vectors, coef = _inversion_quadrature(s)
     n = s.n
-    m = grid.points
-    h = m // 2
+    h = grid.points // 2
     values, members = _rings(vectors[:, -1])
+    rings = len(values)
     # each ring's coefficients, (R, K, G); a padded member's is 0
     coef = np.concatenate([coef, np.zeros((len(radii), 1))], axis=1)[:, members]
     # every phase's component: axes 1..n-1 of the members, then the ring
@@ -654,35 +667,41 @@ def inverse_radon(s, grid):
     levels, groups = _rings(np.abs(comps))
     level = np.empty(len(comps), dtype=int)
     level[groups[groups >= 0]] = np.nonzero(groups >= 0)[0]
-    # each component's factor on the whole axis x_k = k dx, |k| <= h, as
-    # flat indices into the (V, M) level table: its level's row, read
-    # backwards for a negative component (e^{-i a x} = e^{i a (-x)})
-    k = np.arange(m) - h
-    at = level[:, None] * m + h + np.where(comps[:, None] < 0, -k, k)
-    # the members' factors, (n - 1, K, G, M)
-    factors = at[:-len(values)].reshape((n - 1,) + members.shape + (m,))
+    axes, last = level[:-rings].reshape((n - 1,) + members.shape), level[-rings:]
+    # (i s_a)^p_a of each member's factors, per parity class p: (2,) * n
+    # + (K, G)
+    parity = np.ones(members.shape)
+    for s_a in np.where(vectors[members] < 0, -1, 1).transpose(2, 0, 1)[::-1]:
+        parity = np.stack([parity, 1j * s_a * parity])
     theta = 2 * np.pi * grid.spacing * levels
-    # Re(F Z) at x_n >= 0 and Re(F conj(Z)) at x_n <= 0, mirrored
-    pos = np.zeros((m ** (n - 1), h + 1))
-    neg = np.zeros_like(pos)
+    # the blocks B_p, (p_n, p_1.., x_1.., x_n)
+    acc = np.zeros((2, 2 ** (n - 1) * (h + 1) ** (n - 1), h + 1))
+    term = np.empty_like(acc)
     for r, c in zip(radii, coef):
-        # e^{i a x} of each level a on the whole axis, (V, M): the x < 0
-        # half is the mirrored conjugate of the x >= 0 half
         table = _phase_table(r * theta, h + 1)
-        table = np.concatenate([table[:, :0:-1].conj(), table], axis=1)
-        # each ring's field over axes 1..n-1: c^T X in 2-D, X^T diag(c) Y
+        rows = np.stack([table.real, table.imag], axis=1)  # (V, 2, H)
+        *head, tail = (rows[a].swapaxes(1, 2) for a in axes)
+        # each class's coefficients, (2, K) + (2,) * (n - 1) + (G,), and
+        # each ring's field over axes 1..n-1: w^T X in 2-D, X^T diag(w) Y
         # in 3-D
-        *head, tail = table.take(factors)
-        field = (c[:, None, :] if n == 2 else
-                 head[0].transpose(0, 2, 1) * c[:, None, :]) @ tail
-        field = field.reshape(len(values), -1)
-        last = table.take(at[-len(values):, h:])
-        even = np.ascontiguousarray(field.real).T @ last.real
-        odd = np.ascontiguousarray(field.imag).T @ last.imag
-        pos += even - odd
-        neg += even + odd
-    out = np.concatenate([neg[:, :0:-1], pos], axis=1)
-    return SampledFunction(grid, out.reshape((m,) * n))
+        w = np.moveaxis((c * parity).real, (n - 1, n), (0, 1))
+        field = (w[..., None, :] @ tail if n == 2 else
+                 head[0].swapaxes(-1, -2)[:, :, None]
+                 @ (w[..., None] * tail[:, None]))
+        np.matmul(field.reshape(2, rings, -1).swapaxes(1, 2),
+                  rows[last].swapaxes(0, 1), out=term)
+        acc += term
+    del term  # before the output is allocated
+    acc = np.moveaxis(acc.reshape((2,) * n + (h + 1,) * n), 0, n - 1)
+    for a in range(n):  # E + O in E's place, E - O in O's
+        even, odd = np.moveaxis(acc, a, 0)
+        even += odd
+        odd *= -2
+        odd += even
+    out = np.empty((grid.points,) * n)
+    for q in np.ndindex(acc.shape[:n]):
+        out[tuple(slice(h, None, 1 - 2 * b) for b in q)] = acc[q]
+    return SampledFunction(grid, out)
 
 
 def save_sinogram(s, path, direction_path=None):
